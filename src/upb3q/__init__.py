@@ -20,7 +20,6 @@ from .dynamics import (
     one_spin_generators,
     orbit,
     orbit_generator,
-    orbit_swap_report,
     prepare_upb,
     rodrigues_flow,
     stage1_generator,
@@ -40,15 +39,7 @@ from .entanglement import (
     triple_value,
     verify_triple_structure,
 )
-from .linalg import (
-    Spectrum,
-    conjugation_flow,
-    frobenius_distance,
-    hermitian_eig,
-    hermitian_eigenvalues,
-    jacobi_eigh,
-    rank_with_tol,
-)
+from .linalg import conjugation_flow, frobenius_distance, jacobi_eigh
 from .pauli import (
     CoherenceTensor,
     ProductKet,

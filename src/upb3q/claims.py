@@ -33,7 +33,6 @@ from .dynamics import (
     one_spin_generators,
     orbit,
     orbit_generator,
-    orbit_swap_report,
     prepare_upb,
     rodrigues_flow,
     stationarity,
@@ -41,6 +40,7 @@ from .dynamics import (
 from .entanglement import Cut, builtin_triples, lhv_oracle, min_pt_eig, signed_triple, triple_value, verify_triple_structure
 from .linalg import frobenius_distance, jacobi_eigh
 from .pauli import (
+    INDICES,
     LAMBDA_BASIS,
     SQRT2,
     bloch_vector,
@@ -56,6 +56,7 @@ from .pauli import (
 from .states import (
     X,
     check_upb,
+    expected_oq_tensor,
     expected_upb_tensor,
     family,
     family_mixture,
@@ -63,13 +64,14 @@ from .states import (
     partial_reflect,
     reflect,
     reflect_density,
+    rho_oq,
     rho_sep,
     rho_upb,
 )
 
 X3 = X**3
 
-# Spectrum of both rank-4 mixtures: four null directions, four at 1/4.
+# Eigenvalues of both rank-4 mixtures: four null directions, four at 1/4.
 _FLAT_SPECTRUM = np.array([0.0, 0.0, 0.0, 0.0, 0.25, 0.25, 0.25, 0.25])
 
 
@@ -157,10 +159,6 @@ class _Context:
     @cached_property
     def orbit_samples(self):
         return orbit(self.cfg.orbit_samples, ppt_tol=self.cfg.psd_tol)
-
-    @cached_property
-    def swap_report(self):
-        return orbit_swap_report(self.cfg.sign_tol)
 
     @cached_property
     def byproduct(self):
@@ -342,27 +340,34 @@ def _c_prep_swap_violations(ctx):
 
 
 def _c_orbit_start(ctx):
-    r = ctx.swap_report
-    return float(max(r.start_vs_psi, r.start_reflection_vs_upb)), 0.0, ctx.cfg.equality_tol
+    d = max(
+        frobenius_distance(from_coherence(ctx.sep_t), family_mixture("psi")),
+        frobenius_distance(from_coherence(reflect(ctx.sep_t)), ctx.upb),
+    )
+    return float(d), 0.0, ctx.cfg.equality_tol
 
 
 def _c_orbit_quarter_table(ctx):
-    return float(ctx.swap_report.quarter_vs_table), 0.0, ctx.cfg.equality_tol
+    dev = np.abs(ctx.quarter_t.components - expected_oq_tensor().components).max()
+    return float(dev), 0.0, ctx.cfg.equality_tol
 
 
 def _c_orbit_quarter_complement(ctx):
-    return float(ctx.swap_report.quarter_vs_complement_theta), 0.0, ctx.cfg.equality_tol
+    d = frobenius_distance(from_coherence(ctx.quarter_t), rho_oq())
+    return float(d), 0.0, ctx.cfg.equality_tol
 
 
 def _c_orbit_quarter_reflection(ctx):
-    return float(ctx.swap_report.quarter_reflection_vs_theta), 0.0, ctx.cfg.equality_tol
+    d = frobenius_distance(from_coherence(reflect(ctx.quarter_t)), family_mixture("theta"))
+    return float(d), 0.0, ctx.cfg.equality_tol
 
 
 def _c_orbit_half(ctx):
-    return float(ctx.swap_report.half_vs_phi), 0.0, ctx.cfg.equality_tol
+    half = from_coherence(rodrigues_flow(222, TAU_P / 2.0, ctx.sep_t))
+    return float(frobenius_distance(half, family_mixture("phi"))), 0.0, ctx.cfg.equality_tol
 
 
-_LOW_WEIGHT = np.array([sum(1 for i in index_tuple(a) if i != 0) <= 2 for a in range(64)])
+_LOW_WEIGHT = np.count_nonzero(INDICES, axis=1) <= 2
 
 
 def _c_orbit_conserved(ctx):
@@ -766,11 +771,11 @@ def _fmt17(value):
 
 def write_orbit_csv(fobj, samples):
     """17-significant-digit CSV of 3-coherences, min PT eigenvalues, ranks."""
-    three = [21, 23, 29, 31, 53, 55, 61, 63]
+    three = sorted(SIN_SET + COS_SET)
     writer = csv.writer(fobj)
     writer.writerow(
         ["t"]
-        + [f"coh{a // 16}{(a // 4) % 4}{a % 4}" for a in three]
+        + ["coh{}{}{}".format(*index_tuple(a)) for a in three]
         + [f"min_pt_cut{q}" for q in (1, 2, 3)]
         + [f"reflected_min_pt_cut{q}" for q in (1, 2, 3)]
         + ["rank", "reflected_rank"]

@@ -12,6 +12,7 @@ byte-identical across runs with the same arguments.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .claims import (
@@ -32,6 +33,23 @@ def _fmt(value):
     if isinstance(value, list):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     return str(value)
+
+
+def _checked(convert, ok, what):
+    """argparse type: convert the text, then reject it unless ok(value)."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+_SAMPLES = _checked(int, lambda n: n >= 2, "an integer >= 2")
+_TOLERANCE = _checked(float, lambda t: math.isfinite(t) and t >= 0.0, "a finite number >= 0")
 
 
 def _cmd_verify(args):
@@ -94,16 +112,16 @@ def build_parser():
                    help="glob on claim ids; non-matching claims are skipped")
     v.add_argument("--json", default=None, metavar="PATH",
                    help="also write the full report list as JSON")
-    v.add_argument("--orbit-samples", type=int, default=64, metavar="N",
+    v.add_argument("--orbit-samples", type=_SAMPLES, default=64, metavar="N",
                    help="orbit grid size used by orbit claims (default 64)")
-    v.add_argument("--tolerance-equality", type=float, default=1e-12, metavar="TOL")
-    v.add_argument("--tolerance-psd", type=float, default=1e-10, metavar="TOL")
-    v.add_argument("--tolerance-sign", type=float, default=1e-8, metavar="TOL")
-    v.add_argument("--tolerance-flow", type=float, default=1e-10, metavar="TOL")
+    v.add_argument("--tolerance-equality", type=_TOLERANCE, default=1e-12, metavar="TOL")
+    v.add_argument("--tolerance-psd", type=_TOLERANCE, default=1e-10, metavar="TOL")
+    v.add_argument("--tolerance-sign", type=_TOLERANCE, default=1e-8, metavar="TOL")
+    v.add_argument("--tolerance-flow", type=_TOLERANCE, default=1e-10, metavar="TOL")
     v.set_defaults(func=_cmd_verify)
 
     o = sub.add_parser("orbit", help="sample the PPT-preserving orbit as CSV")
-    o.add_argument("--samples", type=int, default=64, metavar="N",
+    o.add_argument("--samples", type=_SAMPLES, default=64, metavar="N",
                    help="grid points over one period (default 64)")
     o.add_argument("--csv", default="-", metavar="PATH",
                    help="output path, or - for stdout (default)")

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import Cut, builtin_triples, lhv_oracle, min_pt_eig, signed_triple, triple_value
+from .entanglement import Cut, min_pt_eig
 from .linalg import conjugation_flow, frobenius_distance, jacobi_eigh
-from .pauli import SQRT2, CoherenceTensor, from_coherence, lambda_tensor, to_coherence
-from .states import expected_oq_tensor, family_mixture, reflect, rho_sep, rho_upb
+from .pauli import (SQRT2, CoherenceTensor, flat_index, from_coherence, label_to_tuple,
+                    lambda_tensor, to_coherence)
+from .states import family_mixture, reflect, rho_sep, rho_upb
 
 # Common period of the Lambda_{333} and Lambda_{222} conjugation flows.
 TAU_P = 2.0 * SQRT2 * np.pi
@@ -30,8 +31,8 @@ TAU_P = 2.0 * SQRT2 * np.pi
 # The eight 3-coherence flat indices, split by their role along the orbit:
 # SIN_SET components evolve as -x sin(t/sqrt2) from rho_sep, COS_SET as
 # -x cos(t/sqrt2); everything of lower weight is conserved.
-SIN_SET = (16 * 1 + 4 * 1 + 3, 16 * 1 + 4 * 3 + 1, 16 * 3 + 4 * 1 + 1, 16 * 3 + 4 * 3 + 3)
-COS_SET = (16 * 1 + 4 * 1 + 1, 16 * 1 + 4 * 3 + 3, 16 * 3 + 4 * 1 + 3, 16 * 3 + 4 * 3 + 1)
+SIN_SET = (flat_index(1, 1, 3), flat_index(1, 3, 1), flat_index(3, 1, 1), flat_index(3, 3, 3))
+COS_SET = (flat_index(1, 1, 1), flat_index(1, 3, 3), flat_index(3, 1, 3), flat_index(3, 3, 1))
 
 
 class BadAxis(ValueError):
@@ -50,13 +51,12 @@ class HamiltonianSpec:
 
     @classmethod
     def from_labels(cls, *labels, coefficients=None):
+        """Terms from labels like '011'; ValueError on a bad label or a count mismatch."""
         if coefficients is None:
             coefficients = [1.0] * len(labels)
-        terms = []
-        for label, c in zip(labels, coefficients):
-            j, k, l = int(label[0]), int(label[1]), int(label[2])
-            terms.append(((j, k, l), float(c)))
-        return cls(tuple(terms))
+        if len(coefficients) != len(labels):
+            raise ValueError(f"{len(labels)} labels but {len(coefficients)} coefficients")
+        return cls(tuple((label_to_tuple(s), float(c)) for s, c in zip(labels, coefficients)))
 
     def matrix(self):
         h = np.zeros((8, 8), dtype=complex)
@@ -274,68 +274,6 @@ def _orbit_sample(t, tens, refl, ppt_tol, rank_tol):
         rows.append((pts, int(np.sum(np.abs(eigs) > rank_tol)), all(p >= -ppt_tol for p in pts), eigs))
     (pts, rank, ppt, eigs), (rpts, rrank, rppt, reigs) = rows
     return OrbitSample(t, tens, refl, pts, rpts, rank, rrank, ppt, rppt, eigs, reigs)
-
-
-@dataclass(frozen=True)
-class OrbitSwapReport:
-    """How the separable/bound-entangled roles swap along the orbit.
-
-    Distances are Frobenius; triple products are coherence-component products
-    (negative = sign violation); oracle counts are consistent-assignment
-    counts per triple.
-    """
-
-    start_vs_psi: float
-    start_reflection_vs_upb: float
-    quarter_vs_table: float
-    quarter_vs_complement_theta: float
-    quarter_reflection_vs_theta: float
-    half_vs_phi: float
-    upb_triple_products_on_start_reflection: tuple
-    oq_triple_products_on_quarter: tuple
-    oq_triple_counts_on_upb: tuple
-    upb_triple_counts_on_quarter: tuple
-
-
-def orbit_swap_report(sign_tol=1e-8):
-    """Verify the role swap at t = 0, TAU_P/4 and TAU_P/2 along the orbit."""
-    from .states import complement_map, family
-
-    base = to_coherence(rho_sep())
-    upb = rho_upb()
-    upb_t = to_coherence(upb)
-
-    quarter = rodrigues_flow(222, TAU_P / 4.0, base)
-    quarter_m = from_coherence(quarter)
-    half_m = from_coherence(rodrigues_flow(222, TAU_P / 2.0, base))
-
-    upb_triples = builtin_triples("upb")
-    oq_triples = builtin_triples("oq")
-
-    def products(tensor, triples):
-        return tuple(triple_value(tensor, tr) for tr in triples)
-
-    def counts(tensor, triples):
-        return tuple(lhv_oracle([signed_triple(tensor, tr, sign_tol)]) for tr in triples)
-
-    return OrbitSwapReport(
-        start_vs_psi=frobenius_distance(from_coherence(base), family_mixture("psi")),
-        start_reflection_vs_upb=frobenius_distance(from_coherence(reflect(base)), upb),
-        quarter_vs_table=float(
-            np.abs(quarter.components - expected_oq_tensor().components).max()
-        ),
-        quarter_vs_complement_theta=frobenius_distance(
-            quarter_m, complement_map(family("theta").kets)
-        ),
-        quarter_reflection_vs_theta=frobenius_distance(
-            from_coherence(reflect(quarter)), family_mixture("theta")
-        ),
-        half_vs_phi=frobenius_distance(half_m, family_mixture("phi")),
-        upb_triple_products_on_start_reflection=products(reflect(base), upb_triples),
-        oq_triple_products_on_quarter=products(quarter, oq_triples),
-        oq_triple_counts_on_upb=counts(upb_t, oq_triples),
-        upb_triple_counts_on_quarter=counts(quarter, upb_triples),
-    )
 
 
 def stationarity(h, rho):

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import frobenius_distance, jacobi_eigh
-from .pauli import CoherenceTensor, label_to_tuple, lambda_tensor
+from .pauli import INDICES, label_to_tuple, lambda_tensor, negate_components
 
 
 class Cut(Enum):
@@ -48,13 +48,7 @@ def partial_transpose_tensor(tensor, cut):
     qubit equals 2 (the only antisymmetric basis direction); agrees with the
     matrix route.
     """
-    arr = tensor.components.copy()
-    q = cut.qubit
-    for a in range(64):
-        idx = (a // 16, (a // 4) % 4, a % 4)
-        if idx[q - 1] == 2:
-            arr[a] *= -1.0
-    return CoherenceTensor(arr)
+    return negate_components(tensor, INDICES[:, cut.qubit - 1] == 2)
 
 
 def min_pt_eig(rho, cut):
@@ -144,7 +138,7 @@ def signed_triple(tensor, triple, sign_tol=1e-8):
     return replace(triple, expected_signs=tuple(signs))
 
 
-def lhv_oracle(triples, sign_tol=1e-8):
+def lhv_oracle(triples):
     """Count deterministic local-sign assignments consistent with the triples.
 
     Variables are the (qubit, axis) pairs with axis != 0 occurring anywhere in
@@ -158,7 +152,6 @@ def lhv_oracle(triples, sign_tol=1e-8):
     realizes the commuting-context argument; passing several triples asks for
     one assignment consistent with all of them jointly.
     """
-    del sign_tol  # signs are already filled by signed_triple
     variables = sorted(
         {
             (q, idx[q])

@@ -1,4 +1,4 @@
-"""Self-contained dense Hermitian kernels: Jacobi eigensolver, flows, rank, distances.
+"""Self-contained dense Hermitian kernels: Jacobi eigensolver, flows, distances.
 
 The eigensolver is a cyclic complex Jacobi iteration, adequate and fast for
 the n <= 16 matrices used here.  numpy is used for array plumbing only; no
@@ -6,8 +6,6 @@ LAPACK eigenroutine is called in library code.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,43 +22,12 @@ class ShapeMismatch(ValueError):
     """Operands do not have matching shapes."""
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Sorted eigenvalues plus multiplicities after clustering.
-
-    eigenvalues is ascending; clusters is a tuple of (representative, count)
-    pairs, where eigenvalues within cluster_tol of each other are merged and
-    the representative is the cluster mean.
-    """
-
-    eigenvalues: np.ndarray
-    clusters: tuple
-    cluster_tol: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.eigenvalues, dtype=float).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", arr)
-
-    @classmethod
-    def from_values(cls, values, cluster_tol=1e-9):
-        vals = np.sort(np.asarray(values, dtype=float))
-        clusters = []
-        start = 0
-        for i in range(1, len(vals) + 1):
-            if i == len(vals) or vals[i] - vals[i - 1] > cluster_tol:
-                group = vals[start:i]
-                clusters.append((float(group.mean()), len(group)))
-                start = i
-        return cls(vals, tuple(clusters), cluster_tol)
-
-
 def _check_hermitian(mat, tol):
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {mat.shape}")
     residue = np.abs(mat - mat.conj().T).max()
-    if residue > tol:
+    if not residue <= tol:  # also rejects NaN, which compares False
         raise NonHermitian(f"Hermiticity residue {residue:.3e} > {tol:.1e}")
     return mat
 
@@ -137,32 +104,15 @@ def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vector
     return w, v
 
 
-def hermitian_eig(mat, herm_tol=1e-10):
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
-    return jacobi_eigh(mat, herm_tol=herm_tol, want_vectors=True)
-
-
-def hermitian_eigenvalues(mat, herm_tol=1e-10, cluster_tol=1e-9):
-    """Spectrum (sorted eigenvalues + clustered multiplicities) of a Hermitian matrix."""
-    w, _ = jacobi_eigh(mat, herm_tol=herm_tol, want_vectors=False)
-    return Spectrum.from_values(w, cluster_tol=cluster_tol)
-
-
 def conjugation_flow(h, t, rho):
     """Evolve rho by the unitary conjugation exp(-itH) rho exp(+itH).
 
     H is diagonalized once (Jacobi); the exponential is applied on the
     eigenbasis, so the result is exactly isospectral up to roundoff.
     """
-    w, v = hermitian_eig(h)
+    w, v = jacobi_eigh(h)
     u = (v * np.exp(-1j * t * w)) @ v.conj().T
     return u @ np.asarray(rho, dtype=complex) @ u.conj().T
-
-
-def rank_with_tol(mat, tol=1e-9):
-    """Number of eigenvalues of a Hermitian matrix with |eigenvalue| > tol."""
-    w, _ = jacobi_eigh(mat, want_vectors=False)
-    return int(np.sum(np.abs(w) > tol))
 
 
 def frobenius_distance(a, b):

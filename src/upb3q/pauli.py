@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _check_hermitian
+
 SQRT2 = np.sqrt(2.0)
 
 # Unnormalized Pauli matrices, indexed 0..3 = identity, x, y, z.
@@ -23,10 +25,6 @@ SIGMA = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
-
-
-class NonHermitianInput(ValueError):
-    """Input matrix is not Hermitian within tolerance."""
 
 
 class BadSymbol(ValueError):
@@ -81,10 +79,10 @@ def label_to_tuple(label):
     return int(label[0]), int(label[1]), int(label[2])
 
 
-# The full 64-element tensor basis, flat-indexed; built once at import.
-LAMBDA_BASIS = np.stack(
-    [lambda_tensor(*index_tuple(a)) for a in range(64)]
-)
+# INDICES[a] = (j, k, l) of flat index a, and the full 64-element tensor
+# basis, flat-indexed; both built once at import.
+INDICES = np.array([index_tuple(a) for a in range(64)])
+LAMBDA_BASIS = np.stack([lambda_tensor(*idx) for idx in INDICES])
 
 
 @dataclass(frozen=True)
@@ -130,6 +128,11 @@ class CoherenceTensor:
         return cls(arr)
 
 
+def negate_components(tensor, mask):
+    """Flip the sign of the components selected by a boolean (64,) mask over INDICES."""
+    return CoherenceTensor(np.where(mask, -tensor.components, tensor.components))
+
+
 def to_coherence(rho, herm_tol=1e-12):
     """Expand a Hermitian 8x8 matrix in the Lambda basis.
 
@@ -141,14 +144,12 @@ def to_coherence(rho, herm_tol=1e-12):
         CoherenceTensor with the 64 real components tr(rho Lambda_a).
 
     Raises:
-        NonHermitianInput: if max|rho - rho^dagger| exceeds herm_tol.
+        NonHermitian: if max|rho - rho^dagger| exceeds herm_tol or is NaN.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {rho.shape}")
-    residue = np.abs(rho - rho.conj().T).max()
-    if residue > herm_tol:
-        raise NonHermitianInput(f"Hermiticity residue {residue:.3e} > {herm_tol:.1e}")
+    rho = _check_hermitian(rho, herm_tol)
     comps = np.einsum("aij,ji->a", LAMBDA_BASIS, rho)
     return CoherenceTensor(comps.real)
 
@@ -243,15 +244,15 @@ def mix(weights, states):
     """Convex combination sum_i w_i rho_i of density matrices.
 
     Raises:
-        WeightError: if weights are negative, do not sum to 1 (tol 1e-12),
-            or the lists have different lengths.
+        WeightError: if weights are negative or NaN, do not sum to 1 (tol
+            1e-12), or the lists have different lengths.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or len(weights) != len(states):
         raise WeightError("weights and states must be equal-length sequences")
-    if np.any(weights < 0):
-        raise WeightError(f"negative weight in {weights}")
-    if abs(weights.sum() - 1.0) > 1e-12:
+    if not np.all(weights >= 0):
+        raise WeightError(f"negative or NaN weight in {weights}")
+    if not abs(weights.sum() - 1.0) <= 1e-12:
         raise WeightError(f"weights sum to {weights.sum()}, not 1")
     out = np.zeros((8, 8), dtype=complex)
     for w, st in zip(weights, states):

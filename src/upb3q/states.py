@@ -17,14 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import jacobi_eigh
 from .pauli import (
+    INDICES,
     SQRT2,
     BadSubset,
     CoherenceTensor,
     ProductKet,
+    from_coherence,
     ket_from_string,
-    label_to_tuple,
     mix,
+    negate_components,
     product_ket_from_locals,
     to_coherence,
 )
@@ -93,15 +96,9 @@ def rho_oq():
 
 
 def _table_tensor(plus, minus):
-    arr = np.zeros(64)
-    arr[0] = 1.0 / (2.0 * SQRT2)
-    for label in plus:
-        j, k, l = label_to_tuple(label)
-        arr[16 * j + 4 * k + l] = X
-    for label in minus:
-        j, k, l = label_to_tuple(label)
-        arr[16 * j + 4 * k + l] = -X
-    return CoherenceTensor(arr)
+    entries = dict.fromkeys(plus, X)
+    entries.update(dict.fromkeys(minus, -X))
+    return CoherenceTensor.from_dict(entries)
 
 
 def expected_upb_tensor():
@@ -120,9 +117,7 @@ def reflect(tensor):
     On trace-1 states this is rho -> I/4 - rho; it exchanges rho_sep and
     rho_upb and maps the set C = {0 <= eig <= 1/4} onto itself.
     """
-    arr = tensor.components.copy()
-    arr[1:] *= -1.0
-    return CoherenceTensor(arr)
+    return negate_components(tensor, INDICES.any(axis=1))
 
 
 def partial_reflect(tensor, pair):
@@ -138,19 +133,12 @@ def partial_reflect(tensor, pair):
     pair = sorted(set(pair))
     if len(pair) != 2 or any(q not in (1, 2, 3) for q in pair):
         raise BadSubset(f"pair must be a 2-element subset of {{1,2,3}}, got {pair}")
-    arr = tensor.components.copy()
-    for a in range(64):
-        idx = (a // 16, (a // 4) % 4, a % 4)
-        if idx[pair[0] - 1] != 0 or idx[pair[1] - 1] != 0:
-            arr[a] *= -1.0
-    return CoherenceTensor(arr)
+    return negate_components(tensor, INDICES[:, [q - 1 for q in pair]].any(axis=1))
 
 
 def in_set_C(rho, tol=1e-10):
     """True iff every eigenvalue is at most 1/4 + tol (the reflection-stable set)."""
-    from .linalg import hermitian_eigenvalues
-
-    w = hermitian_eigenvalues(rho).eigenvalues
+    w = jacobi_eigh(rho, want_vectors=False)[0]
     return bool(w[-1] <= 0.25 + tol)
 
 
@@ -237,6 +225,4 @@ def check_upb(kets, parallel_tol=1e-10):
 
 def reflect_density(rho):
     """Matrix-level reflection of a trace-1 state: to/from coherence round trip."""
-    from .pauli import from_coherence
-
     return from_coherence(reflect(to_coherence(rho)))

@@ -207,8 +207,7 @@ def test_criterion_08_rodrigues(upb):
 
 
 def test_criterion_09_orbit_structure(orbit64):
-    low = np.array([sum(1 for i in (a // 16, (a // 4) % 4, a % 4) if i) <= 2
-                    for a in range(64)])
+    low = np.array([sum(1 for i in index_tuple(a) if i) <= 2 for a in range(64)])
     base = orbit64[0].tensor.components[low]
     d_const = max(np.abs(s.tensor.components[low] - base).max() for s in orbit64)
     sin_set = [23, 29, 53, 63]

@@ -108,6 +108,20 @@ def test_cli_subprocess_orbit_stdout_deterministic():
     assert one.stdout.startswith("t,coh111,")
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--samples", "1"],
+    ["verify", "--orbit-samples", "0"],
+    ["verify", "--tolerance-equality", "nan"],
+    ["verify", "--tolerance-psd", "-0.5"],
+    ["verify", "--tolerance-flow", "inf"],
+])
+def test_bad_numeric_arguments_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

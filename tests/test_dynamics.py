@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from upb3q.claims import RunConfig, run_claims
 from upb3q.dynamics import (
     COS_SET,
     SIN_SET,
@@ -15,7 +16,6 @@ from upb3q.dynamics import (
     one_spin_generators,
     orbit,
     orbit_generator,
-    orbit_swap_report,
     prepare_upb,
     rodrigues_flow,
     stage1_generator,
@@ -40,6 +40,16 @@ def test_hamiltonian_spec_matrix():
     expect = 2 * lambda_tensor(0, 1, 1) - lambda_tensor(0, 3, 3)
     assert np.abs(h2.matrix() - expect).max() < 1e-15
     assert stage2_generator().matrix().shape == (8, 8)
+
+
+def test_hamiltonian_spec_rejects_bad_labels_and_counts():
+    for bad in ("393", "33", "3333", "x33"):
+        with pytest.raises(ValueError):
+            HamiltonianSpec.from_labels(bad)
+    with pytest.raises(ValueError):
+        HamiltonianSpec.from_labels("011", "033", coefficients=[2.0])
+    with pytest.raises(ValueError):
+        HamiltonianSpec.from_labels("011", coefficients=[2.0, -1.0])
 
 
 def test_flow_accepts_spec_or_matrix():
@@ -142,19 +152,15 @@ def test_orbit_three_coherence_law():
         assert np.abs(c[list(COS_SET)] + X * np.cos(phase)).max() < 1e-12
 
 
-def test_orbit_swap_report_values():
-    rep = orbit_swap_report()
-    assert rep.start_vs_psi < 1e-13
-    assert rep.start_reflection_vs_upb < 1e-13
-    assert rep.quarter_vs_table < 1e-13
-    assert rep.quarter_vs_complement_theta < 1e-13
-    assert rep.quarter_reflection_vs_theta < 1e-13
-    assert rep.half_vs_phi < 1e-13
-    x3 = X**3
-    assert all(abs(v + x3) < 1e-15 for v in rep.upb_triple_products_on_start_reflection)
-    assert all(abs(v + x3) < 1e-15 for v in rep.oq_triple_products_on_quarter)
-    assert rep.oq_triple_counts_on_upb == (2, 2, 2, 2)
-    assert rep.upb_triple_counts_on_quarter == (2, 2, 2, 2)
+def test_orbit_role_swap_claims():
+    # the separable and bound-entangled roles swap at t = 0, TAU_P/4, TAU_P/2;
+    # the grid size only feeds the sampled orbit claims, not these five
+    reports = {r.claim_id: r for r in run_claims(RunConfig(filter="orbit.*", orbit_samples=4))}
+    for cid in ("orbit.start_matches_families", "orbit.quarter_matches_table",
+                "orbit.quarter_is_theta_complement", "orbit.quarter_reflection_equals_theta",
+                "orbit.half_equals_phi"):
+        assert reports[cid].status == "pass"
+        assert reports[cid].measured < 1e-13
 
 
 def test_stationarity_of_named_generators():

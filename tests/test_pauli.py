@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from upb3q.linalg import NonHermitian
 from upb3q.pauli import (
     LAMBDA_BASIS,
     SQRT2,
@@ -9,7 +10,6 @@ from upb3q.pauli import (
     BadSubset,
     BadSymbol,
     CoherenceTensor,
-    NonHermitianInput,
     WeightError,
     bloch_vector,
     coherence_product,
@@ -74,7 +74,14 @@ def test_to_from_coherence_round_trip():
 def test_to_coherence_rejects_non_hermitian():
     bad = random_density()
     bad[0, 1] += 1e-6
-    with pytest.raises(NonHermitianInput):
+    with pytest.raises(NonHermitian):
+        to_coherence(bad)
+
+
+def test_to_coherence_rejects_nan():
+    bad = random_density()
+    bad[3, 3] = np.nan
+    with pytest.raises(NonHermitian):
         to_coherence(bad)
 
 
@@ -129,6 +136,13 @@ def test_mix_weight_validation():
         mix([-0.1, 1.1], [rho, rho])
     with pytest.raises(WeightError):
         mix([1.0], [rho, rho])
+
+
+def test_mix_rejects_nan_weights():
+    rho = random_density()
+    for weights in ([np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan]):
+        with pytest.raises(WeightError):
+            mix(weights, [rho, rho])
 
 
 def test_reduced_density_matches_kron_inverse():

@@ -16,6 +16,8 @@ from __future__ import annotations
 import csv
 import fnmatch
 import json
+import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -79,7 +81,8 @@ _FLAT_SPECTRUM = np.array([0.0, 0.0, 0.0, 0.0, 0.25, 0.25, 0.25, 0.25])
 class RunConfig:
     """Tolerances, sampling knobs, and output paths for one claim run.
 
-    A path of None or "-" means stdout.
+    A path of None or "-" means stdout.  Raises ValueError on a tolerance
+    that is negative, NaN or infinite, or on fewer than 2 orbit samples.
     """
 
     equality_tol: float = 1e-12
@@ -90,6 +93,15 @@ class RunConfig:
     filter: str | None = None
     json_path: str | None = None
     csv_path: str | None = None
+
+    def __post_init__(self):
+        for name in ("equality_tol", "psd_tol", "sign_tol", "flow_tol"):
+            tol = getattr(self, name)
+            if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0.0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {tol!r}")
+        n = self.orbit_samples
+        if not (isinstance(n, numbers.Integral) and n >= 2):
+            raise ValueError(f"orbit_samples must be an integer >= 2, got {n!r}")
 
 
 @dataclass(frozen=True)

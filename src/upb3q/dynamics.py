@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import Cut, min_pt_eig
-from .linalg import conjugation_flow, frobenius_distance, jacobi_eigh
+from .entanglement import Cut, partial_transpose
+from .linalg import conjugation_flow, eigen_flow, frobenius_distance, jacobi_eigh
 from .pauli import (SQRT2, CoherenceTensor, flat_index, from_coherence, label_to_tuple,
                     lambda_tensor, to_coherence)
 from .states import family_mixture, reflect, rho_sep, rho_upb
@@ -214,13 +214,15 @@ def prepare_upb(order="standard", interior_samples=9):
     checkpoints = {"initial": state}
     interior = []
     for num, (gen, duration) in enumerate(stages, start=1):
-        h = gen.matrix()
-        for k in range(1, interior_samples + 1):
-            t = duration * k / (interior_samples + 1)
-            probe = conjugation_flow(h, t, state)
-            eigs = tuple(min_pt_eig(probe, cut) for cut in Cut)
-            interior.append(InteriorSample(num, t, eigs))
-        state = conjugation_flow(h, duration, state)
+        w, v = jacobi_eigh(gen.matrix())
+        times = [duration * k / (interior_samples + 1) for k in range(1, interior_samples + 1)]
+        if times:
+            probes = np.array([eigen_flow(w, v, t, state) for t in times])
+            pts = np.stack([partial_transpose(probes, cut) for cut in Cut], axis=1)
+            mins = jacobi_eigh(pts, want_vectors=False)[0][..., 0]  # (probe, cut)
+            interior += [InteriorSample(num, t, tuple(float(x) for x in m))
+                         for t, m in zip(times, mins)]
+        state = eigen_flow(w, v, duration, state)
         checkpoints["intermediate" if num == 1 else "final"] = state
     return PreparationTrace(order, tuple(stages), checkpoints, tuple(interior))
 
@@ -246,34 +248,42 @@ class OrbitSample:
     reflected_eigenvalues: np.ndarray
 
 
+# Orbit samples per eigen solve: each brings 8 matrices (the state and its
+# reflection, each itself and under 3 partial transposes), which fills one
+# chunk of the batched solver.
+_ORBIT_BLOCK = 16
+
+
 def orbit(samples=64, ppt_tol=1e-10, rank_tol=1e-9):
     """Sample the triple-y orbit of the separable mixture over one period.
 
     Grid: t_k = k TAU_P / samples for k = 0..samples-1 (the endpoint TAU_P
     duplicates t=0).  With samples divisible by 4 the quarter and half period
-    land exactly on grid points.
+    land exactly on grid points.  The spectra of a block of samples come from
+    one batched eigen solve.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
     base = to_coherence(rho_sep())
     out = []
-    for k in range(samples):
-        t = TAU_P * k / samples
-        tens = rodrigues_flow(222, t, base)
-        refl = reflect(tens)
-        out.append(_orbit_sample(t, tens, refl, ppt_tol, rank_tol))
+    for start in range(0, samples, _ORBIT_BLOCK):
+        times = [TAU_P * k / samples for k in range(start, min(start + _ORBIT_BLOCK, samples))]
+        pairs = []
+        for t in times:
+            tens = rodrigues_flow(222, t, base)
+            pairs.append((tens, reflect(tens)))
+        mats = np.array([[from_coherence(tt) for tt in pair] for pair in pairs])
+        stack = np.stack([mats] + [partial_transpose(mats, cut) for cut in Cut], axis=2)
+        eigs = jacobi_eigh(stack, want_vectors=False)[0]  # (sample, reflected, PT cut, 8)
+        for t, (tens, refl), pair_eigs in zip(times, pairs, eigs):
+            rows = []
+            for e in pair_eigs:  # the state, then its reflection
+                pts = tuple(float(x) for x in e[1:, 0])
+                rows.append((pts, int(np.sum(np.abs(e[0]) > rank_tol)),
+                             all(p >= -ppt_tol for p in pts), e[0]))
+            (pts, rank, ppt, spec), (rpts, rrank, rppt, rspec) = rows
+            out.append(OrbitSample(t, tens, refl, pts, rpts, rank, rrank, ppt, rppt, spec, rspec))
     return out
-
-
-def _orbit_sample(t, tens, refl, ppt_tol, rank_tol):
-    rows = []
-    for tt in (tens, refl):
-        m = from_coherence(tt)
-        eigs = jacobi_eigh(m, want_vectors=False)[0]
-        pts = tuple(min_pt_eig(m, cut) for cut in Cut)
-        rows.append((pts, int(np.sum(np.abs(eigs) > rank_tol)), all(p >= -ppt_tol for p in pts), eigs))
-    (pts, rank, ppt, eigs), (rpts, rrank, rppt, reigs) = rows
-    return OrbitSample(t, tens, refl, pts, rpts, rank, rrank, ppt, rppt, eigs, reigs)
 
 
 def stationarity(h, rho):

@@ -33,12 +33,17 @@ class Cut(Enum):
 
 
 def partial_transpose(rho, cut):
-    """Transpose the singleton-side qubit of the given cut (matrix route)."""
-    t = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2, 2, 2)
-    q = cut.qubit
-    axes = list(range(6))
-    axes[q - 1], axes[q + 2] = axes[q + 2], axes[q - 1]
-    return t.transpose(axes).reshape(8, 8)
+    """Transpose the singleton-side qubit of the given cut (matrix route).
+
+    rho is an 8x8 matrix or a stack of them, (..., 8, 8).
+    """
+    rho = np.asarray(rho, dtype=complex)
+    batch = rho.shape[:-2]
+    t = rho.reshape(batch + (2,) * 6)
+    q = len(batch) + cut.qubit - 1
+    axes = list(range(t.ndim))
+    axes[q], axes[q + 3] = axes[q + 3], axes[q]
+    return t.transpose(axes).reshape(batch + (8, 8))
 
 
 def partial_transpose_tensor(tensor, cut):
@@ -52,9 +57,13 @@ def partial_transpose_tensor(tensor, cut):
 
 
 def min_pt_eig(rho, cut):
-    """Minimum eigenvalue of the partial transpose across the given cut."""
+    """Minimum eigenvalue of the partial transpose across the given cut.
+
+    A float for one 8x8 matrix; for a stack (..., 8, 8), an array of shape
+    (...) from one eigen solve.
+    """
     w, _ = jacobi_eigh(partial_transpose(rho, cut), want_vectors=False)
-    return float(w[0])
+    return float(w[0]) if w.ndim == 1 else w[..., 0]
 
 
 def is_ppt(rho, tol=1e-10):

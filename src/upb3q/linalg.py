@@ -1,11 +1,15 @@
 """Self-contained dense Hermitian kernels: Jacobi eigensolver, flows, distances.
 
 The eigensolver is a cyclic complex Jacobi iteration, adequate and fast for
-the n <= 16 matrices used here.  numpy is used for array plumbing only; no
-LAPACK eigenroutine is called in library code.
+the n <= 16 matrices used here.  It takes one matrix or a stack and rotates
+every matrix of a stack at once, with the same bits as one at a time.  numpy
+is used for array plumbing only; no LAPACK eigenroutine is called in library
+code.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,86 +26,142 @@ class ShapeMismatch(ValueError):
     """Operands do not have matching shapes."""
 
 
+# Largest stack one internal solve rotates at once; longer stacks are solved
+# in chunks of this size, which bounds the solver's scratch memory.
+_MAX_STACK = 128
+
+
 def _check_hermitian(mat, tol):
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got shape {mat.shape}")
-    residue = np.abs(mat - mat.conj().T).max()
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+        raise ShapeMismatch(f"expected a square matrix or a stack of them, got shape {mat.shape}")
+    residue = np.abs(mat - np.swapaxes(mat.conj(), -1, -2)).max(initial=0.0)
     if not residue <= tol:  # also rejects NaN, which compares False
         raise NonHermitian(f"Hermiticity residue {residue:.3e} > {tol:.1e}")
     return mat
 
 
-def _offdiag_norm(mat):
-    off = mat - np.diag(np.diag(mat))
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
+def _offdiag_norms(a):
+    """Off-diagonal Frobenius norm of each matrix of a (B, n, n) stack."""
+    off = a.copy()
+    diag = np.arange(a.shape[-1])
+    off[:, diag, diag] = 0.0
+    return np.sqrt(np.sum(np.abs(off.reshape(len(a), -1)) ** 2, axis=1))
 
 
 def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vectors=True):
-    """Cyclic complex Jacobi diagonalization of a Hermitian matrix.
+    """Cyclic complex Jacobi diagonalization of a Hermitian matrix or a stack.
 
     Repeatedly zeroes each off-diagonal pair (p, q) with a unitary plane
     rotation until the off-diagonal Frobenius norm drops below conv_tol.
+    A stack runs the same cyclic sweep on every matrix at once; each matrix
+    gets exactly the rotations, and so the bits, it would get on its own.
 
     Args:
-        mat: n x n complex Hermitian array (n <= 16 intended).
+        mat: n x n complex Hermitian array (n <= 16 intended), or a stack of
+            them with any leading batch shape, (..., n, n).
         herm_tol: allowed input Hermiticity residue.
         conv_tol: off-diagonal Frobenius norm at which iteration stops.
         max_sweeps: sweep budget before NoConvergence is raised.
         want_vectors: accumulate the eigenvector unitary as well.
 
     Returns:
-        (w, V) with w ascending real eigenvalues; V has the matching
-        eigenvectors as columns (None if want_vectors is False).
+        (w, V) with w ascending real eigenvalues, shape (..., n); V has the
+        matching eigenvectors as columns, shape (..., n, n) (None if
+        want_vectors is False).
 
     Raises:
-        NonHermitian, NoConvergence, ShapeMismatch.
+        NonHermitian (any matrix, checked before any sweep), NoConvergence
+        (any matrix left unconverged), ShapeMismatch.
     """
-    a = _check_hermitian(mat, herm_tol).copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex) if want_vectors else None
+    a = _check_hermitian(mat, herm_tol)
+    batch, n = a.shape[:-2], a.shape[-1]
+    a = a.reshape(math.prod(batch), n, n)
+    w = np.empty(a.shape[:2])
+    v = np.empty(a.shape, dtype=complex) if want_vectors else None
+    for start in range(0, len(a), _MAX_STACK):
+        chunk = slice(start, start + _MAX_STACK)
+        _jacobi_stack(a[chunk], conv_tol, max_sweeps, w[chunk], None if v is None else v[chunk])
+    return w.reshape(batch + (n,)), None if v is None else v.reshape(batch + (n, n))
 
-    converged = _offdiag_norm(a) < conv_tol
-    for _ in range(max_sweeps):
-        if converged:
+
+def _jacobi_stack(mats, conv_tol, max_sweeps, w_out, v_out):
+    """Diagonalize a (B, n, n) stack into w_out (B, n) and, if given, v_out.
+
+    The eigenvector unitary V is carried below A in one (B, 2n, n) array, so
+    that each column rotation A <- A U also does V <- V U.  Matrices that have
+    converged are retired between sweeps, so the rest of the stack keeps
+    rotating without them.
+    """
+    n = mats.shape[-1]
+    diag = np.arange(n)
+    if v_out is None:
+        av = mats.copy()
+    else:
+        av = np.concatenate([mats, np.broadcast_to(np.eye(n, dtype=complex), mats.shape)], axis=1)
+    live = np.arange(len(av))  # stack positions of the matrices still rotating
+    norms = _offdiag_norms(av[:, :n])
+    for sweep in range(max_sweeps + 1):
+        done = norms < conv_tol
+        if done.any():
+            fin = av[done]
+            evals = fin[:, diag, diag].real
+            order = np.argsort(evals, axis=-1, kind="stable")
+            w_out[live[done]] = np.take_along_axis(evals, order, axis=-1)
+            if v_out is not None:
+                v_out[live[done]] = np.take_along_axis(fin[:, n:], order[:, None, :], axis=-1)
+            keep = ~done
+            av, live, norms = av[keep], live[keep], norms[keep]
+        if not len(live) or sweep == max_sweeps:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) == 0.0:
-                    continue
-                beta = np.angle(apq)
-                theta = 0.5 * np.arctan2(2.0 * abs(apq), (a[p, p] - a[q, q]).real)
-                c = np.cos(theta)
-                s = np.sin(theta)
-                ph = np.exp(1j * beta)
-                # Columns: A <- A U with U mixing columns p and q.
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + s * np.conj(ph) * col_q
-                a[:, q] = -s * ph * col_p + c * col_q
-                # Rows: A <- U^dagger A.
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + s * ph * row_q
-                a[q, :] = -s * np.conj(ph) * row_p + c * row_q
-                if want_vectors:
-                    vcol_p = v[:, p].copy()
-                    vcol_q = v[:, q].copy()
-                    v[:, p] = c * vcol_p + s * np.conj(ph) * vcol_q
-                    v[:, q] = -s * ph * vcol_p + c * vcol_q
-        converged = _offdiag_norm(a) < conv_tol
-    if not converged:
+        _sweep(av)
+        norms = _offdiag_norms(av[:, :n])
+    if len(live):
         raise NoConvergence(
-            f"off-diagonal norm {_offdiag_norm(a):.3e} > {conv_tol:.1e} "
-            f"after {max_sweeps} sweeps"
+            f"off-diagonal norm {norms.max():.3e} > {conv_tol:.1e} "
+            f"after {max_sweeps} sweeps ({len(live)} of {len(mats)} matrices)"
         )
-    w = np.diag(a).real
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    if want_vectors:
-        v = v[:, order]
-    return w, v
+
+
+def _sweep(av):
+    """One cyclic sweep over the (p, q) pairs of a (B, n or 2n, n) stack, in place.
+
+    A matrix whose a[p, q] is exactly zero is left out of that rotation, as
+    the scalar iteration skips it: the angle formulas would turn a zero pair
+    into a rotation by pi.  |a_pq| is hypot(re, im), which rounds like the
+    scalar abs() (complex np.abs differs in the last bits on about a third of
+    inputs), and the angle operands are made contiguous, since numpy may
+    choose another arctan2 loop for strided ones.
+    """
+    n = av.shape[-1]
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            hit = av[:, p, q].nonzero()[0]
+            if len(hit) == len(av):
+                hit = slice(None)  # plain views instead of gathered copies
+            elif not len(hit):
+                continue
+            apq = av[hit, p, q]
+            re, im = apq.real.copy(), apq.imag.copy()
+            gap = (av[hit, p, p] - av[hit, q, q]).real.copy()
+            theta = 0.5 * np.arctan2(2.0 * np.hypot(re, im), gap)
+            c = np.cos(theta)[:, None]
+            s = np.sin(theta)[:, None]
+            ph = np.exp(1j * np.arctan2(im, re))[:, None]
+            cph = np.conj(ph)
+            # Columns: A <- A U with U mixing columns p and q (and V <- V U).
+            _mix(av, (hit, slice(None), p), (hit, slice(None), q), c, s * cph, -s * ph)
+            # Rows: A <- U^dagger A.
+            _mix(av, (hit, p), (hit, q), c, s * ph, -s * cph)
+
+
+def _mix(m, ix, iy, c, s_xy, s_yx):
+    """m[ix], m[iy] <- c m[ix] + s_xy m[iy], s_yx m[ix] + c m[iy]."""
+    x, y = m[ix], m[iy]
+    new_x = c * x + s_xy * y
+    new_y = s_yx * x + c * y
+    m[ix] = new_x
+    m[iy] = new_y
 
 
 def conjugation_flow(h, t, rho):
@@ -111,6 +171,14 @@ def conjugation_flow(h, t, rho):
     eigenbasis, so the result is exactly isospectral up to roundoff.
     """
     w, v = jacobi_eigh(h)
+    return eigen_flow(w, v, t, rho)
+
+
+def eigen_flow(w, v, t, rho):
+    """exp(-itH) rho exp(+itH) from H's eigenvalues w and eigenvectors v.
+
+    Lets a caller that flows by one H to many times diagonalize it once.
+    """
     u = (v * np.exp(-1j * t * w)) @ v.conj().T
     return u @ np.asarray(rho, dtype=complex) @ u.conj().T
 

@@ -203,6 +203,8 @@ def product_ket_from_locals(locals_):
     for v in locals_:
         v = np.asarray(v, dtype=complex)
         n = np.sqrt(np.real(np.vdot(v, v)))
+        if not np.isfinite(n):  # NaN or infinite entries, or an overflowing norm
+            raise ValueError(f"local vector {v} has no finite norm")
         if n == 0:
             raise ValueError("zero local vector")
         v = v / n
@@ -296,7 +298,8 @@ def coherence_product(tensor, ancilla):
     Args:
         tensor: CoherenceTensor of the 3-qubit state.
         ancilla: length-4 real coherence vector of the ancilla qubit,
-            ancilla[m] = tr(rho_a lambda_m); ancilla[0] must equal 1/sqrt(2).
+            ancilla[m] = tr(rho_a lambda_m); ancilla[0] must equal 1/sqrt(2)
+            and ancilla[1:] must have norm <= 1/sqrt(2).
 
     Returns:
         Flat (256,) array with component (j,k,l,m) at index 4*(16j+4k+l) + m;
@@ -304,13 +307,19 @@ def coherence_product(tensor, ancilla):
         Lambda_{jkl} x lambda_m basis.
 
     Raises:
-        BadAncilla: if the ancilla trace component is wrong.
+        BadAncilla: if a component is NaN or infinite, the trace component is
+            wrong, or the Bloch part is longer than 1/sqrt(2) (not positive).
     """
     ancilla = np.asarray(ancilla, dtype=float)
     if ancilla.shape != (4,):
         raise BadAncilla(f"ancilla coherence vector must have 4 components, got {ancilla.shape}")
+    if not np.all(np.isfinite(ancilla)):
+        raise BadAncilla(f"ancilla components {ancilla} are not all finite")
     if abs(ancilla[0] - 1.0 / SQRT2) > 1e-12:
         raise BadAncilla(f"ancilla trace component {ancilla[0]} != 1/sqrt(2)")
+    bloch = np.sqrt(np.sum(ancilla[1:] ** 2))
+    if bloch > 1.0 / SQRT2 + 1e-12:
+        raise BadAncilla(f"ancilla Bloch part has norm {bloch} > 1/sqrt(2): not a positive state")
     return np.einsum("a,m->am", tensor.components, ancilla).reshape(-1)
 
 

@@ -3,6 +3,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 from upb3q.claims import (
     ClaimReport,
@@ -192,6 +193,17 @@ def test_error_in_claim_becomes_failure():
     assert len(failing) == 1
     assert failing[0].status == "fail"
     assert "kaboom" in failing[0].measured
+
+
+def test_run_config_rejects_bad_values():
+    # used to be accepted, turning the orbit claims into `error:` failures
+    bad = [{"orbit_samples": 0}, {"orbit_samples": 1}, {"orbit_samples": 2.5}]
+    for name in ("equality_tol", "psd_tol", "sign_tol", "flow_tol"):
+        bad += [{name: -1e-12}, {name: float("nan")}, {name: float("inf")}]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            run_claims(RunConfig(**kwargs))
+    assert RunConfig(orbit_samples=2, equality_tol=0.0).orbit_samples == 2
 
 
 def test_claim_report_to_dict_round_trip():

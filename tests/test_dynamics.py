@@ -22,6 +22,8 @@ from upb3q.dynamics import (
     stage2_generator,
     stationarity,
 )
+from upb3q.entanglement import Cut, min_pt_eig
+from upb3q.linalg import conjugation_flow, jacobi_eigh
 from upb3q.pauli import SQRT2, from_coherence, lambda_tensor, to_coherence
 from upb3q.states import X, family_mixture, reflect, rho_sep, rho_upb
 
@@ -142,6 +144,38 @@ def test_orbit_grid_and_invariants():
         assert s.rank == 4 and s.reflected_rank == 4
     with pytest.raises(ValueError):
         orbit(1)
+
+
+@pytest.mark.parametrize("samples", [2, 17, 64])  # 17 leaves a partial block
+def test_orbit_blocks_match_per_matrix_solves(samples):
+    for s in orbit(samples):
+        for tens, eigs, pts, rank in (
+            (s.tensor, s.eigenvalues, s.min_pt_eigs, s.rank),
+            (s.reflected_tensor, s.reflected_eigenvalues, s.reflected_min_pt_eigs, s.reflected_rank),
+        ):
+            m = from_coherence(tens)
+            alone = jacobi_eigh(m, want_vectors=False)[0]
+            assert np.array_equal(eigs, alone)
+            assert pts == tuple(min_pt_eig(m, cut) for cut in Cut)
+            assert rank == int(np.sum(np.abs(alone) > 1e-9))
+
+
+@pytest.mark.parametrize("order", ["standard", "swapped"])
+@pytest.mark.parametrize("k", [0, 1, 9])
+def test_prepare_upb_matches_per_probe_flows(order, k):
+    trace = prepare_upb(order, k)
+    state = rho_sep()
+    probes = iter(trace.interior)
+    for num, (gen, duration) in enumerate(trace.schedule, start=1):
+        h = gen.matrix()
+        for j in range(1, k + 1):
+            probe = conjugation_flow(h, duration * j / (k + 1), state)
+            sample = next(probes)
+            assert (sample.stage, sample.t) == (num, duration * j / (k + 1))
+            assert sample.min_pt_eigs == tuple(min_pt_eig(probe, cut) for cut in Cut)
+        state = conjugation_flow(h, duration, state)
+        assert np.array_equal(trace.checkpoints["intermediate" if num == 1 else "final"], state)
+    assert next(probes, None) is None
 
 
 def test_orbit_three_coherence_law():

@@ -43,6 +43,15 @@ def test_partial_transpose_routes_agree(cut):
     # PT is an involution and trace preserving
     assert np.abs(partial_transpose(via_matrix, cut) - rho).max() == 0.0
     assert abs(np.trace(via_matrix).real - 1.0) < 1e-13
+    # a leading batch axis transposes each member; min_pt_eig then solves the
+    # whole stack at once, with the bits of one matrix at a time
+    stack = np.array([[rho, via_matrix], [ghz(), rho_upb()]])
+    pts = partial_transpose(stack, cut)
+    mins = min_pt_eig(stack, cut)
+    assert mins.shape == (2, 2)
+    for idx in np.ndindex(2, 2):
+        assert np.array_equal(pts[idx], partial_transpose(stack[idx], cut))
+        assert mins[idx] == min_pt_eig(stack[idx], cut)
 
 
 def test_ghz_is_npt_with_minus_half():

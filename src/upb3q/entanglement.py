@@ -66,9 +66,23 @@ def min_pt_eig(rho, cut):
     return float(w[0]) if w.ndim == 1 else w[..., 0]
 
 
+def min_pt_eigs(rho):
+    """Minimum partial-transpose eigenvalue on every cut, ordered as Cut.
+
+    Shape (3,) for one 8x8 matrix and (..., 3) for a stack (..., 8, 8); all
+    cuts of all members come from one eigen solve.
+    """
+    pts = np.stack([partial_transpose(rho, cut) for cut in Cut], axis=-3)
+    return jacobi_eigh(pts, want_vectors=False)[0][..., 0]
+
+
 def is_ppt(rho, tol=1e-10):
-    """True iff every cut's partial transpose has min eigenvalue >= -tol."""
-    return all(min_pt_eig(rho, cut) >= -tol for cut in Cut)
+    """True iff every cut's partial transpose has min eigenvalue >= -tol.
+
+    A bool for one 8x8 matrix; a bool array (...) for a stack (..., 8, 8).
+    """
+    ok = (min_pt_eigs(rho) >= -tol).all(axis=-1)
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 @dataclass(frozen=True)

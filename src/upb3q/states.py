@@ -137,9 +137,18 @@ def partial_reflect(tensor, pair):
 
 
 def in_set_C(rho, tol=1e-10):
-    """True iff every eigenvalue is at most 1/4 + tol (the reflection-stable set)."""
-    w = jacobi_eigh(rho, want_vectors=False)[0]
-    return bool(w[-1] <= 0.25 + tol)
+    """True iff every eigenvalue lies in [-tol, 1/4 + tol] (the reflection-stable set C).
+
+    rho is an 8x8 matrix (gives a bool) or a stack (..., 8, 8), which is
+    solved in one eigen call and gives a bool array of shape (...).
+    """
+    return spectrum_in_C(jacobi_eigh(rho, want_vectors=False)[0], tol)
+
+
+def spectrum_in_C(w, tol=1e-10):
+    """in_set_C from ascending spectra w, shape (..., n), already computed."""
+    ok = (w[..., 0] >= -tol) & (w[..., -1] <= 0.25 + tol)
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def complement_map(kets):
@@ -169,7 +178,6 @@ class UPBCheckResult:
     """
 
     orthogonal: bool
-    all_product: bool
     unextendable: bool
     extension_witness: ProductKet | None
 
@@ -219,8 +227,8 @@ def check_upb(kets, parallel_tol=1e-10):
         overlaps = [abs(np.vdot(k.amplitudes, witness.amplitudes)) for k in kets]
         if max(overlaps) >= 1e-10:  # pragma: no cover - guards the search logic
             raise AssertionError(f"witness failed verification: overlaps {overlaps}")
-        return UPBCheckResult(orthogonal, True, False, witness)
-    return UPBCheckResult(orthogonal, True, True, None)
+        return UPBCheckResult(orthogonal, False, witness)
+    return UPBCheckResult(orthogonal, True, None)
 
 
 def reflect_density(rho):

@@ -132,7 +132,7 @@ def test_criterion_05_unextendability():
     res_psi = check_upb(family("psi").kets)
     res_theta = check_upb(family("theta").kets)
     both = all(
-        r.orthogonal and r.all_product and r.unextendable
+        r.orthogonal and r.unextendable
         for r in (res_psi, res_theta)
     )
     weak = family("psi").kets[:3] + (ket_from_string("111"),)

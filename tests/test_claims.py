@@ -8,6 +8,7 @@ import pytest
 from upb3q.claims import (
     ClaimReport,
     RunConfig,
+    _Context,
     _grade,
     claim_ids,
     emit_bloch_csv,
@@ -18,8 +19,9 @@ from upb3q.claims import (
     write_orbit_csv,
     write_reports_json,
 )
-from upb3q.dynamics import TAU_P, orbit
-from upb3q.states import X
+from upb3q.dynamics import TAU_P, HamiltonianSpec, flow, orbit
+from upb3q.linalg import eigen_flow
+from upb3q.states import X, rho_upb
 
 EXPECTED_FAILURES = {
     "stationary.local_100", "stationary.local_200", "stationary.local_300",
@@ -210,3 +212,23 @@ def test_claim_report_to_dict_round_trip():
     rep = ClaimReport("a.b", "desc", "ref", "pass", 1.0, 1.0, 0.1)
     d = rep.to_dict()
     assert d["claim_id"] == "a.b" and d["tolerance"] == 0.1
+
+
+def test_full_run_stacks_its_eigen_solves(solver_calls):
+    # ceil(64/16) orbit blocks plus one solve each for the two flow
+    # generators, the two base states, the three upb cuts, the ten set-C
+    # members, the reflected projector, and per preparation order the two
+    # generators and the interior probes
+    n = 64
+    run_claims(RunConfig(orbit_samples=n))
+    assert len(solver_calls) <= 14
+    assert sum(solver_calls) == 130 + 8 * n
+
+
+@pytest.mark.parametrize("axis", [333, 222])
+def test_shared_axis_eigs_match_one_flow_per_time(axis):
+    w, v = _Context(RunConfig()).axis_eigs[axis]
+    rho = rho_upb()
+    h = HamiltonianSpec.from_labels(str(axis))
+    for t in np.linspace(0.0, TAU_P, 33):
+        assert np.array_equal(eigen_flow(w, v, t, rho), flow(h, t, rho))

@@ -134,6 +134,23 @@ def test_prepare_upb_argument_validation():
         prepare_upb(interior_samples=-1)
 
 
+def test_sample_counts_must_be_integral():
+    for bad in (2.5, 4.0, "4"):
+        with pytest.raises(ValueError, match="integer"):
+            orbit(bad)
+        with pytest.raises(ValueError, match="integer"):
+            prepare_upb("standard", bad)
+    assert len(orbit(np.int64(2))) == 2
+    assert len(prepare_upb("standard", np.int64(1)).interior) == 2
+
+
+@pytest.mark.parametrize("order", ["standard", "swapped"])
+def test_prepare_upb_makes_two_solves(order, solver_calls):
+    # both stage generators in one solve, all 2 x 3 x 9 interior cuts in another
+    prepare_upb(order, 9)
+    assert solver_calls == [2, 54]
+
+
 def test_orbit_grid_and_invariants():
     samples = orbit(8)
     assert len(samples) == 8

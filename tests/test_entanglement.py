@@ -8,6 +8,7 @@ from upb3q.entanglement import (
     is_ppt,
     lhv_oracle,
     min_pt_eig,
+    min_pt_eigs,
     partial_transpose,
     partial_transpose_tensor,
     signed_triple,
@@ -70,6 +71,23 @@ def test_upb_state_is_ppt_everywhere():
     for cut in Cut:
         assert min_pt_eig(rho, cut) > -1e-12
     assert is_ppt(rho)
+
+
+def test_stacked_ppt_verdicts_match_per_cut_solves():
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    dense = m @ m.conj().T
+    dense /= np.trace(dense).real
+    members = [ghz(), ket_from_string("0+1").projector(), rho_upb(), dense, rho_sep(), rho_oq()]
+    stack = np.array(members).reshape(2, 3, 8, 8)
+    mins, verdicts = min_pt_eigs(stack), is_ppt(stack)
+    assert mins.shape == (2, 3, 3) and verdicts.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        per_cut = np.array([min_pt_eig(stack[idx], cut) for cut in Cut])
+        assert np.array_equal(mins[idx], per_cut)
+        assert verdicts[idx] == bool((per_cut >= -1e-10).all())
+        assert is_ppt(stack[idx]) is bool(verdicts[idx])
+    assert verdicts.tolist() == [[False, True, True], [False, True, True]]
 
 
 def test_builtin_triples_structure():

@@ -22,6 +22,7 @@ from upb3q.states import (
     rho_oq,
     rho_sep,
     rho_upb,
+    spectrum_in_C,
 )
 
 
@@ -107,6 +108,28 @@ def test_in_set_c():
     assert not in_set_C(np.outer(ghz, ghz.conj()))  # top eigenvalue 1 > 1/4
 
 
+def test_in_set_c_checks_the_lower_bound():
+    # trace 1 and top eigenvalue 0.15 <= 1/4, but one eigenvalue below 0
+    below = np.diag([-0.05] + [0.15] * 7).astype(complex)
+    assert not in_set_C(below)
+    assert not spectrum_in_C(np.linalg.eigvalsh(below))
+    assert in_set_C(below, tol=0.06)
+
+
+def test_in_set_c_stack_matches_per_matrix_calls():
+    ghz = np.zeros(8, dtype=complex)
+    ghz[0] = ghz[7] = 1 / SQRT2
+    members = [rho_sep(), rho_upb(), rho_oq(), np.outer(ghz, ghz.conj()),
+               np.diag([-0.05] + [0.15] * 7), reflect_density(rho_oq())]
+    stack = np.array(members, dtype=complex).reshape(3, 2, 8, 8)
+    got = in_set_C(stack)
+    assert got.shape == (3, 2)
+    want = np.array([[in_set_C(stack[i, j]) for j in range(2)] for i in range(3)])
+    assert np.array_equal(got, want)
+    assert want.tolist() == [[True, True], [True, False], [False, True]]
+    assert isinstance(in_set_C(rho_sep()), bool)
+
+
 def test_complement_map_validation():
     kets = family("psi").kets
     rho = complement_map(kets)
@@ -129,7 +152,6 @@ def test_complement_annihilates_members():
 def test_all_four_families_are_upbs(name):
     res = check_upb(family(name).kets)
     assert res.orthogonal
-    assert res.all_product
     assert res.unextendable
     assert res.extension_witness is None
 

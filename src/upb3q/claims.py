@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import fnmatch
 import json
-import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ from .dynamics import (
     stationarity,
 )
 from .entanglement import builtin_triples, lhv_oracle, min_pt_eigs, signed_triple, triple_value, verify_triple_structure
-from .linalg import eigen_flow, frobenius_distance, jacobi_eigh
+from .linalg import _check_tolerance, eigen_flow, frobenius_distance, jacobi_eigh
 from .pauli import (
     INDICES,
     LAMBDA_BASIS,
@@ -75,13 +74,15 @@ X3 = X**3
 
 # Eigenvalues of both rank-4 mixtures: four null directions, four at 1/4.
 _FLAT_SPECTRUM = np.array([0.0, 0.0, 0.0, 0.0, 0.25, 0.25, 0.25, 0.25])
+# Eigenvalues of a reflected rank-1 projector.
+_PROJECTOR_SPECTRUM = np.array([-0.75] + [0.25] * 7)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Tolerances, sampling knobs, and output paths for one claim run.
+    """Tolerances, sampling knobs, and the CSV output path for one claim run.
 
-    A path of None or "-" means stdout.  Raises ValueError on a tolerance
+    A csv_path of None or "-" means stdout.  Raises ValueError on a tolerance
     that is negative, NaN or infinite, or on fewer than 2 orbit samples.
     """
 
@@ -91,14 +92,11 @@ class RunConfig:
     flow_tol: float = 1e-10
     orbit_samples: int = 64
     filter: str | None = None
-    json_path: str | None = None
     csv_path: str | None = None
 
     def __post_init__(self):
         for name in ("equality_tol", "psd_tol", "sign_tol", "flow_tol"):
-            tol = getattr(self, name)
-            if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0.0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {tol!r}")
+            _check_tolerance(name, getattr(self, name))
         n = self.orbit_samples
         if not (isinstance(n, numbers.Integral) and n >= 2):
             raise ValueError(f"orbit_samples must be an integer >= 2, got {n!r}")
@@ -173,12 +171,16 @@ class _Context:
         return rodrigues_flow(222, TAU_P / 4.0, self.sep_t)
 
     @cached_property
-    def prep_std(self):
+    def prep_standard(self):
         return prepare_upb("standard")
 
     @cached_property
-    def prep_swap(self):
+    def prep_swapped(self):
         return prepare_upb("swapped")
+
+    @cached_property
+    def swapped_mid_t(self):
+        return to_coherence(self.prep_swapped.checkpoints["intermediate"])
 
     @cached_property
     def orbit_samples(self):
@@ -190,513 +192,369 @@ class _Context:
 
 
 # ---------------------------------------------------------------------------
-# claim builders: each returns (measured, expected, tolerance)
+# claim builders: each factory returns a builder, which maps the run's
+# _Context to (measured, expected, tolerance).  A tolerance given as a string
+# names a RunConfig field.
 
-def _c_components_upb(ctx):
-    dev = np.abs(ctx.upb_t.components - expected_upb_tensor().components).max()
-    return float(dev), 0.0, 1e-13
+def _near(value, expected=0.0, tol="equality_tol"):
+    """Numeric claim: value(ctx) equals expected within tol."""
+    def builder(ctx):
+        limit = getattr(ctx.cfg, tol) if isinstance(tol, str) else tol
+        return float(value(ctx)), expected, limit
 
-
-def _c_purity(ctx):
-    return float(np.sum(ctx.upb_t.components**2)), 0.25, ctx.cfg.equality_tol
-
-
-def _c_spectrum_upb(ctx):
-    return float(np.abs(ctx.base_spectra[1] - _FLAT_SPECTRUM).max()), 0.0, 1e-11
+    return builder
 
 
-def _c_spectrum_sep(ctx):
-    return float(np.abs(ctx.base_spectra[0] - _FLAT_SPECTRUM).max()), 0.0, 1e-11
+def _holds(predicate):
+    """Boolean claim: predicate(ctx) is true."""
+    return lambda ctx: (bool(predicate(ctx)), True, 0.0)
 
 
-def _c_in_set_c(ctx):
-    return bool(spectrum_in_C(ctx.base_spectra, ctx.cfg.psd_tol).all()), True, 0.0
+def _distance(pairs, tol="equality_tol"):
+    """Zero claim: the largest Frobenius distance over the matrix pairs in pairs(ctx)."""
+    return _near(lambda ctx: max(frobenius_distance(a, b) for a, b in pairs(ctx)), tol=tol)
 
 
-def _c_reduced_random(ctx):
-    half = np.eye(2) / 2.0
-    dev = 0.0
-    for rho in (ctx.sep, ctx.upb):
-        for q in (1, 2, 3):
-            dev = max(dev, np.abs(reduced_density(rho, (q,)) - half).max())
-    return float(dev), 0.0, ctx.cfg.equality_tol
+def _deviation(pairs, tol="equality_tol"):
+    """Zero claim: the largest componentwise |a - b| over the array pairs in pairs(ctx)."""
+    return _near(lambda ctx: max(np.abs(a - b).max() for a, b in pairs(ctx)), tol=tol)
 
 
-def _c_ppt_upb(ctx):
-    return float(max(0.0, -min_pt_eigs(ctx.upb).min())), 0.0, 1e-12
+def _lhv_products(state, which, target):
+    """Every triple product of one family on the named state tensor equals target."""
+    def deviation(ctx):
+        tensor, triples = getattr(ctx, state), getattr(ctx, f"{which}_triples")
+        return max(abs(triple_value(tensor, tr) - target) for tr in triples)
+
+    return _near(deviation)
 
 
-def _c_reflect_sep_to_upb(ctx):
-    d = frobenius_distance(from_coherence(reflect(ctx.sep_t)), ctx.upb)
-    return float(d), 0.0, ctx.cfg.equality_tol
+def _lhv_oracle(state, which, count):
+    """The sign oracle finds count consistent assignments per triple of one family."""
+    def builder(ctx):
+        tensor, triples = getattr(ctx, state), getattr(ctx, f"{which}_triples")
+        counts = [lhv_oracle([signed_triple(tensor, tr, ctx.cfg.sign_tol)]) for tr in triples]
+        return counts, [count] * len(triples), 0.0
+
+    return builder
 
 
-def _c_reflect_involution(ctx):
-    back = reflect(reflect(ctx.upb_t))
-    return float(np.abs(back.components - ctx.upb_t.components).max()), 0.0, ctx.cfg.equality_tol
+def _interior_npt(order):
+    """Every interior probe of one preparation order is NPT on every cut."""
+    return _holds(lambda ctx: all(max(s.min_pt_eigs) < -1e-6
+                                  for s in getattr(ctx, f"prep_{order}").interior))
 
 
-def _c_reflect_partial_pairs(ctx):
-    d = max(
-        frobenius_distance(from_coherence(partial_reflect(ctx.sep_t, pair)), ctx.upb)
-        for pair in ((1, 2), (1, 3), (2, 3))
-    )
-    return float(d), 0.0, ctx.cfg.equality_tol
+def _stationary(gen):
+    """The commutator of gen with the complement state vanishes."""
+    return _near(lambda ctx: stationarity(gen, ctx.upb))
 
 
-def _c_reflect_single_spectrum(ctx):
+def _rodrigues_match(axis):
+    """Closed-form flow against conjugation in the shared eigenbasis, at 33 times."""
+    return _distance(lambda ctx: [
+        (from_coherence(rodrigues_flow(axis, t, ctx.upb_t)),
+         eigen_flow(*ctx.axis_eigs[axis], t, ctx.upb))
+        for t in np.linspace(0.0, TAU_P, 33)
+    ], "flow_tol")
+
+
+def _rodrigues_period(axis):
+    """Both flows return to the start after one full period."""
+    def deviation(ctx):
+        back = rodrigues_flow(axis, TAU_P, ctx.upb_t)
+        ref = eigen_flow(*ctx.axis_eigs[axis], TAU_P, ctx.upb)
+        return max(np.abs(back.components - ctx.upb_t.components).max(),
+                   frobenius_distance(ref, ctx.upb))
+
+    return _near(deviation, tol=1e-11)
+
+
+def _unextendable(name):
+    """The named family is an orthogonal, unextendable product basis."""
+    def check(ctx):
+        res = check_upb(family(name).kets)
+        return res.orthogonal and res.unextendable
+
+    return _holds(check)
+
+
+# single-use claim bodies; the registry wraps all but _byproduct_unique in a factory
+
+def _reduced_pairs(ctx):
+    return [(reduced_density(rho, (q,)), np.eye(2) / 2.0)
+            for rho in (ctx.sep, ctx.upb) for q in (1, 2, 3)]
+
+
+def _reflected_projector_spectrum(ctx):
     proj = family("psi").kets[0].projector()
-    refl = from_coherence(reflect(to_coherence(proj)))
-    eigs = jacobi_eigh(refl, want_vectors=False)[0]
-    target = np.array([-0.75] + [0.25] * 7)
-    return float(np.abs(eigs - target).max()), 0.0, 1e-11
+    return jacobi_eigh(reflect_density(proj), want_vectors=False)[0]
 
 
-def _c_reflect_set_c_closed(ctx):
+def _set_c_closed(ctx):
     tensors = (ctx.sep_t, ctx.upb_t, ctx.quarter_t,
                to_coherence(family_mixture("theta")), to_coherence(family_mixture("phi")))
     mats = np.array([from_coherence(tt) for tens in tensors for tt in (tens, reflect(tens))])
-    return bool(in_set_C(mats, tol=ctx.cfg.psd_tol).all()), True, 0.0
-
-
-def _c_lhv_structure(ctx):
-    ok = all(verify_triple_structure(tr) for tr in ctx.upb_triples + ctx.oq_triples)
-    return bool(ok), True, 0.0
-
-
-def _products(tensor, triples):
-    return [triple_value(tensor, tr) for tr in triples]
-
-
-def _counts(ctx, tensor, triples):
-    return [lhv_oracle([signed_triple(tensor, tr, ctx.cfg.sign_tol)]) for tr in triples]
-
-
-def _c_lhv_upb_products_on_upb(ctx):
-    vals = _products(ctx.upb_t, ctx.upb_triples)
-    return float(max(abs(v + X3) for v in vals)), 0.0, ctx.cfg.equality_tol
-
-
-def _c_lhv_upb_products_on_sep(ctx):
-    vals = _products(ctx.sep_t, ctx.upb_triples)
-    return float(max(abs(v - X3) for v in vals)), 0.0, ctx.cfg.equality_tol
-
-
-def _c_lhv_upb_oracle_on_upb(ctx):
-    return _counts(ctx, ctx.upb_t, ctx.upb_triples), [0, 0, 0, 0], 0.0
-
-
-def _c_lhv_upb_oracle_on_sep(ctx):
-    return _counts(ctx, ctx.sep_t, ctx.upb_triples), [2, 2, 2, 2], 0.0
-
-
-def _c_lhv_upb_oracle_on_quarter(ctx):
-    return _counts(ctx, ctx.quarter_t, ctx.upb_triples), [2, 2, 2, 2], 0.0
-
-
-def _c_lhv_oq_products_on_quarter(ctx):
-    vals = _products(ctx.quarter_t, ctx.oq_triples)
-    return float(max(abs(v + X3) for v in vals)), 0.0, ctx.cfg.equality_tol
-
-
-def _c_lhv_oq_products_on_upb(ctx):
-    vals = _products(ctx.upb_t, ctx.oq_triples)
-    return float(max(abs(v - X3) for v in vals)), 0.0, ctx.cfg.equality_tol
-
-
-def _c_lhv_oq_oracle_on_quarter(ctx):
-    return _counts(ctx, ctx.quarter_t, ctx.oq_triples), [0, 0, 0, 0], 0.0
-
-
-def _c_lhv_oq_oracle_on_upb(ctx):
-    return _counts(ctx, ctx.upb_t, ctx.oq_triples), [2, 2, 2, 2], 0.0
-
-
-def _c_prep_std_endpoint(ctx):
-    d = frobenius_distance(ctx.prep_std.checkpoints["final"], ctx.upb)
-    return float(d), 0.0, ctx.cfg.flow_tol
-
-
-def _c_prep_std_intermediate(ctx):
-    d = frobenius_distance(ctx.prep_std.checkpoints["intermediate"], family_mixture("mu"))
-    return float(d), 0.0, ctx.cfg.flow_tol
-
-
-def _interior_npt(trace):
-    return bool(all(max(s.min_pt_eigs) < -1e-6 for s in trace.interior))
-
-
-def _c_prep_std_interior(ctx):
-    return _interior_npt(ctx.prep_std), True, 0.0
-
-
-def _c_prep_swap_endpoint(ctx):
-    d = frobenius_distance(ctx.prep_swap.checkpoints["final"], ctx.upb)
-    return float(d), 0.0, ctx.cfg.flow_tol
-
-
-def _c_prep_swap_intermediate(ctx):
-    d = frobenius_distance(
-        ctx.prep_swap.checkpoints["intermediate"],
-        reflect_density(ctx.prep_std.checkpoints["intermediate"]),
-    )
-    return float(d), 0.0, ctx.cfg.flow_tol
-
-
-def _c_prep_swap_interior(ctx):
-    return _interior_npt(ctx.prep_swap), True, 0.0
-
-
-def _c_prep_swap_violations(ctx):
-    mid = to_coherence(ctx.prep_swap.checkpoints["intermediate"])
-    vals = _products(mid, ctx.upb_triples)
-    return float(max(abs(v + X3) for v in vals)), 0.0, ctx.cfg.equality_tol
-
-
-def _c_orbit_start(ctx):
-    d = max(
-        frobenius_distance(from_coherence(ctx.sep_t), family_mixture("psi")),
-        frobenius_distance(from_coherence(reflect(ctx.sep_t)), ctx.upb),
-    )
-    return float(d), 0.0, ctx.cfg.equality_tol
-
-
-def _c_orbit_quarter_table(ctx):
-    dev = np.abs(ctx.quarter_t.components - expected_oq_tensor().components).max()
-    return float(dev), 0.0, ctx.cfg.equality_tol
-
-
-def _c_orbit_quarter_complement(ctx):
-    d = frobenius_distance(from_coherence(ctx.quarter_t), rho_oq())
-    return float(d), 0.0, ctx.cfg.equality_tol
-
-
-def _c_orbit_quarter_reflection(ctx):
-    d = frobenius_distance(from_coherence(reflect(ctx.quarter_t)), family_mixture("theta"))
-    return float(d), 0.0, ctx.cfg.equality_tol
-
-
-def _c_orbit_half(ctx):
-    half = from_coherence(rodrigues_flow(222, TAU_P / 2.0, ctx.sep_t))
-    return float(frobenius_distance(half, family_mixture("phi"))), 0.0, ctx.cfg.equality_tol
+    return in_set_C(mats, tol=ctx.cfg.psd_tol).all()
 
 
 _LOW_WEIGHT = np.count_nonzero(INDICES, axis=1) <= 2
 
 
-def _c_orbit_conserved(ctx):
+def _conserved_pairs(ctx):
     base = ctx.orbit_samples[0].tensor.components[_LOW_WEIGHT]
-    dev = max(
-        np.abs(s.tensor.components[_LOW_WEIGHT] - base).max() for s in ctx.orbit_samples
-    )
-    return float(dev), 0.0, ctx.cfg.equality_tol
+    return [(s.tensor.components[_LOW_WEIGHT], base) for s in ctx.orbit_samples]
 
 
-def _c_orbit_sinusoids(ctx):
-    dev = 0.0
+def _sinusoid_pairs(ctx):
+    """Each sample's 3-coherences against -x sin / -x cos of the reduced phase."""
+    pairs = []
     for s in ctx.orbit_samples:
-        c = s.tensor.components
-        phase = s.t / SQRT2
-        dev = max(dev, np.abs(c[list(SIN_SET)] + X * np.sin(phase)).max())
-        dev = max(dev, np.abs(c[list(COS_SET)] + X * np.cos(phase)).max())
-    return float(dev), 0.0, 1e-11
+        c, phase = s.tensor.components, s.t / SQRT2
+        pairs += [(c[list(SIN_SET)], -X * np.sin(phase)), (c[list(COS_SET)], -X * np.cos(phase))]
+    return pairs
 
 
-def _c_orbit_ppt(ctx):
-    worst = 0.0
-    for s in ctx.orbit_samples:
-        worst = max(worst, -min(s.min_pt_eigs), -min(s.reflected_min_pt_eigs))
-    return float(max(0.0, worst)), 0.0, 1e-12
+def _orbit_pt_violation(ctx):
+    spectra = [e for s in ctx.orbit_samples for e in (s.min_pt_eigs, s.reflected_min_pt_eigs)]
+    return max([0.0] + [-min(e) for e in spectra])
 
 
-def _c_orbit_rank(ctx):
-    ok = True
-    for s in ctx.orbit_samples:
-        for eigs in (s.eigenvalues, s.reflected_eigenvalues):
-            ok = ok and np.abs(eigs[:4]).max() < 1e-9 and eigs[4:].min() > 0.2
-    return bool(ok), True, 0.0
+def _orbit_rank(ctx):
+    return all(np.abs(e[:4]).max() < 1e-9 and e[4:].min() > 0.2
+               for s in ctx.orbit_samples for e in (s.eigenvalues, s.reflected_eigenvalues))
 
 
-def _c_stationary_fixed_point(ctx):
-    return float(stationarity(fixed_point_generator(), ctx.upb)), 0.0, ctx.cfg.equality_tol
+def _sum_only_stationary(ctx):
+    gen = fixed_point_generator()
+    singles = [stationarity(lambda_tensor(*jkl), ctx.upb) for jkl, _ in gen.terms]
+    return all(s > 1e-3 for s in singles) and stationarity(gen, ctx.upb) < 1e-12
 
 
-def _c_stationary_sum_only(ctx):
-    singles = [
-        stationarity(lambda_tensor(j, k, l), ctx.upb)
-        for (j, k, l), _ in fixed_point_generator().terms
-    ]
-    total = stationarity(fixed_point_generator(), ctx.upb)
-    ok = all(s > 1e-3 for s in singles) and total < 1e-12
-    return bool(ok), True, 0.0
-
-
-def _make_local_claim(gen):
-    def builder(ctx):
-        return float(stationarity(gen, ctx.upb)), 0.0, ctx.cfg.equality_tol
-
-    return builder
-
-
-def _c_stationary_orbit_moves(ctx):
-    return bool(stationarity(orbit_generator(), ctx.upb) > 1e-3), True, 0.0
-
-
-def _rodrigues_match(ctx, axis):
-    w, v = ctx.axis_eigs[axis]
-    dev = 0.0
-    for t in np.linspace(0.0, TAU_P, 33):
-        direct = from_coherence(rodrigues_flow(axis, t, ctx.upb_t))
-        dev = max(dev, frobenius_distance(direct, eigen_flow(w, v, t, ctx.upb)))
-    return float(dev), 0.0, ctx.cfg.flow_tol
-
-
-def _rodrigues_period(ctx, axis):
-    back = rodrigues_flow(axis, TAU_P, ctx.upb_t)
-    dev = np.abs(back.components - ctx.upb_t.components).max()
-    ref = eigen_flow(*ctx.axis_eigs[axis], TAU_P, ctx.upb)
-    dev = max(dev, frobenius_distance(ref, ctx.upb))
-    return float(dev), 0.0, 1e-11
-
-
-def _c_byproduct_distance(ctx):
-    return float(ctx.byproduct.distance), 0.0, ctx.cfg.flow_tol
-
-
-def _c_byproduct_parameter(ctx):
-    return float(ctx.byproduct.matched_parameter), 3.0 * TAU_P / 4.0, 1e-9
-
-
-def _c_byproduct_unique(ctx):
+def _byproduct_unique(ctx):
     n = sum(1 for _, d in ctx.byproduct.evolutions if d < ctx.cfg.flow_tol)
     return int(n), 1, 0.0
 
 
-def _c_byproduct_decoy(ctx):
+def _decoy_misses(ctx):
     psi_t = to_coherence(family_mixture("psi"))
-    dist = min(
+    return min(
         frobenius_distance(from_coherence(rodrigues_flow(222, r, psi_t)), ctx.upb)
         for r, _ in ctx.byproduct.evolutions
-    )
-    return bool(dist > 0.1), True, 0.0
+    ) > 0.1
 
 
-def _c_upb_psi(ctx):
-    res = check_upb(family("psi").kets)
-    return bool(res.orthogonal and res.unextendable), True, 0.0
-
-
-def _c_upb_theta(ctx):
-    res = check_upb(family("theta").kets)
-    return bool(res.orthogonal and res.unextendable), True, 0.0
-
-
-def _c_upb_weakened(ctx):
+def _weakened_has_witness(ctx):
     kets = family("psi").kets[:3] + (ket_from_string("111"),)
     res = check_upb(kets)
-    witness_ok = res.extension_witness is not None
-    if witness_ok:
-        w = res.extension_witness
-        witness_ok = all(abs(np.vdot(k.amplitudes, w.amplitudes)) < 1e-10 for k in kets)
-    return bool((not res.unextendable) and witness_ok), True, 0.0
+    w = res.extension_witness
+    return (not res.unextendable) and w is not None and all(
+        abs(np.vdot(k.amplitudes, w.amplitudes)) < 1e-10 for k in kets)
 
 
-def _c_ancilla_kron(ctx):
-    direct = coherence_product(ctx.upb_t, (1.0 / SQRT2, 0.0, 0.0, 0.0))
+def _ancilla(ctx):
+    """The complement state's components times a maximally mixed ancilla."""
+    return coherence_product(ctx.upb_t, (1.0 / SQRT2, 0.0, 0.0, 0.0))
+
+
+def _ancilla_pairs(ctx):
     big = np.kron(ctx.upb, np.eye(2) / 2.0)
     via = np.empty(256)
     for a in range(64):
         for m in range(4):
-            mat = np.kron(LAMBDA_BASIS[a], lambda_matrix(m))
-            via[4 * a + m] = np.trace(big @ mat).real
-    return float(np.abs(direct - via).max()), 0.0, 1e-13
+            via[4 * a + m] = np.trace(big @ np.kron(LAMBDA_BASIS[a], lambda_matrix(m))).real
+    return [(_ancilla(ctx), via)]
 
 
-def _c_ancilla_support(ctx):
-    direct = coherence_product(ctx.upb_t, (1.0 / SQRT2, 0.0, 0.0, 0.0))
-    got = {i for i in range(256) if abs(direct[i]) > 1e-14}
+def _ancilla_support(ctx):
+    got = {i for i, v in enumerate(_ancilla(ctx)) if abs(v) > 1e-14}
     want = {4 * a for a in range(64) if abs(ctx.upb_t.components[a]) > 1e-14}
-    return bool(got == want), True, 0.0
+    return got == want
 
 
 def _registry():
     rows = [
         ("state.components_upb", "state-table",
          "all 64 coherence components of the complement state match the signed table",
-         _c_components_upb),
+         _deviation(lambda c: [(c.upb_t.components, expected_upb_tensor().components)], 1e-13)),
         ("state.purity", "state-table",
          "squared component sum (purity) of the complement state equals 1/4",
-         _c_purity),
+         _near(lambda c: np.sum(c.upb_t.components**2), 0.25)),
         ("state.spectrum_upb", "spectrum",
          "complement-state eigenvalues are {0 x4, 1/4 x4}",
-         _c_spectrum_upb),
+         _deviation(lambda c: [(c.base_spectra[1], _FLAT_SPECTRUM)], 1e-11)),
         ("state.spectrum_sep", "spectrum",
          "separable-mixture eigenvalues are {0 x4, 1/4 x4}",
-         _c_spectrum_sep),
+         _deviation(lambda c: [(c.base_spectra[0], _FLAT_SPECTRUM)], 1e-11)),
         ("state.in_set_c", "spectrum",
          "both base states lie in the eigenvalue band [0, 1/4]",
-         _c_in_set_c),
+         _holds(lambda c: spectrum_in_C(c.base_spectra, c.cfg.psd_tol).all())),
         ("state.reduced_random", "state-table",
          "every single-qubit marginal of both base states is I/2",
-         _c_reduced_random),
+         _deviation(_reduced_pairs)),
         ("ppt.upb", "ppt",
          "complement state has no negative partial-transpose eigenvalue on any cut",
-         _c_ppt_upb),
+         _near(lambda c: max(0.0, -min_pt_eigs(c.upb).min()), tol=1e-12)),
         ("reflect.sep_to_upb", "reflection",
          "full reflection maps the separable mixture onto the complement state",
-         _c_reflect_sep_to_upb),
+         _distance(lambda c: [(from_coherence(reflect(c.sep_t)), c.upb)])),
         ("reflect.involution", "reflection",
          "reflecting twice restores the original components",
-         _c_reflect_involution),
+         _deviation(lambda c: [(reflect(reflect(c.upb_t)).components, c.upb_t.components)])),
         ("reflect.partial_pairs", "reflection",
          "each two-qubit partial reflection also maps separable onto complement",
-         _c_reflect_partial_pairs),
+         _distance(lambda c: [(from_coherence(partial_reflect(c.sep_t, pair)), c.upb)
+                              for pair in ((1, 2), (1, 3), (2, 3))])),
         ("reflect.single_component_spectrum", "reflection",
          "reflected rank-1 projector has spectrum {-3/4, 1/4 x7}",
-         _c_reflect_single_spectrum),
+         _deviation(lambda c: [(_reflected_projector_spectrum(c), _PROJECTOR_SPECTRUM)], 1e-11)),
         ("reflect.set_c_closed", "reflection",
          "reflection keeps the sampled mixtures inside the eigenvalue band [0, 1/4]",
-         _c_reflect_set_c_closed),
+         _holds(_set_c_closed)),
         ("lhv.structure", "lhv-triples",
          "all eight builtin triples commute pairwise with product proportional to identity",
-         _c_lhv_structure),
+         _holds(lambda c: all(verify_triple_structure(tr)
+                              for tr in c.upb_triples + c.oq_triples))),
         ("lhv.upb_triples.products_on_upb", "lhv-triples",
          "complement state gives product -x^3 on every first-family triple",
-         _c_lhv_upb_products_on_upb),
+         _lhv_products("upb_t", "upb", -X3)),
         ("lhv.upb_triples.products_on_sep", "lhv-triples",
          "separable mixture gives product +x^3 on every first-family triple",
-         _c_lhv_upb_products_on_sep),
+         _lhv_products("sep_t", "upb", X3)),
         ("lhv.upb_triples.oracle_on_upb", "lhv-triples",
          "sign oracle finds no consistent assignment per first-family triple on the complement state",
-         _c_lhv_upb_oracle_on_upb),
+         _lhv_oracle("upb_t", "upb", 0)),
         ("lhv.upb_triples.oracle_on_sep", "lhv-triples",
          "sign oracle finds two consistent assignments per first-family triple on the separable mixture",
-         _c_lhv_upb_oracle_on_sep),
+         _lhv_oracle("sep_t", "upb", 2)),
         ("lhv.upb_triples.oracle_on_quarter", "lhv-triples",
          "quarter-period orbit state is consistent with every first-family triple",
-         _c_lhv_upb_oracle_on_quarter),
+         _lhv_oracle("quarter_t", "upb", 2)),
         ("lhv.oq_triples.products_on_quarter", "lhv-triples",
          "quarter-period orbit state gives product -x^3 on every second-family triple",
-         _c_lhv_oq_products_on_quarter),
+         _lhv_products("quarter_t", "oq", -X3)),
         ("lhv.oq_triples.products_on_upb", "lhv-triples",
          "complement state gives product +x^3 on every second-family triple",
-         _c_lhv_oq_products_on_upb),
+         _lhv_products("upb_t", "oq", X3)),
         ("lhv.oq_triples.oracle_on_quarter", "lhv-triples",
          "sign oracle finds no consistent assignment per second-family triple on the quarter state",
-         _c_lhv_oq_oracle_on_quarter),
+         _lhv_oracle("quarter_t", "oq", 0)),
         ("lhv.oq_triples.oracle_on_upb", "lhv-triples",
          "complement state is consistent with every second-family triple",
-         _c_lhv_oq_oracle_on_upb),
+         _lhv_oracle("upb_t", "oq", 2)),
         ("prep.standard.endpoint", "preparation",
          "triple-z then six-term schedule lands on the complement state",
-         _c_prep_std_endpoint),
+         _distance(lambda c: [(c.prep_standard.checkpoints["final"], c.upb)], "flow_tol")),
         ("prep.standard.intermediate", "preparation",
          "triple-z half-period stage lands on the mu mixture",
-         _c_prep_std_intermediate),
+         _distance(lambda c: [(c.prep_standard.checkpoints["intermediate"],
+                               family_mixture("mu"))], "flow_tol")),
         ("prep.standard.interior_npt", "preparation",
          "standard schedule is NPT on every cut at all interior sample times",
-         _c_prep_std_interior),
+         _interior_npt("standard")),
         ("prep.swapped.endpoint", "preparation",
          "swapped schedule lands on the same complement state",
-         _c_prep_swap_endpoint),
+         _distance(lambda c: [(c.prep_swapped.checkpoints["final"], c.upb)], "flow_tol")),
         ("prep.swapped.intermediate_reflects", "preparation",
          "swapped-schedule intermediate is the reflection of the standard one",
-         _c_prep_swap_intermediate),
+         _distance(lambda c: [(c.prep_swapped.checkpoints["intermediate"],
+                               reflect_density(c.prep_standard.checkpoints["intermediate"]))],
+                   "flow_tol")),
         ("prep.swapped.interior_npt", "preparation",
          "swapped schedule is NPT on every cut at all interior sample times",
-         _c_prep_swap_interior),
+         _interior_npt("swapped")),
         ("prep.swapped.intermediate_violations", "preparation",
          "swapped-schedule intermediate gives product -x^3 on every first-family triple",
-         _c_prep_swap_violations),
+         _lhv_products("swapped_mid_t", "upb", -X3)),
         ("orbit.start_matches_families", "orbit",
          "orbit start is the psi mixture and its reflection the complement state",
-         _c_orbit_start),
+         _distance(lambda c: [(from_coherence(c.sep_t), family_mixture("psi")),
+                              (from_coherence(reflect(c.sep_t)), c.upb)])),
         ("orbit.quarter_matches_table", "orbit",
          "quarter-period orbit components match the signed table",
-         _c_orbit_quarter_table),
+         _deviation(lambda c: [(c.quarter_t.components, expected_oq_tensor().components)])),
         ("orbit.quarter_is_theta_complement", "orbit",
          "quarter-period orbit state equals the complement map of the theta family",
-         _c_orbit_quarter_complement),
+         _distance(lambda c: [(from_coherence(c.quarter_t), rho_oq())])),
         ("orbit.quarter_reflection_equals_theta", "orbit",
          "reflected quarter-period orbit state equals the theta mixture",
-         _c_orbit_quarter_reflection),
+         _distance(lambda c: [(from_coherence(reflect(c.quarter_t)), family_mixture("theta"))])),
         ("orbit.half_equals_phi", "orbit",
          "half-period orbit state equals the phi mixture",
-         _c_orbit_half),
+         _distance(lambda c: [(from_coherence(rodrigues_flow(222, TAU_P / 2.0, c.sep_t)),
+                               family_mixture("phi"))])),
         ("orbit.conserved_coherences", "orbit",
          "weight <= 2 components are constant along the orbit",
-         _c_orbit_conserved),
+         _deviation(_conserved_pairs)),
         ("orbit.sinusoids", "orbit",
          "the eight 3-coherences follow -x sin / -x cos of the reduced phase",
-         _c_orbit_sinusoids),
+         _deviation(_sinusoid_pairs, 1e-11)),
         ("ppt.orbit", "orbit",
          "orbit states and their reflections stay PPT on every cut",
-         _c_orbit_ppt),
+         _near(_orbit_pt_violation, tol=1e-12)),
         ("orbit.rank", "orbit",
          "orbit states and reflections keep four eigenvalues above 0.2 and four below 1e-9",
-         _c_orbit_rank),
+         _holds(_orbit_rank)),
         ("stationary.fixed_point", "stationarity",
          "nine-term 2-coherence generator commutes with the complement state",
-         _c_stationary_fixed_point),
+         _stationary(fixed_point_generator())),
         ("stationary.fixed_point_sum_only", "stationarity",
          "the commuting generator's individual terms each move the state; only the sum is stationary",
-         _c_stationary_sum_only),
+         _holds(_sum_only_stationary)),
         ("stationary.orbit_generator_moves", "stationarity",
          "triple-y generator does not commute with the complement state",
-         _c_stationary_orbit_moves),
+         _holds(lambda c: stationarity(orbit_generator(), c.upb) > 1e-3)),
         ("rodrigues.match_333", "flow",
          "closed-form component flow for the triple-z axis matches conjugation at 33 times",
-         lambda ctx: _rodrigues_match(ctx, 333)),
+         _rodrigues_match(333)),
         ("rodrigues.match_222", "flow",
          "closed-form component flow for the triple-y axis matches conjugation at 33 times",
-         lambda ctx: _rodrigues_match(ctx, 222)),
+         _rodrigues_match(222)),
         ("rodrigues.period_333", "flow",
          "triple-z flow returns to the start after one full period",
-         lambda ctx: _rodrigues_period(ctx, 333)),
+         _rodrigues_period(333)),
         ("rodrigues.period_222", "flow",
          "triple-y flow returns to the start after one full period",
-         lambda ctx: _rodrigues_period(ctx, 222)),
+         _rodrigues_period(222)),
         ("byproduct.distance", "byproduct",
          "one candidate evolution returns the theta mixture to the complement state",
-         _c_byproduct_distance),
+         _near(lambda c: c.byproduct.distance, tol="flow_tol")),
         ("byproduct.parameter", "byproduct",
          "the matching period-reduced parameter is 3/4 of the period",
-         _c_byproduct_parameter),
+         _near(lambda c: c.byproduct.matched_parameter, 3.0 * TAU_P / 4.0, 1e-9)),
         ("byproduct.unique", "byproduct",
          "exactly one distinct period-reduced candidate evolution matches",
-         _c_byproduct_unique),
+         _byproduct_unique),
         ("byproduct.decoy_misses", "byproduct",
          "starting from the psi mixture instead, every candidate misses by more than 0.1",
-         _c_byproduct_decoy),
+         _holds(_decoy_misses)),
         ("upb.unextendable_psi", "upb-check",
          "no product state is orthogonal to all four psi members",
-         _c_upb_psi),
+         _unextendable("psi")),
         ("upb.unextendable_theta", "upb-check",
          "no product state is orthogonal to all four theta members",
-         _c_upb_theta),
+         _unextendable("theta")),
         ("upb.witness_weakened", "upb-check",
          "replacing the fourth psi member by |111> admits an orthogonal product witness",
-         _c_upb_weakened),
+         _holds(_weakened_has_witness)),
         ("ancilla.kron_match", "ancilla",
          "coherence-space ancilla product agrees with the Kronecker construction",
-         _c_ancilla_kron),
+         _deviation(_ancilla_pairs, 1e-13)),
         ("ancilla.support", "ancilla",
          "maximally mixed ancilla leaves exactly the original components, all with trailing index 0",
-         _c_ancilla_support),
+         _holds(_ancilla_support)),
     ]
     for gen in one_spin_generators():
-        (j, k, l), _ = gen.terms[0]
-        label = f"{j}{k}{l}"
-        rows.append(
-            (f"stationary.local_{label}", "stationarity",
-             f"single-qubit generator {label} commutes with the complement state",
-             _make_local_claim(gen))
-        )
+        label = "".join(map(str, gen.terms[0][0]))
+        rows.append((f"stationary.local_{label}", "stationarity",
+                     f"single-qubit generator {label} commutes with the complement state",
+                     _stationary(gen)))
     rows.sort(key=lambda r: r[0])
     return rows
 
 
 _REGISTRY = _registry()
+
 
 
 def claim_ids():

@@ -60,7 +60,6 @@ def _cmd_verify(args):
         flow_tol=args.tolerance_flow,
         orbit_samples=args.orbit_samples,
         filter=args.filter,
-        json_path=args.json,
     )
     reports = run_claims(cfg)
     for r in reports:
@@ -70,12 +69,12 @@ def _cmd_verify(args):
     n_fail = sum(1 for r in reports if r.status == "fail")
     n_skip = sum(1 for r in reports if r.status == "skip")
     print(f"{n_pass} passed, {n_fail} failed, {n_skip} skipped (of {len(reports)})")
-    if cfg.json_path:
+    if args.json:
         try:
-            with open(cfg.json_path, "w", encoding="utf-8") as fobj:
+            with open(args.json, "w", encoding="utf-8") as fobj:
                 write_reports_json(reports, fobj)
         except OSError as exc:
-            print(f"error: cannot write {cfg.json_path}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
             return 1
     return exit_code(reports)
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import Cut, min_pt_eigs, partial_transpose
-from .linalg import conjugation_flow, eigen_flow, frobenius_distance, jacobi_eigh
+from .linalg import (_check_time, _check_tolerance, conjugation_flow, eigen_flow,
+                     frobenius_distance, jacobi_eigh)
 from .pauli import (SQRT2, CoherenceTensor, flat_index, from_coherence, label_to_tuple,
                     lambda_tensor, to_coherence)
 from .states import family_mixture, reflect, rho_sep, rho_upb
@@ -164,7 +165,11 @@ def _generator_powers(axis):
 
 
 def rodrigues_flow(axis, t, tensor):
-    """Closed-form coherence-space flow for axis 333 or 222, exact for all t."""
+    """Closed-form coherence-space flow for axis 333 or 222, exact for all finite t.
+
+    Raises ValueError if t is not finite.
+    """
+    _check_time(t)
     r, r2 = _generator_powers(axis)
     expo = (
         np.eye(64)
@@ -264,10 +269,13 @@ def orbit(samples=64, ppt_tol=1e-10, rank_tol=1e-9):
     Grid: t_k = k TAU_P / samples for k = 0..samples-1 (the endpoint TAU_P
     duplicates t=0).  With samples divisible by 4 the quarter and half period
     land exactly on grid points.  The spectra of a block of samples come from
-    one batched eigen solve.
+    one batched eigen solve.  Raises ValueError on fewer than 2 samples and on
+    a negative or non-finite tolerance.
     """
     if not (isinstance(samples, numbers.Integral) and samples >= 2):
         raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
+    _check_tolerance("ppt_tol", ppt_tol)
+    _check_tolerance("rank_tol", rank_tol)
     base = to_coherence(rho_sep())
     out = []
     for start in range(0, samples, _ORBIT_BLOCK):

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import frobenius_distance, jacobi_eigh
+from .linalg import _check_tolerance, frobenius_distance, jacobi_eigh
 from .pauli import INDICES, label_to_tuple, lambda_tensor, negate_components
 
 
@@ -80,7 +80,9 @@ def is_ppt(rho, tol=1e-10):
     """True iff every cut's partial transpose has min eigenvalue >= -tol.
 
     A bool for one 8x8 matrix; a bool array (...) for a stack (..., 8, 8).
+    Raises ValueError on a negative or non-finite tol.
     """
+    _check_tolerance("tol", tol)
     ok = (min_pt_eigs(rho) >= -tol).all(axis=-1)
     return bool(ok) if ok.ndim == 0 else ok
 

@@ -10,6 +10,7 @@ code.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -39,6 +40,18 @@ def _check_hermitian(mat, tol):
     if not residue <= tol:  # also rejects NaN, which compares False
         raise NonHermitian(f"Hermiticity residue {residue:.3e} > {tol:.1e}")
     return mat
+
+
+def _check_tolerance(name, tol):
+    """Raise ValueError unless tol is a finite real number >= 0."""
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {tol!r}")
+
+
+def _check_time(t):
+    """Raise ValueError unless the flow time t is finite."""
+    if not math.isfinite(t):
+        raise ValueError(f"flow time must be finite, got {t!r}")
 
 
 def _offdiag_norms(a):
@@ -178,7 +191,9 @@ def eigen_flow(w, v, t, rho):
     """exp(-itH) rho exp(+itH) from H's eigenvalues w and eigenvectors v.
 
     Lets a caller that flows by one H to many times diagonalize it once.
+    Raises ValueError if t is not finite.
     """
+    _check_time(t)
     u = (v * np.exp(-1j * t * w)) @ v.conj().T
     return u @ np.asarray(rho, dtype=complex) @ u.conj().T
 

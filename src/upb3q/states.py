@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import jacobi_eigh
+from .linalg import _check_tolerance, jacobi_eigh
 from .pauli import (
     INDICES,
     SQRT2,
@@ -146,7 +146,11 @@ def in_set_C(rho, tol=1e-10):
 
 
 def spectrum_in_C(w, tol=1e-10):
-    """in_set_C from ascending spectra w, shape (..., n), already computed."""
+    """in_set_C from ascending spectra w, shape (..., n), already computed.
+
+    Raises ValueError on a negative or non-finite tol.
+    """
+    _check_tolerance("tol", tol)
     ok = (w[..., 0] >= -tol) & (w[..., -1] <= 0.25 + tol)
     return bool(ok) if ok.ndim == 0 else ok
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -232,3 +233,32 @@ def test_shared_axis_eigs_match_one_flow_per_time(axis):
     h = HamiltonianSpec.from_labels(str(axis))
     for t in np.linspace(0.0, TAU_P, 33):
         assert np.array_equal(eigen_flow(w, v, t, rho), flow(h, t, rho))
+
+
+REGISTRY_FILE = pathlib.Path(__file__).parent / "data" / "claim_registry.json"
+STATIC_KEYS = ("claim_id", "paper_ref", "description", "expected", "tolerance")
+
+
+def test_registry_metadata_is_frozen():
+    # the static columns of every claim, recorded before the builders were
+    # collapsed into parameterised families; measured values are left out
+    # because they depend on the platform's floating point
+    frozen = json.loads(REGISTRY_FILE.read_text(encoding="utf-8"))
+    current = [{k: r.to_dict()[k] for k in STATIC_KEYS} for r in run_claims()]
+    assert [row["claim_id"] for row in frozen] == claim_ids()
+    for want, got in zip(frozen, current):
+        # compared as JSON text so that true and 1, or 0 and 0.0, differ
+        assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("pattern, sizes", [
+    ("lhv.*", []),
+    ("prep.standard.*", [2, 54]),
+    ("state.spectrum_*", [2]),
+])
+def test_filtered_runs_build_only_what_they_use(solver_calls, pattern, sizes):
+    # a filtered run solves only the shared artifacts its claims touch: the
+    # standard preparation never runs the swapped schedule, and the LHV
+    # claims need no eigen solve at all
+    run_claims(RunConfig(filter=pattern))
+    assert solver_calls == sizes

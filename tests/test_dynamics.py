@@ -263,3 +263,26 @@ def test_bloch_rotation_between_psi_and_phi():
             bp = bloch_vector(np.outer(lp, lp.conj()))
             bf = bloch_vector(np.outer(lf, lf.conj()))
             assert np.abs(bf - rot @ bp).max() < 1e-12
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_rodrigues_flow_rejects_non_finite_time(t):
+    # used to return NaN components without an error
+    with pytest.raises(ValueError, match="finite"):
+        rodrigues_flow(222, t, to_coherence(rho_upb()))
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_flow_rejects_non_finite_time(t):
+    # flow goes through eigen_flow, which checks the time
+    with pytest.raises(ValueError, match="finite"):
+        flow(orbit_generator(), t, rho_upb())
+
+
+def test_orbit_rejects_bad_tolerances():
+    # a NaN ppt_tol used to mark every sample as not PPT without an error
+    for name in ("ppt_tol", "rank_tol"):
+        for bad in (float("nan"), float("inf"), -1e-10):
+            with pytest.raises(ValueError, match=name):
+                orbit(4, **{name: bad})
+    assert len(orbit(2, ppt_tol=0.0, rank_tol=0.0)) == 2

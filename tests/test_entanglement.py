@@ -162,3 +162,11 @@ def test_oracle_cross_compatibility():
         assert lhv_oracle([signed_triple(upb_t, tr)]) == 2
     for tr in builtin_triples("upb"):
         assert lhv_oracle([signed_triple(oq_t, tr)]) == 2
+
+
+def test_is_ppt_rejects_bad_tolerance():
+    # a NaN tol used to give a False verdict without an error
+    for bad in (float("nan"), float("inf"), -1e-10):
+        with pytest.raises(ValueError, match="tol"):
+            is_ppt(rho_upb(), tol=bad)
+    assert is_ppt(rho_upb())

@@ -9,6 +9,7 @@ from upb3q.linalg import (
     NonHermitian,
     ShapeMismatch,
     conjugation_flow,
+    eigen_flow,
     frobenius_distance,
     jacobi_eigh,
 )
@@ -98,3 +99,15 @@ def test_frobenius_distance():
     assert abs(frobenius_distance(a, b) - np.sqrt(2)) < 1e-15
     with pytest.raises(ShapeMismatch):
         frobenius_distance(np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_flows_reject_non_finite_time(t):
+    # a non-finite time used to give a NaN matrix with only a numpy warning
+    h = np.diag([0.5, -0.5, 0.25, 0.0]).astype(complex)
+    rho = np.full((4, 4), 0.25, dtype=complex)
+    w, v = jacobi_eigh(h)
+    with pytest.raises(ValueError, match="finite"):
+        eigen_flow(w, v, t, rho)
+    with pytest.raises(ValueError, match="finite"):
+        conjugation_flow(h, t, rho)

@@ -1,17 +1,20 @@
 """Property tests on random Hermitian matrices: the coherence-space sign
 masks against the matrix routes, and the batched Jacobi solver against
-per-matrix calls and the numpy.linalg oracle."""
+per-matrix calls and the numpy.linalg oracle.  Also the unextendability
+check against a brute-force search on product kets of Pauli eigenstates."""
+
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from upb3q.entanglement import Cut, partial_transpose, partial_transpose_tensor
 from upb3q.linalg import NoConvergence, NonHermitian, jacobi_eigh
-from upb3q.pauli import from_coherence, to_coherence
-from upb3q.states import reflect
+from upb3q.pauli import from_coherence, product_ket_from_locals, to_coherence
+from upb3q.states import FAMILY_SYMBOLS, check_upb, reflect
 
 entries = arrays(np.float64, (2, 8, 8), elements=st.floats(-1.0, 1.0))
 
@@ -135,3 +138,53 @@ def test_jacobi_stack_fails_as_a_whole(stack_members, pick, row, shift, use_nan)
     with pytest.raises(NoConvergence):
         jacobi_eigh(np.concatenate([stack, [trace_one_hermitian(np.ones((2, 8, 8)))]]),
                     max_sweeps=0)
+
+
+# The six Pauli eigenstates by symbol (r, l: the +1 and -1 states of Y), and
+# the eigenstate orthogonal to each.
+PAULI_STATES = {
+    "0": np.array([1, 0]), "1": np.array([0, 1]),
+    "+": np.array([1, 1]) / np.sqrt(2), "-": np.array([1, -1]) / np.sqrt(2),
+    "r": np.array([1, 1j]) / np.sqrt(2), "l": np.array([1, -1j]) / np.sqrt(2),
+}
+OPPOSITE = {"0": "1", "1": "0", "+": "-", "-": "+", "r": "l", "l": "r"}
+# A 4-set is drawn party by party.  A party whose four local states are
+# pairwise distinct (so pairwise non-parallel) can serve at most one member
+# of a witness, so the draws mix such parties with free ones to give both
+# verdicts often.
+party_states = st.booleans().flatmap(lambda distinct: st.lists(
+    st.sampled_from(sorted(PAULI_STATES)), min_size=4, max_size=4, unique=distinct))
+product_sets = st.tuples(party_states, party_states, party_states).map(
+    lambda parties: ["".join(local) for local in zip(*parties)])
+
+
+def pauli_ket(symbols):
+    return np.kron(np.kron(*(PAULI_STATES[ch] for ch in symbols[:2])), PAULI_STATES[symbols[2]])
+
+
+def brute_force_extendable(members):
+    """A product witness exists iff one of the 4^3 candidates is one.
+
+    Each candidate's local state on each party is orthogonal to some member's
+    local state there: a witness must be orthogonal to every member on at
+    least one party, and on a party that no member needs, any member's
+    opposite state serves as well.
+    """
+    options = [{OPPOSITE[m[p]] for m in members} for p in range(3)]
+    kets = [pauli_ket(m) for m in members]
+    return any(
+        max(abs(np.vdot(k, pauli_ket(cand))) for k in kets) < 1e-9
+        for cand in itertools.product(*options)
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(product_sets)
+@example(list(FAMILY_SYMBOLS["psi"]))
+@example(list(FAMILY_SYMBOLS["mu"]))
+@example(list(FAMILY_SYMBOLS["theta"]))
+@example(list(FAMILY_SYMBOLS["phi"]))
+@example(list(FAMILY_SYMBOLS["psi"][:3]) + ["111"])
+def test_check_upb_matches_brute_force_witness_search(members):
+    kets = [product_ket_from_locals([PAULI_STATES[ch] for ch in m]) for m in members]
+    assert check_upb(kets).unextendable == (not brute_force_extendable(members))

@@ -178,3 +178,14 @@ def test_extendable_detection_reports_orthogonality():
     )
     res = check_upb(kets)
     assert not res.orthogonal
+
+
+def test_in_set_c_rejects_bad_tolerance():
+    # a NaN tol used to give a False verdict without an error
+    w = np.linalg.eigvalsh(rho_upb())
+    for bad in (float("nan"), float("inf"), -1e-10):
+        with pytest.raises(ValueError, match="tol"):
+            in_set_C(rho_upb(), tol=bad)
+        with pytest.raises(ValueError, match="tol"):
+            spectrum_in_C(w, tol=bad)
+    assert in_set_C(rho_upb(), tol=1e-10)

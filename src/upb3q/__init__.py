@@ -6,10 +6,10 @@ from .claims import (
     ClaimReport,
     RunConfig,
     claim_ids,
-    emit_bloch_csv,
-    emit_orbit_csv,
     exit_code,
     run_claims,
+    write_bloch_csv,
+    write_orbit_csv,
 )
 from .dynamics import (
     TAU_P,

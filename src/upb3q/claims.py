@@ -16,9 +16,7 @@ from __future__ import annotations
 import csv
 import fnmatch
 import json
-import numbers
-import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,7 +36,7 @@ from .dynamics import (
     stationarity,
 )
 from .entanglement import builtin_triples, lhv_oracle, min_pt_eigs, signed_triple, triple_value, verify_triple_structure
-from .linalg import _check_tolerance, eigen_flow, frobenius_distance, jacobi_eigh
+from .linalg import _check_count, _check_tolerance, eigen_flow, frobenius_distance, jacobi_eigh
 from .pauli import (
     INDICES,
     LAMBDA_BASIS,
@@ -80,10 +78,10 @@ _PROJECTOR_SPECTRUM = np.array([-0.75] + [0.25] * 7)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Tolerances, sampling knobs, and the CSV output path for one claim run.
+    """Tolerances, the orbit grid size and the claim filter for one claim run.
 
-    A csv_path of None or "-" means stdout.  Raises ValueError on a tolerance
-    that is negative, NaN or infinite, or on fewer than 2 orbit samples.
+    Raises ValueError on a tolerance that is negative, NaN or infinite, or on
+    an orbit grid that is not an integer >= 2.
     """
 
     equality_tol: float = 1e-12
@@ -92,14 +90,11 @@ class RunConfig:
     flow_tol: float = 1e-10
     orbit_samples: int = 64
     filter: str | None = None
-    csv_path: str | None = None
 
     def __post_init__(self):
         for name in ("equality_tol", "psd_tol", "sign_tol", "flow_tol"):
             _check_tolerance(name, getattr(self, name))
-        n = self.orbit_samples
-        if not (isinstance(n, numbers.Integral) and n >= 2):
-            raise ValueError(f"orbit_samples must be an integer >= 2, got {n!r}")
+        _check_count("orbit_samples", self.orbit_samples, 2)
 
 
 @dataclass(frozen=True)
@@ -113,15 +108,8 @@ class ClaimReport:
     tolerance: float
 
     def to_dict(self):
-        return {
-            "claim_id": self.claim_id,
-            "description": self.description,
-            "paper_ref": self.paper_ref,
-            "status": self.status,
-            "measured": self.measured,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-        }
+        """The report as a dict whose 7 keys follow the field order above."""
+        return asdict(self)
 
 
 class _Context:
@@ -184,7 +172,7 @@ class _Context:
 
     @cached_property
     def orbit_samples(self):
-        return orbit(self.cfg.orbit_samples, ppt_tol=self.cfg.psd_tol)
+        return orbit(self.cfg.orbit_samples)
 
     @cached_property
     def byproduct(self):
@@ -556,7 +544,6 @@ def _registry():
 _REGISTRY = _registry()
 
 
-
 def claim_ids():
     return [row[0] for row in _REGISTRY]
 
@@ -642,33 +629,6 @@ def write_orbit_csv(fobj, samples):
         row += [_fmt17(v) for v in s.reflected_min_pt_eigs]
         row += [str(s.rank), str(s.reflected_rank)]
         writer.writerow(row)
-
-
-def _open_target(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline="", encoding="utf-8"), True
-
-
-def emit_orbit_csv(config):
-    """Sample the orbit per config and write the CSV to config.csv_path."""
-    samples = orbit(config.orbit_samples, ppt_tol=config.psd_tol)
-    fobj, close = _open_target(config.csv_path)
-    try:
-        write_orbit_csv(fobj, samples)
-    finally:
-        if close:
-            fobj.close()
-
-
-def emit_bloch_csv(config):
-    """Write the ket-family Bloch CSV to config.csv_path."""
-    fobj, close = _open_target(config.csv_path)
-    try:
-        write_bloch_csv(fobj)
-    finally:
-        if close:
-            fobj.close()
 
 
 def write_bloch_csv(fobj):

@@ -12,17 +12,12 @@ byte-identical across runs with the same arguments.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
-from .claims import (
-    RunConfig,
-    emit_bloch_csv,
-    emit_orbit_csv,
-    exit_code,
-    run_claims,
-    write_reports_json,
-)
+from .claims import (RunConfig, exit_code, run_claims, write_bloch_csv, write_orbit_csv,
+                     write_reports_json)
+from .dynamics import orbit
+from .linalg import _check_count, _check_tolerance
 
 
 def _fmt(value):
@@ -35,21 +30,25 @@ def _fmt(value):
     return str(value)
 
 
-def _checked(convert, ok, what):
-    """argparse type: convert the text, then reject it unless ok(value)."""
-    def parse(text):
-        try:
-            value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
-        return value
-    return parse
+def _argument(text, convert, check):
+    """Convert an argparse value and check it; a rejected value is a usage error."""
+    try:
+        value = convert(text)
+    except ValueError:
+        value = text  # not a number: the check rejects it with its rule
+    try:
+        check(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
-_SAMPLES = _checked(int, lambda n: n >= 2, "an integer >= 2")
-_TOLERANCE = _checked(float, lambda t: math.isfinite(t) and t >= 0.0, "a finite number >= 0")
+def _samples(text):
+    return _argument(text, int, lambda n: _check_count("N", n, 2))
+
+
+def _tolerance(text):
+    return _argument(text, float, lambda t: _check_tolerance("TOL", t))
 
 
 def _cmd_verify(args):
@@ -79,24 +78,27 @@ def _cmd_verify(args):
     return exit_code(reports)
 
 
-def _cmd_orbit(args):
-    cfg = RunConfig(orbit_samples=args.samples, csv_path=args.csv)
+def _write_csv(path, write):
+    """Call write(fobj) on stdout for path "-", else on the file; exit code 1 on an OSError."""
     try:
-        emit_orbit_csv(cfg)
+        if path == "-":
+            write(sys.stdout)
+        else:
+            with open(path, "w", newline="", encoding="utf-8") as fobj:
+                write(fobj)
     except OSError as exc:
-        print(f"error: cannot write {args.csv}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+def _cmd_orbit(args):
+    samples = orbit(args.samples)
+    return _write_csv(args.csv, lambda fobj: write_orbit_csv(fobj, samples))
 
 
 def _cmd_bloch(args):
-    cfg = RunConfig(csv_path=args.csv)
-    try:
-        emit_bloch_csv(cfg)
-    except OSError as exc:
-        print(f"error: cannot write {args.csv}: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return _write_csv(args.csv, write_bloch_csv)
 
 
 def build_parser():
@@ -111,16 +113,16 @@ def build_parser():
                    help="glob on claim ids; non-matching claims are skipped")
     v.add_argument("--json", default=None, metavar="PATH",
                    help="also write the full report list as JSON")
-    v.add_argument("--orbit-samples", type=_SAMPLES, default=64, metavar="N",
+    v.add_argument("--orbit-samples", type=_samples, default=64, metavar="N",
                    help="orbit grid size used by orbit claims (default 64)")
-    v.add_argument("--tolerance-equality", type=_TOLERANCE, default=1e-12, metavar="TOL")
-    v.add_argument("--tolerance-psd", type=_TOLERANCE, default=1e-10, metavar="TOL")
-    v.add_argument("--tolerance-sign", type=_TOLERANCE, default=1e-8, metavar="TOL")
-    v.add_argument("--tolerance-flow", type=_TOLERANCE, default=1e-10, metavar="TOL")
+    v.add_argument("--tolerance-equality", type=_tolerance, default=1e-12, metavar="TOL")
+    v.add_argument("--tolerance-psd", type=_tolerance, default=1e-10, metavar="TOL")
+    v.add_argument("--tolerance-sign", type=_tolerance, default=1e-8, metavar="TOL")
+    v.add_argument("--tolerance-flow", type=_tolerance, default=1e-10, metavar="TOL")
     v.set_defaults(func=_cmd_verify)
 
     o = sub.add_parser("orbit", help="sample the PPT-preserving orbit as CSV")
-    o.add_argument("--samples", type=_SAMPLES, default=64, metavar="N",
+    o.add_argument("--samples", type=_samples, default=64, metavar="N",
                    help="grid points over one period (default 64)")
     o.add_argument("--csv", default="-", metavar="PATH",
                    help="output path, or - for stdout (default)")

@@ -15,13 +15,12 @@ single-qubit commutator/anticommutator blocks.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entanglement import Cut, min_pt_eigs, partial_transpose
-from .linalg import (_check_time, _check_tolerance, conjugation_flow, eigen_flow,
+from .linalg import (_MAX_STACK, _check_count, _check_time, conjugation_flow, eigen_flow,
                      frobenius_distance, jacobi_eigh)
 from .pauli import (SQRT2, CoherenceTensor, flat_index, from_coherence, label_to_tuple,
                     lambda_tensor, to_coherence)
@@ -212,8 +211,7 @@ def prepare_upb(order="standard", interior_samples=9):
     """
     if order not in ("standard", "swapped"):
         raise ValueError(f"order must be 'standard' or 'swapped', got {order!r}")
-    if not (isinstance(interior_samples, numbers.Integral) and interior_samples >= 0):
-        raise ValueError(f"interior_samples must be an integer >= 0, got {interior_samples!r}")
+    _check_count("interior_samples", interior_samples, 0)
     stages = [(stage1_generator(), TAU_P / 2.0), (stage2_generator(), TAU_P / 4.0)]
     if order == "swapped":
         stages = stages[::-1]
@@ -241,7 +239,8 @@ class OrbitSample:
     """One orbit time: tensors, PPT diagnostics, spectra, and ranks.
 
     min_pt_eigs / reflected_min_pt_eigs are ordered by cut (1|23, 2|13, 3|12);
-    eigenvalues are ascending diagnostics of the reconstructed matrices.
+    eigenvalues are ascending diagnostics of the reconstructed matrices; a rank
+    counts the eigenvalues with |e| > _RANK_TOL.
     """
 
     t: float
@@ -251,50 +250,40 @@ class OrbitSample:
     reflected_min_pt_eigs: tuple
     rank: int
     reflected_rank: int
-    ppt: bool
-    reflected_ppt: bool
     eigenvalues: np.ndarray
     reflected_eigenvalues: np.ndarray
 
 
 # Orbit samples per eigen solve: each brings 8 matrices (the state and its
-# reflection, each itself and under 3 partial transposes), which fills one
-# chunk of the batched solver.
-_ORBIT_BLOCK = 16
+# reflection, each itself and under 3 partial transposes), so a block fills
+# one chunk of the batched solver.
+_ORBIT_BLOCK = _MAX_STACK // 8
+
+_RANK_TOL = 1e-9  # eigenvalues with |e| above this count toward a sample's rank
 
 
-def orbit(samples=64, ppt_tol=1e-10, rank_tol=1e-9):
+def orbit(samples=64):
     """Sample the triple-y orbit of the separable mixture over one period.
 
     Grid: t_k = k TAU_P / samples for k = 0..samples-1 (the endpoint TAU_P
     duplicates t=0).  With samples divisible by 4 the quarter and half period
     land exactly on grid points.  The spectra of a block of samples come from
-    one batched eigen solve.  Raises ValueError on fewer than 2 samples and on
-    a negative or non-finite tolerance.
+    one batched eigen solve; ValueError unless samples is an integer >= 2.
     """
-    if not (isinstance(samples, numbers.Integral) and samples >= 2):
-        raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
-    _check_tolerance("ppt_tol", ppt_tol)
-    _check_tolerance("rank_tol", rank_tol)
+    _check_count("samples", samples, 2)
     base = to_coherence(rho_sep())
     out = []
     for start in range(0, samples, _ORBIT_BLOCK):
         times = [TAU_P * k / samples for k in range(start, min(start + _ORBIT_BLOCK, samples))]
-        pairs = []
-        for t in times:
-            tens = rodrigues_flow(222, t, base)
-            pairs.append((tens, reflect(tens)))
+        tensors = [rodrigues_flow(222, t, base) for t in times]
+        pairs = [(tens, reflect(tens)) for tens in tensors]
         mats = np.array([[from_coherence(tt) for tt in pair] for pair in pairs])
         stack = np.stack([mats] + [partial_transpose(mats, cut) for cut in Cut], axis=2)
         eigs = jacobi_eigh(stack, want_vectors=False)[0]  # (sample, reflected, PT cut, 8)
-        for t, (tens, refl), pair_eigs in zip(times, pairs, eigs):
-            rows = []
-            for e in pair_eigs:  # the state, then its reflection
-                pts = tuple(float(x) for x in e[1:, 0])
-                rows.append((pts, int(np.sum(np.abs(e[0]) > rank_tol)),
-                             all(p >= -ppt_tol for p in pts), e[0]))
-            (pts, rank, ppt, spec), (rpts, rrank, rppt, rspec) = rows
-            out.append(OrbitSample(t, tens, refl, pts, rpts, rank, rrank, ppt, rppt, spec, rspec))
+        ranks = np.sum(np.abs(eigs[:, :, 0]) > _RANK_TOL, axis=-1).tolist()  # (sample, reflected)
+        min_pts = eigs[:, :, 1:, 0].tolist()  # (sample, reflected, cut)
+        for t, (tens, refl), e, pts, rank in zip(times, pairs, eigs, min_pts, ranks):
+            out.append(OrbitSample(t, tens, refl, *map(tuple, pts), *rank, e[0, 0], e[1, 0]))
     return out
 
 

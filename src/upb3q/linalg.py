@@ -42,6 +42,12 @@ def _check_hermitian(mat, tol):
     return mat
 
 
+def _check_count(name, n, minimum):
+    """Raise ValueError unless n is an integer >= minimum."""
+    if not (isinstance(n, numbers.Integral) and n >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
+
+
 def _check_tolerance(name, tol):
     """Raise ValueError unless tol is a finite real number >= 0."""
     if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0.0):
@@ -180,9 +186,11 @@ def _mix(m, ix, iy, c, s_xy, s_yx):
 def conjugation_flow(h, t, rho):
     """Evolve rho by the unitary conjugation exp(-itH) rho exp(+itH).
 
-    H is diagonalized once (Jacobi); the exponential is applied on the
-    eigenbasis, so the result is exactly isospectral up to roundoff.
+    A non-finite t raises ValueError before H is diagonalized once (Jacobi);
+    the exponential is applied on the eigenbasis, so the result is exactly
+    isospectral up to roundoff.
     """
+    _check_time(t)
     w, v = jacobi_eigh(h)
     return eigen_flow(w, v, t, rho)
 

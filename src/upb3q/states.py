@@ -140,8 +140,10 @@ def in_set_C(rho, tol=1e-10):
     """True iff every eigenvalue lies in [-tol, 1/4 + tol] (the reflection-stable set C).
 
     rho is an 8x8 matrix (gives a bool) or a stack (..., 8, 8), which is
-    solved in one eigen call and gives a bool array of shape (...).
+    solved in one eigen call and gives a bool array of shape (...); a
+    negative or non-finite tol raises ValueError before the solve.
     """
+    _check_tolerance("tol", tol)
     return spectrum_in_C(jacobi_eigh(rho, want_vectors=False)[0], tol)
 
 
@@ -186,12 +188,15 @@ class UPBCheckResult:
     extension_witness: ProductKet | None
 
 
+_PARALLEL_TOL = 1e-10  # local qubit vectors with |<v|w>| > 1 - this are parallel
+
+
 def _orthogonal_complement(v):
     """The unique (up to phase) qubit vector orthogonal to v."""
     return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
 
 
-def check_upb(kets, parallel_tol=1e-10):
+def check_upb(kets):
     """Decide whether 4 orthogonal product kets form an unextendable product basis.
 
     A product witness orthogonal to all members must be orthogonal to each
@@ -217,7 +222,7 @@ def check_upb(kets, parallel_tol=1e-10):
             for p in range(3)
         ]
         feasible = all(
-            all(abs(np.vdot(vs[0], w)) > 1.0 - parallel_tol for w in vs[1:])
+            all(abs(np.vdot(vs[0], w)) > 1.0 - _PARALLEL_TOL for w in vs[1:])
             for vs in per_party
             if vs
         )

@@ -1,4 +1,3 @@
-import contextlib
 import io
 import json
 import pathlib
@@ -12,8 +11,6 @@ from upb3q.claims import (
     _Context,
     _grade,
     claim_ids,
-    emit_bloch_csv,
-    emit_orbit_csv,
     exit_code,
     run_claims,
     write_bloch_csv,
@@ -157,27 +154,6 @@ def test_bloch_csv_contents():
     # theta member 4 is |000>
     for q in "123":
         assert np.abs(by_key[("theta@t=tau_p/4", "4", q)] - [0, 0, 1]).max() < 1e-12
-
-
-def test_emit_csv_honours_config_paths(tmp_path):
-    orbit_path = tmp_path / "orbit.csv"
-    emit_orbit_csv(RunConfig(orbit_samples=4, csv_path=str(orbit_path)))
-    buf = io.StringIO()
-    write_orbit_csv(buf, orbit(4))
-    assert orbit_path.read_bytes().decode("utf-8") == buf.getvalue()
-
-    bloch_path = tmp_path / "bloch.csv"
-    emit_bloch_csv(RunConfig(csv_path=str(bloch_path)))
-    buf = io.StringIO()
-    write_bloch_csv(buf)
-    assert bloch_path.read_bytes().decode("utf-8") == buf.getvalue()
-
-    # csv_path of None or "-" selects stdout instead of a file
-    for path in (None, "-"):
-        cap = io.StringIO()
-        with contextlib.redirect_stdout(cap):
-            emit_bloch_csv(RunConfig(csv_path=path))
-        assert cap.getvalue() == buf.getvalue()
 
 
 def test_error_in_claim_becomes_failure():

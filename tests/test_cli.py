@@ -1,10 +1,13 @@
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from upb3q.claims import write_bloch_csv, write_orbit_csv
 from upb3q.cli import build_parser, main
+from upb3q.dynamics import orbit
 
 
 def run_cli(*argv):
@@ -84,11 +87,30 @@ def test_bloch_csv_file(tmp_path):
     assert lines[1].startswith("psi@t=0,1,1,")
 
 
-def test_unwritable_output_is_an_error(tmp_path):
+def test_csv_files_and_stdout_match_the_writers(tmp_path, capsys):
+    # the CLI owns CSV output: a file for PATH, stdout for "-", same text
+    cases = [
+        (["orbit", "--samples", "4"], lambda fobj: write_orbit_csv(fobj, orbit(4))),
+        (["bloch"], write_bloch_csv),
+    ]
+    for argv, write in cases:
+        buf = io.StringIO()
+        write(buf)
+        path = tmp_path / f"{argv[0]}.csv"
+        assert main(argv + ["--csv", str(path)]) == 0
+        assert path.read_bytes().decode("utf-8") == buf.getvalue()
+        capsys.readouterr()
+        assert main(argv + ["--csv", "-"]) == 0
+        assert capsys.readouterr().out == buf.getvalue()
+
+
+def test_unwritable_output_is_an_error(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "out.json"
     code = main(["verify", "--filter", "state.purity", "--json", str(missing)])
     assert code == 1
     assert main(["orbit", "--samples", "2", "--csv", str(missing)]) == 1
+    assert main(["bloch", "--csv", str(missing)]) == 1
+    assert capsys.readouterr().err.count(f"error: cannot write {missing}") == 3
 
 
 def test_cli_subprocess_verify_summary():
@@ -119,7 +141,11 @@ def test_bad_numeric_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "error: argument" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the message names the broken rule, not just argparse's "invalid ... value"
+    rule = "must be an integer >= 2" if argv[1].endswith("samples") else "must be a finite number >= 0"
+    assert f"error: argument {argv[1]}: " in err and rule in err
+    assert "invalid" not in err
 
 
 def test_unknown_subcommand_rejected():

@@ -13,6 +13,7 @@ from upb3q.linalg import (
     frobenius_distance,
     jacobi_eigh,
 )
+from upb3q.states import in_set_C
 
 RNG = np.random.default_rng(99)
 
@@ -111,3 +112,13 @@ def test_flows_reject_non_finite_time(t):
         eigen_flow(w, v, t, rho)
     with pytest.raises(ValueError, match="finite"):
         conjugation_flow(h, t, rho)
+
+
+def test_rejected_time_or_tolerance_costs_no_eigen_solve(solver_calls):
+    # each call used to diagonalize its matrix before its check raised
+    rho = np.eye(8, dtype=complex) / 8.0
+    with pytest.raises(ValueError, match="finite"):
+        conjugation_flow(np.diag(np.arange(8.0)), float("nan"), rho)
+    with pytest.raises(ValueError, match="tol"):
+        in_set_C(rho, tol=float("nan"))
+    assert solver_calls == []

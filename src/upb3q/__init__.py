@@ -12,18 +12,17 @@ from .claims import (
     write_orbit_csv,
 )
 from .dynamics import (
+    FIXED_POINT,
+    ONE_SPIN,
+    ORBIT,
+    STAGE1,
+    STAGE2,
     TAU_P,
-    HamiltonianSpec,
     byproduct_preparation,
-    fixed_point_generator,
-    flow,
-    one_spin_generators,
+    generator,
     orbit,
-    orbit_generator,
     prepare_upb,
     rodrigues_flow,
-    stage1_generator,
-    stage2_generator,
     stationarity,
 )
 from .entanglement import (

@@ -23,14 +23,14 @@ import numpy as np
 
 from .dynamics import (
     COS_SET,
+    FIXED_POINT,
+    ONE_SPIN,
+    ORBIT,
     SIN_SET,
     TAU_P,
-    HamiltonianSpec,
     byproduct_preparation,
-    fixed_point_generator,
-    one_spin_generators,
+    generator,
     orbit,
-    orbit_generator,
     prepare_upb,
     rodrigues_flow,
     stationarity,
@@ -47,7 +47,6 @@ from .pauli import (
     index_tuple,
     ket_from_string,
     lambda_matrix,
-    lambda_tensor,
     reduced_density,
     to_coherence,
 )
@@ -143,7 +142,7 @@ class _Context:
     def axis_eigs(self):
         """Eigenvalues and eigenvectors of Lambda_333 and Lambda_222, keyed by axis."""
         axes = (333, 222)
-        w, v = jacobi_eigh(np.array([HamiltonianSpec.from_labels(str(a)).matrix() for a in axes]))
+        w, v = jacobi_eigh(np.array([generator(str(a)) for a in axes]))
         return dict(zip(axes, zip(w, v)))
 
     @cached_property
@@ -233,9 +232,9 @@ def _interior_npt(order):
                                   for s in getattr(ctx, f"prep_{order}").interior))
 
 
-def _stationary(gen):
-    """The commutator of gen with the complement state vanishes."""
-    return _near(lambda ctx: stationarity(gen, ctx.upb))
+def _stationary(*labels):
+    """The commutator of the generator over labels with the complement state vanishes."""
+    return _near(lambda ctx: stationarity(generator(*labels), ctx.upb))
 
 
 def _rodrigues_match(axis):
@@ -314,9 +313,8 @@ def _orbit_rank(ctx):
 
 
 def _sum_only_stationary(ctx):
-    gen = fixed_point_generator()
-    singles = [stationarity(lambda_tensor(*jkl), ctx.upb) for jkl, _ in gen.terms]
-    return all(s > 1e-3 for s in singles) and stationarity(gen, ctx.upb) < 1e-12
+    singles = [stationarity(generator(label), ctx.upb) for label in FIXED_POINT]
+    return all(s > 1e-3 for s in singles) and stationarity(generator(*FIXED_POINT), ctx.upb) < 1e-12
 
 
 def _byproduct_unique(ctx):
@@ -485,13 +483,13 @@ def _registry():
          _holds(_orbit_rank)),
         ("stationary.fixed_point", "stationarity",
          "nine-term 2-coherence generator commutes with the complement state",
-         _stationary(fixed_point_generator())),
+         _stationary(*FIXED_POINT)),
         ("stationary.fixed_point_sum_only", "stationarity",
          "the commuting generator's individual terms each move the state; only the sum is stationary",
          _holds(_sum_only_stationary)),
         ("stationary.orbit_generator_moves", "stationarity",
          "triple-y generator does not commute with the complement state",
-         _holds(lambda c: stationarity(orbit_generator(), c.upb) > 1e-3)),
+         _holds(lambda c: stationarity(generator(*ORBIT), c.upb) > 1e-3)),
         ("rodrigues.match_333", "flow",
          "closed-form component flow for the triple-z axis matches conjugation at 33 times",
          _rodrigues_match(333)),
@@ -532,11 +530,10 @@ def _registry():
          "maximally mixed ancilla leaves exactly the original components, all with trailing index 0",
          _holds(_ancilla_support)),
     ]
-    for gen in one_spin_generators():
-        label = "".join(map(str, gen.terms[0][0]))
+    for label in ONE_SPIN:
         rows.append((f"stationary.local_{label}", "stationarity",
                      f"single-qubit generator {label} commutes with the complement state",
-                     _stationary(gen)))
+                     _stationary(label)))
     rows.sort(key=lambda r: r[0])
     return rows
 

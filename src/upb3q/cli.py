@@ -12,10 +12,11 @@ byte-identical across runs with the same arguments.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import sys
 
-from .claims import (RunConfig, exit_code, run_claims, write_bloch_csv, write_orbit_csv,
-                     write_reports_json)
+from .claims import (RunConfig, claim_ids, exit_code, run_claims, write_bloch_csv,
+                     write_orbit_csv, write_reports_json)
 from .dynamics import orbit
 from .linalg import _check_count, _check_tolerance
 
@@ -51,6 +52,13 @@ def _tolerance(text):
     return _argument(text, float, lambda t: _check_tolerance("TOL", t))
 
 
+def _pattern(text):
+    """A claim-id glob; one that matches no claim id is a usage error."""
+    if not any(fnmatch.fnmatchcase(cid, text) for cid in claim_ids()):
+        raise argparse.ArgumentTypeError(f"no claim id matches {text!r}")
+    return text
+
+
 def _cmd_verify(args):
     cfg = RunConfig(
         equality_tol=args.tolerance_equality,
@@ -61,24 +69,20 @@ def _cmd_verify(args):
         filter=args.filter,
     )
     reports = run_claims(cfg)
+    log = sys.stderr if args.json == "-" else sys.stdout  # stdout then holds only the JSON
     for r in reports:
         print(f"[{r.status.upper():4s}] {r.claim_id}: measured={_fmt(r.measured)} "
-              f"expected={_fmt(r.expected)} tol={r.tolerance:g}")
+              f"expected={_fmt(r.expected)} tol={r.tolerance:g}", file=log)
     n_pass = sum(1 for r in reports if r.status == "pass")
     n_fail = sum(1 for r in reports if r.status == "fail")
     n_skip = sum(1 for r in reports if r.status == "skip")
-    print(f"{n_pass} passed, {n_fail} failed, {n_skip} skipped (of {len(reports)})")
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fobj:
-                write_reports_json(reports, fobj)
-        except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
-            return 1
+    print(f"{n_pass} passed, {n_fail} failed, {n_skip} skipped (of {len(reports)})", file=log)
+    if args.json and _write_output(args.json, lambda fobj: write_reports_json(reports, fobj)):
+        return 1
     return exit_code(reports)
 
 
-def _write_csv(path, write):
+def _write_output(path, write):
     """Call write(fobj) on stdout for path "-", else on the file; exit code 1 on an OSError."""
     try:
         if path == "-":
@@ -94,11 +98,11 @@ def _write_csv(path, write):
 
 def _cmd_orbit(args):
     samples = orbit(args.samples)
-    return _write_csv(args.csv, lambda fobj: write_orbit_csv(fobj, samples))
+    return _write_output(args.csv, lambda fobj: write_orbit_csv(fobj, samples))
 
 
 def _cmd_bloch(args):
-    return _write_csv(args.csv, write_bloch_csv)
+    return _write_output(args.csv, write_bloch_csv)
 
 
 def build_parser():
@@ -109,10 +113,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run all claims and report pass/fail")
-    v.add_argument("--filter", default=None, metavar="PATTERN",
-                   help="glob on claim ids; non-matching claims are skipped")
+    v.add_argument("--filter", type=_pattern, default=None, metavar="PATTERN",
+                   help="glob on claim ids; non-matching claims are skipped, "
+                        "and a glob that matches no claim is a usage error")
     v.add_argument("--json", default=None, metavar="PATH",
-                   help="also write the full report list as JSON")
+                   help="also write the full report list as JSON; - writes it to stdout "
+                        "and the claim lines to stderr")
     v.add_argument("--orbit-samples", type=_samples, default=64, metavar="N",
                    help="orbit grid size used by orbit claims (default 64)")
     v.add_argument("--tolerance-equality", type=_tolerance, default=1e-12, metavar="TOL")

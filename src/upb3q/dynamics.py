@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import Cut, min_pt_eigs, partial_transpose
-from .linalg import (_MAX_STACK, _check_count, _check_time, conjugation_flow, eigen_flow,
-                     frobenius_distance, jacobi_eigh)
+from .linalg import (_MAX_STACK, _check_count, _check_time, eigen_flow, frobenius_distance,
+                     jacobi_eigh)
 from .pauli import (SQRT2, CoherenceTensor, flat_index, from_coherence, label_to_tuple,
                     lambda_tensor, to_coherence)
 from .states import family_mixture, reflect, rho_sep, rho_upb
@@ -44,67 +44,21 @@ class NoMatch(RuntimeError):
     """No candidate byproduct evolution reached the target state."""
 
 
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """A Hamiltonian as basis terms: tuple of ((j,k,l), coefficient)."""
-
-    terms: tuple
-
-    @classmethod
-    def from_labels(cls, *labels, coefficients=None):
-        """Terms from labels like '011'; ValueError on a bad label or a count mismatch."""
-        if coefficients is None:
-            coefficients = [1.0] * len(labels)
-        if len(coefficients) != len(labels):
-            raise ValueError(f"{len(labels)} labels but {len(coefficients)} coefficients")
-        return cls(tuple((label_to_tuple(s), float(c)) for s, c in zip(labels, coefficients)))
-
-    def matrix(self):
-        h = np.zeros((8, 8), dtype=complex)
-        for (j, k, l), c in self.terms:
-            h += c * lambda_tensor(j, k, l)
-        return h
+# Named Hamiltonians as Lambda_jkl labels; generator(*labels) builds the matrix.
+STAGE1 = ("333",)  # first preparation stage: triple-z
+STAGE2 = ("011", "033", "101", "110", "303", "330")  # second stage: equal-index-pair 2-coherences
+# nine 2-coherence terms whose sum (not any one term) commutes with rho_upb
+FIXED_POINT = ("011", "022", "033", "101", "110", "202", "220", "303", "330")
+ORBIT = ("222",)  # triple-y: its orbit keeps the state PPT
+ONE_SPIN = ("100", "200", "300", "010", "020", "030", "001", "002", "003")  # by qubit, then axis
 
 
-def stage1_generator():
-    """First preparation stage: the triple-z generator."""
-    return HamiltonianSpec.from_labels("333")
-
-
-def stage2_generator():
-    """Second preparation stage: six equal-index-pair 2-coherence terms."""
-    return HamiltonianSpec.from_labels("011", "033", "101", "110", "303", "330")
-
-
-def fixed_point_generator():
-    """Nine-term generator that commutes with the complement state."""
-    return HamiltonianSpec.from_labels(
-        "011", "022", "033", "101", "110", "202", "220", "303", "330"
-    )
-
-
-def orbit_generator():
-    """The triple-y generator whose orbit keeps the state PPT."""
-    return HamiltonianSpec.from_labels("222")
-
-
-def one_spin_generators():
-    """The nine single-qubit generators, grouped by qubit then axis."""
-    labels = [
-        "100", "200", "300",
-        "010", "020", "030",
-        "001", "002", "003",
-    ]
-    return [HamiltonianSpec.from_labels(s) for s in labels]
-
-
-def _as_matrix(h):
-    return h.matrix() if isinstance(h, HamiltonianSpec) else np.asarray(h, dtype=complex)
-
-
-def flow(h, t, rho):
-    """Conjugation flow exp(-itH) rho exp(+itH); exact for any real t."""
-    return conjugation_flow(_as_matrix(h), t, rho)
+def generator(*labels):
+    """The 8x8 sum of Lambda_jkl over labels like '011'; ValueError on a bad label."""
+    h = np.zeros((8, 8), dtype=complex)
+    for label in labels:
+        h += lambda_tensor(*label_to_tuple(label))
+    return h
 
 
 def _single_qubit_blocks(axis):
@@ -189,7 +143,10 @@ class InteriorSample:
 
 @dataclass(frozen=True)
 class PreparationTrace:
-    """Checkpoints and interior diagnostics of a two-stage schedule."""
+    """Checkpoints and interior diagnostics of a two-stage schedule.
+
+    schedule holds the (generator labels, duration) pair of each stage, in order.
+    """
 
     order: str
     schedule: tuple
@@ -202,7 +159,7 @@ def prepare_upb(order="standard", interior_samples=9):
 
     standard: stage 1 = triple-z for TAU_P/2 (lands on the mu mixture),
     stage 2 = the six-term generator for TAU_P/4 (lands on the complement
-    state).  swapped: same (generator, duration) pairs in reversed order; the
+    state).  swapped: same (labels, duration) pairs in reversed order; the
     intermediate is then the reflection of the standard one, and the endpoint
     is unchanged.  interior_samples equispaced interior times per stage are
     scored with min partial-transpose eigenvalues per cut.  Both stage
@@ -212,13 +169,13 @@ def prepare_upb(order="standard", interior_samples=9):
     if order not in ("standard", "swapped"):
         raise ValueError(f"order must be 'standard' or 'swapped', got {order!r}")
     _check_count("interior_samples", interior_samples, 0)
-    stages = [(stage1_generator(), TAU_P / 2.0), (stage2_generator(), TAU_P / 4.0)]
+    stages = [(STAGE1, TAU_P / 2.0), (STAGE2, TAU_P / 4.0)]
     if order == "swapped":
         stages = stages[::-1]
 
     state = rho_sep()
     checkpoints = {"initial": state}
-    gens = jacobi_eigh(np.array([gen.matrix() for gen, _ in stages]))
+    gens = jacobi_eigh(np.array([generator(*labels) for labels, _ in stages]))
     probes = []  # (stage, t, state at t)
     for num, ((_, duration), w, v) in enumerate(zip(stages, *gens), start=1):
         for k in range(1, interior_samples + 1):
@@ -288,10 +245,9 @@ def orbit(samples=64):
 
 
 def stationarity(h, rho):
-    """Frobenius norm of the commutator [H, rho]."""
-    hm = _as_matrix(h)
-    rho = np.asarray(rho, dtype=complex)
-    return frobenius_distance(hm @ rho, rho @ hm)
+    """Frobenius norm of the commutator [H, rho] of two 8x8 matrices."""
+    h, rho = np.asarray(h, dtype=complex), np.asarray(rho, dtype=complex)
+    return frobenius_distance(h @ rho, rho @ h)
 
 
 @dataclass(frozen=True)

@@ -130,8 +130,10 @@ def verify_triple_structure(triple, tol=1e-12):
     """Check the algebra that powers the sign argument.
 
     Returns True iff the three observables pairwise commute (commutator norm
-    < tol) and their product is c * Lambda_000 with c > 0.
+    < tol) and their product is c * Lambda_000 with c > 0.  Raises ValueError
+    on a negative or non-finite tol.
     """
+    _check_tolerance("tol", tol)
     a, b, c = triple.matrices()
     for m1, m2 in itertools.combinations((a, b, c), 2):
         if frobenius_distance(m1 @ m2, m2 @ m1) >= tol:
@@ -155,7 +157,9 @@ def signed_triple(tensor, triple, sign_tol=1e-8):
     """Fill a triple's expected signs from a state's coherence components.
 
     Components with |value| <= sign_tol get sign None (unconstrained).
+    Raises ValueError on a negative or non-finite sign_tol.
     """
+    _check_tolerance("sign_tol", sign_tol)
     signs = []
     for idx in triple.indices:
         val = tensor.component(idx)

@@ -117,10 +117,10 @@ class CoherenceTensor:
         return 2.0 * SQRT2 * float(self.components[0])
 
     @classmethod
-    def from_dict(cls, entries, trace_component=1.0 / (2.0 * SQRT2)):
+    def from_dict(cls, entries):
         """Build a tensor from {label_or_tuple: value}, defaulting c000 to a unit trace."""
         arr = np.zeros(64)
-        arr[0] = trace_component
+        arr[0] = 1.0 / (2.0 * SQRT2)
         for key, val in entries.items():
             if isinstance(key, str):
                 key = label_to_tuple(key)
@@ -133,23 +133,22 @@ def negate_components(tensor, mask):
     return CoherenceTensor(np.where(mask, -tensor.components, tensor.components))
 
 
-def to_coherence(rho, herm_tol=1e-12):
+def to_coherence(rho):
     """Expand a Hermitian 8x8 matrix in the Lambda basis.
 
     Args:
         rho: 8x8 complex Hermitian array.
-        herm_tol: maximum allowed entrywise Hermiticity residue.
 
     Returns:
         CoherenceTensor with the 64 real components tr(rho Lambda_a).
 
     Raises:
-        NonHermitian: if max|rho - rho^dagger| exceeds herm_tol or is NaN.
+        NonHermitian: if max|rho - rho^dagger| exceeds 1e-12 or is NaN.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {rho.shape}")
-    rho = _check_hermitian(rho, herm_tol)
+    rho = _check_hermitian(rho, 1e-12)
     comps = np.einsum("aij,ji->a", LAMBDA_BASIS, rho)
     return CoherenceTensor(comps.real)
 

@@ -20,26 +20,26 @@ import pytest
 
 from upb3q.claims import RunConfig, run_claims
 from upb3q.dynamics import (
+    FIXED_POINT,
+    ONE_SPIN,
+    ORBIT,
     TAU_P,
-    HamiltonianSpec,
     byproduct_preparation,
-    fixed_point_generator,
-    flow,
-    one_spin_generators,
+    generator,
     orbit,
-    orbit_generator,
     prepare_upb,
     rodrigues_flow,
     stationarity,
 )
 from upb3q.entanglement import Cut, builtin_triples, lhv_oracle, min_pt_eig, signed_triple, triple_value
-from upb3q.linalg import frobenius_distance, jacobi_eigh
+from upb3q.linalg import conjugation_flow, frobenius_distance, jacobi_eigh
 from upb3q.pauli import (
     SQRT2,
     coherence_product,
     from_coherence,
     index_tuple,
     ket_from_string,
+    label_to_tuple,
     to_coherence,
 )
 from upb3q.states import (
@@ -192,10 +192,10 @@ def test_criterion_08_rodrigues(upb):
     upb_t = to_coherence(upb)
     dev = 0.0
     for axis, label in ((333, "333"), (222, "222")):
-        h = HamiltonianSpec.from_labels(label)
+        h = generator(label)
         for t in np.linspace(0.0, TAU_P, 33):
             dev = max(dev, frobenius_distance(
-                from_coherence(rodrigues_flow(axis, t, upb_t)), flow(h, t, upb)
+                from_coherence(rodrigues_flow(axis, t, upb_t)), conjugation_flow(h, t, upb)
             ))
     period = max(
         float(np.abs(rodrigues_flow(axis, TAU_P, upb_t).components - upb_t.components).max())
@@ -258,21 +258,21 @@ def _commutant_dim(generators):
 
 def test_criterion_10_stationarity(upb):
     table = expected_upb_tensor()
-    d_fixed = stationarity(fixed_point_generator(), upb)
-    d_orbit = stationarity(orbit_generator(), upb)
+    d_fixed = stationarity(generator(*FIXED_POINT), upb)
+    d_orbit = stationarity(generator(*ORBIT), upb)
 
-    gens = one_spin_generators()
+    gens = [generator(label) for label in ONE_SPIN]
     d_locals = 0.0
     analytic = {}
-    for gen in gens:
-        label, coef = gen.terms[0]
-        qubit = next(i for i, m in enumerate(label) if m)
-        want = abs(coef) * _one_spin_norm(table, qubit, label[qubit])
-        analytic["%d%d%d" % label] = want
+    for label, gen in zip(ONE_SPIN, gens):
+        jkl = label_to_tuple(label)
+        qubit = next(i for i, m in enumerate(jkl) if m)
+        want = _one_spin_norm(table, qubit, jkl[qubit])
+        analytic[label] = want
         d_locals = max(d_locals, abs(stationarity(gen, upb) - want))
 
     # the commutant of the nine generators is span{I}; the state is not in it
-    commutant = _commutant_dim([g.matrix() for g in gens])
+    commutant = _commutant_dim(gens)
     off_identity = frobenius_distance(upb, np.trace(upb).real * np.eye(8) / 8)
 
     reports = run_claims(RunConfig(filter="stationary.*"))

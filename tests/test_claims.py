@@ -17,8 +17,8 @@ from upb3q.claims import (
     write_orbit_csv,
     write_reports_json,
 )
-from upb3q.dynamics import TAU_P, HamiltonianSpec, flow, orbit
-from upb3q.linalg import eigen_flow
+from upb3q.dynamics import TAU_P, generator, orbit
+from upb3q.linalg import conjugation_flow, eigen_flow
 from upb3q.states import X, rho_upb
 
 EXPECTED_FAILURES = {
@@ -206,9 +206,9 @@ def test_full_run_stacks_its_eigen_solves(solver_calls):
 def test_shared_axis_eigs_match_one_flow_per_time(axis):
     w, v = _Context(RunConfig()).axis_eigs[axis]
     rho = rho_upb()
-    h = HamiltonianSpec.from_labels(str(axis))
+    h = generator(str(axis))
     for t in np.linspace(0.0, TAU_P, 33):
-        assert np.array_equal(eigen_flow(w, v, t, rho), flow(h, t, rho))
+        assert np.array_equal(eigen_flow(w, v, t, rho), conjugation_flow(h, t, rho))
 
 
 REGISTRY_FILE = pathlib.Path(__file__).parent / "data" / "claim_registry.json"

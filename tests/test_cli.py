@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from upb3q.claims import write_bloch_csv, write_orbit_csv
+from upb3q.claims import RunConfig, run_claims, write_bloch_csv, write_orbit_csv, write_reports_json
 from upb3q.cli import build_parser, main
 from upb3q.dynamics import orbit
 
@@ -111,6 +111,27 @@ def test_unwritable_output_is_an_error(tmp_path, capsys):
     assert main(["orbit", "--samples", "2", "--csv", str(missing)]) == 1
     assert main(["bloch", "--csv", str(missing)]) == 1
     assert capsys.readouterr().err.count(f"error: cannot write {missing}") == 3
+
+
+def test_verify_json_to_stdout(tmp_path, monkeypatch, capsys):
+    # "-" means stdout, as for the CSV subcommands; it used to create a file
+    # named "-", and the claim lines now go to stderr so stdout is pure JSON
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--filter", "lhv.*", "--json", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert list(tmp_path.iterdir()) == []
+    buf = io.StringIO()
+    write_reports_json(run_claims(RunConfig(filter="lhv.*")), buf)
+    assert out == buf.getvalue()
+    assert err.splitlines()[-1] == "10 passed, 0 failed, 53 skipped (of 63)"
+
+
+@pytest.mark.parametrize("pattern", ["lhv*.", "nomatch.*", ""])
+def test_filter_matching_no_claim_is_a_usage_error(pattern, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--filter", pattern])
+    assert exc.value.code == 2
+    assert f"error: argument --filter: no claim id matches {pattern!r}" in capsys.readouterr().err
 
 
 def test_cli_subprocess_verify_summary():

@@ -4,22 +4,20 @@ import pytest
 from upb3q.claims import RunConfig, run_claims
 from upb3q.dynamics import (
     COS_SET,
+    FIXED_POINT,
+    ONE_SPIN,
+    ORBIT,
     SIN_SET,
+    STAGE2,
     TAU_P,
     BadAxis,
-    HamiltonianSpec,
     NoMatch,
     adjoint_matrix,
     byproduct_preparation,
-    fixed_point_generator,
-    flow,
-    one_spin_generators,
+    generator,
     orbit,
-    orbit_generator,
     prepare_upb,
     rodrigues_flow,
-    stage1_generator,
-    stage2_generator,
     stationarity,
 )
 from upb3q.entanglement import Cut, min_pt_eig
@@ -35,30 +33,19 @@ def test_period_constant():
     assert abs(TAU_P - 2 * SQRT2 * np.pi) < 1e-15
 
 
-def test_hamiltonian_spec_matrix():
-    h = HamiltonianSpec.from_labels("333")
-    assert np.abs(h.matrix() - lambda_tensor(3, 3, 3)).max() == 0.0
-    h2 = HamiltonianSpec.from_labels("011", "033", coefficients=[2.0, -1.0])
-    expect = 2 * lambda_tensor(0, 1, 1) - lambda_tensor(0, 3, 3)
-    assert np.abs(h2.matrix() - expect).max() < 1e-15
-    assert stage2_generator().matrix().shape == (8, 8)
+def test_generator_matrix():
+    h = generator("333")
+    assert np.abs(h - lambda_tensor(3, 3, 3)).max() == 0.0
+    h2 = generator("011", "033")
+    expect = lambda_tensor(0, 1, 1) + lambda_tensor(0, 3, 3)
+    assert np.array_equal(h2, expect)
+    assert generator(*STAGE2).shape == (8, 8)
 
 
-def test_hamiltonian_spec_rejects_bad_labels_and_counts():
+def test_generator_rejects_bad_labels():
     for bad in ("393", "33", "3333", "x33"):
         with pytest.raises(ValueError):
-            HamiltonianSpec.from_labels(bad)
-    with pytest.raises(ValueError):
-        HamiltonianSpec.from_labels("011", "033", coefficients=[2.0])
-    with pytest.raises(ValueError):
-        HamiltonianSpec.from_labels("011", coefficients=[2.0, -1.0])
-
-
-def test_flow_accepts_spec_or_matrix():
-    rho = rho_sep()
-    via_spec = flow(stage1_generator(), 0.3, rho)
-    via_matrix = flow(lambda_tensor(3, 3, 3), 0.3, rho)
-    assert np.abs(via_spec - via_matrix).max() < 1e-14
+            generator(bad)
 
 
 def test_adjoint_matrix_is_real_antisymmetric():
@@ -87,11 +74,11 @@ def test_adjoint_matrix_matches_commutator():
 @pytest.mark.parametrize("axis,label", [(333, "333"), (222, "222")])
 def test_rodrigues_flow_matches_conjugation(axis, label):
     tens = to_coherence(rho_upb())
-    h = HamiltonianSpec.from_labels(label)
+    h = generator(label)
     worst = 0.0
     for t in np.linspace(0.0, TAU_P, 9):
         direct = from_coherence(rodrigues_flow(axis, t, tens))
-        oracle = flow(h, t, rho_upb())
+        oracle = conjugation_flow(h, t, rho_upb())
         worst = max(worst, np.abs(direct - oracle).max())
     assert worst < 1e-12
 
@@ -183,8 +170,8 @@ def test_prepare_upb_matches_per_probe_flows(order, k):
     trace = prepare_upb(order, k)
     state = rho_sep()
     probes = iter(trace.interior)
-    for num, (gen, duration) in enumerate(trace.schedule, start=1):
-        h = gen.matrix()
+    for num, (labels, duration) in enumerate(trace.schedule, start=1):
+        h = generator(*labels)
         for j in range(1, k + 1):
             probe = conjugation_flow(h, duration * j / (k + 1), state)
             sample = next(probes)
@@ -216,21 +203,20 @@ def test_orbit_role_swap_claims():
 
 def test_stationarity_of_named_generators():
     rho = rho_upb()
-    assert stationarity(fixed_point_generator(), rho) < 1e-12
-    assert abs(stationarity(orbit_generator(), rho) - 0.125) < 1e-12
+    assert stationarity(generator(*FIXED_POINT), rho) < 1e-12
+    assert abs(stationarity(generator(*ORBIT), rho) - 0.125) < 1e-12
     # the individual single-qubit generators all move the state; the norms
     # are sqrt(3)*x for axes 1 and 3 and sqrt(6)*x for axis 2
-    for gen in one_spin_generators():
-        (j, k, l), _ = gen.terms[0]
-        axis = max(j, k, l)
-        expect = (SQRT6 if axis == 2 else SQRT3) * X
-        assert abs(stationarity(gen, rho) - expect) < 1e-12
+    for label in ONE_SPIN:
+        axis = max(label)
+        expect = (SQRT6 if axis == "2" else SQRT3) * X
+        assert abs(stationarity(generator(label), rho) - expect) < 1e-12
 
 
 def test_fixed_point_terms_move_individually():
     rho = rho_upb()
-    for (j, k, l), _ in fixed_point_generator().terms:
-        assert stationarity(lambda_tensor(j, k, l), rho) > 0.1
+    for label in FIXED_POINT:
+        assert stationarity(generator(label), rho) > 0.1
 
 
 def test_byproduct_preparation():
@@ -270,11 +256,3 @@ def test_rodrigues_flow_rejects_non_finite_time(t):
     # used to return NaN components without an error
     with pytest.raises(ValueError, match="finite"):
         rodrigues_flow(222, t, to_coherence(rho_upb()))
-
-
-@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
-def test_flow_rejects_non_finite_time(t):
-    # flow goes through eigen_flow, which checks the time
-    with pytest.raises(ValueError, match="finite"):
-        flow(orbit_generator(), t, rho_upb())
-

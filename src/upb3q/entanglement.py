@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import _check_tolerance, frobenius_distance, jacobi_eigh
+from .linalg import _check_8x8, _check_tolerance, frobenius_distance, jacobi_eigh
 from .pauli import INDICES, label_to_tuple, lambda_tensor, negate_components
 
 
@@ -35,9 +35,10 @@ class Cut(Enum):
 def partial_transpose(rho, cut):
     """Transpose the singleton-side qubit of the given cut (matrix route).
 
-    rho is an 8x8 matrix or a stack of them, (..., 8, 8).
+    rho is an 8x8 matrix or a stack of them, (..., 8, 8); any other shape
+    raises ShapeMismatch.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _check_8x8(rho)
     batch = rho.shape[:-2]
     t = rho.reshape(batch + (2,) * 6)
     q = len(batch) + cut.qubit - 1
@@ -80,7 +81,8 @@ def is_ppt(rho, tol=1e-10):
     """True iff every cut's partial transpose has min eigenvalue >= -tol.
 
     A bool for one 8x8 matrix; a bool array (...) for a stack (..., 8, 8).
-    Raises ValueError on a negative or non-finite tol.
+    Raises ValueError on a negative or non-finite tol and ShapeMismatch on
+    any other shape, both before the solve.
     """
     _check_tolerance("tol", tol)
     ok = (min_pt_eigs(rho) >= -tol).all(axis=-1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_tolerance, jacobi_eigh
+from .linalg import _check_8x8, _check_tolerance, jacobi_eigh
 from .pauli import (
     INDICES,
     SQRT2,
@@ -141,10 +141,11 @@ def in_set_C(rho, tol=1e-10):
 
     rho is an 8x8 matrix (gives a bool) or a stack (..., 8, 8), which is
     solved in one eigen call and gives a bool array of shape (...); a
-    negative or non-finite tol raises ValueError before the solve.
+    negative or non-finite tol raises ValueError and any other shape
+    ShapeMismatch, both before the solve.
     """
     _check_tolerance("tol", tol)
-    return spectrum_in_C(jacobi_eigh(rho, want_vectors=False)[0], tol)
+    return spectrum_in_C(jacobi_eigh(_check_8x8(rho), want_vectors=False)[0], tol)
 
 
 def spectrum_in_C(w, tol=1e-10):

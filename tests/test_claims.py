@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -18,7 +19,7 @@ from upb3q.claims import (
     write_reports_json,
 )
 from upb3q.dynamics import TAU_P, generator, orbit
-from upb3q.linalg import conjugation_flow, eigen_flow
+from upb3q.linalg import _MAX_STACK, conjugation_flow, eigen_flow
 from upb3q.states import X, rho_upb
 
 EXPECTED_FAILURES = {
@@ -192,13 +193,13 @@ def test_claim_report_to_dict_round_trip():
 
 
 def test_full_run_stacks_its_eigen_solves(solver_calls):
-    # ceil(64/16) orbit blocks plus one solve each for the two flow
-    # generators, the two base states, the three upb cuts, the ten set-C
-    # members, the reflected projector, and per preparation order the two
-    # generators and the interior probes
+    # ceil(8 * 64 / _MAX_STACK) orbit blocks plus one solve each for the two
+    # flow generators, the two base states, the three upb cuts, the ten
+    # set-C members, the reflected projector, and per preparation order the
+    # two generators and the interior probes
     n = 64
     run_claims(RunConfig(orbit_samples=n))
-    assert len(solver_calls) <= 14
+    assert len(solver_calls) == math.ceil(8 * n / _MAX_STACK) + 9
     assert sum(solver_calls) == 130 + 8 * n
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from upb3q.claims import RunConfig, run_claims
 from upb3q.dynamics import (
+    _ORBIT_BLOCK,
     COS_SET,
     FIXED_POINT,
     ONE_SPIN,
@@ -138,6 +139,19 @@ def test_prepare_upb_makes_two_solves(order, solver_calls):
     assert solver_calls == [2, 54]
 
 
+@pytest.mark.parametrize("order", ["standard", "swapped"])
+def test_prepare_upb_probes_fill_one_chunk(order, solver_calls):
+    # 2 x 3 x 36 = 216 interior cuts fit one chunk of the batched solver
+    prepare_upb(order, 36)
+    assert solver_calls == [2, 216]
+
+
+def test_orbit_solves_full_chunks(solver_calls):
+    # 32 samples of 8 matrices per solve; 136 = 4 x 32 + 8
+    orbit(136)
+    assert solver_calls == [256, 256, 256, 256, 64]
+
+
 def test_orbit_grid_and_invariants():
     samples = orbit(8)
     assert len(samples) == 8
@@ -150,7 +164,7 @@ def test_orbit_grid_and_invariants():
         orbit(1)
 
 
-@pytest.mark.parametrize("samples", [2, 17, 64])  # 17 leaves a partial block
+@pytest.mark.parametrize("samples", [2, _ORBIT_BLOCK + 1, 64])  # a full block, then a partial one
 def test_orbit_blocks_match_per_matrix_solves(samples):
     for s in orbit(samples):
         for tens, eigs, pts, rank in (

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from upb3q.entanglement import (
     triple_value,
     verify_triple_structure,
 )
+from upb3q.linalg import ShapeMismatch
 from upb3q.pauli import SQRT2, from_coherence, ket_from_string, to_coherence
 from upb3q.states import X, rho_oq, rho_sep, rho_upb
 
@@ -182,3 +185,14 @@ def test_triple_tolerances_are_checked(bad):
     with pytest.raises(ValueError, match="tol"):
         verify_triple_structure(tr, tol=bad)
     assert verify_triple_structure(tr, tol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4), (64,)])
+def test_pt_routes_reject_non_8x8_shapes(solver_calls, shape):
+    # a 4x4 used to fail inside numpy with "cannot reshape array of size 16"
+    rho = np.zeros(shape, dtype=complex)
+    for route in (lambda r: partial_transpose(r, Cut.Q1), lambda r: min_pt_eig(r, Cut.Q2),
+                  min_pt_eigs, is_ppt):
+        with pytest.raises(ShapeMismatch, match=re.escape(str(shape))):
+            route(rho)
+    assert solver_calls == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from upb3q.linalg import (
+    _MAX_STACK,
     NoConvergence,
     NonHermitian,
     ShapeMismatch,
@@ -13,7 +14,7 @@ from upb3q.linalg import (
     frobenius_distance,
     jacobi_eigh,
 )
-from upb3q.states import in_set_C
+from upb3q.states import in_set_C, rho_upb
 
 RNG = np.random.default_rng(99)
 
@@ -72,6 +73,39 @@ def test_jacobi_no_convergence_budget():
     m = random_hermitian(8)
     with pytest.raises(NoConvergence):
         jacobi_eigh(m, max_sweeps=0)
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("herm_tol", float("nan")), ("herm_tol", float("inf")), ("herm_tol", -1e-10),
+    ("conv_tol", float("nan")), ("conv_tol", float("inf")), ("conv_tol", 0.0),
+    ("conv_tol", -1e-14), ("max_sweeps", 2.5), ("max_sweeps", -1),
+])
+def test_jacobi_rejects_bad_arguments_before_any_solve(solver_calls, name, bad):
+    # a NaN, zero or negative conv_tol used to burn 100 sweeps and raise
+    # NoConvergence; conv_tol=inf returned the unrotated diagonal, so the
+    # minimum eigenvalue of rho_upb came back as 0.09375 instead of 0
+    with pytest.raises(ValueError, match=name):
+        jacobi_eigh(rho_upb(), **{name: bad})
+    assert solver_calls == []
+
+
+def test_stack_across_chunk_boundaries_equals_one_matrix_calls():
+    # five members, so that the chunk boundaries at multiples of _MAX_STACK
+    # fall on different members and the last chunk holds only three matrices
+    v, _ = np.linalg.qr(RNG.normal(size=(8, 8)) + 1j * RNG.normal(size=(8, 8)))
+    sparse = random_hermitian(8)
+    sparse[np.abs(sparse) < 0.6] = 0.0  # exact zeros exercise the skipped pairs
+    members = [random_hermitian(8), v @ np.diag([0.0] * 4 + [0.25] * 4) @ v.conj().T,
+               sparse, np.diag(RNG.normal(size=8)).astype(complex), random_hermitian(8)]
+    size = 2 * _MAX_STACK + 3
+    stack = np.array([members[i % len(members)] for i in range(size)])
+    for want_vectors in (False, True):
+        w, vecs = jacobi_eigh(stack, want_vectors=want_vectors)
+        alone = [jacobi_eigh(m, want_vectors=want_vectors) for m in members]
+        for i in range(size):
+            w1, v1 = alone[i % len(members)]
+            assert np.array_equal(w[i], w1)
+            assert v1 is None if vecs is None else np.array_equal(vecs[i], v1)
 
 
 def test_conjugation_flow_preserves_spectrum_and_trace():

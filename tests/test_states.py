@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from upb3q.linalg import ShapeMismatch
 from upb3q.pauli import SQRT2, BadSubset, from_coherence, ket_from_string, to_coherence
 from upb3q.states import (
     FAMILY_SYMBOLS,
@@ -189,3 +190,12 @@ def test_in_set_c_rejects_bad_tolerance():
         with pytest.raises(ValueError, match="tol"):
             spectrum_in_C(w, tol=bad)
     assert in_set_C(rho_upb(), tol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4), (64,)])
+def test_in_set_c_rejects_non_8x8_shapes(solver_calls, shape):
+    # np.eye(4) / 4 has its spectrum in [0, 1/4] and used to give True
+    rho = np.broadcast_to(np.eye(4) / 4, shape) if shape[-1] == 4 else np.zeros(shape)
+    with pytest.raises(ShapeMismatch, match="8x8"):
+        in_set_C(rho)
+    assert solver_calls == []

@@ -29,17 +29,14 @@ from .entanglement import (
     Cut,
     ObservableTriple,
     builtin_triples,
-    is_ppt,
     lhv_oracle,
-    min_pt_eig,
     min_pt_eigs,
     partial_transpose,
-    partial_transpose_tensor,
     signed_triple,
     triple_value,
     verify_triple_structure,
 )
-from .linalg import conjugation_flow, frobenius_distance, jacobi_eigh
+from .linalg import frobenius_distance, jacobi_eigh
 from .pauli import (
     CoherenceTensor,
     ProductKet,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import Cut, min_pt_eigs, partial_transpose
-from .linalg import (_MAX_STACK, _check_count, _check_time, eigen_flow, frobenius_distance,
-                     jacobi_eigh)
+from .linalg import (_MAX_STACK, ShapeMismatch, _check_count, _check_time, eigen_flow,
+                     frobenius_distance, jacobi_eigh)
 from .pauli import (SQRT2, CoherenceTensor, flat_index, from_coherence, label_to_tuple,
                     lambda_tensor, to_coherence)
 from .states import family_mixture, reflect, rho_sep, rho_upb
@@ -245,8 +245,10 @@ def orbit(samples=64):
 
 
 def stationarity(h, rho):
-    """Frobenius norm of the commutator [H, rho] of two 8x8 matrices."""
+    """Frobenius norm of the commutator [H, rho] of two 8x8 matrices; ShapeMismatch otherwise."""
     h, rho = np.asarray(h, dtype=complex), np.asarray(rho, dtype=complex)
+    if h.shape != (8, 8) or rho.shape != (8, 8):
+        raise ShapeMismatch(f"expected two 8x8 matrices, got shapes {h.shape} and {rho.shape}")
     return frobenius_distance(h @ rho, rho @ h)
 
 

@@ -1,5 +1,6 @@
-"""Partial transposes, PPT verdicts, observable-triple sign tests, and the
-brute-force local-hidden-sign oracle.
+"""Partial transposes, the minimum partial-transpose eigenvalue of every cut
+(the PPT test: a state is PPT iff none is negative), observable-triple sign
+tests, and the brute-force local-hidden-sign oracle.
 
 The triple test: three pairwise-commuting basis observables whose matrix
 product is a positive multiple of the identity direction force any
@@ -17,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import _check_8x8, _check_tolerance, frobenius_distance, jacobi_eigh
-from .pauli import INDICES, label_to_tuple, lambda_tensor, negate_components
+from .pauli import label_to_tuple, lambda_tensor
 
 
 class Cut(Enum):
@@ -33,7 +34,7 @@ class Cut(Enum):
 
 
 def partial_transpose(rho, cut):
-    """Transpose the singleton-side qubit of the given cut (matrix route).
+    """Transpose the singleton-side qubit of the given cut.
 
     rho is an 8x8 matrix or a stack of them, (..., 8, 8); any other shape
     raises ShapeMismatch.
@@ -47,26 +48,6 @@ def partial_transpose(rho, cut):
     return t.transpose(axes).reshape(batch + (8, 8))
 
 
-def partial_transpose_tensor(tensor, cut):
-    """Partial transpose in coherence coordinates.
-
-    Transposing one qubit negates exactly the components whose index on that
-    qubit equals 2 (the only antisymmetric basis direction); agrees with the
-    matrix route.
-    """
-    return negate_components(tensor, INDICES[:, cut.qubit - 1] == 2)
-
-
-def min_pt_eig(rho, cut):
-    """Minimum eigenvalue of the partial transpose across the given cut.
-
-    A float for one 8x8 matrix; for a stack (..., 8, 8), an array of shape
-    (...) from one eigen solve.
-    """
-    w, _ = jacobi_eigh(partial_transpose(rho, cut), want_vectors=False)
-    return float(w[0]) if w.ndim == 1 else w[..., 0]
-
-
 def min_pt_eigs(rho):
     """Minimum partial-transpose eigenvalue on every cut, ordered as Cut.
 
@@ -75,18 +56,6 @@ def min_pt_eigs(rho):
     """
     pts = np.stack([partial_transpose(rho, cut) for cut in Cut], axis=-3)
     return jacobi_eigh(pts, want_vectors=False)[0][..., 0]
-
-
-def is_ppt(rho, tol=1e-10):
-    """True iff every cut's partial transpose has min eigenvalue >= -tol.
-
-    A bool for one 8x8 matrix; a bool array (...) for a stack (..., 8, 8).
-    Raises ValueError on a negative or non-finite tol and ShapeMismatch on
-    any other shape, both before the solve.
-    """
-    _check_tolerance("tol", tol)
-    ok = (min_pt_eigs(rho) >= -tol).all(axis=-1)
-    return bool(ok) if ok.ndim == 0 else ok
 
 
 @dataclass(frozen=True)

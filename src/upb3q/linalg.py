@@ -49,8 +49,8 @@ def _check_hermitian(mat, tol):
 
 
 def _check_count(name, n, minimum):
-    """Raise ValueError unless n is an integer >= minimum."""
-    if not (isinstance(n, numbers.Integral) and n >= minimum):
+    """Raise ValueError unless n is an integer >= minimum; a bool is not a count."""
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
 
 
@@ -204,27 +204,19 @@ def _mix(m, ix, iy, c, s_xy, s_yx):
     m[iy] = new_y
 
 
-def conjugation_flow(h, t, rho):
-    """Evolve rho by the unitary conjugation exp(-itH) rho exp(+itH).
-
-    A non-finite t raises ValueError before H is diagonalized once (Jacobi);
-    the exponential is applied on the eigenbasis, so the result is exactly
-    isospectral up to roundoff.
-    """
-    _check_time(t)
-    w, v = jacobi_eigh(h)
-    return eigen_flow(w, v, t, rho)
-
-
 def eigen_flow(w, v, t, rho):
     """exp(-itH) rho exp(+itH) from H's eigenvalues w and eigenvectors v.
 
     Lets a caller that flows by one H to many times diagonalize it once.
-    Raises ValueError if t is not finite.
+    Raises ValueError if t is not finite and ShapeMismatch unless rho has
+    the shape of H.
     """
     _check_time(t)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != np.shape(v):
+        raise ShapeMismatch(f"rho has shape {rho.shape}, H has shape {np.shape(v)}")
     u = (v * np.exp(-1j * t * w)) @ v.conj().T
-    return u @ np.asarray(rho, dtype=complex) @ u.conj().T
+    return u @ rho @ u.conj().T
 
 
 def frobenius_distance(a, b):

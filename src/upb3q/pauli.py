@@ -111,11 +111,6 @@ class CoherenceTensor:
             key = flat_index(*key)
         return float(self.components[key])
 
-    @property
-    def trace(self):
-        """Trace of the reconstructed matrix: 2*sqrt(2) times the (0,0,0) component."""
-        return 2.0 * SQRT2 * float(self.components[0])
-
     @classmethod
     def from_dict(cls, entries):
         """Build a tensor from {label_or_tuple: value}, defaulting c000 to a unit trace."""

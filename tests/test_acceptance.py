@@ -31,8 +31,8 @@ from upb3q.dynamics import (
     rodrigues_flow,
     stationarity,
 )
-from upb3q.entanglement import Cut, builtin_triples, lhv_oracle, min_pt_eig, signed_triple, triple_value
-from upb3q.linalg import conjugation_flow, frobenius_distance, jacobi_eigh
+from upb3q.entanglement import builtin_triples, lhv_oracle, min_pt_eigs, signed_triple, triple_value
+from upb3q.linalg import eigen_flow, frobenius_distance, jacobi_eigh
 from upb3q.pauli import (
     SQRT2,
     coherence_product,
@@ -120,7 +120,7 @@ def test_criterion_03_reflections(upb, sep):
 
 
 def test_criterion_04_ppt(upb, orbit64):
-    worst = min(min_pt_eig(upb, cut) for cut in Cut)
+    worst = float(min_pt_eigs(upb).min())
     for s in orbit64:
         worst = min(worst, min(s.min_pt_eigs), min(s.reflected_min_pt_eigs))
     ok = worst >= -1e-12
@@ -192,10 +192,10 @@ def test_criterion_08_rodrigues(upb):
     upb_t = to_coherence(upb)
     dev = 0.0
     for axis, label in ((333, "333"), (222, "222")):
-        h = generator(label)
+        eig = jacobi_eigh(generator(label))
         for t in np.linspace(0.0, TAU_P, 33):
             dev = max(dev, frobenius_distance(
-                from_coherence(rodrigues_flow(axis, t, upb_t)), conjugation_flow(h, t, upb)
+                from_coherence(rodrigues_flow(axis, t, upb_t)), eigen_flow(*eig, t, upb)
             ))
     period = max(
         float(np.abs(rodrigues_flow(axis, TAU_P, upb_t).components - upb_t.components).max())

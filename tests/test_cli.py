@@ -1,10 +1,15 @@
+import importlib
+import inspect
 import io
 import json
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import upb3q
+from upb3q import dynamics
 from upb3q.claims import RunConfig, run_claims, write_bloch_csv, write_orbit_csv, write_reports_json
 from upb3q.cli import build_parser, main
 from upb3q.dynamics import orbit
@@ -173,3 +178,44 @@ def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def public_routines():
+    """{code object: dotted name} of every public function, method and property
+    defined in a module of the package (re-exports are counted once, at home)."""
+    out = {}
+    for info in pkgutil.iter_modules(upb3q.__path__):
+        module = importlib.import_module(f"upb3q.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+            for attr, member in members:
+                func = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                if not attr.startswith("_") and inspect.isfunction(func):
+                    out[func.__code__] = ".".join(filter(None, (module.__name__, name, attr)))
+    return out
+
+
+def test_every_public_routine_is_reached_by_a_command(capsys, monkeypatch):
+    # a public routine that no command enters is dead weight: delete it, or
+    # give it a caller; the three command lines together reach every one.
+    # The flow generators start uncached, as in a fresh process.
+    monkeypatch.setattr(dynamics, "_R_CACHE", {})
+    routines = public_routines()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        main(["verify", "--json", "-", "--filter", "*", "--tolerance-psd", "1e-10"])
+        main(["orbit", "--samples", "4", "--csv", "-"])
+        main(["bloch", "--csv", "-"])
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert len(routines) > 50
+    assert sorted(name for code, name in routines.items() if code not in entered) == []

@@ -21,13 +21,18 @@ from upb3q.dynamics import (
     rodrigues_flow,
     stationarity,
 )
-from upb3q.entanglement import Cut, min_pt_eig
-from upb3q.linalg import conjugation_flow, jacobi_eigh
+from upb3q.entanglement import Cut, partial_transpose
+from upb3q.linalg import ShapeMismatch, eigen_flow, jacobi_eigh
 from upb3q.pauli import SQRT2, from_coherence, lambda_tensor, to_coherence
 from upb3q.states import X, family_mixture, reflect, rho_sep, rho_upb
 
 SQRT3 = np.sqrt(3.0)
 SQRT6 = np.sqrt(6.0)
+
+
+def min_pt_eig_alone(m, cut):
+    """One-matrix oracle: the smallest eigenvalue of one cut's partial transpose."""
+    return jacobi_eigh(partial_transpose(m, cut), want_vectors=False)[0][0]
 
 
 def test_period_constant():
@@ -75,11 +80,11 @@ def test_adjoint_matrix_matches_commutator():
 @pytest.mark.parametrize("axis,label", [(333, "333"), (222, "222")])
 def test_rodrigues_flow_matches_conjugation(axis, label):
     tens = to_coherence(rho_upb())
-    h = generator(label)
+    eig = jacobi_eigh(generator(label))
     worst = 0.0
     for t in np.linspace(0.0, TAU_P, 9):
         direct = from_coherence(rodrigues_flow(axis, t, tens))
-        oracle = conjugation_flow(h, t, rho_upb())
+        oracle = eigen_flow(*eig, t, rho_upb())
         worst = max(worst, np.abs(direct - oracle).max())
     assert worst < 1e-12
 
@@ -122,14 +127,32 @@ def test_prepare_upb_argument_validation():
         prepare_upb(interior_samples=-1)
 
 
-def test_sample_counts_must_be_integral():
-    for bad in (2.5, 4.0, "4"):
+def test_sample_counts_must_be_integral(solver_calls):
+    # bool is an Integral: prepare_upb("standard", True) used to probe each stage once
+    for bad in (2.5, 4.0, "4", True, False):
         with pytest.raises(ValueError, match="integer"):
             orbit(bad)
         with pytest.raises(ValueError, match="integer"):
             prepare_upb("standard", bad)
+    assert solver_calls == []
     assert len(orbit(np.int64(2))) == 2
     assert len(prepare_upb("standard", np.int64(1)).interior) == 2
+
+
+def test_flows_reject_rho_of_another_shape(solver_calls):
+    # both used to fail inside numpy with "matmul: Input operand 1 has a
+    # mismatch in its core dimension 0"; H = diag(0..7) needs no solve
+    w, v = np.arange(8.0), np.eye(8, dtype=complex)
+    h = generator("333")
+    for rho in (np.eye(4) / 4, np.array([rho_upb()] * 2)):
+        with pytest.raises(ShapeMismatch, match=r"rho has shape"):
+            eigen_flow(w, v, 0.3, rho)
+        with pytest.raises(ShapeMismatch, match="8x8"):
+            stationarity(h, rho)
+    # a stack of generators used to give one norm for the whole stack
+    with pytest.raises(ShapeMismatch, match="8x8"):
+        stationarity(np.array([h, h]), rho_upb())
+    assert solver_calls == []
 
 
 @pytest.mark.parametrize("order", ["standard", "swapped"])
@@ -174,7 +197,7 @@ def test_orbit_blocks_match_per_matrix_solves(samples):
             m = from_coherence(tens)
             alone = jacobi_eigh(m, want_vectors=False)[0]
             assert np.array_equal(eigs, alone)
-            assert pts == tuple(min_pt_eig(m, cut) for cut in Cut)
+            assert pts == tuple(min_pt_eig_alone(m, cut) for cut in Cut)
             assert rank == int(np.sum(np.abs(alone) > 1e-9))
 
 
@@ -185,13 +208,13 @@ def test_prepare_upb_matches_per_probe_flows(order, k):
     state = rho_sep()
     probes = iter(trace.interior)
     for num, (labels, duration) in enumerate(trace.schedule, start=1):
-        h = generator(*labels)
+        eig = jacobi_eigh(generator(*labels))
         for j in range(1, k + 1):
-            probe = conjugation_flow(h, duration * j / (k + 1), state)
+            probe = eigen_flow(*eig, duration * j / (k + 1), state)
             sample = next(probes)
             assert (sample.stage, sample.t) == (num, duration * j / (k + 1))
-            assert sample.min_pt_eigs == tuple(min_pt_eig(probe, cut) for cut in Cut)
-        state = conjugation_flow(h, duration, state)
+            assert sample.min_pt_eigs == tuple(min_pt_eig_alone(probe, cut) for cut in Cut)
+        state = eigen_flow(*eig, duration, state)
         assert np.array_equal(trace.checkpoints["intermediate" if num == 1 else "final"], state)
     assert next(probes, None) is None
 

@@ -9,7 +9,6 @@ from upb3q.linalg import (
     NoConvergence,
     NonHermitian,
     ShapeMismatch,
-    conjugation_flow,
     eigen_flow,
     frobenius_distance,
     jacobi_eigh,
@@ -79,11 +78,13 @@ def test_jacobi_no_convergence_budget():
     ("herm_tol", float("nan")), ("herm_tol", float("inf")), ("herm_tol", -1e-10),
     ("conv_tol", float("nan")), ("conv_tol", float("inf")), ("conv_tol", 0.0),
     ("conv_tol", -1e-14), ("max_sweeps", 2.5), ("max_sweeps", -1),
+    ("max_sweeps", True), ("max_sweeps", False),
 ])
 def test_jacobi_rejects_bad_arguments_before_any_solve(solver_calls, name, bad):
     # a NaN, zero or negative conv_tol used to burn 100 sweeps and raise
     # NoConvergence; conv_tol=inf returned the unrotated diagonal, so the
-    # minimum eigenvalue of rho_upb came back as 0.09375 instead of 0
+    # minimum eigenvalue of rho_upb came back as 0.09375 instead of 0;
+    # max_sweeps=True ran one sweep and reported "after True sweeps"
     with pytest.raises(ValueError, match=name):
         jacobi_eigh(rho_upb(), **{name: bad})
     assert solver_calls == []
@@ -113,18 +114,20 @@ def test_conjugation_flow_preserves_spectrum_and_trace():
     rho = random_hermitian(8)
     rho = rho @ rho.T.conj()
     rho /= np.trace(rho).real
-    out = conjugation_flow(h, 0.7, rho)
+    eig = jacobi_eigh(h)
+    out = eigen_flow(*eig, 0.7, rho)
     assert abs(np.trace(out).real - 1.0) < 1e-12
     assert np.abs(np.linalg.eigvalsh(out) - np.linalg.eigvalsh(rho)).max() < 1e-11
     # t=0 is the identity map
-    assert np.abs(conjugation_flow(h, 0.0, rho) - rho).max() < 1e-14
+    assert np.abs(eigen_flow(*eig, 0.0, rho) - rho).max() < 1e-14
 
 
 def test_conjugation_flow_group_law():
     h = random_hermitian(8)
     rho = random_hermitian(8)
-    one = conjugation_flow(h, 0.9, conjugation_flow(h, 0.4, rho))
-    two = conjugation_flow(h, 1.3, rho)
+    eig = jacobi_eigh(h)
+    one = eigen_flow(*eig, 0.9, eigen_flow(*eig, 0.4, rho))
+    two = eigen_flow(*eig, 1.3, rho)
     assert np.abs(one - two).max() < 1e-12
 
 
@@ -144,15 +147,11 @@ def test_flows_reject_non_finite_time(t):
     w, v = jacobi_eigh(h)
     with pytest.raises(ValueError, match="finite"):
         eigen_flow(w, v, t, rho)
-    with pytest.raises(ValueError, match="finite"):
-        conjugation_flow(h, t, rho)
 
 
 def test_rejected_time_or_tolerance_costs_no_eigen_solve(solver_calls):
-    # each call used to diagonalize its matrix before its check raised
+    # the call used to diagonalize its matrix before its check raised
     rho = np.eye(8, dtype=complex) / 8.0
-    with pytest.raises(ValueError, match="finite"):
-        conjugation_flow(np.diag(np.arange(8.0)), float("nan"), rho)
     with pytest.raises(ValueError, match="tol"):
         in_set_C(rho, tol=float("nan"))
     assert solver_calls == []

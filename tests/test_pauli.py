@@ -68,7 +68,6 @@ def test_to_from_coherence_round_trip():
     assert np.abs(from_coherence(tens) - rho).max() < 1e-13
     # trace-1 input pins the (0,0,0) component
     assert abs(tens.components[0] - 1 / (2 * SQRT2)) < 1e-13
-    assert abs(tens.trace - 1.0) < 1e-12
 
 
 def test_to_coherence_rejects_non_hermitian():

@@ -48,13 +48,11 @@ from .pauli import (
     ket_from_string,
     lambda_matrix,
     lambda_tensor,
-    mix,
     reduced_density,
     to_coherence,
 )
 from .states import (
     X,
-    KetFamily,
     check_upb,
     complement_map,
     expected_oq_tensor,

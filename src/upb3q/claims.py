@@ -260,7 +260,7 @@ def _rodrigues_period(axis):
 def _unextendable(name):
     """The named family is an orthogonal, unextendable product basis."""
     def check(ctx):
-        res = check_upb(family(name).kets)
+        res = check_upb(family(name))
         return res.orthogonal and res.unextendable
 
     return _holds(check)
@@ -274,7 +274,7 @@ def _reduced_pairs(ctx):
 
 
 def _reflected_projector_spectrum(ctx):
-    proj = family("psi").kets[0].projector()
+    proj = family("psi")[0].projector()
     return jacobi_eigh(reflect_density(proj), want_vectors=False)[0]
 
 
@@ -331,7 +331,7 @@ def _decoy_misses(ctx):
 
 
 def _weakened_has_witness(ctx):
-    kets = family("psi").kets[:3] + (ket_from_string("111"),)
+    kets = family("psi")[:3] + (ket_from_string("111"),)
     res = check_upb(kets)
     w = res.extension_witness
     return (not res.unextendable) and w is not None and all(
@@ -545,18 +545,6 @@ def claim_ids():
     return [row[0] for row in _REGISTRY]
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _grade(measured, expected, tol):
     if isinstance(expected, bool):
         ok = measured is True if expected else measured is False
@@ -588,8 +576,6 @@ def run_claims(config=None):
                 f"error: {type(exc).__name__}: {exc}", None, 0.0,
             ))
             continue
-        measured = _jsonable(measured)
-        expected = _jsonable(expected)
         status = _grade(measured, expected, tol)
         reports.append(ClaimReport(cid, desc, ref, status, measured, expected, float(tol)))
     return reports
@@ -633,7 +619,7 @@ def write_bloch_csv(fobj):
     writer = csv.writer(fobj)
     writer.writerow(["family", "member", "qubit", "bloch_x", "bloch_y", "bloch_z"])
     for tag, name in (("psi@t=0", "psi"), ("theta@t=tau_p/4", "theta"), ("phi@t=tau_p/2", "phi")):
-        for member, ket in enumerate(family(name).kets, start=1):
+        for member, ket in enumerate(family(name), start=1):
             for qubit, local in enumerate(ket.locals, start=1):
                 vec = bloch_vector(np.outer(local, local.conj()))
                 writer.writerow(

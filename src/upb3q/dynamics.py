@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import Cut, min_pt_eigs, partial_transpose
-from .linalg import (_MAX_STACK, ShapeMismatch, _check_count, _check_time, eigen_flow,
-                     frobenius_distance, jacobi_eigh)
+from .linalg import (_MAX_STACK, ShapeMismatch, _check_count, _check_hermitian, _check_time,
+                     eigen_flow, frobenius_distance, jacobi_eigh)
 from .pauli import (SQRT2, CoherenceTensor, flat_index, from_coherence, label_to_tuple,
                     lambda_tensor, to_coherence)
 from .states import family_mixture, reflect, rho_sep, rho_upb
@@ -120,7 +120,7 @@ def _generator_powers(axis):
 def rodrigues_flow(axis, t, tensor):
     """Closed-form coherence-space flow for axis 333 or 222, exact for all finite t.
 
-    Raises ValueError if t is not finite.
+    Raises ValueError unless t is a finite real number.
     """
     _check_time(t)
     r, r2 = _generator_powers(axis)
@@ -143,13 +143,8 @@ class InteriorSample:
 
 @dataclass(frozen=True)
 class PreparationTrace:
-    """Checkpoints and interior diagnostics of a two-stage schedule.
+    """The states after each stage ("intermediate", "final") and the interior diagnostics."""
 
-    schedule holds the (generator labels, duration) pair of each stage, in order.
-    """
-
-    order: str
-    schedule: tuple
     checkpoints: dict
     interior: tuple
 
@@ -174,7 +169,7 @@ def prepare_upb(order="standard", interior_samples=9):
         stages = stages[::-1]
 
     state = rho_sep()
-    checkpoints = {"initial": state}
+    checkpoints = {}
     gens = jacobi_eigh(np.array([generator(*labels) for labels, _ in stages]))
     probes = []  # (stage, t, state at t)
     for num, ((_, duration), w, v) in enumerate(zip(stages, *gens), start=1):
@@ -188,12 +183,12 @@ def prepare_upb(order="standard", interior_samples=9):
         mins = min_pt_eigs(np.array([p for _, _, p in probes]))  # (probe, cut)
         interior = tuple(InteriorSample(num, t, tuple(float(x) for x in m))
                          for (num, t, _), m in zip(probes, mins))
-    return PreparationTrace(order, tuple(stages), checkpoints, interior)
+    return PreparationTrace(checkpoints, interior)
 
 
 @dataclass(frozen=True)
 class OrbitSample:
-    """One orbit time: tensors, PPT diagnostics, spectra, and ranks.
+    """One orbit time: the tensor, PPT diagnostics, spectra, and ranks.
 
     min_pt_eigs / reflected_min_pt_eigs are ordered by cut (1|23, 2|13, 3|12);
     eigenvalues are ascending diagnostics of the reconstructed matrices; a rank
@@ -202,7 +197,6 @@ class OrbitSample:
 
     t: float
     tensor: CoherenceTensor
-    reflected_tensor: CoherenceTensor
     min_pt_eigs: tuple
     reflected_min_pt_eigs: tuple
     rank: int
@@ -233,22 +227,27 @@ def orbit(samples=64):
     for start in range(0, samples, _ORBIT_BLOCK):
         times = [TAU_P * k / samples for k in range(start, min(start + _ORBIT_BLOCK, samples))]
         tensors = [rodrigues_flow(222, t, base) for t in times]
-        pairs = [(tens, reflect(tens)) for tens in tensors]
-        mats = np.array([[from_coherence(tt) for tt in pair] for pair in pairs])
+        mats = np.array([[from_coherence(tt) for tt in (tens, reflect(tens))] for tens in tensors])
         stack = np.stack([mats] + [partial_transpose(mats, cut) for cut in Cut], axis=2)
         eigs = jacobi_eigh(stack, want_vectors=False)[0]  # (sample, reflected, PT cut, 8)
         ranks = np.sum(np.abs(eigs[:, :, 0]) > _RANK_TOL, axis=-1).tolist()  # (sample, reflected)
         min_pts = eigs[:, :, 1:, 0].tolist()  # (sample, reflected, cut)
-        for t, (tens, refl), e, pts, rank in zip(times, pairs, eigs, min_pts, ranks):
-            out.append(OrbitSample(t, tens, refl, *map(tuple, pts), *rank, e[0, 0], e[1, 0]))
+        for t, tens, e, pts, rank in zip(times, tensors, eigs, min_pts, ranks):
+            out.append(OrbitSample(t, tens, *map(tuple, pts), *rank, e[0, 0], e[1, 0]))
     return out
 
 
 def stationarity(h, rho):
-    """Frobenius norm of the commutator [H, rho] of two 8x8 matrices; ShapeMismatch otherwise."""
+    """Frobenius norm of the commutator [H, rho] of two Hermitian 8x8 matrices.
+
+    Raises ShapeMismatch on other shapes and NonHermitian on a matrix that is
+    not Hermitian within 1e-12 or holds a NaN or infinite entry.
+    """
     h, rho = np.asarray(h, dtype=complex), np.asarray(rho, dtype=complex)
     if h.shape != (8, 8) or rho.shape != (8, 8):
         raise ShapeMismatch(f"expected two 8x8 matrices, got shapes {h.shape} and {rho.shape}")
+    for mat in (h, rho):
+        _check_hermitian(mat, 1e-12)
     return frobenius_distance(h @ rho, rho @ h)
 
 
@@ -256,16 +255,13 @@ def stationarity(h, rho):
 class ByproductResult:
     """Outcome of the quarter/three-quarter-period candidate search.
 
-    candidates maps each signed label to its period-reduced parameter;
     evolutions holds (reduced parameter, distance to the complement state)
     for each distinct evolution; matched_parameter is the reduced parameter
     of the (unique) evolution that landed.
     """
 
-    state: np.ndarray
     matched_parameter: float
     distance: float
-    candidates: tuple
     evolutions: tuple
 
 
@@ -283,17 +279,13 @@ def byproduct_preparation(tol=1e-10):
     """
     theta_t = to_coherence(family_mixture("theta"))
     target = rho_upb()
-    labels = (TAU_P / 4.0, -TAU_P / 4.0, 3.0 * TAU_P / 4.0, -3.0 * TAU_P / 4.0)
-    candidates = tuple((t, float(t % TAU_P)) for t in labels)
-    reduced = sorted({round(r, 12) for _, r in candidates})
-    evolutions = []
-    states = {}
-    for r in reduced:
-        evolved = from_coherence(rodrigues_flow(222, r, theta_t))
-        states[r] = evolved
-        evolutions.append((float(r), frobenius_distance(evolved, target)))
+    candidates = (TAU_P / 4.0, -TAU_P / 4.0, 3.0 * TAU_P / 4.0, -3.0 * TAU_P / 4.0)
+    reduced = sorted({round(float(t % TAU_P), 12) for t in candidates})
+    evolutions = tuple(
+        (float(r), frobenius_distance(from_coherence(rodrigues_flow(222, r, theta_t)), target))
+        for r in reduced
+    )
     matches = [(r, d) for r, d in evolutions if d < tol]
     if not matches:
         raise NoMatch(f"no candidate reached the target: {evolutions}")
-    r, d = matches[0]
-    return ByproductResult(states[r], r, d, candidates, tuple(evolutions))
+    return ByproductResult(*matches[0], evolutions)

@@ -97,23 +97,24 @@ def builtin_triples(which):
     return [ObservableTriple.from_labels(*labels) for labels in table[which]]
 
 
-def verify_triple_structure(triple, tol=1e-12):
+_TRIPLE_TOL = 1e-12  # commutator and identity-residual norms below this count as zero
+
+
+def verify_triple_structure(triple):
     """Check the algebra that powers the sign argument.
 
     Returns True iff the three observables pairwise commute (commutator norm
-    < tol) and their product is c * Lambda_000 with c > 0.  Raises ValueError
-    on a negative or non-finite tol.
+    < _TRIPLE_TOL) and their product is c * Lambda_000 with c > 0.
     """
-    _check_tolerance("tol", tol)
     a, b, c = triple.matrices()
     for m1, m2 in itertools.combinations((a, b, c), 2):
-        if frobenius_distance(m1 @ m2, m2 @ m1) >= tol:
+        if frobenius_distance(m1 @ m2, m2 @ m1) >= _TRIPLE_TOL:
             return False
     prod = a @ b @ c
     ident = lambda_tensor(0, 0, 0)
     coeff = np.trace(prod @ ident).real  # orthonormal-basis projection
     residual = frobenius_distance(prod, coeff * ident)
-    return bool(residual < tol and coeff > 0)
+    return bool(residual < _TRIPLE_TOL and coeff > 0)
 
 
 def triple_value(tensor, triple):

@@ -42,7 +42,8 @@ def _check_hermitian(mat, tol):
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ShapeMismatch(f"expected a square matrix or a stack of them, got shape {mat.shape}")
-    residue = np.abs(mat - np.swapaxes(mat.conj(), -1, -2)).max(initial=0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf gives NaN, which the test below rejects
+        residue = np.abs(mat - np.swapaxes(mat.conj(), -1, -2)).max(initial=0.0)
     if not residue <= tol:  # also rejects NaN, which compares False
         raise NonHermitian(f"Hermiticity residue {residue:.3e} > {tol:.1e}")
     return mat
@@ -69,9 +70,9 @@ def _check_8x8(rho):
 
 
 def _check_time(t):
-    """Raise ValueError unless the flow time t is finite."""
-    if not math.isfinite(t):
-        raise ValueError(f"flow time must be finite, got {t!r}")
+    """Raise ValueError unless the flow time t is a finite real number."""
+    if not (isinstance(t, numbers.Real) and math.isfinite(t)):
+        raise ValueError(f"flow time must be a finite real number, got {t!r}")
 
 
 def _offdiag_norms(a):
@@ -208,8 +209,8 @@ def eigen_flow(w, v, t, rho):
     """exp(-itH) rho exp(+itH) from H's eigenvalues w and eigenvectors v.
 
     Lets a caller that flows by one H to many times diagonalize it once.
-    Raises ValueError if t is not finite and ShapeMismatch unless rho has
-    the shape of H.
+    Raises ValueError unless t is a finite real number and ShapeMismatch
+    unless rho has the shape of H.
     """
     _check_time(t)
     rho = np.asarray(rho, dtype=complex)

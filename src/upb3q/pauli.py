@@ -35,10 +35,6 @@ class BadLength(ValueError):
     """Ket string does not have exactly 3 symbols."""
 
 
-class WeightError(ValueError):
-    """Mixture weights are negative or do not sum to 1."""
-
-
 class BadSubset(ValueError):
     """Qubit subset is not a nonempty strict subset of {1, 2, 3}."""
 
@@ -103,23 +99,17 @@ class CoherenceTensor:
         arr.setflags(write=False)
         object.__setattr__(self, "components", arr)
 
-    def component(self, key):
-        """Component by label '031', tuple (0,3,1), or flat index."""
-        if isinstance(key, str):
-            key = label_to_tuple(key)
-        if isinstance(key, tuple):
-            key = flat_index(*key)
-        return float(self.components[key])
+    def component(self, idx):
+        """Component (j, k, l), e.g. (0, 3, 1)."""
+        return float(self.components[flat_index(*idx)])
 
     @classmethod
     def from_dict(cls, entries):
-        """Build a tensor from {label_or_tuple: value}, defaulting c000 to a unit trace."""
+        """Build a tensor from {label: value}, e.g. {'031': x}, defaulting c000 to a unit trace."""
         arr = np.zeros(64)
         arr[0] = 1.0 / (2.0 * SQRT2)
-        for key, val in entries.items():
-            if isinstance(key, str):
-                key = label_to_tuple(key)
-            arr[flat_index(*key)] = val
+        for label, val in entries.items():
+            arr[flat_index(*label_to_tuple(label))] = val
         return cls(arr)
 
 
@@ -163,14 +153,8 @@ _KET_SYMBOLS = {
 
 @dataclass(frozen=True)
 class ProductKet:
-    """A 3-qubit product state with per-qubit local vectors.
+    """A 3-qubit product state: unit-norm amplitudes, the Kronecker product of its locals."""
 
-    symbols holds one character per qubit from {0,1,+,-} when the local state
-    is one of those four directions (up to phase), else '?'.  amplitudes is the
-    8-component Kronecker product of the locals, unit norm.
-    """
-
-    symbols: str
     amplitudes: np.ndarray
     locals: tuple
 
@@ -193,7 +177,6 @@ def product_ket_from_locals(locals_):
     if len(locals_) != 3:
         raise BadLength(f"need 3 local vectors, got {len(locals_)}")
     normed = []
-    symbols = []
     for v in locals_:
         v = np.asarray(v, dtype=complex)
         n = np.sqrt(np.real(np.vdot(v, v)))
@@ -201,19 +184,9 @@ def product_ket_from_locals(locals_):
             raise ValueError(f"local vector {v} has no finite norm")
         if n == 0:
             raise ValueError("zero local vector")
-        v = v / n
-        normed.append(v)
-        symbols.append(_symbol_for_local(v))
+        normed.append(v / n)
     amps = np.kron(np.kron(normed[0], normed[1]), normed[2])
-    return ProductKet("".join(symbols), amps, tuple(normed))
-
-
-def _symbol_for_local(v):
-    """Name a unit qubit vector by its symbol if it matches one up to phase."""
-    for sym, ref in _KET_SYMBOLS.items():
-        if abs(np.vdot(ref, v)) > 1.0 - 1e-10:
-            return sym
-    return "?"
+    return ProductKet(amps, tuple(normed))
 
 
 def ket_from_string(s):
@@ -233,27 +206,7 @@ def ket_from_string(s):
             raise BadSymbol(f"unknown ket symbol {ch!r} in {s!r}")
     locals_ = tuple(_KET_SYMBOLS[ch].copy() for ch in s)
     amps = np.kron(np.kron(locals_[0], locals_[1]), locals_[2])
-    return ProductKet(s, amps, locals_)
-
-
-def mix(weights, states):
-    """Convex combination sum_i w_i rho_i of density matrices.
-
-    Raises:
-        WeightError: if weights are negative or NaN, do not sum to 1 (tol
-            1e-12), or the lists have different lengths.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 1 or len(weights) != len(states):
-        raise WeightError("weights and states must be equal-length sequences")
-    if not np.all(weights >= 0):
-        raise WeightError(f"negative or NaN weight in {weights}")
-    if not abs(weights.sum() - 1.0) <= 1e-12:
-        raise WeightError(f"weights sum to {weights.sum()}, not 1")
-    out = np.zeros((8, 8), dtype=complex)
-    for w, st in zip(weights, states):
-        out += w * np.asarray(st, dtype=complex)
-    return out
+    return ProductKet(amps, locals_)
 
 
 def reduced_density(rho, keep):

@@ -26,7 +26,6 @@ from .pauli import (
     ProductKet,
     from_coherence,
     ket_from_string,
-    mix,
     negate_components,
     product_ket_from_locals,
     to_coherence,
@@ -59,25 +58,16 @@ class WrongCount(ValueError):
     """complement_map requires exactly 4 kets."""
 
 
-@dataclass(frozen=True)
-class KetFamily:
-    """A named quadruple of mutually orthogonal product kets."""
-
-    name: str
-    kets: tuple
-
-
 def family(name):
-    """One of the four named ket families: psi, mu, theta, phi."""
+    """The 4 mutually orthogonal product kets of a named family: psi, mu, theta, phi."""
     if name not in FAMILY_SYMBOLS:
         raise ValueError(f"unknown family {name!r}; choose from {sorted(FAMILY_SYMBOLS)}")
-    return KetFamily(name, tuple(ket_from_string(s) for s in FAMILY_SYMBOLS[name]))
+    return tuple(ket_from_string(s) for s in FAMILY_SYMBOLS[name])
 
 
 def family_mixture(name):
     """Equal-weight mixture of a named family's projectors."""
-    kets = family(name).kets
-    return mix([0.25] * 4, [k.projector() for k in kets])
+    return sum(k.projector() for k in family(name)) / 4.0
 
 
 def rho_sep():
@@ -87,12 +77,12 @@ def rho_sep():
 
 def rho_upb():
     """The bound entangled complement of the psi basis, (I - sum proj)/4."""
-    return complement_map(family("psi").kets)
+    return complement_map(family("psi"))
 
 
 def rho_oq():
     """The quarter-period orbit state: complement of the theta basis."""
-    return complement_map(family("theta").kets)
+    return complement_map(family("theta"))
 
 
 def _table_tensor(plus, minus):
@@ -168,10 +158,10 @@ def complement_map(kets):
     kets = tuple(kets)
     if len(kets) != 4:
         raise WrongCount(f"need exactly 4 kets, got {len(kets)}")
-    for a, b in itertools.combinations(kets, 2):
+    for (i, a), (j, b) in itertools.combinations(enumerate(kets), 2):
         overlap = abs(np.vdot(a.amplitudes, b.amplitudes))
         if overlap > 1e-12:
-            raise NotOrthogonal(f"overlap {overlap:.3e} between {a.symbols} and {b.symbols}")
+            raise NotOrthogonal(f"overlap {overlap:.3e} between kets {i} and {j}")
     q = sum(k.projector() for k in kets)
     return (np.eye(8, dtype=complex) - q) / 4.0
 

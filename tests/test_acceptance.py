@@ -129,13 +129,13 @@ def test_criterion_04_ppt(upb, orbit64):
 
 
 def test_criterion_05_unextendability():
-    res_psi = check_upb(family("psi").kets)
-    res_theta = check_upb(family("theta").kets)
+    res_psi = check_upb(family("psi"))
+    res_theta = check_upb(family("theta"))
     both = all(
         r.orthogonal and r.unextendable
         for r in (res_psi, res_theta)
     )
-    weak = family("psi").kets[:3] + (ket_from_string("111"),)
+    weak = family("psi")[:3] + (ket_from_string("111"),)
     res_weak = check_upb(weak)
     overlaps = (
         [abs(np.vdot(k.amplitudes, res_weak.extension_witness.amplitudes)) for k in weak]
@@ -223,7 +223,7 @@ def test_criterion_09_orbit_structure(orbit64):
     quarter, half = orbit64[16], orbit64[32]
     d_quarter = np.abs(quarter.tensor.components - expected_oq_tensor().components).max()
     d_theta = frobenius_distance(
-        from_coherence(quarter.reflected_tensor), family_mixture("theta")
+        from_coherence(reflect(quarter.tensor)), family_mixture("theta")
     )
     d_phi = frobenius_distance(from_coherence(half.tensor), family_mixture("phi"))
     ok = (d_const < 1e-12 and d_wave < 1e-11 and rank_ok
@@ -300,7 +300,9 @@ def test_criterion_10_stationarity(upb):
 def test_criterion_11_byproduct():
     res = byproduct_preparation(tol=1e-10)
     matches = [r for r, d in res.evolutions if d < 1e-10]
-    d_target = frobenius_distance(res.state, rho_upb())
+    theta_t = to_coherence(family_mixture("theta"))
+    landed = from_coherence(rodrigues_flow(222, res.matched_parameter, theta_t))
+    d_target = frobenius_distance(landed, rho_upb())
     ok = len(matches) == 1 and d_target < 1e-10
     assert report(11, ok, "exactly one candidate evolution lands on the complement state",
                   f"matched parameter {res.matched_parameter:.6f} "

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import io
@@ -197,6 +198,14 @@ def public_routines():
     return out
 
 
+def run_every_command(capsys):
+    """The three command lines that together reach every public routine."""
+    main(["verify", "--json", "-", "--filter", "*", "--tolerance-psd", "1e-10"])
+    main(["orbit", "--samples", "4", "--csv", "-"])
+    main(["bloch", "--csv", "-"])
+    capsys.readouterr()
+
+
 def test_every_public_routine_is_reached_by_a_command(capsys, monkeypatch):
     # a public routine that no command enters is dead weight: delete it, or
     # give it a caller; the three command lines together reach every one.
@@ -211,11 +220,45 @@ def test_every_public_routine_is_reached_by_a_command(capsys, monkeypatch):
 
     sys.setprofile(profile)
     try:
-        main(["verify", "--json", "-", "--filter", "*", "--tolerance-psd", "1e-10"])
-        main(["orbit", "--samples", "4", "--csv", "-"])
-        main(["bloch", "--csv", "-"])
+        run_every_command(capsys)
     finally:
         sys.setprofile(None)
-    capsys.readouterr()
     assert len(routines) > 50
     assert sorted(name for code, name in routines.items() if code not in entered) == []
+
+
+# Dataclass fields that no command reads, each with the reason it is kept.
+UNREAD_FIELDS_KEPT = {
+    "upb3q.dynamics.InteriorSample.stage":
+        "perfbench/oracles.py::check_preparation matches each probe to its stage",
+    "upb3q.dynamics.InteriorSample.t":
+        "perfbench/oracles.py::check_preparation re-solves each probe at its time",
+}
+
+
+def test_every_dataclass_field_is_read_by_a_command(capsys, monkeypatch):
+    # a field that is built but never read is dead weight: delete it, or give
+    # it a reader.  A read inside the class's own __post_init__ (validation,
+    # normalisation) does not count.
+    fields, read = set(), set()
+    for info in pkgutil.iter_modules(upb3q.__path__):
+        module = importlib.import_module(f"upb3q.{info.name}")
+        for name, cls in vars(module).items():
+            if (name.startswith("_") or not inspect.isclass(cls)
+                    or not dataclasses.is_dataclass(cls) or cls.__module__ != module.__name__):
+                continue
+            owner = f"{module.__name__}.{name}"
+            names = {f.name for f in dataclasses.fields(cls)}
+            fields.update(f"{owner}.{field}" for field in names)
+            post_init = getattr(getattr(cls, "__post_init__", None), "__code__", None)
+
+            def traced(self, attr, owner=owner, names=names, post_init=post_init):
+                if attr in names and sys._getframe(1).f_code is not post_init:
+                    read.add(f"{owner}.{attr}")
+                return object.__getattribute__(self, attr)
+
+            monkeypatch.setattr(cls, "__getattribute__", traced)
+    run_every_command(capsys)
+    monkeypatch.undo()
+    assert len(fields) > 30
+    assert sorted(fields - read) == sorted(UNREAD_FIELDS_KEPT)

@@ -9,6 +9,7 @@ from upb3q.dynamics import (
     ONE_SPIN,
     ORBIT,
     SIN_SET,
+    STAGE1,
     STAGE2,
     TAU_P,
     BadAxis,
@@ -22,7 +23,7 @@ from upb3q.dynamics import (
     stationarity,
 )
 from upb3q.entanglement import Cut, partial_transpose
-from upb3q.linalg import ShapeMismatch, eigen_flow, jacobi_eigh
+from upb3q.linalg import NonHermitian, ShapeMismatch, eigen_flow, jacobi_eigh
 from upb3q.pauli import SQRT2, from_coherence, lambda_tensor, to_coherence
 from upb3q.states import X, family_mixture, reflect, rho_sep, rho_upb
 
@@ -99,8 +100,7 @@ def test_rodrigues_flow_period_and_identity():
 
 def test_preparation_standard_checkpoints():
     trace = prepare_upb("standard")
-    assert trace.order == "standard"
-    assert np.abs(trace.checkpoints["initial"] - rho_sep()).max() == 0.0
+    assert sorted(trace.checkpoints) == ["final", "intermediate"]
     assert np.abs(trace.checkpoints["intermediate"] - family_mixture("mu")).max() < 1e-12
     assert np.abs(trace.checkpoints["final"] - rho_upb()).max() < 1e-12
     # 9 interior samples per stage, each scored on all three cuts
@@ -152,6 +152,12 @@ def test_flows_reject_rho_of_another_shape(solver_calls):
     # a stack of generators used to give one norm for the whole stack
     with pytest.raises(ShapeMismatch, match="8x8"):
         stationarity(np.array([h, h]), rho_upb())
+    # a NaN matrix used to give a NaN norm, a non-Hermitian one a meaningless norm
+    skew = h + np.triu(np.ones((8, 8)), 1)
+    for bad in (np.full((8, 8), np.nan), np.full((8, 8), np.inf), skew):
+        for args in ((bad, rho_upb()), (h, bad)):
+            with pytest.raises(NonHermitian):
+                stationarity(*args)
     assert solver_calls == []
 
 
@@ -192,7 +198,7 @@ def test_orbit_blocks_match_per_matrix_solves(samples):
     for s in orbit(samples):
         for tens, eigs, pts, rank in (
             (s.tensor, s.eigenvalues, s.min_pt_eigs, s.rank),
-            (s.reflected_tensor, s.reflected_eigenvalues, s.reflected_min_pt_eigs, s.reflected_rank),
+            (reflect(s.tensor), s.reflected_eigenvalues, s.reflected_min_pt_eigs, s.reflected_rank),
         ):
             m = from_coherence(tens)
             alone = jacobi_eigh(m, want_vectors=False)[0]
@@ -207,7 +213,10 @@ def test_prepare_upb_matches_per_probe_flows(order, k):
     trace = prepare_upb(order, k)
     state = rho_sep()
     probes = iter(trace.interior)
-    for num, (labels, duration) in enumerate(trace.schedule, start=1):
+    stages = [(STAGE1, TAU_P / 2), (STAGE2, TAU_P / 4)]
+    if order == "swapped":
+        stages.reverse()
+    for num, (labels, duration) in enumerate(stages, start=1):
         eig = jacobi_eigh(generator(*labels))
         for j in range(1, k + 1):
             probe = eigen_flow(*eig, duration * j / (k + 1), state)
@@ -260,9 +269,10 @@ def test_byproduct_preparation():
     res = byproduct_preparation()
     assert res.distance < 1e-12
     assert abs(res.matched_parameter - 3 * TAU_P / 4) < 1e-9
-    assert np.abs(res.state - rho_upb()).max() < 1e-12
-    # four signed labels collapse to two distinct evolutions mod the period
-    assert len(res.candidates) == 4
+    theta_t = to_coherence(family_mixture("theta"))
+    landed = from_coherence(rodrigues_flow(222, res.matched_parameter, theta_t))
+    assert np.abs(landed - rho_upb()).max() < 1e-12
+    # four signed candidates collapse to two distinct evolutions mod the period
     assert len(res.evolutions) == 2
     misses = [d for _, d in res.evolutions if d > 1e-10]
     assert len(misses) == 1 and misses[0] > 0.3
@@ -279,8 +289,8 @@ def test_bloch_rotation_between_psi_and_phi():
     from upb3q.states import family
 
     rot = np.diag([-1.0, 1.0, -1.0])
-    psi = family("psi").kets
-    phi = family("phi").kets
+    psi = family("psi")
+    phi = family("phi")
     for p, f in zip(psi, phi):
         for lp, lf in zip(p.locals, f.locals):
             bp = bloch_vector(np.outer(lp, lp.conj()))

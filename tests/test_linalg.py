@@ -13,6 +13,8 @@ from upb3q.linalg import (
     frobenius_distance,
     jacobi_eigh,
 )
+from upb3q.dynamics import rodrigues_flow
+from upb3q.pauli import to_coherence
 from upb3q.states import in_set_C, rho_upb
 
 RNG = np.random.default_rng(99)
@@ -139,14 +141,17 @@ def test_frobenius_distance():
         frobenius_distance(np.eye(2), np.eye(3))
 
 
-@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), "0.3", None, 1 + 2j])
 def test_flows_reject_non_finite_time(t):
-    # a non-finite time used to give a NaN matrix with only a numpy warning
+    # a non-finite time used to give a NaN matrix with only a numpy warning,
+    # and a string, None or a complex time a bare TypeError from math.isfinite
     h = np.diag([0.5, -0.5, 0.25, 0.0]).astype(complex)
     rho = np.full((4, 4), 0.25, dtype=complex)
     w, v = jacobi_eigh(h)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="flow time must be a finite real number"):
         eigen_flow(w, v, t, rho)
+    with pytest.raises(ValueError, match="flow time must be a finite real number"):
+        rodrigues_flow(222, t, to_coherence(rho_upb()))
 
 
 def test_rejected_time_or_tolerance_costs_no_eigen_solve(solver_calls):

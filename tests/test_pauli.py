@@ -10,7 +10,6 @@ from upb3q.pauli import (
     BadSubset,
     BadSymbol,
     CoherenceTensor,
-    WeightError,
     bloch_vector,
     coherence_product,
     flat_index,
@@ -20,7 +19,6 @@ from upb3q.pauli import (
     label_to_tuple,
     lambda_matrix,
     lambda_tensor,
-    mix,
     product_ket_from_locals,
     reduced_density,
     to_coherence,
@@ -85,10 +83,10 @@ def test_to_coherence_rejects_nan():
 
 
 def test_coherence_tensor_access_and_immutability():
-    tens = CoherenceTensor.from_dict({"031": 0.5, (1, 1, 1): -0.25})
-    assert tens.component("031") == 0.5
-    assert tens.component((1, 1, 1)) == -0.25
-    assert tens.component(flat_index(1, 1, 1)) == -0.25
+    tens = CoherenceTensor.from_dict({"031": 0.5, "111": -0.25})
+    assert tens.component((0, 3, 1)) == 0.5
+    assert tens.component((1, 1, 1)) == tens.components[flat_index(1, 1, 1)] == -0.25
+    assert tens.component((0, 0, 0)) == 1 / (2 * SQRT2)
     with pytest.raises(ValueError):
         CoherenceTensor(np.zeros(63))
     with pytest.raises(ValueError):
@@ -107,7 +105,6 @@ def test_ket_from_string():
     expect[2] = 1 / SQRT2  # |010>
     expect[3] = 1 / SQRT2  # |011>
     assert np.abs(ket.amplitudes - expect).max() < 1e-15
-    assert ket.symbols == "01+"
     proj = ket.projector()
     assert abs(np.trace(proj).real - 1.0) < 1e-15
     with pytest.raises(BadLength):
@@ -116,14 +113,13 @@ def test_ket_from_string():
         ket_from_string("01x")
 
 
-def test_product_ket_from_locals_symbols():
+def test_product_ket_from_locals_normalizes():
     v0 = np.array([1.0, 0.0])
     vp = np.array([1.0, 1.0]) / SQRT2
     odd = np.array([2.0, 1.0j])  # not a named direction; gets normalized
     ket = product_ket_from_locals([v0, vp, odd])
-    assert ket.symbols[:2] == "0+"
-    assert ket.symbols[2] == "?"
     assert abs(np.vdot(ket.amplitudes, ket.amplitudes).real - 1.0) < 1e-14
+    assert np.abs(ket.amplitudes - np.kron(np.kron(v0, vp), odd / np.sqrt(5.0))).max() < 1e-15
 
 
 def test_product_ket_from_locals_rejects_non_finite():
@@ -132,24 +128,6 @@ def test_product_ket_from_locals_rejects_non_finite():
     for bad in ([np.nan, 1.0], [np.inf, 0.0], [1e200, 1e200]):
         with pytest.raises(ValueError):
             product_ket_from_locals([ok, np.array(bad), ok])
-
-
-def test_mix_weight_validation():
-    rho = random_density()
-    assert np.abs(mix([1.0], [rho]) - rho).max() < 1e-15
-    with pytest.raises(WeightError):
-        mix([0.5, 0.6], [rho, rho])
-    with pytest.raises(WeightError):
-        mix([-0.1, 1.1], [rho, rho])
-    with pytest.raises(WeightError):
-        mix([1.0], [rho, rho])
-
-
-def test_mix_rejects_nan_weights():
-    rho = random_density()
-    for weights in ([np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan]):
-        with pytest.raises(WeightError):
-            mix(weights, [rho, rho])
 
 
 def test_reduced_density_matches_kron_inverse():

@@ -26,13 +26,12 @@ from .dynamics import (
     stationarity,
 )
 from .entanglement import (
+    OQ_TRIPLES,
+    UPB_TRIPLES,
     Cut,
-    ObservableTriple,
-    builtin_triples,
     lhv_oracle,
     min_pt_eigs,
     partial_transpose,
-    signed_triple,
     triple_value,
     verify_triple_structure,
 )

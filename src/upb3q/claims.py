@@ -35,7 +35,7 @@ from .dynamics import (
     rodrigues_flow,
     stationarity,
 )
-from .entanglement import builtin_triples, lhv_oracle, min_pt_eigs, signed_triple, triple_value, verify_triple_structure
+from .entanglement import OQ_TRIPLES, UPB_TRIPLES, lhv_oracle, min_pt_eigs, triple_value, verify_triple_structure
 from .linalg import _check_count, _check_tolerance, eigen_flow, frobenius_distance, jacobi_eigh
 from .pauli import (
     INDICES,
@@ -146,14 +146,6 @@ class _Context:
         return dict(zip(axes, zip(w, v)))
 
     @cached_property
-    def upb_triples(self):
-        return builtin_triples("upb")
-
-    @cached_property
-    def oq_triples(self):
-        return builtin_triples("oq")
-
-    @cached_property
     def quarter_t(self):
         return rodrigues_flow(222, TAU_P / 4.0, self.sep_t)
 
@@ -175,7 +167,7 @@ class _Context:
 
     @cached_property
     def byproduct(self):
-        return byproduct_preparation(self.cfg.flow_tol)
+        return byproduct_preparation()
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +199,17 @@ def _deviation(pairs, tol="equality_tol"):
     return _near(lambda ctx: max(np.abs(a - b).max() for a, b in pairs(ctx)), tol=tol)
 
 
-def _lhv_products(state, which, target):
-    """Every triple product of one family on the named state tensor equals target."""
-    def deviation(ctx):
-        tensor, triples = getattr(ctx, state), getattr(ctx, f"{which}_triples")
-        return max(abs(triple_value(tensor, tr) - target) for tr in triples)
-
-    return _near(deviation)
+def _lhv_products(state, triples, target):
+    """Every product over one triple family on the named state tensor equals target."""
+    return _near(lambda ctx: max(abs(triple_value(getattr(ctx, state), tr) - target)
+                                 for tr in triples))
 
 
-def _lhv_oracle(state, which, count):
+def _lhv_oracle(state, triples, count):
     """The sign oracle finds count consistent assignments per triple of one family."""
     def builder(ctx):
-        tensor, triples = getattr(ctx, state), getattr(ctx, f"{which}_triples")
-        counts = [lhv_oracle([signed_triple(tensor, tr, ctx.cfg.sign_tol)]) for tr in triples]
+        tensor = getattr(ctx, state)
+        counts = [lhv_oracle(tensor, tr, ctx.cfg.sign_tol) for tr in triples]
         return counts, [count] * len(triples), 0.0
 
     return builder
@@ -399,35 +388,34 @@ def _registry():
          _holds(_set_c_closed)),
         ("lhv.structure", "lhv-triples",
          "all eight builtin triples commute pairwise with product proportional to identity",
-         _holds(lambda c: all(verify_triple_structure(tr)
-                              for tr in c.upb_triples + c.oq_triples))),
+         _holds(lambda c: all(map(verify_triple_structure, UPB_TRIPLES + OQ_TRIPLES)))),
         ("lhv.upb_triples.products_on_upb", "lhv-triples",
          "complement state gives product -x^3 on every first-family triple",
-         _lhv_products("upb_t", "upb", -X3)),
+         _lhv_products("upb_t", UPB_TRIPLES, -X3)),
         ("lhv.upb_triples.products_on_sep", "lhv-triples",
          "separable mixture gives product +x^3 on every first-family triple",
-         _lhv_products("sep_t", "upb", X3)),
+         _lhv_products("sep_t", UPB_TRIPLES, X3)),
         ("lhv.upb_triples.oracle_on_upb", "lhv-triples",
          "sign oracle finds no consistent assignment per first-family triple on the complement state",
-         _lhv_oracle("upb_t", "upb", 0)),
+         _lhv_oracle("upb_t", UPB_TRIPLES, 0)),
         ("lhv.upb_triples.oracle_on_sep", "lhv-triples",
          "sign oracle finds two consistent assignments per first-family triple on the separable mixture",
-         _lhv_oracle("sep_t", "upb", 2)),
+         _lhv_oracle("sep_t", UPB_TRIPLES, 2)),
         ("lhv.upb_triples.oracle_on_quarter", "lhv-triples",
          "quarter-period orbit state is consistent with every first-family triple",
-         _lhv_oracle("quarter_t", "upb", 2)),
+         _lhv_oracle("quarter_t", UPB_TRIPLES, 2)),
         ("lhv.oq_triples.products_on_quarter", "lhv-triples",
          "quarter-period orbit state gives product -x^3 on every second-family triple",
-         _lhv_products("quarter_t", "oq", -X3)),
+         _lhv_products("quarter_t", OQ_TRIPLES, -X3)),
         ("lhv.oq_triples.products_on_upb", "lhv-triples",
          "complement state gives product +x^3 on every second-family triple",
-         _lhv_products("upb_t", "oq", X3)),
+         _lhv_products("upb_t", OQ_TRIPLES, X3)),
         ("lhv.oq_triples.oracle_on_quarter", "lhv-triples",
          "sign oracle finds no consistent assignment per second-family triple on the quarter state",
-         _lhv_oracle("quarter_t", "oq", 0)),
+         _lhv_oracle("quarter_t", OQ_TRIPLES, 0)),
         ("lhv.oq_triples.oracle_on_upb", "lhv-triples",
          "complement state is consistent with every second-family triple",
-         _lhv_oracle("upb_t", "oq", 2)),
+         _lhv_oracle("upb_t", OQ_TRIPLES, 2)),
         ("prep.standard.endpoint", "preparation",
          "triple-z then six-term schedule lands on the complement state",
          _distance(lambda c: [(c.prep_standard.checkpoints["final"], c.upb)], "flow_tol")),
@@ -451,7 +439,7 @@ def _registry():
          _interior_npt("swapped")),
         ("prep.swapped.intermediate_violations", "preparation",
          "swapped-schedule intermediate gives product -x^3 on every first-family triple",
-         _lhv_products("swapped_mid_t", "upb", -X3)),
+         _lhv_products("swapped_mid_t", UPB_TRIPLES, -X3)),
         ("orbit.start_matches_families", "orbit",
          "orbit start is the psi mixture and its reflection the complement state",
          _distance(lambda c: [(from_coherence(c.sep_t), family_mixture("psi")),

@@ -40,10 +40,6 @@ class BadAxis(ValueError):
     """Closed-form flow requested for an axis other than 333 or 222."""
 
 
-class NoMatch(RuntimeError):
-    """No candidate byproduct evolution reached the target state."""
-
-
 # Named Hamiltonians as Lambda_jkl labels; generator(*labels) builds the matrix.
 STAGE1 = ("333",)  # first preparation stage: triple-z
 STAGE2 = ("011", "033", "101", "110", "303", "330")  # second stage: equal-index-pair 2-coherences
@@ -256,8 +252,8 @@ class ByproductResult:
     """Outcome of the quarter/three-quarter-period candidate search.
 
     evolutions holds (reduced parameter, distance to the complement state)
-    for each distinct evolution; matched_parameter is the reduced parameter
-    of the (unique) evolution that landed.
+    for each distinct evolution; matched_parameter and distance are those of
+    the closest one.
     """
 
     matched_parameter: float
@@ -265,17 +261,15 @@ class ByproductResult:
     evolutions: tuple
 
 
-def byproduct_preparation(tol=1e-10):
+def byproduct_preparation():
     """Reach the complement state by flowing the theta mixture.
 
     The theta mixture equals the reflected orbit state at TAU_P/4, so exactly
     one distinct period-reduced evolution among the signed quarter and
     three-quarter candidates returns it to the complement state.  Candidates
     that differ by a full period are the same conjugation (U(TAU_P) = -I) and
-    are deduplicated before matching.
-
-    Raises:
-        NoMatch: if no candidate lands within tol (implementation error).
+    are deduplicated; the closest evolution is the match, and the caller
+    grades its distance.
     """
     theta_t = to_coherence(family_mixture("theta"))
     target = rho_upb()
@@ -285,7 +279,4 @@ def byproduct_preparation(tol=1e-10):
         (float(r), frobenius_distance(from_coherence(rodrigues_flow(222, r, theta_t)), target))
         for r in reduced
     )
-    matches = [(r, d) for r, d in evolutions if d < tol]
-    if not matches:
-        raise NoMatch(f"no candidate reached the target: {evolutions}")
-    return ByproductResult(*matches[0], evolutions)
+    return ByproductResult(*min(evolutions, key=lambda e: e[1]), evolutions)

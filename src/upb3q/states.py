@@ -55,7 +55,15 @@ class NotOrthogonal(ValueError):
 
 
 class WrongCount(ValueError):
-    """complement_map requires exactly 4 kets."""
+    """complement_map and check_upb require exactly 4 kets."""
+
+
+def _four_kets(kets):
+    """kets as a tuple; WrongCount unless there are exactly 4."""
+    kets = tuple(kets)
+    if len(kets) != 4:
+        raise WrongCount(f"need exactly 4 kets, got {len(kets)}")
+    return kets
 
 
 def family(name):
@@ -155,9 +163,7 @@ def complement_map(kets):
         WrongCount: unless exactly 4 kets are given.
         NotOrthogonal: if any pairwise overlap exceeds 1e-12.
     """
-    kets = tuple(kets)
-    if len(kets) != 4:
-        raise WrongCount(f"need exactly 4 kets, got {len(kets)}")
+    kets = _four_kets(kets)
     for (i, a), (j, b) in itertools.combinations(enumerate(kets), 2):
         overlap = abs(np.vdot(a.amplitudes, b.amplitudes))
         if overlap > 1e-12:
@@ -201,8 +207,11 @@ def check_upb(kets):
 
     Returns:
         UPBCheckResult; unextendable is True iff no assignment is feasible.
+
+    Raises:
+        WrongCount: unless exactly 4 kets are given.
     """
-    kets = tuple(kets)
+    kets = _four_kets(kets)
     orthogonal = all(
         abs(np.vdot(a.amplitudes, b.amplitudes)) <= 1e-12
         for a, b in itertools.combinations(kets, 2)

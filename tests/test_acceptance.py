@@ -31,7 +31,7 @@ from upb3q.dynamics import (
     rodrigues_flow,
     stationarity,
 )
-from upb3q.entanglement import builtin_triples, lhv_oracle, min_pt_eigs, signed_triple, triple_value
+from upb3q.entanglement import OQ_TRIPLES, UPB_TRIPLES, lhv_oracle, min_pt_eigs, triple_value
 from upb3q.linalg import eigen_flow, frobenius_distance, jacobi_eigh
 from upb3q.pauli import (
     SQRT2,
@@ -150,15 +150,13 @@ def test_criterion_05_unextendability():
 
 def test_criterion_06_lhv(upb, sep):
     upb_t, sep_t, oq_t = to_coherence(upb), to_coherence(sep), to_coherence(rho_oq())
-    upb_triples = builtin_triples("upb")
-    oq_triples = builtin_triples("oq")
-    dev_upb = max(abs(triple_value(upb_t, tr) + X3) for tr in upb_triples)
-    positive_sep = all(triple_value(sep_t, tr) > 0 for tr in upb_triples)
-    zero_counts = all(lhv_oracle([signed_triple(upb_t, tr)]) == 0 for tr in upb_triples)
-    sep_counts = all(lhv_oracle([signed_triple(sep_t, tr)]) >= 1 for tr in upb_triples)
-    dev_oq = max(abs(triple_value(oq_t, tr) + X3) for tr in oq_triples)
-    zero_oq = all(lhv_oracle([signed_triple(oq_t, tr)]) == 0 for tr in oq_triples)
-    cross = all(lhv_oracle([signed_triple(upb_t, tr)]) >= 1 for tr in oq_triples)
+    dev_upb = max(abs(triple_value(upb_t, tr) + X3) for tr in UPB_TRIPLES)
+    positive_sep = all(triple_value(sep_t, tr) > 0 for tr in UPB_TRIPLES)
+    zero_counts = all(lhv_oracle(upb_t, tr) == 0 for tr in UPB_TRIPLES)
+    sep_counts = all(lhv_oracle(sep_t, tr) >= 1 for tr in UPB_TRIPLES)
+    dev_oq = max(abs(triple_value(oq_t, tr) + X3) for tr in OQ_TRIPLES)
+    zero_oq = all(lhv_oracle(oq_t, tr) == 0 for tr in OQ_TRIPLES)
+    cross = all(lhv_oracle(upb_t, tr) >= 1 for tr in OQ_TRIPLES)
     ok = (dev_upb < 1e-12 and positive_sep and zero_counts and sep_counts
           and dev_oq < 1e-12 and zero_oq and cross)
     assert report(6, ok, "triple sign violations and oracle counts on both families",
@@ -177,7 +175,7 @@ def test_criterion_07_preparation(upb):
         swp.checkpoints["intermediate"], from_coherence(reflect(std_mid_t))
     )
     swp_mid_t = to_coherence(swp.checkpoints["intermediate"])
-    viol = max(abs(triple_value(swp_mid_t, tr) + X3) for tr in builtin_triples("upb"))
+    viol = max(abs(triple_value(swp_mid_t, tr) + X3) for tr in UPB_TRIPLES)
     interior = max(
         max(s.min_pt_eigs) for s in itertools.chain(std.interior, swp.interior)
     )
@@ -298,7 +296,7 @@ def test_criterion_10_stationarity(upb):
 
 
 def test_criterion_11_byproduct():
-    res = byproduct_preparation(tol=1e-10)
+    res = byproduct_preparation()
     matches = [r for r, d in res.evolutions if d < 1e-10]
     theta_t = to_coherence(family_mixture("theta"))
     landed = from_coherence(rodrigues_flow(222, res.matched_parameter, theta_t))

@@ -4,18 +4,26 @@ import numpy as np
 import pytest
 
 from upb3q.entanglement import (
+    OQ_TRIPLES,
+    UPB_TRIPLES,
     Cut,
-    ObservableTriple,
-    builtin_triples,
     lhv_oracle,
     min_pt_eigs,
     partial_transpose,
-    signed_triple,
     triple_value,
     verify_triple_structure,
 )
 from upb3q.linalg import ShapeMismatch, jacobi_eigh
-from upb3q.pauli import INDICES, SQRT2, from_coherence, ket_from_string, negate_components, to_coherence
+from upb3q.pauli import (
+    INDICES,
+    SQRT2,
+    CoherenceTensor,
+    from_coherence,
+    ket_from_string,
+    label_to_tuple,
+    negate_components,
+    to_coherence,
+)
 from upb3q.states import X, rho_oq, rho_sep, rho_upb
 
 X3 = X**3
@@ -101,25 +109,22 @@ def test_stacked_ppt_verdicts_match_per_cut_solves():
     assert verdicts.tolist() == [[False, True, True], [False, True, True]]
 
 
-def test_builtin_triples_structure():
-    for which in ("upb", "oq"):
-        triples = builtin_triples(which)
+def test_triple_families_structure():
+    for triples in (UPB_TRIPLES, OQ_TRIPLES):
         assert len(triples) == 4
         for tr in triples:
             assert verify_triple_structure(tr)
-    with pytest.raises(ValueError):
-        builtin_triples("nope")
 
 
 def test_structure_check_rejects_bad_triples():
-    non_commuting = ObservableTriple.from_labels("100", "200", "300")
+    non_commuting = ("100", "200", "300")
     assert not verify_triple_structure(non_commuting)
     # pairwise commuting but the matrix product is a *negative* multiple of
     # the identity; the sign argument needs the positive orientation
-    negative = ObservableTriple.from_labels("110", "220", "330")
+    negative = ("110", "220", "330")
     assert not verify_triple_structure(negative)
     # product not proportional to the identity at all
-    skew = ObservableTriple.from_labels("033", "303", "300")
+    skew = ("033", "303", "300")
     assert not verify_triple_structure(skew)
 
 
@@ -127,60 +132,54 @@ def test_triple_values_on_the_three_states():
     upb_t = to_coherence(rho_upb())
     sep_t = to_coherence(rho_sep())
     oq_t = to_coherence(rho_oq())
-    for tr in builtin_triples("upb"):
+    for tr in UPB_TRIPLES:
         assert abs(triple_value(upb_t, tr) + X3) < 1e-15
         assert abs(triple_value(sep_t, tr) - X3) < 1e-15
-    for tr in builtin_triples("oq"):
+    for tr in OQ_TRIPLES:
         assert abs(triple_value(oq_t, tr) + X3) < 1e-15
         assert abs(triple_value(upb_t, tr) - X3) < 1e-15
-
-
-def test_signed_triple_thresholds():
-    upb_t = to_coherence(rho_upb())
-    tr = builtin_triples("upb")[0]
-    filled = signed_triple(upb_t, tr)
-    assert filled.expected_signs == (1, -1, 1)  # (031, 301, 330) on rho_upb
-    # a huge threshold blanks every sign
-    blank = signed_triple(upb_t, tr, sign_tol=1.0)
-    assert blank.expected_signs == (None, None, None)
 
 
 def test_oracle_counts_per_triple():
     upb_t = to_coherence(rho_upb())
     sep_t = to_coherence(rho_sep())
-    for tr in builtin_triples("upb"):
-        assert lhv_oracle([signed_triple(upb_t, tr)]) == 0
-        assert lhv_oracle([signed_triple(sep_t, tr)]) == 2
-    # unconstrained triple counts the full assignment space (3 variables)
-    blank = signed_triple(upb_t, builtin_triples("upb")[0], sign_tol=1.0)
-    assert lhv_oracle([blank]) == 8
+    for tr in UPB_TRIPLES:
+        assert lhv_oracle(upb_t, tr) == 0
+        assert lhv_oracle(sep_t, tr) == 2
+    # a huge threshold leaves the triple unconstrained: the count is the full
+    # assignment space of its 3 variables
+    assert lhv_oracle(upb_t, UPB_TRIPLES[0], sign_tol=1.0) == 8
 
 
-def test_oracle_joint_family_is_contextual():
-    # Across a whole four-triple family the six shared variables admit no
-    # globally consistent assignment even for the sign-compatible state:
-    # the per-triple counts are 2 each, the joint count is 0.  This is why
-    # the violation claims run the oracle one triple at a time.
-    sep_t = to_coherence(rho_sep())
-    joint = [signed_triple(sep_t, tr) for tr in builtin_triples("upb")]
-    assert lhv_oracle(joint) == 0
+def test_oracle_sign_thresholds():
+    upb_t = to_coherence(rho_upb())
+    tr = UPB_TRIPLES[0]  # (031, 301, 330): signs (+, -, +) on rho_upb
+    assert [np.sign(upb_t.component(label_to_tuple(s))) for s in tr] == [1, -1, 1]
+    # each variable occurs in two of the three observables, so the products
+    # of the variables multiply to +1 while the signs multiply to -1
+    assert lhv_oracle(upb_t, tr) == 0
+    # a component at or below sign_tol imposes no constraint; with one of the
+    # three dropped, one free variable fixes the other two: 2 assignments
+    uneven = CoherenceTensor.from_dict({"031": 0.1, "301": -0.01, "330": 0.1})
+    assert lhv_oracle(uneven, tr, sign_tol=0.0) == 0
+    assert lhv_oracle(uneven, tr, sign_tol=0.01) == 2
+    assert lhv_oracle(uneven, tr, sign_tol=0.1) == 8
 
 
 def test_oracle_cross_compatibility():
     upb_t = to_coherence(rho_upb())
     oq_t = to_coherence(rho_oq())
-    for tr in builtin_triples("oq"):
-        assert lhv_oracle([signed_triple(upb_t, tr)]) == 2
-    for tr in builtin_triples("upb"):
-        assert lhv_oracle([signed_triple(oq_t, tr)]) == 2
+    for tr in OQ_TRIPLES:
+        assert lhv_oracle(upb_t, tr) == 2
+    for tr in UPB_TRIPLES:
+        assert lhv_oracle(oq_t, tr) == 2
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
 def test_triple_tolerances_are_checked(bad):
-    # with these values a zero component got sign -1 instead of None
-    tr = builtin_triples("upb")[0]
+    # with these values a zero component got sign -1 instead of no constraint
     with pytest.raises(ValueError, match="sign_tol"):
-        signed_triple(to_coherence(rho_upb()), tr, sign_tol=bad)
+        lhv_oracle(to_coherence(rho_upb()), UPB_TRIPLES[0], sign_tol=bad)
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4), (64,)])

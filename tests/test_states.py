@@ -181,6 +181,17 @@ def test_extendable_detection_reports_orthogonality():
     assert not res.orthogonal
 
 
+@pytest.mark.parametrize("count", [0, 3, 5])
+def test_check_upb_requires_four_kets(count):
+    # an empty set used to raise "max() arg is an empty sequence" from the
+    # witness check; 3 and 5 kets were searched as if they were a basis
+    kets = (family("psi") + family("theta"))[:count]
+    with pytest.raises(WrongCount, match=f"need exactly 4 kets, got {count}"):
+        check_upb(kets)
+    with pytest.raises(WrongCount, match=f"need exactly 4 kets, got {count}"):
+        complement_map(kets)
+
+
 def test_in_set_c_rejects_bad_tolerance():
     # a NaN tol used to give a False verdict without an error
     w = np.linalg.eigvalsh(rho_upb())

@@ -37,7 +37,6 @@ from .entanglement import (
 )
 from .linalg import frobenius_distance, jacobi_eigh
 from .pauli import (
-    CoherenceTensor,
     ProductKet,
     bloch_vector,
     coherence_product,

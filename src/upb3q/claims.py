@@ -240,7 +240,7 @@ def _rodrigues_period(axis):
     def deviation(ctx):
         back = rodrigues_flow(axis, TAU_P, ctx.upb_t)
         ref = eigen_flow(*ctx.axis_eigs[axis], TAU_P, ctx.upb)
-        return max(np.abs(back.components - ctx.upb_t.components).max(),
+        return max(np.abs(back - ctx.upb_t).max(),
                    frobenius_distance(ref, ctx.upb))
 
     return _near(deviation, tol=1e-11)
@@ -278,15 +278,15 @@ _LOW_WEIGHT = np.count_nonzero(INDICES, axis=1) <= 2
 
 
 def _conserved_pairs(ctx):
-    base = ctx.orbit_samples[0].tensor.components[_LOW_WEIGHT]
-    return [(s.tensor.components[_LOW_WEIGHT], base) for s in ctx.orbit_samples]
+    base = ctx.orbit_samples[0].tensor[_LOW_WEIGHT]
+    return [(s.tensor[_LOW_WEIGHT], base) for s in ctx.orbit_samples]
 
 
 def _sinusoid_pairs(ctx):
     """Each sample's 3-coherences against -x sin / -x cos of the reduced phase."""
     pairs = []
     for s in ctx.orbit_samples:
-        c, phase = s.tensor.components, s.t / SQRT2
+        c, phase = s.tensor, s.t / SQRT2
         pairs += [(c[list(SIN_SET)], -X * np.sin(phase)), (c[list(COS_SET)], -X * np.cos(phase))]
     return pairs
 
@@ -343,7 +343,7 @@ def _ancilla_pairs(ctx):
 
 def _ancilla_support(ctx):
     got = {i for i, v in enumerate(_ancilla(ctx)) if abs(v) > 1e-14}
-    want = {4 * a for a in range(64) if abs(ctx.upb_t.components[a]) > 1e-14}
+    want = {4 * a for a in range(64) if abs(ctx.upb_t[a]) > 1e-14}
     return got == want
 
 
@@ -351,10 +351,10 @@ def _registry():
     rows = [
         ("state.components_upb", "state-table",
          "all 64 coherence components of the complement state match the signed table",
-         _deviation(lambda c: [(c.upb_t.components, expected_upb_tensor().components)], 1e-13)),
+         _deviation(lambda c: [(c.upb_t, expected_upb_tensor())], 1e-13)),
         ("state.purity", "state-table",
          "squared component sum (purity) of the complement state equals 1/4",
-         _near(lambda c: np.sum(c.upb_t.components**2), 0.25)),
+         _near(lambda c: np.sum(c.upb_t**2), 0.25)),
         ("state.spectrum_upb", "spectrum",
          "complement-state eigenvalues are {0 x4, 1/4 x4}",
          _deviation(lambda c: [(c.base_spectra[1], _FLAT_SPECTRUM)], 1e-11)),
@@ -375,7 +375,7 @@ def _registry():
          _distance(lambda c: [(from_coherence(reflect(c.sep_t)), c.upb)])),
         ("reflect.involution", "reflection",
          "reflecting twice restores the original components",
-         _deviation(lambda c: [(reflect(reflect(c.upb_t)).components, c.upb_t.components)])),
+         _deviation(lambda c: [(reflect(reflect(c.upb_t)), c.upb_t)])),
         ("reflect.partial_pairs", "reflection",
          "each two-qubit partial reflection also maps separable onto complement",
          _distance(lambda c: [(from_coherence(partial_reflect(c.sep_t, pair)), c.upb)
@@ -446,7 +446,7 @@ def _registry():
                               (from_coherence(reflect(c.sep_t)), c.upb)])),
         ("orbit.quarter_matches_table", "orbit",
          "quarter-period orbit components match the signed table",
-         _deviation(lambda c: [(c.quarter_t.components, expected_oq_tensor().components)])),
+         _deviation(lambda c: [(c.quarter_t, expected_oq_tensor())])),
         ("orbit.quarter_is_theta_complement", "orbit",
          "quarter-period orbit state equals the complement map of the theta family",
          _distance(lambda c: [(from_coherence(c.quarter_t), rho_oq())])),
@@ -595,7 +595,7 @@ def write_orbit_csv(fobj, samples):
     )
     for s in samples:
         row = [_fmt17(s.t)]
-        row += [_fmt17(s.tensor.components[a]) for a in three]
+        row += [_fmt17(s.tensor[a]) for a in three]
         row += [_fmt17(v) for v in s.min_pt_eigs]
         row += [_fmt17(v) for v in s.reflected_min_pt_eigs]
         row += [str(s.rank), str(s.reflected_rank)]

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import Cut, min_pt_eigs, partial_transpose
-from .linalg import (_MAX_STACK, ShapeMismatch, _check_count, _check_hermitian, _check_time,
-                     eigen_flow, frobenius_distance, jacobi_eigh)
-from .pauli import (SQRT2, CoherenceTensor, flat_index, from_coherence, label_to_tuple,
+from .linalg import (_MAX_STACK, _check_count, _check_matrix, _check_time, eigen_flow,
+                     frobenius_distance, jacobi_eigh)
+from .pauli import (SQRT2, _check_coherence, flat_index, from_coherence, label_to_tuple,
                     lambda_tensor, to_coherence)
 from .states import family_mixture, reflect, rho_sep, rho_upb
 
@@ -113,10 +113,11 @@ def _generator_powers(axis):
     return _R_CACHE[axis]
 
 
-def rodrigues_flow(axis, t, tensor):
-    """Closed-form coherence-space flow for axis 333 or 222, exact for all finite t.
+def rodrigues_flow(axis, t, c):
+    """Closed-form flow of a (64,) coherence vector for axis 333 or 222, exact for all finite t.
 
-    Raises ValueError unless t is a finite real number.
+    Raises ValueError unless t is a finite real number and ShapeMismatch
+    unless c has shape (64,).
     """
     _check_time(t)
     r, r2 = _generator_powers(axis)
@@ -125,7 +126,7 @@ def rodrigues_flow(axis, t, tensor):
         + SQRT2 * np.sin(t / SQRT2) * r
         + 2.0 * (1.0 - np.cos(t / SQRT2)) * r2
     )
-    return CoherenceTensor(expo @ tensor.components)
+    return expo @ _check_coherence(c)
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ def prepare_upb(order="standard", interior_samples=9):
 
 @dataclass(frozen=True)
 class OrbitSample:
-    """One orbit time: the tensor, PPT diagnostics, spectra, and ranks.
+    """One orbit time: the (64,) coherence vector, PPT diagnostics, spectra, and ranks.
 
     min_pt_eigs / reflected_min_pt_eigs are ordered by cut (1|23, 2|13, 3|12);
     eigenvalues are ascending diagnostics of the reconstructed matrices; a rank
@@ -192,7 +193,7 @@ class OrbitSample:
     """
 
     t: float
-    tensor: CoherenceTensor
+    tensor: np.ndarray
     min_pt_eigs: tuple
     reflected_min_pt_eigs: tuple
     rank: int
@@ -239,11 +240,7 @@ def stationarity(h, rho):
     Raises ShapeMismatch on other shapes and NonHermitian on a matrix that is
     not Hermitian within 1e-12 or holds a NaN or infinite entry.
     """
-    h, rho = np.asarray(h, dtype=complex), np.asarray(rho, dtype=complex)
-    if h.shape != (8, 8) or rho.shape != (8, 8):
-        raise ShapeMismatch(f"expected two 8x8 matrices, got shapes {h.shape} and {rho.shape}")
-    for mat in (h, rho):
-        _check_hermitian(mat, 1e-12)
+    h, rho = _check_matrix(h, 8), _check_matrix(rho, 8)
     return frobenius_distance(h @ rho, rho @ h)
 
 

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import _check_8x8, _check_tolerance, frobenius_distance, jacobi_eigh
-from .pauli import label_to_tuple, lambda_tensor
+from .pauli import _check_coherence, flat_index, label_to_tuple, lambda_tensor
 
 
 class Cut(Enum):
@@ -70,13 +70,21 @@ OQ_TRIPLES = (("031", "101", "130"), ("013", "103", "110"),
 _TRIPLE_TOL = 1e-12  # commutator and identity-residual norms below this count as zero
 
 
+def _check_triple(triple):
+    """The component indices of a triple; ValueError unless it holds exactly 3 labels."""
+    if isinstance(triple, str) or len(triple) != 3:
+        raise ValueError(f"a triple must hold exactly 3 component labels, got {triple!r}")
+    return [label_to_tuple(s) for s in triple]
+
+
 def verify_triple_structure(triple):
     """Check the algebra that powers the sign argument for a label triple.
 
     Returns True iff the three observables pairwise commute (commutator norm
-    < _TRIPLE_TOL) and their product is c * Lambda_000 with c > 0.
+    < _TRIPLE_TOL) and their product is c * Lambda_000 with c > 0.  Raises
+    ValueError unless the triple holds exactly 3 valid labels.
     """
-    a, b, c = (lambda_tensor(*label_to_tuple(s)) for s in triple)
+    a, b, c = (lambda_tensor(*idx) for idx in _check_triple(triple))
     for m1, m2 in itertools.combinations((a, b, c), 2):
         if frobenius_distance(m1 @ m2, m2 @ m1) >= _TRIPLE_TOL:
             return False
@@ -87,30 +95,30 @@ def verify_triple_structure(triple):
     return bool(residual < _TRIPLE_TOL and coeff > 0)
 
 
-def triple_value(tensor, triple):
-    """Product of the three coherence components a label triple addresses."""
-    out = 1.0
-    for s in triple:
-        out *= tensor.component(label_to_tuple(s))
-    return float(out)
+def triple_value(c, triple):
+    """Product of the three components of a (64,) coherence vector a label triple addresses."""
+    c = _check_coherence(c)
+    return math.prod(float(c[flat_index(*idx)]) for idx in _check_triple(triple))
 
 
-def lhv_oracle(tensor, triple, sign_tol=1e-8):
+def lhv_oracle(c, triple, sign_tol=1e-8):
     """Count deterministic local-sign assignments consistent with one triple on a state.
 
     Variables are the (qubit, axis) pairs with axis != 0 in the triple's
     labels; an assignment maps each to +/-1.  Each observable whose component
-    on tensor exceeds sign_tol in magnitude requires the product of its
-    variables' values to equal the component's sign; smaller components
-    impose no constraint.  Returns the number of consistent assignments out of
-    2^V.  Raises ValueError on a negative or non-finite sign_tol.
+    in c exceeds sign_tol in magnitude requires the product of its variables'
+    values to equal the component's sign; smaller components impose no
+    constraint.  Returns the number of consistent assignments out of 2^V.
+    Raises ValueError on a negative or non-finite sign_tol or a triple of
+    other than 3 labels, and ShapeMismatch unless c has shape (64,).
     """
     _check_tolerance("sign_tol", sign_tol)
+    c = _check_coherence(c)
     constraints, variables = [], set()
-    for idx in map(label_to_tuple, triple):
+    for idx in _check_triple(triple):
         vars_of_obs = [(q, idx[q]) for q in range(3) if idx[q] != 0]
         variables.update(vars_of_obs)
-        val = tensor.component(idx)
+        val = float(c[flat_index(*idx)])
         if abs(val) > sign_tol:
             constraints.append((vars_of_obs, 1 if val > 0 else -1))
     variables = sorted(variables)

@@ -69,6 +69,14 @@ def _check_8x8(rho):
     return rho
 
 
+def _check_matrix(m, n):
+    """m as a complex array; ShapeMismatch unless it is n x n, NonHermitian unless Hermitian."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (n, n):
+        raise ShapeMismatch(f"expected a {n}x{n} matrix, got shape {m.shape}")
+    return _check_hermitian(m, 1e-12)
+
+
 def _check_time(t):
     """Raise ValueError unless the flow time t is a finite real number."""
     if not (isinstance(t, numbers.Real) and math.isfinite(t)):

@@ -4,8 +4,8 @@ The single-qubit basis is lambda_mu = sigma_mu / sqrt(2), which makes the 64
 three-qubit operators Lambda_{jkl} = lambda_j x lambda_k x lambda_l
 trace-orthonormal: tr(Lambda_a Lambda_b) = delta_ab.  A density matrix is then
 rho = sum_a c_a Lambda_a with real components c_a = tr(rho Lambda_a), the
-"tensor of coherences".  Flat index convention: a = 16j + 4k + l, qubit 1 is
-the leftmost (most significant) Kronecker factor.
+"tensor of coherences", a plain float array of shape (64,).  Flat index
+convention: a = 16j + 4k + l, qubit 1 is the leftmost Kronecker factor.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_hermitian
+from .linalg import ShapeMismatch, _check_matrix
 
 SQRT2 = np.sqrt(2.0)
 
@@ -81,41 +81,12 @@ INDICES = np.array([index_tuple(a) for a in range(64)])
 LAMBDA_BASIS = np.stack([lambda_tensor(*idx) for idx in INDICES])
 
 
-@dataclass(frozen=True)
-class CoherenceTensor:
-    """The 64 real components of a 3-qubit Hermitian matrix in the Lambda basis.
-
-    components[16j + 4k + l] = tr(rho Lambda_{jkl}).  For a trace-1 state the
-    (0,0,0) component equals 1/(2 sqrt 2) and the squared components sum to
-    tr(rho^2) <= 1 (equality iff pure).
-    """
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.components, dtype=float).copy()
-        if arr.shape != (64,):
-            raise ValueError(f"expected 64 components, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "components", arr)
-
-    def component(self, idx):
-        """Component (j, k, l), e.g. (0, 3, 1)."""
-        return float(self.components[flat_index(*idx)])
-
-    @classmethod
-    def from_dict(cls, entries):
-        """Build a tensor from {label: value}, e.g. {'031': x}, defaulting c000 to a unit trace."""
-        arr = np.zeros(64)
-        arr[0] = 1.0 / (2.0 * SQRT2)
-        for label, val in entries.items():
-            arr[flat_index(*label_to_tuple(label))] = val
-        return cls(arr)
-
-
-def negate_components(tensor, mask):
-    """Flip the sign of the components selected by a boolean (64,) mask over INDICES."""
-    return CoherenceTensor(np.where(mask, -tensor.components, tensor.components))
+def _check_coherence(c):
+    """c as a float array; the one coherence-vector check: ShapeMismatch unless shape (64,)."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (64,):
+        raise ShapeMismatch(f"expected a coherence vector of shape (64,), got shape {c.shape}")
+    return c
 
 
 def to_coherence(rho):
@@ -125,22 +96,19 @@ def to_coherence(rho):
         rho: 8x8 complex Hermitian array.
 
     Returns:
-        CoherenceTensor with the 64 real components tr(rho Lambda_a).
+        (64,) float array c with c[a] = tr(rho Lambda_a); for a trace-1 state
+        c[0] = 1/(2 sqrt 2) and sum(c**2) = tr(rho^2) <= 1 (equality iff pure).
 
     Raises:
+        ShapeMismatch: unless rho is 8x8.
         NonHermitian: if max|rho - rho^dagger| exceeds 1e-12 or is NaN.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 matrix, got shape {rho.shape}")
-    rho = _check_hermitian(rho, 1e-12)
-    comps = np.einsum("aij,ji->a", LAMBDA_BASIS, rho)
-    return CoherenceTensor(comps.real)
+    return np.einsum("aij,ji->a", LAMBDA_BASIS, _check_matrix(rho, 8)).real.copy()
 
 
-def from_coherence(tensor):
-    """Reconstruct the 8x8 matrix sum_a c_a Lambda_a from a CoherenceTensor."""
-    return np.einsum("a,aij->ij", tensor.components, LAMBDA_BASIS)
+def from_coherence(c):
+    """Reconstruct the 8x8 matrix sum_a c_a Lambda_a from a (64,) coherence vector."""
+    return np.einsum("a,aij->ij", _check_coherence(c), LAMBDA_BASIS)
 
 
 _KET_SYMBOLS = {
@@ -221,11 +189,13 @@ def reduced_density(rho, keep):
 
     Raises:
         BadSubset: if keep is empty, not a strict subset, or has bad labels.
+        ShapeMismatch: unless rho is 8x8.
+        NonHermitian: if max|rho - rho^dagger| exceeds 1e-12 or is NaN.
     """
     keep = sorted(set(keep))
     if not keep or len(keep) >= 3 or any(q not in (1, 2, 3) for q in keep):
         raise BadSubset(f"keep must be a nonempty strict subset of {{1,2,3}}, got {keep}")
-    t = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2, 2, 2)
+    t = _check_matrix(rho, 8).reshape(2, 2, 2, 2, 2, 2)
     traced = [q for q in (1, 2, 3) if q not in keep]
     # Row indices 0,1,2 and column indices 3,4,5 of the reshaped tensor.
     letters = "abcdef"
@@ -239,11 +209,11 @@ def reduced_density(rho, keep):
     return result.reshape(d, d)
 
 
-def coherence_product(tensor, ancilla):
+def coherence_product(c, ancilla):
     """Coherence components of (3-qubit state) x (1-qubit ancilla).
 
     Args:
-        tensor: CoherenceTensor of the 3-qubit state.
+        c: (64,) coherence vector of the 3-qubit state.
         ancilla: length-4 real coherence vector of the ancilla qubit,
             ancilla[m] = tr(rho_a lambda_m); ancilla[0] must equal 1/sqrt(2)
             and ancilla[1:] must have norm <= 1/sqrt(2).
@@ -254,9 +224,11 @@ def coherence_product(tensor, ancilla):
         Lambda_{jkl} x lambda_m basis.
 
     Raises:
+        ShapeMismatch: unless c has shape (64,).
         BadAncilla: if a component is NaN or infinite, the trace component is
             wrong, or the Bloch part is longer than 1/sqrt(2) (not positive).
     """
+    c = _check_coherence(c)
     ancilla = np.asarray(ancilla, dtype=float)
     if ancilla.shape != (4,):
         raise BadAncilla(f"ancilla coherence vector must have 4 components, got {ancilla.shape}")
@@ -267,10 +239,13 @@ def coherence_product(tensor, ancilla):
     bloch = np.sqrt(np.sum(ancilla[1:] ** 2))
     if bloch > 1.0 / SQRT2 + 1e-12:
         raise BadAncilla(f"ancilla Bloch part has norm {bloch} > 1/sqrt(2): not a positive state")
-    return np.einsum("a,m->am", tensor.components, ancilla).reshape(-1)
+    return np.einsum("a,m->am", c, ancilla).reshape(-1)
 
 
 def bloch_vector(rho_qubit):
-    """Bloch vector (tr(rho sigma_x), tr(rho sigma_y), tr(rho sigma_z)) of a qubit state."""
-    rho_qubit = np.asarray(rho_qubit, dtype=complex)
+    """Bloch vector (tr(rho sigma_x), tr(rho sigma_y), tr(rho sigma_z)) of a qubit state.
+
+    Raises ShapeMismatch unless rho_qubit is 2x2 and NonHermitian unless it is Hermitian.
+    """
+    rho_qubit = _check_matrix(rho_qubit, 2)
     return np.array([np.trace(rho_qubit @ SIGMA[i]).real for i in (1, 2, 3)])

@@ -22,11 +22,12 @@ from .pauli import (
     INDICES,
     SQRT2,
     BadSubset,
-    CoherenceTensor,
     ProductKet,
+    _check_coherence,
+    flat_index,
     from_coherence,
     ket_from_string,
-    negate_components,
+    label_to_tuple,
     product_ket_from_locals,
     to_coherence,
 )
@@ -94,9 +95,11 @@ def rho_oq():
 
 
 def _table_tensor(plus, minus):
-    entries = dict.fromkeys(plus, X)
-    entries.update(dict.fromkeys(minus, -X))
-    return CoherenceTensor.from_dict(entries)
+    c = np.zeros(64)
+    c[0] = 1.0 / (2.0 * SQRT2)
+    for labels, value in ((plus, X), (minus, -X)):
+        c[[flat_index(*label_to_tuple(s)) for s in labels]] = value
+    return c
 
 
 def expected_upb_tensor():
@@ -109,29 +112,32 @@ def expected_oq_tensor():
     return _table_tensor(OQ_PLUS, OQ_MINUS)
 
 
-def reflect(tensor):
-    """Negate every homogeneous component (all but (0,0,0)); an involution.
+def reflect(c):
+    """Negate every homogeneous component (all but (0,0,0)) of a (64,) vector; an involution.
 
     On trace-1 states this is rho -> I/4 - rho; it exchanges rho_sep and
     rho_upb and maps the set C = {0 <= eig <= 1/4} onto itself.
     """
-    return negate_components(tensor, INDICES.any(axis=1))
+    c = _check_coherence(c)
+    return np.where(INDICES.any(axis=1), -c, c)
 
 
-def partial_reflect(tensor, pair):
+def partial_reflect(c, pair):
     """Negate every component whose index sub-tuple on the given qubit pair is not (0,0).
 
     Args:
-        tensor: CoherenceTensor.
+        c: (64,) coherence vector.
         pair: two distinct qubits from {1, 2, 3}.
 
     Raises:
+        ShapeMismatch: unless c has shape (64,).
         BadSubset: if pair is not a 2-element subset of {1,2,3}.
     """
+    c = _check_coherence(c)
     pair = sorted(set(pair))
     if len(pair) != 2 or any(q not in (1, 2, 3) for q in pair):
         raise BadSubset(f"pair must be a 2-element subset of {{1,2,3}}, got {pair}")
-    return negate_components(tensor, INDICES[:, [q - 1 for q in pair]].any(axis=1))
+    return np.where(INDICES[:, [q - 1 for q in pair]].any(axis=1), -c, c)
 
 
 def in_set_C(rho, tol=1e-10):

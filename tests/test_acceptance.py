@@ -90,8 +90,8 @@ def test_criterion_01_spectra(upb, sep):
 
 
 def test_criterion_02_component_table(upb):
-    comps = to_coherence(upb).components
-    table = expected_upb_tensor().components
+    comps = to_coherence(upb)
+    table = expected_upb_tensor()
     dev = np.abs(comps - table).max()
     plus = int(np.sum(np.abs(comps[1:] - X) < 1e-13))
     minus = int(np.sum(np.abs(comps[1:] + X) < 1e-13))
@@ -109,7 +109,7 @@ def test_criterion_03_reflections(upb, sep):
         frobenius_distance(from_coherence(partial_reflect(sep_t, pair)), upb)
         for pair in ((1, 2), (1, 3), (2, 3))
     )
-    d_invol = float(np.abs(reflect(reflect(sep_t)).components - sep_t.components).max())
+    d_invol = float(np.abs(reflect(reflect(sep_t)) - sep_t).max())
     proj_t = to_coherence(ket_from_string("01+").projector())
     w, _ = jacobi_eigh(from_coherence(reflect(proj_t)), want_vectors=False)
     d_spec = np.abs(w - np.array([-0.75] + [0.25] * 7)).max()
@@ -196,7 +196,7 @@ def test_criterion_08_rodrigues(upb):
                 from_coherence(rodrigues_flow(axis, t, upb_t)), eigen_flow(*eig, t, upb)
             ))
     period = max(
-        float(np.abs(rodrigues_flow(axis, TAU_P, upb_t).components - upb_t.components).max())
+        float(np.abs(rodrigues_flow(axis, TAU_P, upb_t) - upb_t).max())
         for axis in (333, 222)
     )
     ok = dev < 1e-10 and period < 1e-11
@@ -206,20 +206,20 @@ def test_criterion_08_rodrigues(upb):
 
 def test_criterion_09_orbit_structure(orbit64):
     low = np.array([sum(1 for i in index_tuple(a) if i) <= 2 for a in range(64)])
-    base = orbit64[0].tensor.components[low]
-    d_const = max(np.abs(s.tensor.components[low] - base).max() for s in orbit64)
+    base = orbit64[0].tensor[low]
+    d_const = max(np.abs(s.tensor[low] - base).max() for s in orbit64)
     sin_set = [23, 29, 53, 63]
     cos_set = [21, 31, 55, 61]
     d_wave = 0.0
     rank_ok = True
     for s in orbit64:
-        c = s.tensor.components
+        c = s.tensor
         d_wave = max(d_wave, np.abs(c[sin_set] + X * np.sin(s.t / SQRT2)).max(),
                      np.abs(c[cos_set] + X * np.cos(s.t / SQRT2)).max())
         for w in (s.eigenvalues, s.reflected_eigenvalues):
             rank_ok = rank_ok and np.abs(w[:4]).max() < 1e-9 and w[4:].min() > 0.2
     quarter, half = orbit64[16], orbit64[32]
-    d_quarter = np.abs(quarter.tensor.components - expected_oq_tensor().components).max()
+    d_quarter = np.abs(quarter.tensor - expected_oq_tensor()).max()
     d_theta = frobenius_distance(
         from_coherence(reflect(quarter.tensor)), family_mixture("theta")
     )
@@ -240,7 +240,7 @@ def _one_spin_norm(table, qubit, axis):
     weight 1/sqrt(2), so it adds c^2/2 to the squared norm.
     """
     total = 0.0
-    for a, c in enumerate(table.components):
+    for a, c in enumerate(table):
         if index_tuple(a)[qubit] not in (0, axis):
             total += c * c / 2
     return float(np.sqrt(total))
@@ -311,7 +311,7 @@ def test_criterion_12_ancilla(upb):
     upb_t = to_coherence(upb)
     direct = coherence_product(upb_t, (1 / SQRT2, 0.0, 0.0, 0.0))
     support = {i for i in range(256) if abs(direct[i]) > 1e-13}
-    want = {4 * a for a in range(64) if abs(upb_t.components[a]) > 1e-13}
+    want = {4 * a for a in range(64) if abs(upb_t[a]) > 1e-13}
     from upb3q.pauli import LAMBDA_BASIS, lambda_matrix
 
     big = np.kron(upb, np.eye(2) / 2)

@@ -92,9 +92,9 @@ def test_rodrigues_flow_matches_conjugation(axis, label):
 def test_rodrigues_flow_period_and_identity():
     tens = to_coherence(rho_sep())
     zero = rodrigues_flow(333, 0.0, tens)
-    assert np.abs(zero.components - tens.components).max() == 0.0
+    assert np.abs(zero - tens).max() == 0.0
     again = rodrigues_flow(222, TAU_P, tens)
-    assert np.abs(again.components - tens.components).max() < 1e-12
+    assert np.abs(again - tens).max() < 1e-12
 
 
 def test_preparation_standard_checkpoints():
@@ -229,7 +229,7 @@ def test_prepare_upb_matches_per_probe_flows(order, k):
 
 def test_orbit_three_coherence_law():
     for s in orbit(6):
-        c = s.tensor.components
+        c = s.tensor
         phase = s.t / SQRT2
         assert np.abs(c[list(SIN_SET)] + X * np.sin(phase)).max() < 1e-12
         assert np.abs(c[list(COS_SET)] + X * np.cos(phase)).max() < 1e-12

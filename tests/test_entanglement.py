@@ -17,11 +17,10 @@ from upb3q.linalg import ShapeMismatch, jacobi_eigh
 from upb3q.pauli import (
     INDICES,
     SQRT2,
-    CoherenceTensor,
+    flat_index,
     from_coherence,
     ket_from_string,
     label_to_tuple,
-    negate_components,
     to_coherence,
 )
 from upb3q.states import X, rho_oq, rho_sep, rho_upb
@@ -59,7 +58,8 @@ def test_partial_transpose_routes_agree(cut):
     via_matrix = partial_transpose(rho, cut)
     # in coherence coordinates the transpose negates the components whose
     # index on that qubit is 2, the only antisymmetric basis direction
-    via_tensor = from_coherence(negate_components(to_coherence(rho), INDICES[:, cut.qubit - 1] == 2))
+    tens = to_coherence(rho)
+    via_tensor = from_coherence(np.where(INDICES[:, cut.qubit - 1] == 2, -tens, tens))
     assert np.abs(via_matrix - via_tensor).max() < 1e-13
     # PT is an involution and trace preserving
     assert np.abs(partial_transpose(via_matrix, cut) - rho).max() == 0.0
@@ -128,6 +128,17 @@ def test_structure_check_rejects_bad_triples():
     assert not verify_triple_structure(skew)
 
 
+@pytest.mark.parametrize("bad", [("031", "301"), ("031", "301", "330", "013"), "031"])
+def test_triple_routes_require_exactly_three_labels(bad):
+    # a 4-label tuple used to run the old joint oracle (count 0) and a 2-label
+    # one gave 2, while the structure check failed inside tuple unpacking
+    upb_t = to_coherence(rho_upb())
+    for route in (verify_triple_structure, lambda tr: triple_value(upb_t, tr),
+                  lambda tr: lhv_oracle(upb_t, tr)):
+        with pytest.raises(ValueError, match="exactly 3 component labels"):
+            route(bad)
+
+
 def test_triple_values_on_the_three_states():
     upb_t = to_coherence(rho_upb())
     sep_t = to_coherence(rho_sep())
@@ -154,13 +165,16 @@ def test_oracle_counts_per_triple():
 def test_oracle_sign_thresholds():
     upb_t = to_coherence(rho_upb())
     tr = UPB_TRIPLES[0]  # (031, 301, 330): signs (+, -, +) on rho_upb
-    assert [np.sign(upb_t.component(label_to_tuple(s))) for s in tr] == [1, -1, 1]
+    assert [np.sign(upb_t[flat_index(*label_to_tuple(s))]) for s in tr] == [1, -1, 1]
     # each variable occurs in two of the three observables, so the products
     # of the variables multiply to +1 while the signs multiply to -1
     assert lhv_oracle(upb_t, tr) == 0
     # a component at or below sign_tol imposes no constraint; with one of the
     # three dropped, one free variable fixes the other two: 2 assignments
-    uneven = CoherenceTensor.from_dict({"031": 0.1, "301": -0.01, "330": 0.1})
+    uneven = np.zeros(64)
+    uneven[0] = 1 / (2 * SQRT2)
+    for label, value in zip(tr, (0.1, -0.01, 0.1)):
+        uneven[flat_index(*label_to_tuple(label))] = value
     assert lhv_oracle(uneven, tr, sign_tol=0.0) == 0
     assert lhv_oracle(uneven, tr, sign_tol=0.01) == 2
     assert lhv_oracle(uneven, tr, sign_tol=0.1) == 8

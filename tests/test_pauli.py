@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from upb3q.linalg import NonHermitian
+from upb3q.dynamics import rodrigues_flow
+from upb3q.entanglement import UPB_TRIPLES, lhv_oracle, triple_value
+from upb3q.linalg import NonHermitian, ShapeMismatch
 from upb3q.pauli import (
     LAMBDA_BASIS,
     SQRT2,
@@ -9,7 +13,6 @@ from upb3q.pauli import (
     BadLength,
     BadSubset,
     BadSymbol,
-    CoherenceTensor,
     bloch_vector,
     coherence_product,
     flat_index,
@@ -23,6 +26,7 @@ from upb3q.pauli import (
     reduced_density,
     to_coherence,
 )
+from upb3q.states import partial_reflect, reflect, rho_upb
 
 RNG = np.random.default_rng(20240817)
 
@@ -65,7 +69,7 @@ def test_to_from_coherence_round_trip():
     tens = to_coherence(rho)
     assert np.abs(from_coherence(tens) - rho).max() < 1e-13
     # trace-1 input pins the (0,0,0) component
-    assert abs(tens.components[0] - 1 / (2 * SQRT2)) < 1e-13
+    assert abs(tens[0] - 1 / (2 * SQRT2)) < 1e-13
 
 
 def test_to_coherence_rejects_non_hermitian():
@@ -82,21 +86,22 @@ def test_to_coherence_rejects_nan():
         to_coherence(bad)
 
 
-def test_coherence_tensor_access_and_immutability():
-    tens = CoherenceTensor.from_dict({"031": 0.5, "111": -0.25})
-    assert tens.component((0, 3, 1)) == 0.5
-    assert tens.component((1, 1, 1)) == tens.components[flat_index(1, 1, 1)] == -0.25
-    assert tens.component((0, 0, 0)) == 1 / (2 * SQRT2)
-    with pytest.raises(ValueError):
-        CoherenceTensor(np.zeros(63))
-    with pytest.raises(ValueError):
-        tens.components[0] = 1.0
+def test_coherence_vector_access():
+    tens = np.zeros(64)
+    tens[0] = 1 / (2 * SQRT2)
+    tens[flat_index(*label_to_tuple("031"))] = 0.5
+    tens[flat_index(*label_to_tuple("111"))] = -0.25
+    assert tens[flat_index(0, 3, 1)] == 0.5
+    assert tens[flat_index(1, 1, 1)] == -0.25
+    assert tens[flat_index(0, 0, 0)] == 1 / (2 * SQRT2)
+    with pytest.raises(ShapeMismatch):
+        from_coherence(np.zeros(63))
 
 
 def test_purity_equals_component_square_sum():
     rho = random_density()
     tens = to_coherence(rho)
-    assert abs(np.sum(tens.components**2) - np.trace(rho @ rho).real) < 1e-12
+    assert abs(np.sum(tens**2) - np.trace(rho @ rho).real) < 1e-12
 
 
 def test_ket_from_string():
@@ -196,3 +201,42 @@ def test_bloch_vector_cardinal_directions():
 
 def test_lambda_tensor_matches_basis():
     assert np.abs(lambda_tensor(0, 3, 1) - LAMBDA_BASIS[13]).max() == 0.0
+
+
+# Every routine that takes a coherence vector, as a one-argument call.
+COHERENCE_CONSUMERS = {
+    "from_coherence": from_coherence,
+    "reflect": reflect,
+    "partial_reflect": lambda c: partial_reflect(c, (1, 2)),
+    "rodrigues_flow": lambda c: rodrigues_flow(222, 0.3, c),
+    "coherence_product": lambda c: coherence_product(c, (1 / SQRT2, 0.0, 0.0, 0.0)),
+    "triple_value": lambda c: triple_value(c, UPB_TRIPLES[0]),
+    "lhv_oracle": lambda c: lhv_oracle(c, UPB_TRIPLES[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COHERENCE_CONSUMERS))
+def test_coherence_consumers_check_the_64_component_shape(name):
+    # these used to raise a bare AttributeError on any array
+    route = COHERENCE_CONSUMERS[name]
+    for shape in ((63,), (8, 8), (2, 64)):
+        with pytest.raises(ShapeMismatch, match=re.escape(str(shape))):
+            route(np.zeros(shape))
+    upb_t = to_coherence(rho_upb())
+    assert np.array_equal(route([float(v) for v in upb_t]), route(upb_t))
+
+
+@pytest.mark.parametrize("route", [to_coherence, lambda m: reduced_density(m, (1,)), bloch_vector],
+                         ids=["to_coherence", "reduced_density", "bloch_vector"])
+def test_matrix_inputs_fail_loudly(route):
+    # a 4x4 used to fail inside numpy (reshape or matmul) or with a plain
+    # ValueError, and an all-NaN matrix gave NaN without an error
+    with pytest.raises(ShapeMismatch, match=re.escape("(4, 4)")):
+        route(np.eye(4) / 4)
+    n = 2 if route is bloch_vector else 8
+    with pytest.raises(NonHermitian):
+        route(np.full((n, n), np.nan))
+    skew = np.eye(n, dtype=complex) / n
+    skew[0, 1] = 1e-6
+    with pytest.raises(NonHermitian):
+        route(skew)

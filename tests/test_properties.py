@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from upb3q.entanglement import Cut, partial_transpose
 from upb3q.linalg import NoConvergence, NonHermitian, jacobi_eigh
-from upb3q.pauli import INDICES, from_coherence, negate_components, product_ket_from_locals, to_coherence
+from upb3q.pauli import INDICES, from_coherence, product_ket_from_locals, to_coherence
 from upb3q.states import FAMILY_SYMBOLS, check_upb, reflect
 
 entries = arrays(np.float64, (2, 8, 8), elements=st.floats(-1.0, 1.0))
@@ -32,9 +32,9 @@ def test_sign_masks_match_matrix_routes(parts):
     tens = to_coherence(rho)
     refl = reflect(tens)
     assert np.abs(from_coherence(refl) - (np.eye(8) / 4 - rho)).max() < 1e-12
-    assert np.array_equal(reflect(refl).components, tens.components)
+    assert np.array_equal(reflect(refl), tens)
     for cut in Cut:
-        via_mask = from_coherence(negate_components(tens, INDICES[:, cut.qubit - 1] == 2))
+        via_mask = from_coherence(np.where(INDICES[:, cut.qubit - 1] == 2, -tens, tens))
         assert np.abs(via_mask - partial_transpose(rho, cut)).max() < 1e-12
 
 

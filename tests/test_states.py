@@ -50,8 +50,8 @@ def test_family_mixture_is_state(name):
 
 
 def test_rho_upb_matches_component_table():
-    got = to_coherence(rho_upb()).components
-    want = expected_upb_tensor().components
+    got = to_coherence(rho_upb())
+    want = expected_upb_tensor()
     assert np.abs(got - want).max() < 1e-14
     # sign census of the table itself
     vals = want[1:]
@@ -61,13 +61,13 @@ def test_rho_upb_matches_component_table():
 
 
 def test_rho_oq_matches_component_table():
-    got = to_coherence(rho_oq()).components
-    assert np.abs(got - expected_oq_tensor().components).max() < 1e-14
+    got = to_coherence(rho_oq())
+    assert np.abs(got - expected_oq_tensor()).max() < 1e-14
 
 
 def test_sep_and_upb_components_are_negatives():
-    s = to_coherence(rho_sep()).components
-    u = to_coherence(rho_upb()).components
+    s = to_coherence(rho_sep())
+    u = to_coherence(rho_upb())
     assert np.abs(s[1:] + u[1:]).max() < 1e-14
     assert abs(s[0] - u[0]) < 1e-15
 
@@ -83,7 +83,7 @@ def test_reflect_swaps_partners_and_is_involution():
     t_sep = to_coherence(rho_sep())
     assert np.abs(from_coherence(reflect(t_sep)) - rho_upb()).max() < 1e-14
     twice = reflect(reflect(t_sep))
-    assert np.abs(twice.components - t_sep.components).max() == 0.0
+    assert np.abs(twice - t_sep).max() == 0.0
     assert np.abs(reflect_density(rho_upb()) - rho_sep()).max() < 1e-14
 
 

@@ -29,12 +29,14 @@ class ShapeMismatch(ValueError):
 
 # Largest stack one internal solve rotates at once; longer stacks are solved
 # in chunks of this size, which bounds the solver's scratch memory.  Every
-# sweep of a solve pays a fixed ~0.9 ms of per-pair numpy calls whatever the
-# stack holds, so fuller chunks are cheaper per matrix.  Measured on the
-# benchmark's solver inputs (2-core VM): orbit stacks take 93.5 ms at 128,
-# 68.9 ms at 256 and 61.5 ms at 512; preparation probes 32.6 ms at 128 and
-# 23.7 ms at 192 or more.  512 would raise the orbit and verify runs' peak
-# RSS by about 2.2 MB (+7%), 256 by under 2%.
+# sweep of a solve pays a fixed ~0.75-1.6 ms of per-pair numpy calls whatever
+# the stack holds (a sweep of 256 matrices takes 2.7-4.2 ms), so fuller
+# chunks are cheaper per matrix.  Measured on the benchmark's solver inputs
+# (best of 15 repetitions, five runs on a shared 2-core VM): orbit(128)'s 1024
+# matrices take 49-74 ms in chunks of 128, 36-56 ms at 256 and 32-45 ms at
+# 512; one order's 192 preparation probes 18-27 ms at 128 and 12-20 ms at 192
+# or more.  512 would raise the orbit and verify runs' peak RSS by 1.5-1.8 MB
+# (+4-5%).
 _MAX_STACK = 256
 
 
@@ -84,11 +86,15 @@ def _check_time(t):
 
 
 def _offdiag_norms(a):
-    """Off-diagonal Frobenius norm of each matrix of a (B, n, n) stack."""
-    off = a.copy()
-    diag = np.arange(a.shape[-1])
+    """Off-diagonal Frobenius norm of each matrix of a batch-last (n, n, B) stack.
+
+    Each matrix is summed over its own contiguous row of n*n squares, as one
+    matrix alone would be: a sum down the batch axis rounds differently.
+    """
+    off = np.moveaxis(a, -1, 0).copy()
+    diag = np.arange(a.shape[0])
     off[:, diag, diag] = 0.0
-    return np.sqrt(np.sum(np.abs(off.reshape(len(a), -1)) ** 2, axis=1))
+    return np.sqrt(np.sum(np.abs(off.reshape(len(off), -1)) ** 2, axis=1))
 
 
 def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vectors=True):
@@ -137,34 +143,36 @@ def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vector
 def _jacobi_stack(mats, conv_tol, max_sweeps, w_out, v_out):
     """Diagonalize a (B, n, n) stack into w_out (B, n) and, if given, v_out.
 
-    The eigenvector unitary V is carried below A in one (B, 2n, n) array, so
-    that each column rotation A <- A U also does V <- V U.  Matrices that have
-    converged are retired between sweeps, so the rest of the stack keeps
-    rotating without them.
+    The solve works on its own batch-last copy, av[i, j, b] = mats[b, i, j],
+    so that each row or column slice of a rotation is a run of contiguous
+    batch elements.  The eigenvector unitary V is carried below A in the same
+    (2n, n, B) array, so that each column rotation A <- A U also does
+    V <- V U.  Matrices that have converged are retired between sweeps, so
+    the rest of the stack keeps rotating without them.
     """
     n = mats.shape[-1]
     diag = np.arange(n)
-    if v_out is None:
-        av = mats.copy()
-    else:
-        av = np.concatenate([mats, np.broadcast_to(np.eye(n, dtype=complex), mats.shape)], axis=1)
-    live = np.arange(len(av))  # stack positions of the matrices still rotating
-    norms = _offdiag_norms(av[:, :n])
+    av = np.empty((n if v_out is None else 2 * n, n, len(mats)), dtype=complex)
+    av[:n] = mats.transpose(1, 2, 0)  # a copy: the caller's matrices are never rotated
+    if v_out is not None:
+        av[n:] = np.eye(n)[:, :, None]
+    live = np.arange(len(mats))  # stack positions of the matrices still rotating
+    norms = _offdiag_norms(av[:n])
     for sweep in range(max_sweeps + 1):
         done = norms < conv_tol
         if done.any():
-            fin = av[done]
+            fin = np.moveaxis(av.compress(done, axis=-1), -1, 0)
             evals = fin[:, diag, diag].real
             order = np.argsort(evals, axis=-1, kind="stable")
             w_out[live[done]] = np.take_along_axis(evals, order, axis=-1)
             if v_out is not None:
                 v_out[live[done]] = np.take_along_axis(fin[:, n:], order[:, None, :], axis=-1)
             keep = ~done
-            av, live, norms = av[keep], live[keep], norms[keep]
+            av, live, norms = av.compress(keep, axis=-1), live[keep], norms[keep]
         if not len(live) or sweep == max_sweeps:
             break
         _sweep(av)
-        norms = _offdiag_norms(av[:, :n])
+        norms = _offdiag_norms(av[:n])
     if len(live):
         raise NoConvergence(
             f"off-diagonal norm {norms.max():.3e} > {conv_tol:.1e} "
@@ -173,44 +181,46 @@ def _jacobi_stack(mats, conv_tol, max_sweeps, w_out, v_out):
 
 
 def _sweep(av):
-    """One cyclic sweep over the (p, q) pairs of a (B, n or 2n, n) stack, in place.
+    """One cyclic sweep over the (p, q) pairs of a batch-last (n or 2n, n, B) stack, in place.
 
     A matrix whose a[p, q] is exactly zero is left out of that rotation, as
     the scalar iteration skips it: the angle formulas would turn a zero pair
     into a rotation by pi.  |a_pq| is hypot(re, im), which rounds like the
     scalar abs() (complex np.abs differs in the last bits on about a third of
     inputs), and the angle operands are made contiguous, since numpy may
-    choose another arctan2 loop for strided ones.
+    choose another arctan2 loop for strided ones.  cos(theta) is made complex
+    once per pair; a real-by-complex multiply would cast it on every call.
     """
-    n = av.shape[-1]
+    n = av.shape[1]
     for p in range(n - 1):
         for q in range(p + 1, n):
-            hit = av[:, p, q].nonzero()[0]
-            if len(hit) == len(av):
+            hit = av[p, q].nonzero()[0]
+            if len(hit) == av.shape[-1]:
                 hit = slice(None)  # plain views instead of gathered copies
             elif not len(hit):
                 continue
-            apq = av[hit, p, q]
+            apq = av[p, q, hit]
             re, im = apq.real.copy(), apq.imag.copy()
-            gap = (av[hit, p, p] - av[hit, q, q]).real.copy()
+            gap = (av[p, p, hit] - av[q, q, hit]).real.copy()
             theta = 0.5 * np.arctan2(2.0 * np.hypot(re, im), gap)
-            c = np.cos(theta)[:, None]
-            s = np.sin(theta)[:, None]
-            ph = np.exp(1j * np.arctan2(im, re))[:, None]
+            c = np.cos(theta).astype(complex)
+            s = np.sin(theta)
+            ph = np.exp(1j * np.arctan2(im, re))
             cph = np.conj(ph)
             # Columns: A <- A U with U mixing columns p and q (and V <- V U).
-            _mix(av, (hit, slice(None), p), (hit, slice(None), q), c, s * cph, -s * ph)
+            _mix(av[:, p], av[:, q], hit, c, s * cph, -s * ph)
             # Rows: A <- U^dagger A.
-            _mix(av, (hit, p), (hit, q), c, s * ph, -s * cph)
+            _mix(av[p], av[q], hit, c, s * ph, -s * cph)
 
 
-def _mix(m, ix, iy, c, s_xy, s_yx):
-    """m[ix], m[iy] <- c m[ix] + s_xy m[iy], s_yx m[ix] + c m[iy]."""
-    x, y = m[ix], m[iy]
-    new_x = c * x + s_xy * y
-    new_y = s_yx * x + c * y
-    m[ix] = new_x
-    m[iy] = new_y
+def _mix(xs, ys, hit, c, s_xy, s_yx):
+    """x, y <- c x + s_xy y, s_yx x + c y for the batch members hit of the (m, B) rows xs, ys."""
+    x, y = xs[:, hit], ys[:, hit]  # views when hit is a slice, gathered copies otherwise
+    s_yx_x, c_y = s_yx * x, c * y
+    np.add(c * x, s_xy * y, out=x)
+    np.add(s_yx_x, c_y, out=y)
+    if not isinstance(hit, slice):
+        xs[:, hit], ys[:, hit] = x, y
 
 
 def eigen_flow(w, v, t, rho):

@@ -70,7 +70,7 @@ def index_tuple(a):
 
 def label_to_tuple(label):
     """Parse a 3-character component label like '031' into (0, 3, 1)."""
-    if len(label) != 3 or any(ch not in "0123" for ch in label):
+    if not isinstance(label, str) or len(label) != 3 or any(ch not in "0123" for ch in label):
         raise ValueError(f"bad component label {label!r}")
     return int(label[0]), int(label[1]), int(label[2])
 
@@ -82,10 +82,17 @@ LAMBDA_BASIS = np.stack([lambda_tensor(*idx) for idx in INDICES])
 
 
 def _check_coherence(c):
-    """c as a float array; the one coherence-vector check: ShapeMismatch unless shape (64,)."""
-    c = np.asarray(c, dtype=float)
+    """c as a float array; ShapeMismatch unless shape (64,), ValueError unless real and finite."""
+    c = np.asarray(c)
     if c.shape != (64,):
         raise ShapeMismatch(f"expected a coherence vector of shape (64,), got shape {c.shape}")
+    if c.dtype.kind == "c":
+        if c.imag.any():
+            raise ValueError("coherence components must be real, got a nonzero imaginary part")
+        c = c.real
+    c = np.asarray(c, dtype=float)
+    if not np.isfinite(c).all():
+        raise ValueError("coherence components must be finite, got NaN or inf")
     return c
 
 

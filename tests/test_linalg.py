@@ -6,6 +6,7 @@ import pytest
 
 from upb3q.linalg import (
     _MAX_STACK,
+    _offdiag_norms,
     NoConvergence,
     NonHermitian,
     ShapeMismatch,
@@ -109,6 +110,35 @@ def test_stack_across_chunk_boundaries_equals_one_matrix_calls():
             w1, v1 = alone[i % len(members)]
             assert np.array_equal(w[i], w1)
             assert v1 is None if vecs is None else np.array_equal(vecs[i], v1)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("want_vectors", [False, True])
+def test_jacobi_leaves_its_argument_unchanged(size, want_vectors):
+    # the solve rotates a batch-last working copy; the input is complex, so
+    # _check_hermitian passes the caller's array through uncopied, and for one
+    # matrix its transpose is already contiguous, so a no-copy conversion
+    # would have rotated the caller's array in place
+    stack = np.array([random_hermitian(8) for _ in range(size)])
+    mat = stack[0] if size == 1 else stack
+    before = mat.tobytes()
+    jacobi_eigh(mat, want_vectors=want_vectors)
+    assert mat.tobytes() == before
+
+
+def test_offdiag_norms_sum_each_matrix_in_its_own_order():
+    # a sum down the batch axis rounds differently in the last bit, which
+    # can move the sweep at which a matrix retires
+    sparse = random_hermitian(8)
+    sparse[np.abs(sparse) < 0.6] = 0.0
+    members = [random_hermitian(8) * 10.0 ** -e for e in range(0, 17, 2)]
+    members += [sparse, sparse * 1e-9, np.diag(RNG.normal(size=8)).astype(complex), np.zeros((8, 8))]
+    stack = np.array(members)
+    norms = _offdiag_norms(stack.transpose(1, 2, 0).copy())
+    for i, m in enumerate(members):
+        off = m.copy()
+        np.fill_diagonal(off, 0.0)
+        assert np.array_equal(norms[i], np.sqrt(np.sum(np.abs(off.ravel()) ** 2)))
 
 
 def test_conjugation_flow_preserves_spectrum_and_trace():

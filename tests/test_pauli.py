@@ -226,6 +226,25 @@ def test_coherence_consumers_check_the_64_component_shape(name):
     assert np.array_equal(route([float(v) for v in upb_t]), route(upb_t))
 
 
+@pytest.mark.parametrize("name", sorted(COHERENCE_CONSUMERS))
+def test_coherence_consumers_require_real_finite_components(name, solver_calls):
+    # lhv_oracle(np.full(64, np.nan), ...) used to return 8 and a complex
+    # vector lost its imaginary part with only a numpy ComplexWarning
+    route = COHERENCE_CONSUMERS[name]
+    upb_t = to_coherence(rho_upb())
+    for bad in (np.nan, np.inf, -np.inf):
+        c = upb_t.copy()
+        c[13] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            route(c)
+    with pytest.raises(ValueError, match="must be real"):
+        route(upb_t + 1e-20j)
+    with pytest.raises(ValueError, match="must be real"):
+        route(np.full(64, 1j))
+    assert solver_calls == []
+    assert np.array_equal(route(upb_t + 0j), route(upb_t))
+
+
 @pytest.mark.parametrize("route", [to_coherence, lambda m: reduced_density(m, (1,)), bloch_vector],
                          ids=["to_coherence", "reduced_density", "bloch_vector"])
 def test_matrix_inputs_fail_loudly(route):

@@ -27,6 +27,7 @@ from .dynamics import (
     ONE_SPIN,
     ORBIT,
     SIN_SET,
+    STAGE1,
     TAU_P,
     byproduct_preparation,
     generator,
@@ -140,14 +141,14 @@ class _Context:
 
     @cached_property
     def axis_eigs(self):
-        """Eigenvalues and eigenvectors of Lambda_333 and Lambda_222, keyed by axis."""
-        axes = (333, 222)
-        w, v = jacobi_eigh(np.array([generator(str(a)) for a in axes]))
+        """Eigenvalues and eigenvectors of the STAGE1 and ORBIT generators, keyed by axis."""
+        axes = (STAGE1, ORBIT)
+        w, v = jacobi_eigh(np.array([generator(*a) for a in axes]))
         return dict(zip(axes, zip(w, v)))
 
     @cached_property
     def quarter_t(self):
-        return rodrigues_flow(222, TAU_P / 4.0, self.sep_t)
+        return rodrigues_flow(ORBIT, TAU_P / 4.0, self.sep_t)
 
     @cached_property
     def prep_standard(self):
@@ -258,7 +259,7 @@ def _unextendable(name):
 # single-use claim bodies; the registry wraps all but _byproduct_unique in a factory
 
 def _reduced_pairs(ctx):
-    return [(reduced_density(rho, (q,)), np.eye(2) / 2.0)
+    return [(reduced_density(rho, q), np.eye(2) / 2.0)
             for rho in (ctx.sep, ctx.upb) for q in (1, 2, 3)]
 
 
@@ -314,7 +315,7 @@ def _byproduct_unique(ctx):
 def _decoy_misses(ctx):
     psi_t = to_coherence(family_mixture("psi"))
     return min(
-        frobenius_distance(from_coherence(rodrigues_flow(222, r, psi_t)), ctx.upb)
+        frobenius_distance(from_coherence(rodrigues_flow(ORBIT, r, psi_t)), ctx.upb)
         for r, _ in ctx.byproduct.evolutions
     ) > 0.1
 
@@ -329,7 +330,7 @@ def _weakened_has_witness(ctx):
 
 def _ancilla(ctx):
     """The complement state's components times a maximally mixed ancilla."""
-    return coherence_product(ctx.upb_t, (1.0 / SQRT2, 0.0, 0.0, 0.0))
+    return coherence_product(ctx.upb_t)
 
 
 def _ancilla_pairs(ctx):
@@ -455,7 +456,7 @@ def _registry():
          _distance(lambda c: [(from_coherence(reflect(c.quarter_t)), family_mixture("theta"))])),
         ("orbit.half_equals_phi", "orbit",
          "half-period orbit state equals the phi mixture",
-         _distance(lambda c: [(from_coherence(rodrigues_flow(222, TAU_P / 2.0, c.sep_t)),
+         _distance(lambda c: [(from_coherence(rodrigues_flow(ORBIT, TAU_P / 2.0, c.sep_t)),
                                family_mixture("phi"))])),
         ("orbit.conserved_coherences", "orbit",
          "weight <= 2 components are constant along the orbit",
@@ -480,16 +481,16 @@ def _registry():
          _holds(lambda c: stationarity(generator(*ORBIT), c.upb) > 1e-3)),
         ("rodrigues.match_333", "flow",
          "closed-form component flow for the triple-z axis matches conjugation at 33 times",
-         _rodrigues_match(333)),
+         _rodrigues_match(STAGE1)),
         ("rodrigues.match_222", "flow",
          "closed-form component flow for the triple-y axis matches conjugation at 33 times",
-         _rodrigues_match(222)),
+         _rodrigues_match(ORBIT)),
         ("rodrigues.period_333", "flow",
          "triple-z flow returns to the start after one full period",
-         _rodrigues_period(333)),
+         _rodrigues_period(STAGE1)),
         ("rodrigues.period_222", "flow",
          "triple-y flow returns to the start after one full period",
-         _rodrigues_period(222)),
+         _rodrigues_period(ORBIT)),
         ("byproduct.distance", "byproduct",
          "one candidate evolution returns the theta mixture to the complement state",
          _near(lambda c: c.byproduct.distance, tol="flow_tol")),

@@ -9,8 +9,8 @@ components has the closed form
 
     exp(t R) = I + sqrt(2) sin(t/sqrt 2) R + 2 (1 - cos(t/sqrt 2)) R^2
 
-where R is the real 64x64 adjoint generator assembled from sparse 4x4
-single-qubit commutator/anticommutator blocks.
+where R is the real 64x64 adjoint generator, read off the commutators of
+the generator with the Lambda basis.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 from .entanglement import Cut, min_pt_eigs, partial_transpose
 from .linalg import (_MAX_STACK, _check_count, _check_matrix, _check_time, eigen_flow,
                      frobenius_distance, jacobi_eigh)
-from .pauli import (SQRT2, _check_coherence, flat_index, from_coherence, label_to_tuple,
-                    lambda_tensor, to_coherence)
+from .pauli import (LAMBDA_BASIS, SQRT2, _check_coherence, flat_index, from_coherence,
+                    label_to_tuple, lambda_tensor, to_coherence)
 from .states import family_mixture, reflect, rho_sep, rho_upb
 
 # Common period of the Lambda_{333} and Lambda_{222} conjugation flows.
@@ -37,7 +37,7 @@ COS_SET = (flat_index(1, 1, 1), flat_index(1, 3, 3), flat_index(3, 1, 3), flat_i
 
 
 class BadAxis(ValueError):
-    """Closed-form flow requested for an axis other than 333 or 222."""
+    """Closed-form flow requested for an axis other than STAGE1 or ORBIT."""
 
 
 # Named Hamiltonians as Lambda_jkl labels; generator(*labels) builds the matrix.
@@ -57,64 +57,42 @@ def generator(*labels):
     return h
 
 
-def _single_qubit_blocks(axis):
-    """Sparse 4x4 commutator (ad) and anticommutator (aad) blocks of lambda_axis.
+def _check_axis(axis):
+    """axis itself; BadAxis unless it is STAGE1 or ORBIT, the two closed-form flows.
 
-    ad[m, n] is the coefficient of lambda_m in [lambda_axis, lambda_n];
-    aad[m, n] the coefficient in {lambda_axis, lambda_n}.
+    Only a tuple is compared: an array would compare elementwise.
     """
-    ad = np.zeros((4, 4), dtype=complex)
-    aad = np.zeros((4, 4), dtype=complex)
-    if axis == 3:
-        ad[2, 1] = 1j * SQRT2
-        ad[1, 2] = -1j * SQRT2
-        aad[0, 3] = SQRT2
-        aad[3, 0] = SQRT2
-    elif axis == 2:
-        ad[1, 3] = 1j * SQRT2
-        ad[3, 1] = -1j * SQRT2
-        aad[0, 2] = SQRT2
-        aad[2, 0] = SQRT2
-    else:
-        raise BadAxis(f"blocks available for axes 2 and 3 only, got {axis}")
-    return ad, aad
+    if not (isinstance(axis, tuple) and axis in (STAGE1, ORBIT)):
+        raise BadAxis(f"axis must be STAGE1 {STAGE1} or ORBIT {ORBIT}, got {axis!r}")
+    return axis
 
 
 def adjoint_matrix(axis):
-    """Real 64x64 generator R = -i ad_{Lambda_aaa} on coherence components.
+    """Real 64x64 generator R = -i ad_H on coherence components, for H = generator(*axis).
 
-    The commutator with a triple product expands into one single-qubit
-    commutator block per slot (each paired with anticommutators on the other
-    two slots) plus the all-commutator term:
-        ad = (1/4) (A@B@B + B@A@B + B@B@A + A@A@A)   (Kronecker products)
-    with A = ad block and B = aad block of the single-qubit factor.
+    R[m, n] is the coefficient of Lambda_m in -i [H, Lambda_n], that is
+    tr(Lambda_m [H, Lambda_n]).imag.  Raises BadAxis unless axis is STAGE1
+    or ORBIT.
     """
-    if axis == 333:
-        a, b = _single_qubit_blocks(3)
-    elif axis == 222:
-        a, b = _single_qubit_blocks(2)
-    else:
-        raise BadAxis(f"axis must be 333 or 222, got {axis}")
-
-    def k3(x, y, z):
-        return np.kron(np.kron(x, y), z)
-
-    ad = 0.25 * (k3(a, b, b) + k3(b, a, b) + k3(b, b, a) + k3(a, a, a))
-    return np.real(-1j * ad)
+    h = generator(*_check_axis(axis))
+    ad = np.einsum("mij,nji->mn", LAMBDA_BASIS, h @ LAMBDA_BASIS - LAMBDA_BASIS @ h)
+    # Every entry is 0 or +-1/sqrt2.  This scale rounds to 0.7071067811865477,
+    # the bits the CSVs carry; 1/SQRT2 gives ...475 and SQRT2/2 gives ...476.
+    return np.rint(SQRT2 * ad.imag) * (0.25 * SQRT2**3)
 
 
-_R_CACHE = {}
+_R_CACHE = {}  # axis -> (R, R @ R), built on first use
 
 
 def _generator_powers(axis):
-    if axis not in _R_CACHE:
+    if _check_axis(axis) not in _R_CACHE:  # checked first: a list is not hashable
         r = adjoint_matrix(axis)
         _R_CACHE[axis] = (r, r @ r)
     return _R_CACHE[axis]
 
 
 def rodrigues_flow(axis, t, c):
-    """Closed-form flow of a (64,) coherence vector for axis 333 or 222, exact for all finite t.
+    """Closed-form flow of a (64,) coherence vector along STAGE1 or ORBIT, exact for all finite t.
 
     Raises ValueError unless t is a finite real number and ShapeMismatch
     unless c has shape (64,).
@@ -223,7 +201,7 @@ def orbit(samples=64):
     out = []
     for start in range(0, samples, _ORBIT_BLOCK):
         times = [TAU_P * k / samples for k in range(start, min(start + _ORBIT_BLOCK, samples))]
-        tensors = [rodrigues_flow(222, t, base) for t in times]
+        tensors = [rodrigues_flow(ORBIT, t, base) for t in times]
         mats = np.array([[from_coherence(tt) for tt in (tens, reflect(tens))] for tens in tensors])
         stack = np.stack([mats] + [partial_transpose(mats, cut) for cut in Cut], axis=2)
         eigs = jacobi_eigh(stack, want_vectors=False)[0]  # (sample, reflected, PT cut, 8)
@@ -273,7 +251,7 @@ def byproduct_preparation():
     candidates = (TAU_P / 4.0, -TAU_P / 4.0, 3.0 * TAU_P / 4.0, -3.0 * TAU_P / 4.0)
     reduced = sorted({round(float(t % TAU_P), 12) for t in candidates})
     evolutions = tuple(
-        (float(r), frobenius_distance(from_coherence(rodrigues_flow(222, r, theta_t)), target))
+        (float(r), frobenius_distance(from_coherence(rodrigues_flow(ORBIT, r, theta_t)), target))
         for r in reduced
     )
     return ByproductResult(*min(evolutions, key=lambda e: e[1]), evolutions)

@@ -35,15 +35,15 @@ class Cut(Enum):
 
 
 def partial_transpose(rho, cut):
-    """Transpose the singleton-side qubit of the given cut.
+    """Transpose the singleton-side qubit of the given cut (a Cut or its value, as "1|23").
 
     rho is an 8x8 matrix or a stack of them, (..., 8, 8); any other shape
-    raises ShapeMismatch.
+    raises ShapeMismatch, and a cut that names no Cut raises ValueError.
     """
     rho = _check_8x8(rho)
     batch = rho.shape[:-2]
     t = rho.reshape(batch + (2,) * 6)
-    q = len(batch) + cut.qubit - 1
+    q = len(batch) + Cut(cut).qubit - 1
     axes = list(range(t.ndim))
     axes[q], axes[q + 3] = axes[q + 3], axes[q]
     return t.transpose(axes).reshape(batch + (8, 8))

@@ -58,8 +58,9 @@ def _check_count(name, n, minimum):
 
 
 def _check_tolerance(name, tol):
-    """Raise ValueError unless tol is a finite real number >= 0."""
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0.0):
+    """Raise ValueError unless tol is a finite real number >= 0; a bool is not a tolerance."""
+    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+            and math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"{name} must be a finite number >= 0, got {tol!r}")
 
 
@@ -80,8 +81,8 @@ def _check_matrix(m, n):
 
 
 def _check_time(t):
-    """Raise ValueError unless the flow time t is a finite real number."""
-    if not (isinstance(t, numbers.Real) and math.isfinite(t)):
+    """Raise ValueError unless the flow time t is a finite real number; a bool is not a time."""
+    if not (isinstance(t, numbers.Real) and not isinstance(t, bool) and math.isfinite(t)):
         raise ValueError(f"flow time must be a finite real number, got {t!r}")
 
 

@@ -10,6 +10,7 @@ convention: a = 16j + 4k + l, qubit 1 is the leftmost Kronecker factor.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,19 +37,21 @@ class BadLength(ValueError):
 
 
 class BadSubset(ValueError):
-    """Qubit subset is not a nonempty strict subset of {1, 2, 3}."""
+    """A qubit, or a pair of qubits, is not drawn from {1, 2, 3}."""
 
 
-class BadAncilla(ValueError):
-    """Ancilla coherence vector does not describe a trace-1 qubit."""
+def _is_index(n, values):
+    """True iff n is an integer (NumPy integers too, but not a bool) among values."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n in values
 
 
 def lambda_matrix(mu):
     """Return the normalized single-qubit basis matrix lambda_mu = sigma_mu/sqrt(2).
 
     The four matrices are trace-orthonormal: tr(lambda_a lambda_b) = delta_ab.
+    Raises ValueError unless mu is an integer in 0..3 (a bool is not an index).
     """
-    if mu not in (0, 1, 2, 3):
+    if not _is_index(mu, (0, 1, 2, 3)):
         raise ValueError(f"Pauli index must be in {{0,1,2,3}}, got {mu!r}")
     return SIGMA[mu] / SQRT2
 
@@ -184,46 +187,35 @@ def ket_from_string(s):
     return ProductKet(amps, locals_)
 
 
-def reduced_density(rho, keep):
-    """Partial trace keeping the given qubits (1-based), in their original order.
-
-    Args:
-        rho: 8x8 density matrix.
-        keep: nonempty strict subset of {1, 2, 3}.
-
-    Returns:
-        2x2 or 4x4 density matrix of the kept qubits.
+def reduced_density(rho, qubit):
+    """Partial trace of an 8x8 density matrix down to one qubit (1-based).
 
     Raises:
-        BadSubset: if keep is empty, not a strict subset, or has bad labels.
+        BadSubset: unless qubit is the integer 1, 2 or 3 (a bool is not a qubit).
         ShapeMismatch: unless rho is 8x8.
         NonHermitian: if max|rho - rho^dagger| exceeds 1e-12 or is NaN.
     """
-    keep = sorted(set(keep))
-    if not keep or len(keep) >= 3 or any(q not in (1, 2, 3) for q in keep):
-        raise BadSubset(f"keep must be a nonempty strict subset of {{1,2,3}}, got {keep}")
+    if not _is_index(qubit, (1, 2, 3)):
+        raise BadSubset(f"qubit must be 1, 2 or 3, got {qubit!r}")
     t = _check_matrix(rho, 8).reshape(2, 2, 2, 2, 2, 2)
-    traced = [q for q in (1, 2, 3) if q not in keep]
-    # Row indices 0,1,2 and column indices 3,4,5 of the reshaped tensor.
-    letters = "abcdef"
-    out_rows = "".join(letters[q - 1] for q in keep)
-    out_cols = "".join(letters[q + 2] for q in keep)
-    spec = list(letters)
-    for q in traced:
-        spec[q + 2] = spec[q - 1]
-    result = np.einsum("".join(spec) + "->" + out_rows + out_cols, t)
-    d = 2 ** len(keep)
-    return result.reshape(d, d)
+    # Row indices 0,1,2 and column indices 3,4,5 of the reshaped tensor; each
+    # traced qubit shares its row letter with its column.
+    spec = list("abcdef")
+    for q in (1, 2, 3):
+        if q != qubit:
+            spec[q + 2] = spec[q - 1]
+    return np.einsum("".join(spec) + "->" + spec[qubit - 1] + spec[qubit + 2], t)
 
 
-def coherence_product(c, ancilla):
-    """Coherence components of (3-qubit state) x (1-qubit ancilla).
+# Coherence vector of the maximally mixed ancilla qubit I/2: tr(I/2 lambda_m).
+_MIXED_ANCILLA = np.array([1.0 / SQRT2, 0.0, 0.0, 0.0])
+
+
+def coherence_product(c):
+    """Coherence components of (3-qubit state) x (maximally mixed ancilla qubit).
 
     Args:
         c: (64,) coherence vector of the 3-qubit state.
-        ancilla: length-4 real coherence vector of the ancilla qubit,
-            ancilla[m] = tr(rho_a lambda_m); ancilla[0] must equal 1/sqrt(2)
-            and ancilla[1:] must have norm <= 1/sqrt(2).
 
     Returns:
         Flat (256,) array with component (j,k,l,m) at index 4*(16j+4k+l) + m;
@@ -232,21 +224,8 @@ def coherence_product(c, ancilla):
 
     Raises:
         ShapeMismatch: unless c has shape (64,).
-        BadAncilla: if a component is NaN or infinite, the trace component is
-            wrong, or the Bloch part is longer than 1/sqrt(2) (not positive).
     """
-    c = _check_coherence(c)
-    ancilla = np.asarray(ancilla, dtype=float)
-    if ancilla.shape != (4,):
-        raise BadAncilla(f"ancilla coherence vector must have 4 components, got {ancilla.shape}")
-    if not np.all(np.isfinite(ancilla)):
-        raise BadAncilla(f"ancilla components {ancilla} are not all finite")
-    if abs(ancilla[0] - 1.0 / SQRT2) > 1e-12:
-        raise BadAncilla(f"ancilla trace component {ancilla[0]} != 1/sqrt(2)")
-    bloch = np.sqrt(np.sum(ancilla[1:] ** 2))
-    if bloch > 1.0 / SQRT2 + 1e-12:
-        raise BadAncilla(f"ancilla Bloch part has norm {bloch} > 1/sqrt(2): not a positive state")
-    return np.einsum("a,m->am", c, ancilla).reshape(-1)
+    return np.einsum("a,m->am", _check_coherence(c), _MIXED_ANCILLA).reshape(-1)
 
 
 def bloch_vector(rho_qubit):

@@ -23,6 +23,7 @@ from upb3q.dynamics import (
     FIXED_POINT,
     ONE_SPIN,
     ORBIT,
+    STAGE1,
     TAU_P,
     byproduct_preparation,
     generator,
@@ -189,7 +190,7 @@ def test_criterion_07_preparation(upb):
 def test_criterion_08_rodrigues(upb):
     upb_t = to_coherence(upb)
     dev = 0.0
-    for axis, label in ((333, "333"), (222, "222")):
+    for axis, label in ((STAGE1, "333"), (ORBIT, "222")):
         eig = jacobi_eigh(generator(label))
         for t in np.linspace(0.0, TAU_P, 33):
             dev = max(dev, frobenius_distance(
@@ -197,7 +198,7 @@ def test_criterion_08_rodrigues(upb):
             ))
     period = max(
         float(np.abs(rodrigues_flow(axis, TAU_P, upb_t) - upb_t).max())
-        for axis in (333, 222)
+        for axis in (STAGE1, ORBIT)
     )
     ok = dev < 1e-10 and period < 1e-11
     assert report(8, ok, "closed-form flows match conjugation; period restores the state",
@@ -299,7 +300,7 @@ def test_criterion_11_byproduct():
     res = byproduct_preparation()
     matches = [r for r, d in res.evolutions if d < 1e-10]
     theta_t = to_coherence(family_mixture("theta"))
-    landed = from_coherence(rodrigues_flow(222, res.matched_parameter, theta_t))
+    landed = from_coherence(rodrigues_flow(ORBIT, res.matched_parameter, theta_t))
     d_target = frobenius_distance(landed, rho_upb())
     ok = len(matches) == 1 and d_target < 1e-10
     assert report(11, ok, "exactly one candidate evolution lands on the complement state",
@@ -309,7 +310,7 @@ def test_criterion_11_byproduct():
 
 def test_criterion_12_ancilla(upb):
     upb_t = to_coherence(upb)
-    direct = coherence_product(upb_t, (1 / SQRT2, 0.0, 0.0, 0.0))
+    direct = coherence_product(upb_t)
     support = {i for i in range(256) if abs(direct[i]) > 1e-13}
     want = {4 * a for a in range(64) if abs(upb_t[a]) > 1e-13}
     from upb3q.pauli import LAMBDA_BASIS, lambda_matrix

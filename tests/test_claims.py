@@ -18,7 +18,7 @@ from upb3q.claims import (
     write_orbit_csv,
     write_reports_json,
 )
-from upb3q.dynamics import TAU_P, generator, orbit
+from upb3q.dynamics import ORBIT, STAGE1, TAU_P, generator, orbit
 from upb3q.linalg import _MAX_STACK, eigen_flow, jacobi_eigh
 from upb3q.states import X, rho_upb
 
@@ -179,7 +179,7 @@ def test_run_config_rejects_bad_values():
     # used to be accepted, turning the orbit claims into `error:` failures
     bad = [{"orbit_samples": 0}, {"orbit_samples": 1}, {"orbit_samples": 2.5}]
     for name in ("equality_tol", "psd_tol", "sign_tol", "flow_tol"):
-        bad += [{name: -1e-12}, {name: float("nan")}, {name: float("inf")}]
+        bad += [{name: -1e-12}, {name: float("nan")}, {name: float("inf")}, {name: True}]
     for kwargs in bad:
         with pytest.raises(ValueError):
             run_claims(RunConfig(**kwargs))
@@ -203,11 +203,11 @@ def test_full_run_stacks_its_eigen_solves(solver_calls):
     assert sum(solver_calls) == 130 + 8 * n
 
 
-@pytest.mark.parametrize("axis", [333, 222])
+@pytest.mark.parametrize("axis", [STAGE1, ORBIT], ids=["333", "222"])
 def test_shared_axis_eigs_match_one_flow_per_time(axis):
     w, v = _Context(RunConfig()).axis_eigs[axis]
     rho = rho_upb()
-    h = generator(str(axis))
+    h = generator(*axis)
     for t in np.linspace(0.0, TAU_P, 33):
         assert np.array_equal(eigen_flow(w, v, t, rho), eigen_flow(*jacobi_eigh(h), t, rho))
 

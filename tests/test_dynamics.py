@@ -55,18 +55,18 @@ def test_generator_rejects_bad_labels():
 
 
 def test_adjoint_matrix_is_real_antisymmetric():
-    for axis in (333, 222):
+    for axis in (STAGE1, ORBIT):
         r = adjoint_matrix(axis)
         assert r.shape == (64, 64)
         assert np.abs(r + r.T).max() < 1e-14
     with pytest.raises(BadAxis):
-        adjoint_matrix(111)
+        adjoint_matrix(("111",))
 
 
 def test_adjoint_matrix_matches_commutator():
     # column a of R must hold the components of -i[Lambda_axis, Lambda_a]
     rng = np.random.default_rng(3)
-    for axis, jkl in ((333, (3, 3, 3)), (222, (2, 2, 2))):
+    for axis, jkl in ((STAGE1, (3, 3, 3)), (ORBIT, (2, 2, 2))):
         r = adjoint_matrix(axis)
         h = lambda_tensor(*jkl)
         for a in rng.choice(64, size=12, replace=False):
@@ -77,7 +77,7 @@ def test_adjoint_matrix_matches_commutator():
             assert np.abs(r[:, a] - col).max() < 1e-13
 
 
-@pytest.mark.parametrize("axis,label", [(333, "333"), (222, "222")])
+@pytest.mark.parametrize("axis,label", [(STAGE1, "333"), (ORBIT, "222")], ids=["333-333", "222-222"])
 def test_rodrigues_flow_matches_conjugation(axis, label):
     tens = to_coherence(rho_upb())
     eig = jacobi_eigh(generator(label))
@@ -91,9 +91,9 @@ def test_rodrigues_flow_matches_conjugation(axis, label):
 
 def test_rodrigues_flow_period_and_identity():
     tens = to_coherence(rho_sep())
-    zero = rodrigues_flow(333, 0.0, tens)
+    zero = rodrigues_flow(STAGE1, 0.0, tens)
     assert np.abs(zero - tens).max() == 0.0
-    again = rodrigues_flow(222, TAU_P, tens)
+    again = rodrigues_flow(ORBIT, TAU_P, tens)
     assert np.abs(again - tens).max() < 1e-12
 
 
@@ -269,7 +269,7 @@ def test_byproduct_preparation():
     assert res.distance < 1e-12
     assert abs(res.matched_parameter - 3 * TAU_P / 4) < 1e-9
     theta_t = to_coherence(family_mixture("theta"))
-    landed = from_coherence(rodrigues_flow(222, res.matched_parameter, theta_t))
+    landed = from_coherence(rodrigues_flow(ORBIT, res.matched_parameter, theta_t))
     assert np.abs(landed - rho_upb()).max() < 1e-12
     # four signed candidates collapse to two distinct evolutions mod the period
     assert len(res.evolutions) == 2
@@ -310,4 +310,4 @@ def test_bloch_rotation_between_psi_and_phi():
 def test_rodrigues_flow_rejects_non_finite_time(t):
     # used to return NaN components without an error
     with pytest.raises(ValueError, match="finite"):
-        rodrigues_flow(222, t, to_coherence(rho_upb()))
+        rodrigues_flow(ORBIT, t, to_coherence(rho_upb()))

@@ -75,6 +75,15 @@ def test_partial_transpose_routes_agree(cut):
         assert mins[idx] == min_pt_eig_alone(stack[idx], cut)
 
 
+def test_partial_transpose_coerces_the_cut():
+    # a cut given by its value used to raise a bare AttributeError
+    # ('str' object has no attribute 'qubit')
+    rho = rho_upb()
+    assert np.array_equal(partial_transpose(rho, "2|13"), partial_transpose(rho, Cut.Q2))
+    with pytest.raises(ValueError, match=re.escape("'1|2'")):
+        partial_transpose(rho, "1|2")
+
+
 def test_ghz_is_npt_with_minus_half():
     assert np.abs(min_pt_eigs(ghz()) + 0.5).max() < 1e-12
     assert not ppt(ghz())
@@ -200,9 +209,10 @@ def test_oracle_cross_compatibility():
         assert lhv_oracle(oq_t, tr) == 2
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, True])
 def test_triple_tolerances_are_checked(bad):
-    # with these values a zero component got sign -1 instead of no constraint
+    # with these values a zero component got sign -1 instead of no constraint;
+    # True was read as 1.0, which dropped every constraint and counted all 8
     with pytest.raises(ValueError, match="sign_tol"):
         lhv_oracle(to_coherence(rho_upb()), UPB_TRIPLES[0], sign_tol=bad)
 

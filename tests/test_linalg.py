@@ -14,7 +14,7 @@ from upb3q.linalg import (
     frobenius_distance,
     jacobi_eigh,
 )
-from upb3q.dynamics import rodrigues_flow
+from upb3q.dynamics import ORBIT, rodrigues_flow
 from upb3q.pauli import to_coherence
 from upb3q.states import in_set_C, rho_upb
 
@@ -81,13 +81,14 @@ def test_jacobi_no_convergence_budget():
     ("herm_tol", float("nan")), ("herm_tol", float("inf")), ("herm_tol", -1e-10),
     ("conv_tol", float("nan")), ("conv_tol", float("inf")), ("conv_tol", 0.0),
     ("conv_tol", -1e-14), ("max_sweeps", 2.5), ("max_sweeps", -1),
-    ("max_sweeps", True), ("max_sweeps", False),
+    ("max_sweeps", True), ("max_sweeps", False), ("herm_tol", False), ("conv_tol", True),
 ])
 def test_jacobi_rejects_bad_arguments_before_any_solve(solver_calls, name, bad):
     # a NaN, zero or negative conv_tol used to burn 100 sweeps and raise
     # NoConvergence; conv_tol=inf returned the unrotated diagonal, so the
     # minimum eigenvalue of rho_upb came back as 0.09375 instead of 0;
-    # max_sweeps=True ran one sweep and reported "after True sweeps"
+    # max_sweeps=True ran one sweep and reported "after True sweeps"; a bool
+    # tolerance was read as 0 or 1
     with pytest.raises(ValueError, match=name):
         jacobi_eigh(rho_upb(), **{name: bad})
     assert solver_calls == []
@@ -171,17 +172,18 @@ def test_frobenius_distance():
         frobenius_distance(np.eye(2), np.eye(3))
 
 
-@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), "0.3", None, 1 + 2j])
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), "0.3", None, 1 + 2j, True])
 def test_flows_reject_non_finite_time(t):
     # a non-finite time used to give a NaN matrix with only a numpy warning,
-    # and a string, None or a complex time a bare TypeError from math.isfinite
+    # a string, None or a complex time a bare TypeError from math.isfinite,
+    # and True flowed to t = 1
     h = np.diag([0.5, -0.5, 0.25, 0.0]).astype(complex)
     rho = np.full((4, 4), 0.25, dtype=complex)
     w, v = jacobi_eigh(h)
     with pytest.raises(ValueError, match="flow time must be a finite real number"):
         eigen_flow(w, v, t, rho)
     with pytest.raises(ValueError, match="flow time must be a finite real number"):
-        rodrigues_flow(222, t, to_coherence(rho_upb()))
+        rodrigues_flow(ORBIT, t, to_coherence(rho_upb()))
 
 
 def test_rejected_time_or_tolerance_costs_no_eigen_solve(solver_calls):

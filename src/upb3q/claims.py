@@ -163,7 +163,7 @@ class _Context:
         return to_coherence(self.prep_swapped.checkpoints["intermediate"])
 
     @cached_property
-    def orbit_samples(self):
+    def orbit(self):
         return orbit(self.cfg.orbit_samples)
 
     @cached_property
@@ -269,37 +269,25 @@ def _reflected_projector_spectrum(ctx):
 
 
 def _set_c_closed(ctx):
-    tensors = (ctx.sep_t, ctx.upb_t, ctx.quarter_t,
-               to_coherence(family_mixture("theta")), to_coherence(family_mixture("phi")))
-    mats = np.array([from_coherence(tt) for tens in tensors for tt in (tens, reflect(tens))])
+    tensors = np.array([ctx.sep_t, ctx.upb_t, ctx.quarter_t,
+                        to_coherence(family_mixture("theta")), to_coherence(family_mixture("phi"))])
+    mats = from_coherence(np.stack([tensors, reflect(tensors)], axis=1))  # (state, reflected, 8, 8)
     return in_set_C(mats, tol=ctx.cfg.psd_tol).all()
 
 
 _LOW_WEIGHT = np.count_nonzero(INDICES, axis=1) <= 2
-
-
-def _conserved_pairs(ctx):
-    base = ctx.orbit_samples[0].tensor[_LOW_WEIGHT]
-    return [(s.tensor[_LOW_WEIGHT], base) for s in ctx.orbit_samples]
+_RANK_TOL = 1e-9  # eigenvalues with |e| above this count toward an orbit matrix's rank
 
 
 def _sinusoid_pairs(ctx):
     """Each sample's 3-coherences against -x sin / -x cos of the reduced phase."""
-    pairs = []
-    for s in ctx.orbit_samples:
-        c, phase = s.tensor, s.t / SQRT2
-        pairs += [(c[list(SIN_SET)], -X * np.sin(phase)), (c[list(COS_SET)], -X * np.cos(phase))]
-    return pairs
-
-
-def _orbit_pt_violation(ctx):
-    spectra = [e for s in ctx.orbit_samples for e in (s.min_pt_eigs, s.reflected_min_pt_eigs)]
-    return max([0.0] + [-min(e) for e in spectra])
+    c, phase = ctx.orbit.tensors, ctx.orbit.t[:, None] / SQRT2
+    return [(c[:, list(SIN_SET)], -X * np.sin(phase)), (c[:, list(COS_SET)], -X * np.cos(phase))]
 
 
 def _orbit_rank(ctx):
-    return all(np.abs(e[:4]).max() < 1e-9 and e[4:].min() > 0.2
-               for s in ctx.orbit_samples for e in (s.eigenvalues, s.reflected_eigenvalues))
+    w = ctx.orbit.spectra[:, :, 0]  # (sample, reflected, 8)
+    return np.abs(w[..., :4]).max() < _RANK_TOL and w[..., 4:].min() > 0.2
 
 
 def _sum_only_stationary(ctx):
@@ -460,13 +448,13 @@ def _registry():
                                family_mixture("phi"))])),
         ("orbit.conserved_coherences", "orbit",
          "weight <= 2 components are constant along the orbit",
-         _deviation(_conserved_pairs)),
+         _deviation(lambda c: [(c.orbit.tensors[:, _LOW_WEIGHT], c.orbit.tensors[0, _LOW_WEIGHT])])),
         ("orbit.sinusoids", "orbit",
          "the eight 3-coherences follow -x sin / -x cos of the reduced phase",
          _deviation(_sinusoid_pairs, 1e-11)),
         ("ppt.orbit", "orbit",
          "orbit states and their reflections stay PPT on every cut",
-         _near(_orbit_pt_violation, tol=1e-12)),
+         _near(lambda c: max(0.0, -c.orbit.spectra[:, :, 1:, 0].min()), tol=1e-12)),
         ("orbit.rank", "orbit",
          "orbit states and reflections keep four eigenvalues above 0.2 and four below 1e-9",
          _holds(_orbit_rank)),
@@ -583,8 +571,8 @@ def _fmt17(value):
     return format(float(value), ".17g")
 
 
-def write_orbit_csv(fobj, samples):
-    """17-significant-digit CSV of 3-coherences, min PT eigenvalues, ranks."""
+def write_orbit_csv(fobj, orbit):
+    """17-significant-digit CSV of an Orbit: 3-coherences, min PT eigenvalues, ranks."""
     three = sorted(SIN_SET + COS_SET)
     writer = csv.writer(fobj)
     writer.writerow(
@@ -594,12 +582,12 @@ def write_orbit_csv(fobj, samples):
         + [f"reflected_min_pt_cut{q}" for q in (1, 2, 3)]
         + ["rank", "reflected_rank"]
     )
-    for s in samples:
-        row = [_fmt17(s.t)]
-        row += [_fmt17(s.tensor[a]) for a in three]
-        row += [_fmt17(v) for v in s.min_pt_eigs]
-        row += [_fmt17(v) for v in s.reflected_min_pt_eigs]
-        row += [str(s.rank), str(s.reflected_rank)]
+    ranks = np.sum(np.abs(orbit.spectra[:, :, 0]) > _RANK_TOL, axis=-1)  # (sample, reflected)
+    for t, c, min_pts, rank in zip(orbit.t, orbit.tensors, orbit.spectra[:, :, 1:, 0], ranks):
+        row = [_fmt17(t)]
+        row += [_fmt17(c[a]) for a in three]
+        row += [_fmt17(v) for v in min_pts.ravel()]  # the state's cuts, then the reflection's
+        row += [str(r) for r in rank]
         writer.writerow(row)
 
 

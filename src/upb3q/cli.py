@@ -97,8 +97,8 @@ def _write_output(path, write):
 
 
 def _cmd_orbit(args):
-    samples = orbit(args.samples)
-    return _write_output(args.csv, lambda fobj: write_orbit_csv(fobj, samples))
+    orb = orbit(args.samples)
+    return _write_output(args.csv, lambda fobj: write_orbit_csv(fobj, orb))
 
 
 def _cmd_bloch(args):

@@ -162,22 +162,16 @@ def prepare_upb(order="standard", interior_samples=9):
 
 
 @dataclass(frozen=True)
-class OrbitSample:
-    """One orbit time: the (64,) coherence vector, PPT diagnostics, spectra, and ranks.
+class Orbit:
+    """The orbit at N times: t (N,), coherence vectors tensors (N, 64), spectra (N, 2, 4, 8).
 
-    min_pt_eigs / reflected_min_pt_eigs are ordered by cut (1|23, 2|13, 3|12);
-    eigenvalues are ascending diagnostics of the reconstructed matrices; a rank
-    counts the eigenvalues with |e| > _RANK_TOL.
+    spectra holds ascending eigenvalues of the state, then of its reflection;
+    for each, of the matrix, then of its partial transposes on 1|23, 2|13, 3|12.
     """
 
-    t: float
-    tensor: np.ndarray
-    min_pt_eigs: tuple
-    reflected_min_pt_eigs: tuple
-    rank: int
-    reflected_rank: int
-    eigenvalues: np.ndarray
-    reflected_eigenvalues: np.ndarray
+    t: np.ndarray
+    tensors: np.ndarray
+    spectra: np.ndarray
 
 
 # Orbit samples per eigen solve: each brings 8 matrices (the state and its
@@ -185,11 +179,9 @@ class OrbitSample:
 # one chunk of the batched solver.
 _ORBIT_BLOCK = _MAX_STACK // 8
 
-_RANK_TOL = 1e-9  # eigenvalues with |e| above this count toward a sample's rank
-
 
 def orbit(samples=64):
-    """Sample the triple-y orbit of the separable mixture over one period.
+    """Sample the triple-y orbit of the separable mixture over one period, as an Orbit.
 
     Grid: t_k = k TAU_P / samples for k = 0..samples-1 (the endpoint TAU_P
     duplicates t=0).  With samples divisible by 4 the quarter and half period
@@ -197,19 +189,16 @@ def orbit(samples=64):
     one batched eigen solve; ValueError unless samples is an integer >= 2.
     """
     _check_count("samples", samples, 2)
+    t = TAU_P * np.arange(samples) / samples
     base = to_coherence(rho_sep())
-    out = []
+    tensors = np.array([rodrigues_flow(ORBIT, tk, base) for tk in t])
+    mats = from_coherence(np.stack([tensors, reflect(tensors)], axis=1))  # (sample, reflected, 8, 8)
+    spectra = np.empty((samples, 2, 4, 8))
     for start in range(0, samples, _ORBIT_BLOCK):
-        times = [TAU_P * k / samples for k in range(start, min(start + _ORBIT_BLOCK, samples))]
-        tensors = [rodrigues_flow(ORBIT, t, base) for t in times]
-        mats = np.array([[from_coherence(tt) for tt in (tens, reflect(tens))] for tens in tensors])
-        stack = np.stack([mats] + [partial_transpose(mats, cut) for cut in Cut], axis=2)
-        eigs = jacobi_eigh(stack, want_vectors=False)[0]  # (sample, reflected, PT cut, 8)
-        ranks = np.sum(np.abs(eigs[:, :, 0]) > _RANK_TOL, axis=-1).tolist()  # (sample, reflected)
-        min_pts = eigs[:, :, 1:, 0].tolist()  # (sample, reflected, cut)
-        for t, tens, e, pts, rank in zip(times, tensors, eigs, min_pts, ranks):
-            out.append(OrbitSample(t, tens, *map(tuple, pts), *rank, e[0, 0], e[1, 0]))
-    return out
+        block = mats[start:start + _ORBIT_BLOCK]
+        stack = np.stack([block] + [partial_transpose(block, cut) for cut in Cut], axis=2)
+        spectra[start:start + _ORBIT_BLOCK] = jacobi_eigh(stack, want_vectors=False)[0]
+    return Orbit(t, tensors, spectra)
 
 
 def stationarity(h, rho):

@@ -84,11 +84,15 @@ INDICES = np.array([index_tuple(a) for a in range(64)])
 LAMBDA_BASIS = np.stack([lambda_tensor(*idx) for idx in INDICES])
 
 
-def _check_coherence(c):
-    """c as a float array; ShapeMismatch unless shape (64,), ValueError unless real and finite."""
+def _check_coherence(c, stack=False):
+    """c as a float array; ValueError unless its components are real and finite.
+
+    ShapeMismatch unless c has shape (64,), or with stack=True any (..., 64).
+    """
     c = np.asarray(c)
-    if c.shape != (64,):
-        raise ShapeMismatch(f"expected a coherence vector of shape (64,), got shape {c.shape}")
+    if c.shape[-1:] != (64,) or (c.ndim > 1 and not stack):
+        want = "(..., 64)" if stack else "(64,)"
+        raise ShapeMismatch(f"expected coherence vectors of shape {want}, got shape {c.shape}")
     if c.dtype.kind == "c":
         if c.imag.any():
             raise ValueError("coherence components must be real, got a nonzero imaginary part")
@@ -117,8 +121,8 @@ def to_coherence(rho):
 
 
 def from_coherence(c):
-    """Reconstruct the 8x8 matrix sum_a c_a Lambda_a from a (64,) coherence vector."""
-    return np.einsum("a,aij->ij", _check_coherence(c), LAMBDA_BASIS)
+    """Reconstruct the 8x8 matrix sum_a c_a Lambda_a from a (64,) coherence vector, or a stack of them."""
+    return np.einsum("...a,aij->...ij", _check_coherence(c, stack=True), LAMBDA_BASIS)
 
 
 _KET_SYMBOLS = {

@@ -13,6 +13,7 @@ are exchanged by the reflection that negates every homogeneous component.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .pauli import (
     BadSubset,
     ProductKet,
     _check_coherence,
+    _is_index,
     flat_index,
     from_coherence,
     ket_from_string,
@@ -113,12 +115,12 @@ def expected_oq_tensor():
 
 
 def reflect(c):
-    """Negate every homogeneous component (all but (0,0,0)) of a (64,) vector; an involution.
+    """Negate every homogeneous component (all but (0,0,0)) of (..., 64) vectors; an involution.
 
     On trace-1 states this is rho -> I/4 - rho; it exchanges rho_sep and
     rho_upb and maps the set C = {0 <= eig <= 1/4} onto itself.
     """
-    c = _check_coherence(c)
+    c = _check_coherence(c, stack=True)
     return np.where(INDICES.any(axis=1), -c, c)
 
 
@@ -127,17 +129,17 @@ def partial_reflect(c, pair):
 
     Args:
         c: (64,) coherence vector.
-        pair: two distinct qubits from {1, 2, 3}.
+        pair: two distinct qubits from {1, 2, 3}, in either order.
 
     Raises:
         ShapeMismatch: unless c has shape (64,).
-        BadSubset: if pair is not a 2-element subset of {1,2,3}.
+        BadSubset: unless pair holds two distinct integers from {1,2,3} (a bool is not a qubit).
     """
     c = _check_coherence(c)
-    pair = sorted(set(pair))
-    if len(pair) != 2 or any(q not in (1, 2, 3) for q in pair):
-        raise BadSubset(f"pair must be a 2-element subset of {{1,2,3}}, got {pair}")
-    return np.where(INDICES[:, [q - 1 for q in pair]].any(axis=1), -c, c)
+    qubits = tuple(pair) if isinstance(pair, Iterable) else ()
+    if len(qubits) != 2 or not all(_is_index(q, (1, 2, 3)) for q in qubits) or qubits[0] == qubits[1]:
+        raise BadSubset(f"pair must be two distinct qubits from {{1,2,3}}, got {pair!r}")
+    return np.where(INDICES[:, [q - 1 for q in qubits]].any(axis=1), -c, c)
 
 
 def in_set_C(rho, tol=1e-10):

@@ -122,8 +122,8 @@ def test_criterion_03_reflections(upb, sep):
 
 def test_criterion_04_ppt(upb, orbit64):
     worst = float(min_pt_eigs(upb).min())
-    for s in orbit64:
-        worst = min(worst, min(s.min_pt_eigs), min(s.reflected_min_pt_eigs))
+    for spectra in orbit64.spectra:  # (reflected, PT cut, 8) per sample
+        worst = min(worst, spectra[0, 1:, 0].min(), spectra[1, 1:, 0].min())
     ok = worst >= -1e-12
     assert report(4, ok, "PPT for the complement state and all 64 orbit samples + reflections",
                   f"global min PT eigenvalue {worst:.2e} (tol -1e-12)")
@@ -207,24 +207,23 @@ def test_criterion_08_rodrigues(upb):
 
 def test_criterion_09_orbit_structure(orbit64):
     low = np.array([sum(1 for i in index_tuple(a) if i) <= 2 for a in range(64)])
-    base = orbit64[0].tensor[low]
-    d_const = max(np.abs(s.tensor[low] - base).max() for s in orbit64)
+    base = orbit64.tensors[0][low]
+    d_const = max(np.abs(c[low] - base).max() for c in orbit64.tensors)
     sin_set = [23, 29, 53, 63]
     cos_set = [21, 31, 55, 61]
     d_wave = 0.0
     rank_ok = True
-    for s in orbit64:
-        c = s.tensor
-        d_wave = max(d_wave, np.abs(c[sin_set] + X * np.sin(s.t / SQRT2)).max(),
-                     np.abs(c[cos_set] + X * np.cos(s.t / SQRT2)).max())
-        for w in (s.eigenvalues, s.reflected_eigenvalues):
+    for t, c, spectra in zip(orbit64.t, orbit64.tensors, orbit64.spectra):
+        d_wave = max(d_wave, np.abs(c[sin_set] + X * np.sin(t / SQRT2)).max(),
+                     np.abs(c[cos_set] + X * np.cos(t / SQRT2)).max())
+        for w in (spectra[0, 0], spectra[1, 0]):  # the state, then its reflection
             rank_ok = rank_ok and np.abs(w[:4]).max() < 1e-9 and w[4:].min() > 0.2
-    quarter, half = orbit64[16], orbit64[32]
-    d_quarter = np.abs(quarter.tensor - expected_oq_tensor()).max()
+    quarter, half = orbit64.tensors[16], orbit64.tensors[32]
+    d_quarter = np.abs(quarter - expected_oq_tensor()).max()
     d_theta = frobenius_distance(
-        from_coherence(reflect(quarter.tensor)), family_mixture("theta")
+        from_coherence(reflect(quarter)), family_mixture("theta")
     )
-    d_phi = frobenius_distance(from_coherence(half.tensor), family_mixture("phi"))
+    d_phi = frobenius_distance(from_coherence(half), family_mixture("phi"))
     ok = (d_const < 1e-12 and d_wave < 1e-11 and rank_ok
           and d_quarter < 1e-12 and d_theta < 1e-12 and d_phi < 1e-12)
     assert report(9, ok, "orbit conservation, sinusoids, rank, quarter/half identifications",

@@ -4,9 +4,9 @@ arithmetic with no eigen solve."""
 import numpy as np
 import pytest
 
-from upb3q.dynamics import ORBIT, STAGE1, STAGE2, BadAxis, adjoint_matrix, rodrigues_flow
-from upb3q.pauli import SQRT2, to_coherence
-from upb3q.states import rho_upb
+from upb3q.dynamics import COS_SET, ORBIT, SIN_SET, STAGE1, STAGE2, BadAxis, adjoint_matrix, rodrigues_flow
+from upb3q.pauli import SIGMA, SQRT2, index_tuple, to_coherence
+from upb3q.states import X, expected_upb_tensor, rho_upb
 
 
 @pytest.mark.parametrize("axis", [STAGE1, ORBIT], ids=["333", "222"])
@@ -33,3 +33,61 @@ def test_closed_form_flows_take_only_stage1_or_orbit(bad):
         adjoint_matrix(bad)
     with pytest.raises(BadAxis):
         rodrigues_flow(bad, 0.3, c)
+
+
+def _gaussian(m):
+    """A complex matrix with Gaussian-integer entries as (real, imag) int64 matrices, exactly."""
+    re, im = np.rint(m.real).astype(np.int64), np.rint(m.imag).astype(np.int64)
+    assert np.array_equal(re + 1j * im, m)
+    return re, im
+
+
+def _gmul(x, y):
+    return x[0] @ y[0] - x[1] @ y[1], x[0] @ y[1] + x[1] @ y[0]
+
+
+def _transpose_qubit(x, q):
+    """The partial transpose of qubit q (1-based) of both parts of an 8x8 Gaussian matrix."""
+    axes = [0, 1, 2, 3, 4, 5]
+    axes[q - 1], axes[q + 2] = axes[q + 2], axes[q - 1]
+    return tuple(p.reshape((2,) * 6).transpose(axes).reshape(8, 8) for p in x)
+
+
+def test_orbit_is_a_scaled_projector_with_ppt_projector_transposes_at_every_time(solver_calls):
+    # Along the orbit c(t) keeps rho_sep's components of weight <= 2, and the
+    # 3-coherences are -x sin(phi) on SIN_SET and -x cos(phi) on COS_SET, phi =
+    # t/sqrt2 (orbit.sinusoids).  As x Lambda_a = P_a / 32 for the Pauli
+    # product P_a = sigma_j x sigma_k x sigma_l, 32 rho(phi) = A + B sin + C cos
+    # with Gaussian-integer A, B, C.  With u = tan(phi/2), M(u) = (1 + u^2) 32 rho
+    # = (1 + u^2) A + 2u B + (1 - u^2) C.  M^2 = 8 (1 + u^2) M is 4 rho^2 = rho:
+    # the spectrum is {0, 1/4}, so with tr rho = 1 the state is PSD of rank 4.
+    # Each side is a polynomial of degree <= 4 in u, so u = 0..4 proves it for
+    # every u, and every phi by continuity; likewise for the reflection
+    # I/4 - rho and every partial transpose (ppt.orbit, orbit.rank).
+    table = expected_upb_tensor()
+    upb = np.rint(table / X).astype(np.int64)  # rho_upb's components in units of x
+    assert np.abs(upb * X - table).max() < 1e-15
+    sep = np.where(np.arange(64) == 0, upb, -upb)  # the reflection: rho_sep = I/4 - rho_upb
+    assert (sep[list(SIN_SET)] == 0).all() and (sep[list(COS_SET)] == -1).all()  # phi = 0
+    paulis = [_gaussian(np.kron(np.kron(SIGMA[j], SIGMA[k]), SIGMA[l]))
+              for j, k, l in map(index_tuple, range(64))]
+
+    def combination(coefficients):
+        return tuple(sum(int(n) * p[part] for n, p in zip(coefficients, paulis)) for part in (0, 1))
+
+    a_coef, b_coef, c_coef = sep.copy(), np.zeros(64, np.int64), np.zeros(64, np.int64)
+    a_coef[list(SIN_SET + COS_SET)] = 0
+    b_coef[list(SIN_SET)] = -1
+    c_coef[list(COS_SET)] = -1
+    a, b, c = combination(a_coef), combination(b_coef), combination(c_coef)
+    eye = np.eye(8, dtype=np.int64)
+    for u in range(5):
+        s = 1 + u * u
+        m = tuple(s * a[p] + 2 * u * b[p] + (1 - u * u) * c[p] for p in (0, 1))
+        for state in (m, (8 * s * eye - m[0], -m[1])):  # the state, then its reflection
+            for x in [state] + [_transpose_qubit(state, q) for q in (1, 2, 3)]:
+                assert np.array_equal(x[0], x[0].T) and np.array_equal(x[1], -x[1].T)
+                assert (np.trace(x[0]), np.trace(x[1])) == (32 * s, 0)
+                sq = _gmul(x, x)
+                assert np.array_equal(sq[0], 8 * s * x[0]) and np.array_equal(sq[1], 8 * s * x[1])
+    assert solver_calls == []

@@ -102,9 +102,8 @@ def test_report_json_is_deterministic():
 
 
 def test_orbit_csv_golden_rows():
-    samples = orbit(4)
     buf = io.StringIO()
-    write_orbit_csv(buf, samples)
+    write_orbit_csv(buf, orbit(4))
     lines = buf.getvalue().splitlines()
     assert lines[0] == (
         "t,coh111,coh113,coh131,coh133,coh311,coh313,coh331,coh333,"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from upb3q import dynamics, entanglement, pauli, states
 from upb3q.claims import RunConfig, run_claims
 from upb3q.dynamics import (
     _ORBIT_BLOCK,
@@ -134,7 +135,7 @@ def test_sample_counts_must_be_integral(solver_calls):
         with pytest.raises(ValueError, match="integer"):
             prepare_upb("standard", bad)
     assert solver_calls == []
-    assert len(orbit(np.int64(2))) == 2
+    assert orbit(np.int64(2)).t.shape == (2,)
     assert len(prepare_upb("standard", np.int64(1)).interior) == 2
 
 
@@ -180,30 +181,48 @@ def test_orbit_solves_full_chunks(solver_calls):
     assert solver_calls == [256, 256, 256, 256, 64]
 
 
+@pytest.mark.parametrize("samples", [2, 33, 128])
+def test_orbit_checks_each_coherence_vector_once(samples, monkeypatch):
+    # one check per flow, then one for the stack it reflects and one for the
+    # stack it turns into matrices; orbit(128) used to make 512 checks
+    calls = []
+    inner = pauli._check_coherence
+
+    def counting(c, *args, **kwargs):
+        calls.append(np.shape(c))
+        return inner(c, *args, **kwargs)
+
+    for module in (pauli, states, entanglement, dynamics):
+        monkeypatch.setattr(module, "_check_coherence", counting)
+    orbit(samples)
+    assert len(calls) == samples + 2
+    assert calls[-2:] == [(samples, 64), (samples, 2, 64)]
+
+
 def test_orbit_grid_and_invariants():
-    samples = orbit(8)
-    assert len(samples) == 8
-    assert samples[0].t == 0.0
-    assert abs(samples[2].t - TAU_P / 4) < 1e-15
-    for s in samples:
-        assert min(s.min_pt_eigs) >= -1e-10 and min(s.reflected_min_pt_eigs) >= -1e-10
-        assert s.rank == 4 and s.reflected_rank == 4
+    orb = orbit(8)
+    assert (orb.t.shape, orb.tensors.shape, orb.spectra.shape) == ((8,), (8, 64), (8, 2, 4, 8))
+    assert orb.t[0] == 0.0
+    assert abs(orb.t[2] - TAU_P / 4) < 1e-15
+    for spectra in orb.spectra:  # (reflected, PT cut, 8) per sample
+        assert spectra[0, 1:, 0].min() >= -1e-10 and spectra[1, 1:, 0].min() >= -1e-10
+        assert [int(np.sum(np.abs(w) > 1e-9)) for w in spectra[:, 0]] == [4, 4]
     with pytest.raises(ValueError):
         orbit(1)
 
 
 @pytest.mark.parametrize("samples", [2, _ORBIT_BLOCK + 1, 64])  # a full block, then a partial one
 def test_orbit_blocks_match_per_matrix_solves(samples):
-    for s in orbit(samples):
-        for tens, eigs, pts, rank in (
-            (s.tensor, s.eigenvalues, s.min_pt_eigs, s.rank),
-            (reflect(s.tensor), s.reflected_eigenvalues, s.reflected_min_pt_eigs, s.reflected_rank),
-        ):
+    # each of the 8 spectra per sample against a one-matrix solve of a matrix
+    # built from one vector; the orbit builds its matrices from stacks
+    orb = orbit(samples)
+    for tensor, spectra in zip(orb.tensors, orb.spectra):
+        for tens, eigs in ((tensor, spectra[0]), (reflect(tensor), spectra[1])):
             m = from_coherence(tens)
-            alone = jacobi_eigh(m, want_vectors=False)[0]
-            assert np.array_equal(eigs, alone)
-            assert pts == tuple(min_pt_eig_alone(m, cut) for cut in Cut)
-            assert rank == int(np.sum(np.abs(alone) > 1e-9))
+            assert np.array_equal(eigs[0], jacobi_eigh(m, want_vectors=False)[0])
+            for cut, pt_eigs in zip(Cut, eigs[1:]):
+                alone = jacobi_eigh(partial_transpose(m, cut), want_vectors=False)[0]
+                assert np.array_equal(pt_eigs, alone)
 
 
 @pytest.mark.parametrize("order", ["standard", "swapped"])
@@ -228,9 +247,9 @@ def test_prepare_upb_matches_per_probe_flows(order, k):
 
 
 def test_orbit_three_coherence_law():
-    for s in orbit(6):
-        c = s.tensor
-        phase = s.t / SQRT2
+    orb = orbit(6)
+    for t, c in zip(orb.t, orb.tensors):
+        phase = t / SQRT2
         assert np.abs(c[list(SIN_SET)] + X * np.sin(phase)).max() < 1e-12
         assert np.abs(c[list(COS_SET)] + X * np.cos(phase)).max() < 1e-12
 

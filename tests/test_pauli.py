@@ -26,7 +26,7 @@ from upb3q.pauli import (
     reduced_density,
     to_coherence,
 )
-from upb3q.states import partial_reflect, reflect, rho_upb
+from upb3q.states import partial_reflect, reflect, rho_sep, rho_upb
 
 RNG = np.random.default_rng(20240817)
 
@@ -199,15 +199,23 @@ COHERENCE_CONSUMERS = {
 }
 
 
+# The consumers that also take a stack (..., 64), vector by vector.
+STACK_CONSUMERS = {"from_coherence", "reflect"}
+
+
 @pytest.mark.parametrize("name", sorted(COHERENCE_CONSUMERS))
 def test_coherence_consumers_check_the_64_component_shape(name):
     # these used to raise a bare AttributeError on any array
     route = COHERENCE_CONSUMERS[name]
-    for shape in ((63,), (8, 8), (2, 64)):
+    bad = ((63,), (8, 8), (2, 63)) + (() if name in STACK_CONSUMERS else ((2, 64),))
+    for shape in bad:
         with pytest.raises(ShapeMismatch, match=re.escape(str(shape))):
             route(np.zeros(shape))
     upb_t = to_coherence(rho_upb())
     assert np.array_equal(route([float(v) for v in upb_t]), route(upb_t))
+    if name in STACK_CONSUMERS:
+        stack = np.array([upb_t, to_coherence(rho_sep())])
+        assert route(stack).tobytes() == np.array([route(c) for c in stack]).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(COHERENCE_CONSUMERS))

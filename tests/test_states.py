@@ -95,10 +95,15 @@ def test_partial_reflect_pairs_hit_upb(pair):
 
 
 def test_partial_reflect_rejects_bad_pairs():
+    # (True, 2) used to give the (1, 2) reflection, (1.0, 2.0) a bare numpy
+    # IndexError and 12, None and ([1], 2) a bare TypeError
     t = to_coherence(rho_sep())
-    for bad in ((1,), (1, 1), (0, 2), (1, 2, 3)):
+    for bad in ((1,), (1, 1), (0, 2), (1, 2, 3), (True, 2), (1.0, 2.0), 12, None, ([1], 2)):
         with pytest.raises(BadSubset):
             partial_reflect(t, bad)
+    want = partial_reflect(t, (1, 2))
+    for good in ((2, 1), [1, 2], (np.int64(1), np.int64(2)), np.array([2, 1])):
+        assert np.array_equal(partial_reflect(t, good), want)
 
 
 def test_in_set_c():

@@ -28,7 +28,6 @@ from .dynamics import (
 from .entanglement import (
     OQ_TRIPLES,
     UPB_TRIPLES,
-    Cut,
     lhv_oracle,
     min_pt_eigs,
     partial_transpose,

@@ -80,8 +80,9 @@ _PROJECTOR_SPECTRUM = np.array([-0.75] + [0.25] * 7)
 class RunConfig:
     """Tolerances, the orbit grid size and the claim filter for one claim run.
 
-    Raises ValueError on a tolerance that is negative, NaN or infinite, or on
-    an orbit grid that is not an integer >= 2.
+    Raises ValueError on a tolerance that is negative, NaN or infinite, on
+    an orbit grid that is not an integer >= 2, or on a filter that is neither
+    None nor a string.
     """
 
     equality_tol: float = 1e-12
@@ -95,6 +96,8 @@ class RunConfig:
         for name in ("equality_tol", "psd_tol", "sign_tol", "flow_tol"):
             _check_tolerance(name, getattr(self, name))
         _check_count("orbit_samples", self.orbit_samples, 2)
+        if not (self.filter is None or isinstance(self.filter, str)):
+            raise ValueError(f"filter must be None or a glob string, got {self.filter!r}")
 
 
 @dataclass(frozen=True)
@@ -251,7 +254,7 @@ def _unextendable(name):
     """The named family is an orthogonal, unextendable product basis."""
     def check(ctx):
         res = check_upb(family(name))
-        return res.orthogonal and res.unextendable
+        return res.orthogonal and res.extension_witness is None
 
     return _holds(check)
 
@@ -296,7 +299,7 @@ def _sum_only_stationary(ctx):
 
 
 def _byproduct_unique(ctx):
-    n = sum(1 for _, d in ctx.byproduct.evolutions if d < ctx.cfg.flow_tol)
+    n = sum(1 for _, d in ctx.byproduct if d < ctx.cfg.flow_tol)
     return int(n), 1, 0.0
 
 
@@ -304,7 +307,7 @@ def _decoy_misses(ctx):
     psi_t = to_coherence(family_mixture("psi"))
     return min(
         frobenius_distance(from_coherence(rodrigues_flow(ORBIT, r, psi_t)), ctx.upb)
-        for r, _ in ctx.byproduct.evolutions
+        for r, _ in ctx.byproduct
     ) > 0.1
 
 
@@ -312,7 +315,7 @@ def _weakened_has_witness(ctx):
     kets = family("psi")[:3] + (ket_from_string("111"),)
     res = check_upb(kets)
     w = res.extension_witness
-    return (not res.unextendable) and w is not None and all(
+    return w is not None and all(
         abs(np.vdot(k.amplitudes, w.amplitudes)) < 1e-10 for k in kets)
 
 
@@ -481,10 +484,10 @@ def _registry():
          _rodrigues_period(ORBIT)),
         ("byproduct.distance", "byproduct",
          "one candidate evolution returns the theta mixture to the complement state",
-         _near(lambda c: c.byproduct.distance, tol="flow_tol")),
+         _near(lambda c: min(d for _, d in c.byproduct), tol="flow_tol")),
         ("byproduct.parameter", "byproduct",
          "the matching period-reduced parameter is 3/4 of the period",
-         _near(lambda c: c.byproduct.matched_parameter, 3.0 * TAU_P / 4.0, 1e-9)),
+         _near(lambda c: min(c.byproduct, key=lambda e: e[1])[0], 3.0 * TAU_P / 4.0, 1e-9)),
         ("byproduct.unique", "byproduct",
          "exactly one distinct period-reduced candidate evolution matches",
          _byproduct_unique),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import Cut, min_pt_eigs, partial_transpose
+from .entanglement import min_pt_eigs, partial_transpose
 from .linalg import (_MAX_STACK, _check_count, _check_matrix, _check_time, eigen_flow,
                      frobenius_distance, jacobi_eigh)
 from .pauli import (LAMBDA_BASIS, SQRT2, _check_coherence, flat_index, from_coherence,
@@ -196,7 +196,7 @@ def orbit(samples=64):
     spectra = np.empty((samples, 2, 4, 8))
     for start in range(0, samples, _ORBIT_BLOCK):
         block = mats[start:start + _ORBIT_BLOCK]
-        stack = np.stack([block] + [partial_transpose(block, cut) for cut in Cut], axis=2)
+        stack = np.stack([block] + [partial_transpose(block, q) for q in (1, 2, 3)], axis=2)
         spectra[start:start + _ORBIT_BLOCK] = jacobi_eigh(stack, want_vectors=False)[0]
     return Orbit(t, tensors, spectra)
 
@@ -211,20 +211,6 @@ def stationarity(h, rho):
     return frobenius_distance(h @ rho, rho @ h)
 
 
-@dataclass(frozen=True)
-class ByproductResult:
-    """Outcome of the quarter/three-quarter-period candidate search.
-
-    evolutions holds (reduced parameter, distance to the complement state)
-    for each distinct evolution; matched_parameter and distance are those of
-    the closest one.
-    """
-
-    matched_parameter: float
-    distance: float
-    evolutions: tuple
-
-
 def byproduct_preparation():
     """Reach the complement state by flowing the theta mixture.
 
@@ -232,15 +218,15 @@ def byproduct_preparation():
     one distinct period-reduced evolution among the signed quarter and
     three-quarter candidates returns it to the complement state.  Candidates
     that differ by a full period are the same conjugation (U(TAU_P) = -I) and
-    are deduplicated; the closest evolution is the match, and the caller
-    grades its distance.
+    are deduplicated.  Returns the (reduced parameter, distance to the
+    complement state) pair of each distinct evolution, in ascending parameter
+    order; the caller picks the closest and grades its distance.
     """
     theta_t = to_coherence(family_mixture("theta"))
     target = rho_upb()
     candidates = (TAU_P / 4.0, -TAU_P / 4.0, 3.0 * TAU_P / 4.0, -3.0 * TAU_P / 4.0)
     reduced = sorted({round(float(t % TAU_P), 12) for t in candidates})
-    evolutions = tuple(
+    return tuple(
         (float(r), frobenius_distance(from_coherence(rodrigues_flow(ORBIT, r, theta_t)), target))
         for r in reduced
     )
-    return ByproductResult(*min(evolutions, key=lambda e: e[1]), evolutions)

@@ -14,48 +14,38 @@ from __future__ import annotations
 
 import itertools
 import math
-from enum import Enum
 
 import numpy as np
 
 from .linalg import _check_8x8, _check_tolerance, frobenius_distance, jacobi_eigh
-from .pauli import _check_coherence, flat_index, label_to_tuple, lambda_tensor
+from .pauli import BadSubset, _check_coherence, _is_index, flat_index, label_to_tuple, lambda_tensor
 
 
-class Cut(Enum):
-    """The three bipartitions of 3 qubits, named by the singleton side."""
-
-    Q1 = "1|23"
-    Q2 = "2|13"
-    Q3 = "3|12"
-
-    @property
-    def qubit(self):
-        return int(self.value[0])
-
-
-def partial_transpose(rho, cut):
-    """Transpose the singleton-side qubit of the given cut (a Cut or its value, as "1|23").
+def partial_transpose(rho, qubit):
+    """Transpose one qubit, 1, 2 or 3: the PPT test of the cut that qubit splits from the other two.
 
     rho is an 8x8 matrix or a stack of them, (..., 8, 8); any other shape
-    raises ShapeMismatch, and a cut that names no Cut raises ValueError.
+    raises ShapeMismatch, and a qubit other than the integer 1, 2 or 3 (a
+    bool is not a qubit) raises BadSubset.
     """
+    if not _is_index(qubit, (1, 2, 3)):
+        raise BadSubset(f"qubit must be 1, 2 or 3, got {qubit!r}")
     rho = _check_8x8(rho)
     batch = rho.shape[:-2]
     t = rho.reshape(batch + (2,) * 6)
-    q = len(batch) + Cut(cut).qubit - 1
+    q = len(batch) + qubit - 1
     axes = list(range(t.ndim))
     axes[q], axes[q + 3] = axes[q + 3], axes[q]
     return t.transpose(axes).reshape(batch + (8, 8))
 
 
 def min_pt_eigs(rho):
-    """Minimum partial-transpose eigenvalue on every cut, ordered as Cut.
+    """Minimum partial-transpose eigenvalue on the cuts 1|23, 2|13 and 3|12, in that order.
 
     Shape (3,) for one 8x8 matrix and (..., 3) for a stack (..., 8, 8); all
     cuts of all members come from one eigen solve.
     """
-    pts = np.stack([partial_transpose(rho, cut) for cut in Cut], axis=-3)
+    pts = np.stack([partial_transpose(rho, q) for q in (1, 2, 3)], axis=-3)
     return jacobi_eigh(pts, want_vectors=False)[0][..., 0]
 
 

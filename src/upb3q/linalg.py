@@ -229,12 +229,14 @@ def eigen_flow(w, v, t, rho):
 
     Lets a caller that flows by one H to many times diagonalize it once.
     Raises ValueError unless t is a finite real number and ShapeMismatch
-    unless rho has the shape of H.
+    unless rho has the shape of H and w one eigenvalue per column of v.
     """
     _check_time(t)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != np.shape(v):
         raise ShapeMismatch(f"rho has shape {rho.shape}, H has shape {np.shape(v)}")
+    if np.shape(w) != np.shape(v)[:-1]:
+        raise ShapeMismatch(f"w has shape {np.shape(w)}, H has shape {np.shape(v)}")
     u = (v * np.exp(-1j * t * w)) @ v.conj().T
     return u @ rho @ u.conj().T
 

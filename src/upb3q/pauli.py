@@ -11,7 +11,7 @@ convention: a = 16j + 4k + l, qubit 1 is the leftmost Kronecker factor.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class BadSymbol(ValueError):
 
 
 class BadLength(ValueError):
-    """Ket string does not have exactly 3 symbols."""
+    """A ket string lacks exactly 3 symbols, or a ProductKet exactly 3 locals of 2 entries."""
 
 
 class BadSubset(ValueError):
@@ -135,19 +135,23 @@ _KET_SYMBOLS = {
 
 @dataclass(frozen=True)
 class ProductKet:
-    """A 3-qubit product state: unit-norm amplitudes, the Kronecker product of its locals."""
+    """A 3-qubit product state: its three local qubit vectors, and amplitudes, their Kronecker product.
 
-    amplitudes: np.ndarray
+    Raises BadLength unless there are exactly 3 locals of 2 entries each.
+    """
+
     locals: tuple
+    amplitudes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        locs = tuple(np.asarray(v, dtype=complex) for v in self.locals)
-        for v in locs:
+        locs = tuple(np.array(v, dtype=complex) for v in self.locals)
+        if len(locs) != 3 or any(v.shape != (2,) for v in locs):
+            raise BadLength(f"need 3 local vectors of 2 entries, got shapes {[v.shape for v in locs]}")
+        amps = np.kron(np.kron(locs[0], locs[1]), locs[2])
+        for v in locs + (amps,):
             v.setflags(write=False)
         object.__setattr__(self, "locals", locs)
+        object.__setattr__(self, "amplitudes", amps)
 
     def projector(self):
         """The rank-1 density matrix |ket><ket|."""
@@ -156,8 +160,6 @@ class ProductKet:
 
 def product_ket_from_locals(locals_):
     """Build a ProductKet from three single-qubit vectors (normalizing each)."""
-    if len(locals_) != 3:
-        raise BadLength(f"need 3 local vectors, got {len(locals_)}")
     normed = []
     for v in locals_:
         v = np.asarray(v, dtype=complex)
@@ -167,8 +169,7 @@ def product_ket_from_locals(locals_):
         if n == 0:
             raise ValueError("zero local vector")
         normed.append(v / n)
-    amps = np.kron(np.kron(normed[0], normed[1]), normed[2])
-    return ProductKet(amps, tuple(normed))
+    return ProductKet(tuple(normed))
 
 
 def ket_from_string(s):
@@ -179,16 +180,16 @@ def ket_from_string(s):
 
     Raises:
         BadLength: if the string is not exactly 3 characters.
-        BadSymbol: on any character outside the alphabet.
+        BadSymbol: on any character outside the alphabet, or if s is not a string.
     """
+    if not isinstance(s, str):
+        raise BadSymbol(f"a ket must be a string over {{0,1,+,-}}, got {s!r}")
     if len(s) != 3:
         raise BadLength(f"ket string must have length 3, got {s!r}")
     for ch in s:
         if ch not in _KET_SYMBOLS:
             raise BadSymbol(f"unknown ket symbol {ch!r} in {s!r}")
-    locals_ = tuple(_KET_SYMBOLS[ch].copy() for ch in s)
-    amps = np.kron(np.kron(locals_[0], locals_[1]), locals_[2])
-    return ProductKet(amps, locals_)
+    return ProductKet(tuple(_KET_SYMBOLS[ch] for ch in s))
 
 
 def reduced_density(rho, qubit):

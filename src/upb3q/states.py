@@ -71,7 +71,7 @@ def _four_kets(kets):
 
 def family(name):
     """The 4 mutually orthogonal product kets of a named family: psi, mu, theta, phi."""
-    if name not in FAMILY_SYMBOLS:
+    if not isinstance(name, str) or name not in FAMILY_SYMBOLS:
         raise ValueError(f"unknown family {name!r}; choose from {sorted(FAMILY_SYMBOLS)}")
     return tuple(ket_from_string(s) for s in FAMILY_SYMBOLS[name])
 
@@ -185,11 +185,10 @@ class UPBCheckResult:
     """Outcome of the product-basis extension search.
 
     extension_witness is a verified product ket orthogonal to all 4 members
-    when one exists (unextendable is then False), else None.
+    when one exists, else None: the set is then unextendable.
     """
 
     orthogonal: bool
-    unextendable: bool
     extension_witness: ProductKet | None
 
 
@@ -214,7 +213,7 @@ def check_upb(kets):
     first feasible assignment in lexicographic order is returned, verified.
 
     Returns:
-        UPBCheckResult; unextendable is True iff no assignment is feasible.
+        UPBCheckResult; extension_witness is None iff no assignment is feasible.
 
     Raises:
         WrongCount: unless exactly 4 kets are given.
@@ -244,8 +243,8 @@ def check_upb(kets):
         overlaps = [abs(np.vdot(k.amplitudes, witness.amplitudes)) for k in kets]
         if max(overlaps) >= 1e-10:  # pragma: no cover - guards the search logic
             raise AssertionError(f"witness failed verification: overlaps {overlaps}")
-        return UPBCheckResult(orthogonal, False, witness)
-    return UPBCheckResult(orthogonal, True, None)
+        return UPBCheckResult(orthogonal, witness)
+    return UPBCheckResult(orthogonal, None)
 
 
 def reflect_density(rho):

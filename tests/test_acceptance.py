@@ -133,7 +133,7 @@ def test_criterion_05_unextendability():
     res_psi = check_upb(family("psi"))
     res_theta = check_upb(family("theta"))
     both = all(
-        r.orthogonal and r.unextendable
+        r.orthogonal and r.extension_witness is None
         for r in (res_psi, res_theta)
     )
     weak = family("psi")[:3] + (ket_from_string("111"),)
@@ -143,7 +143,7 @@ def test_criterion_05_unextendability():
         if res_weak.extension_witness is not None
         else [1.0]
     )
-    weak_ok = (not res_weak.unextendable) and max(overlaps) < 1e-10
+    weak_ok = res_weak.extension_witness is not None and max(overlaps) < 1e-10
     ok = both and weak_ok
     assert report(5, ok, "psi/theta unextendable; weakened set yields a verified witness",
                   f"families unextendable={both}, witness overlaps < {max(overlaps):.1e}")
@@ -296,15 +296,16 @@ def test_criterion_10_stationarity(upb):
 
 
 def test_criterion_11_byproduct():
-    res = byproduct_preparation()
-    matches = [r for r, d in res.evolutions if d < 1e-10]
+    evolutions = byproduct_preparation()
+    matches = [r for r, d in evolutions if d < 1e-10]
+    parameter, distance = min(evolutions, key=lambda e: e[1])
     theta_t = to_coherence(family_mixture("theta"))
-    landed = from_coherence(rodrigues_flow(ORBIT, res.matched_parameter, theta_t))
+    landed = from_coherence(rodrigues_flow(ORBIT, parameter, theta_t))
     d_target = frobenius_distance(landed, rho_upb())
     ok = len(matches) == 1 and d_target < 1e-10
     assert report(11, ok, "exactly one candidate evolution lands on the complement state",
-                  f"matched parameter {res.matched_parameter:.6f} "
-                  f"(= 3/4 period {3 * TAU_P / 4:.6f}), distance {res.distance:.2e} (tol 1e-10)")
+                  f"matched parameter {parameter:.6f} "
+                  f"(= 3/4 period {3 * TAU_P / 4:.6f}), distance {distance:.2e} (tol 1e-10)")
 
 
 def test_criterion_12_ancilla(upb):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from upb3q.dynamics import COS_SET, ORBIT, SIN_SET, STAGE1, STAGE2, BadAxis, adjoint_matrix, rodrigues_flow
-from upb3q.pauli import SIGMA, SQRT2, index_tuple, to_coherence
-from upb3q.states import X, expected_upb_tensor, rho_upb
+from upb3q.pauli import SIGMA, SQRT2, flat_index, index_tuple, label_to_tuple, to_coherence
+from upb3q.states import UPB_MINUS, UPB_PLUS, X, expected_upb_tensor, rho_sep, rho_upb
 
 
 @pytest.mark.parametrize("axis", [STAGE1, ORBIT], ids=["333", "222"])
@@ -53,6 +53,25 @@ def _transpose_qubit(x, q):
     return tuple(p.reshape((2,) * 6).transpose(axes).reshape(8, 8) for p in x)
 
 
+def _permute_qubits(x, order):
+    """Both parts of an 8x8 Gaussian matrix with its qubits, rows and columns alike, read in order (0-based)."""
+    axes = list(order) + [q + 3 for q in order]
+    return tuple(p.reshape((2,) * 6).transpose(axes).reshape(8, 8) for p in x)
+
+
+def _same(x, y):
+    return all(np.array_equal(p, q) for p, q in zip(x, y))
+
+
+# The 64 Pauli products P_a = sigma_j x sigma_k x sigma_l, flat-indexed, as Gaussian-integer matrices.
+_PAULIS = [_gaussian(np.kron(np.kron(SIGMA[j], SIGMA[k]), SIGMA[l])) for j, k, l in map(index_tuple, range(64))]
+
+
+def _combination(coefficients):
+    """sum_a n_a P_a for integer coefficients n_a, as a Gaussian-integer matrix."""
+    return tuple(sum(int(n) * p[part] for n, p in zip(coefficients, _PAULIS)) for part in (0, 1))
+
+
 def test_orbit_is_a_scaled_projector_with_ppt_projector_transposes_at_every_time(solver_calls):
     # Along the orbit c(t) keeps rho_sep's components of weight <= 2, and the
     # 3-coherences are -x sin(phi) on SIN_SET and -x cos(phi) on COS_SET, phi =
@@ -69,17 +88,11 @@ def test_orbit_is_a_scaled_projector_with_ppt_projector_transposes_at_every_time
     assert np.abs(upb * X - table).max() < 1e-15
     sep = np.where(np.arange(64) == 0, upb, -upb)  # the reflection: rho_sep = I/4 - rho_upb
     assert (sep[list(SIN_SET)] == 0).all() and (sep[list(COS_SET)] == -1).all()  # phi = 0
-    paulis = [_gaussian(np.kron(np.kron(SIGMA[j], SIGMA[k]), SIGMA[l]))
-              for j, k, l in map(index_tuple, range(64))]
-
-    def combination(coefficients):
-        return tuple(sum(int(n) * p[part] for n, p in zip(coefficients, paulis)) for part in (0, 1))
-
     a_coef, b_coef, c_coef = sep.copy(), np.zeros(64, np.int64), np.zeros(64, np.int64)
     a_coef[list(SIN_SET + COS_SET)] = 0
     b_coef[list(SIN_SET)] = -1
     c_coef[list(COS_SET)] = -1
-    a, b, c = combination(a_coef), combination(b_coef), combination(c_coef)
+    a, b, c = _combination(a_coef), _combination(b_coef), _combination(c_coef)
     eye = np.eye(8, dtype=np.int64)
     for u in range(5):
         s = 1 + u * u
@@ -90,4 +103,30 @@ def test_orbit_is_a_scaled_projector_with_ppt_projector_transposes_at_every_time
                 assert (np.trace(x[0]), np.trace(x[1])) == (32 * s, 0)
                 sq = _gmul(x, x)
                 assert np.array_equal(sq[0], 8 * s * x[0]) and np.array_equal(sq[1], 8 * s * x[1])
+    assert solver_calls == []
+
+
+def test_base_states_are_ppt_and_cyclic_but_not_swap_symmetric(solver_calls):
+    # From the table alone: c_0 = 4x and x Lambda_a = P_a / 32, so 32 rho_upb =
+    # 4 I + (P_a summed over UPB_PLUS) - (P_a summed over UPB_MINUS), and
+    # 32 rho_sep = 8 I - 32 rho_upb.  Both are 4 rho^2 = rho with trace 1, so
+    # PSD, and each equals its partial transpose on every cut, so each is PPT
+    # (Peres): no table label holds a 2, the one index a transpose negates.
+    # The Shifts UPB is invariant under the cyclic qubit shift, and so are
+    # both states, but no swap of two qubits fixes them.
+    coef = np.zeros(64, np.int64)
+    coef[0] = 4
+    for labels, sign in ((UPB_PLUS, 1), (UPB_MINUS, -1)):
+        coef[[flat_index(*label_to_tuple(s)) for s in labels]] = sign
+    upb = _combination(coef)
+    sep = (8 * np.eye(8, dtype=np.int64) - upb[0], -upb[1])
+    for x, rho in ((upb, rho_upb()), (sep, rho_sep())):
+        assert np.abs((x[0] + 1j * x[1]) / 32 - rho).max() < 1e-15  # the table is the kets' state
+        assert (np.trace(x[0]), np.trace(x[1])) == (32, 0)
+        assert _same(_gmul(x, x), (8 * x[0], 8 * x[1]))
+        for q in (1, 2, 3):
+            assert _same(_transpose_qubit(x, q), x)
+        assert _same(_permute_qubits(x, (1, 2, 0)), x)
+        for swap in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
+            assert not _same(_permute_qubits(x, swap), x)
     assert solver_calls == []

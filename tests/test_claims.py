@@ -179,10 +179,14 @@ def test_run_config_rejects_bad_values():
     bad = [{"orbit_samples": 0}, {"orbit_samples": 1}, {"orbit_samples": 2.5}]
     for name in ("equality_tol", "psd_tol", "sign_tol", "flow_tol"):
         bad += [{name: -1e-12}, {name: float("nan")}, {name: float("inf")}, {name: True}]
+    # a non-string filter used to build, and run_claims then raised a bare
+    # TypeError from fnmatch
+    bad += [{"filter": 3}, {"filter": ["upb.*"]}, {"filter": b"upb.*"}]
     for kwargs in bad:
         with pytest.raises(ValueError):
             run_claims(RunConfig(**kwargs))
     assert RunConfig(orbit_samples=2, equality_tol=0.0).orbit_samples == 2
+    assert RunConfig(filter="upb.*").filter == "upb.*"
 
 
 def test_claim_report_to_dict_round_trip():

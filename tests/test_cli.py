@@ -262,8 +262,8 @@ def test_every_dataclass_field_is_read_by_a_command(capsys, monkeypatch):
     run_every_command(capsys)
     monkeypatch.undo()
     assert sorted(classes) == [
-        "upb3q.claims.ClaimReport", "upb3q.claims.RunConfig", "upb3q.dynamics.ByproductResult",
-        "upb3q.dynamics.InteriorSample", "upb3q.dynamics.Orbit", "upb3q.dynamics.PreparationTrace",
-        "upb3q.pauli.ProductKet", "upb3q.states.UPBCheckResult",
+        "upb3q.claims.ClaimReport", "upb3q.claims.RunConfig", "upb3q.dynamics.InteriorSample",
+        "upb3q.dynamics.Orbit", "upb3q.dynamics.PreparationTrace", "upb3q.pauli.ProductKet",
+        "upb3q.states.UPBCheckResult",
     ]
     assert sorted(fields - read) == sorted(UNREAD_FIELDS_KEPT)

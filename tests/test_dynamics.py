@@ -22,7 +22,7 @@ from upb3q.dynamics import (
     rodrigues_flow,
     stationarity,
 )
-from upb3q.entanglement import Cut, partial_transpose
+from upb3q.entanglement import partial_transpose
 from upb3q.linalg import NonHermitian, ShapeMismatch, eigen_flow, jacobi_eigh
 from upb3q.pauli import SQRT2, from_coherence, lambda_tensor, to_coherence
 from upb3q.states import X, family_mixture, reflect, rho_sep, rho_upb
@@ -31,9 +31,9 @@ SQRT3 = np.sqrt(3.0)
 SQRT6 = np.sqrt(6.0)
 
 
-def min_pt_eig_alone(m, cut):
-    """One-matrix oracle: the smallest eigenvalue of one cut's partial transpose."""
-    return jacobi_eigh(partial_transpose(m, cut), want_vectors=False)[0][0]
+def min_pt_eig_alone(m, qubit):
+    """One-matrix oracle: the smallest eigenvalue of one qubit's partial transpose."""
+    return jacobi_eigh(partial_transpose(m, qubit), want_vectors=False)[0][0]
 
 
 def test_period_constant():
@@ -220,8 +220,8 @@ def test_orbit_blocks_match_per_matrix_solves(samples):
         for tens, eigs in ((tensor, spectra[0]), (reflect(tensor), spectra[1])):
             m = from_coherence(tens)
             assert np.array_equal(eigs[0], jacobi_eigh(m, want_vectors=False)[0])
-            for cut, pt_eigs in zip(Cut, eigs[1:]):
-                alone = jacobi_eigh(partial_transpose(m, cut), want_vectors=False)[0]
+            for qubit, pt_eigs in zip((1, 2, 3), eigs[1:]):
+                alone = jacobi_eigh(partial_transpose(m, qubit), want_vectors=False)[0]
                 assert np.array_equal(pt_eigs, alone)
 
 
@@ -240,7 +240,7 @@ def test_prepare_upb_matches_per_probe_flows(order, k):
             probe = eigen_flow(*eig, duration * j / (k + 1), state)
             sample = next(probes)
             assert (sample.stage, sample.t) == (num, duration * j / (k + 1))
-            assert sample.min_pt_eigs == tuple(min_pt_eig_alone(probe, cut) for cut in Cut)
+            assert sample.min_pt_eigs == tuple(min_pt_eig_alone(probe, q) for q in (1, 2, 3))
         state = eigen_flow(*eig, duration, state)
         assert np.array_equal(trace.checkpoints["intermediate" if num == 1 else "final"], state)
     assert next(probes, None) is None
@@ -284,15 +284,17 @@ def test_fixed_point_terms_move_individually():
 
 
 def test_byproduct_preparation():
-    res = byproduct_preparation()
-    assert res.distance < 1e-12
-    assert abs(res.matched_parameter - 3 * TAU_P / 4) < 1e-9
+    evolutions = byproduct_preparation()
+    # four signed candidates collapse to two distinct evolutions mod the period,
+    # in ascending parameter order
+    assert [r for r, _ in evolutions] == sorted(round(t, 12) for t in (TAU_P / 4, 3 * TAU_P / 4))
+    parameter, distance = min(evolutions, key=lambda e: e[1])
+    assert distance < 1e-12
+    assert abs(parameter - 3 * TAU_P / 4) < 1e-9
     theta_t = to_coherence(family_mixture("theta"))
-    landed = from_coherence(rodrigues_flow(ORBIT, res.matched_parameter, theta_t))
+    landed = from_coherence(rodrigues_flow(ORBIT, parameter, theta_t))
     assert np.abs(landed - rho_upb()).max() < 1e-12
-    # four signed candidates collapse to two distinct evolutions mod the period
-    assert len(res.evolutions) == 2
-    misses = [d for _, d in res.evolutions if d > 1e-10]
+    misses = [d for _, d in evolutions if d > 1e-10]
     assert len(misses) == 1 and misses[0] > 0.3
 
 

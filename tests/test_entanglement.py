@@ -6,7 +6,6 @@ import pytest
 from upb3q.entanglement import (
     OQ_TRIPLES,
     UPB_TRIPLES,
-    Cut,
     lhv_oracle,
     min_pt_eigs,
     partial_transpose,
@@ -17,6 +16,7 @@ from upb3q.linalg import ShapeMismatch, jacobi_eigh
 from upb3q.pauli import (
     INDICES,
     SQRT2,
+    BadSubset,
     flat_index,
     from_coherence,
     ket_from_string,
@@ -39,49 +39,52 @@ def ppt(rho):
     return (min_pt_eigs(rho) >= -1e-10).all(-1)
 
 
-def min_pt_eig_alone(m, cut):
-    """One-matrix oracle: the smallest eigenvalue of one cut's partial transpose."""
-    return jacobi_eigh(partial_transpose(m, cut), want_vectors=False)[0][0]
+def min_pt_eig_alone(m, qubit):
+    """One-matrix oracle: the smallest eigenvalue of one qubit's partial transpose."""
+    return jacobi_eigh(partial_transpose(m, qubit), want_vectors=False)[0][0]
 
 
-def test_cut_enumeration():
-    assert [c.qubit for c in Cut] == [1, 2, 3]
-    assert Cut.Q2.value == "2|13"
-
-
-@pytest.mark.parametrize("cut", list(Cut))
-def test_partial_transpose_routes_agree(cut):
-    rng = np.random.default_rng(7 + cut.qubit)
+@pytest.mark.parametrize("qubit", [1, 2, 3])
+def test_partial_transpose_routes_agree(qubit):
+    rng = np.random.default_rng(7 + qubit)
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     rho = m @ m.conj().T
     rho /= np.trace(rho).real
-    via_matrix = partial_transpose(rho, cut)
+    via_matrix = partial_transpose(rho, qubit)
     # in coherence coordinates the transpose negates the components whose
     # index on that qubit is 2, the only antisymmetric basis direction
     tens = to_coherence(rho)
-    via_tensor = from_coherence(np.where(INDICES[:, cut.qubit - 1] == 2, -tens, tens))
+    via_tensor = from_coherence(np.where(INDICES[:, qubit - 1] == 2, -tens, tens))
     assert np.abs(via_matrix - via_tensor).max() < 1e-13
     # PT is an involution and trace preserving
-    assert np.abs(partial_transpose(via_matrix, cut) - rho).max() == 0.0
+    assert np.abs(partial_transpose(via_matrix, qubit) - rho).max() == 0.0
     assert abs(np.trace(via_matrix).real - 1.0) < 1e-13
     # a leading batch axis transposes each member; min_pt_eigs then solves the
     # whole stack at once, with the bits of one matrix at a time
     stack = np.array([[rho, via_matrix], [ghz(), rho_upb()]])
-    pts = partial_transpose(stack, cut)
-    mins = min_pt_eigs(stack)[..., cut.qubit - 1]
+    pts = partial_transpose(stack, qubit)
+    mins = min_pt_eigs(stack)[..., qubit - 1]
     assert mins.shape == (2, 2)
     for idx in np.ndindex(2, 2):
-        assert np.array_equal(pts[idx], partial_transpose(stack[idx], cut))
-        assert mins[idx] == min_pt_eig_alone(stack[idx], cut)
+        assert np.array_equal(pts[idx], partial_transpose(stack[idx], qubit))
+        assert mins[idx] == min_pt_eig_alone(stack[idx], qubit)
 
 
-def test_partial_transpose_coerces_the_cut():
-    # a cut given by its value used to raise a bare AttributeError
-    # ('str' object has no attribute 'qubit')
-    rho = rho_upb()
-    assert np.array_equal(partial_transpose(rho, "2|13"), partial_transpose(rho, Cut.Q2))
-    with pytest.raises(ValueError, match=re.escape("'1|2'")):
-        partial_transpose(rho, "1|2")
+def test_partial_transpose_takes_a_qubit():
+    # the transposed qubit is an integer 1, 2 or 3, the rule reduced_density
+    # and partial_reflect apply; a bool, a float, a cut string or None is no qubit
+    rho = ket_from_string("0+1").projector()
+    for bad in (0, 4, True, 1.0, "1|23", None):
+        with pytest.raises(BadSubset, match=re.escape(repr(bad))):
+            partial_transpose(rho, bad)
+    assert np.array_equal(partial_transpose(rho, np.int64(2)), partial_transpose(rho, 2))
+    # each qubit transposes its own factor of a product state
+    for qubit in (1, 2, 3):
+        factors = [np.eye(2), np.eye(2), np.eye(2)]
+        factors[qubit - 1] = np.array([[0, 1], [0, 0]], dtype=complex)
+        m = np.kron(np.kron(*factors[:2]), factors[2])
+        factors[qubit - 1] = factors[qubit - 1].T
+        assert np.array_equal(partial_transpose(m, qubit), np.kron(np.kron(*factors[:2]), factors[2]))
 
 
 def test_ghz_is_npt_with_minus_half():
@@ -111,7 +114,7 @@ def test_stacked_ppt_verdicts_match_per_cut_solves():
     verdicts = (mins >= -1e-10).all(-1)
     assert mins.shape == (2, 3, 3) and verdicts.shape == (2, 3)
     for idx in np.ndindex(2, 3):
-        per_cut = np.array([min_pt_eig_alone(stack[idx], cut) for cut in Cut])
+        per_cut = np.array([min_pt_eig_alone(stack[idx], q) for q in (1, 2, 3)])
         assert np.array_equal(mins[idx], per_cut)
         assert verdicts[idx] == bool((per_cut >= -1e-10).all())
         assert np.array_equal(min_pt_eigs(stack[idx]), mins[idx])
@@ -221,7 +224,7 @@ def test_triple_tolerances_are_checked(bad):
 def test_pt_routes_reject_non_8x8_shapes(solver_calls, shape):
     # a 4x4 used to fail inside numpy with "cannot reshape array of size 16"
     rho = np.zeros(shape, dtype=complex)
-    for route in (lambda r: partial_transpose(r, Cut.Q1), min_pt_eigs):
+    for route in (lambda r: partial_transpose(r, 1), min_pt_eigs):
         with pytest.raises(ShapeMismatch, match=re.escape(str(shape))):
             route(rho)
     assert solver_calls == []

@@ -1,6 +1,8 @@
 """The Jacobi solver is the package's own eigensolver; numpy.linalg is used
 here only as an independent oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,14 @@ def test_conjugation_flow_group_law():
     one = eigen_flow(*eig, 0.9, eigen_flow(*eig, 0.4, rho))
     two = eigen_flow(*eig, 1.3, rho)
     assert np.abs(one - two).max() < 1e-12
+
+
+def test_eigen_flow_checks_the_eigenvalue_shape():
+    # three eigenvalues used to reach numpy's "operands could not be
+    # broadcast"; an (8, 1) column or a scalar broadcast to a wrong flow
+    for w in (np.zeros(3), np.zeros((8, 1)), np.zeros(()), 0.5):
+        with pytest.raises(ShapeMismatch, match=re.escape(f"w has shape {np.shape(w)}")):
+            eigen_flow(w, np.eye(8), 1.0, rho_upb())
 
 
 def test_frobenius_distance():

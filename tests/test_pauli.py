@@ -13,6 +13,7 @@ from upb3q.pauli import (
     BadLength,
     BadSubset,
     BadSymbol,
+    ProductKet,
     bloch_vector,
     coherence_product,
     flat_index,
@@ -131,6 +132,29 @@ def test_ket_from_string():
         ket_from_string("01")
     with pytest.raises(BadSymbol):
         ket_from_string("01x")
+    # an int used to raise a bare TypeError from len(), and a list of three
+    # symbols was accepted as a ket
+    for bad in (123, ["0", "1", "+"], None, b"01+"):
+        with pytest.raises(BadSymbol, match=re.escape(repr(bad))):
+            ket_from_string(bad)
+
+
+def test_product_ket_is_built_from_its_locals():
+    # amplitudes is no constructor argument: it used to be taken as given, so
+    # ProductKet(np.ones(4), (np.ones(2), np.ones(2))) built a ket
+    locs = tuple(ket_from_string("0+1").locals)
+    ket = ProductKet(locs)
+    assert ket.amplitudes.tobytes() == np.kron(np.kron(locs[0], locs[1]), locs[2]).tobytes()
+    assert ket.amplitudes.tobytes() == ket_from_string("0+1").amplitudes.tobytes()
+    assert not any(v.flags.writeable for v in ket.locals + (ket.amplitudes,))
+    with pytest.raises(TypeError):
+        ProductKet(np.ones(8), locs)
+    v = np.array([1.0, 0.0])
+    for bad in ((v, v), (v, v, v, v), (v, v, np.ones(3)), (v, v, np.ones((2, 1))), (np.ones(8),)):
+        with pytest.raises(BadLength, match="need 3 local vectors of 2 entries"):
+            ProductKet(bad)
+    with pytest.raises(BadLength):
+        product_ket_from_locals([v, v])
 
 
 def test_product_ket_from_locals_normalizes():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,13 @@ def test_families_are_orthonormal_product_sets(name):
         assert abs(np.vdot(a.amplitudes, b.amplitudes)) < 1e-14
     for k in kets:
         assert abs(np.vdot(k.amplitudes, k.amplitudes).real - 1) < 1e-14
+
+
+def test_family_takes_a_family_name():
+    # a list used to raise a bare TypeError (unhashable type) from the lookup
+    for bad in ("chi", [], None, 3, ("psi",)):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            family(bad)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_SYMBOLS))
@@ -158,14 +166,12 @@ def test_complement_annihilates_members():
 def test_all_four_families_are_upbs(name):
     res = check_upb(family(name))
     assert res.orthogonal
-    assert res.unextendable
     assert res.extension_witness is None
 
 
 def test_weakened_set_is_extendable():
     kets = family("psi")[:3] + (ket_from_string("111"),)
     res = check_upb(kets)
-    assert not res.unextendable
     w = res.extension_witness
     assert w is not None
     # deterministic first witness of the lexicographic assignment scan

@@ -56,7 +56,6 @@ from .states import (
     expected_upb_tensor,
     family,
     family_mixture,
-    in_set_C,
     partial_reflect,
     reflect,
     reflect_density,

@@ -36,7 +36,8 @@ from .dynamics import (
     rodrigues_flow,
     stationarity,
 )
-from .entanglement import OQ_TRIPLES, UPB_TRIPLES, lhv_oracle, min_pt_eigs, triple_value, verify_triple_structure
+from .entanglement import (OQ_TRIPLES, UPB_TRIPLES, lhv_oracle, partial_transpose, triple_value,
+                           verify_triple_structure)
 from .linalg import _check_count, _check_tolerance, eigen_flow, frobenius_distance, jacobi_eigh
 from .pauli import (
     INDICES,
@@ -58,7 +59,6 @@ from .states import (
     expected_upb_tensor,
     family,
     family_mixture,
-    in_set_C,
     partial_reflect,
     reflect,
     reflect_density,
@@ -138,9 +138,24 @@ class _Context:
         return to_coherence(self.upb)
 
     @cached_property
-    def base_spectra(self):
-        """Ascending spectra of sep and upb, from one eigen solve."""
-        return jacobi_eigh(np.array([self.sep, self.upb]), want_vectors=False)[0]
+    def fixed_spectra(self):
+        """Ascending spectra of the run's 16 fixed matrices, from one eigen solve, by name.
+
+        base (2, 8): sep and upb.  upb_cuts (3, 8): upb transposed on qubit
+        1, 2 and 3.  set_c (5, 2, 8): five states of the set C and their
+        reflections.  projector (8,): the reflected first psi projector.
+        """
+        members = np.stack([self.sep_t, self.upb_t, self.quarter_t,
+                            to_coherence(family_mixture("theta")), to_coherence(family_mixture("phi"))])
+        set_c = from_coherence(np.stack([members, reflect(members)], axis=1))  # (state, reflected, 8, 8)
+        mats = np.concatenate([
+            [self.sep, self.upb],
+            [partial_transpose(self.upb, q) for q in (1, 2, 3)],
+            set_c.reshape(-1, 8, 8),
+            [reflect_density(family("psi")[0].projector())],
+        ])
+        w = jacobi_eigh(mats, want_vectors=False)[0]
+        return {"base": w[:2], "upb_cuts": w[2:5], "set_c": w[5:15].reshape(5, 2, 8), "projector": w[15]}
 
     @cached_property
     def axis_eigs(self):
@@ -266,18 +281,6 @@ def _reduced_pairs(ctx):
             for rho in (ctx.sep, ctx.upb) for q in (1, 2, 3)]
 
 
-def _reflected_projector_spectrum(ctx):
-    proj = family("psi")[0].projector()
-    return jacobi_eigh(reflect_density(proj), want_vectors=False)[0]
-
-
-def _set_c_closed(ctx):
-    tensors = np.array([ctx.sep_t, ctx.upb_t, ctx.quarter_t,
-                        to_coherence(family_mixture("theta")), to_coherence(family_mixture("phi"))])
-    mats = from_coherence(np.stack([tensors, reflect(tensors)], axis=1))  # (state, reflected, 8, 8)
-    return in_set_C(mats, tol=ctx.cfg.psd_tol).all()
-
-
 _LOW_WEIGHT = np.count_nonzero(INDICES, axis=1) <= 2
 _RANK_TOL = 1e-9  # eigenvalues with |e| above this count toward an orbit matrix's rank
 
@@ -326,11 +329,12 @@ def _ancilla(ctx):
 
 def _ancilla_pairs(ctx):
     big = np.kron(ctx.upb, np.eye(2) / 2.0)
-    via = np.empty(256)
-    for a in range(64):
-        for m in range(4):
-            via[4 * a + m] = np.trace(big @ np.kron(LAMBDA_BASIS[a], lambda_matrix(m))).real
-    return [(_ancilla(ctx), via)]
+    via = np.empty((64, 4))
+    # one (64, 16, 16) stack of Lambda_a x lambda_m per m: a single stack of
+    # all 256 products raised the verify run's peak RSS by 1 MB
+    for m in range(4):
+        via[:, m] = np.trace(big @ np.kron(LAMBDA_BASIS, lambda_matrix(m)), axis1=-2, axis2=-1).real
+    return [(_ancilla(ctx), via.reshape(-1))]
 
 
 def _ancilla_support(ctx):
@@ -349,19 +353,19 @@ def _registry():
          _near(lambda c: np.sum(c.upb_t**2), 0.25)),
         ("state.spectrum_upb", "spectrum",
          "complement-state eigenvalues are {0 x4, 1/4 x4}",
-         _deviation(lambda c: [(c.base_spectra[1], _FLAT_SPECTRUM)], 1e-11)),
+         _deviation(lambda c: [(c.fixed_spectra["base"][1], _FLAT_SPECTRUM)], 1e-11)),
         ("state.spectrum_sep", "spectrum",
          "separable-mixture eigenvalues are {0 x4, 1/4 x4}",
-         _deviation(lambda c: [(c.base_spectra[0], _FLAT_SPECTRUM)], 1e-11)),
+         _deviation(lambda c: [(c.fixed_spectra["base"][0], _FLAT_SPECTRUM)], 1e-11)),
         ("state.in_set_c", "spectrum",
          "both base states lie in the eigenvalue band [0, 1/4]",
-         _holds(lambda c: spectrum_in_C(c.base_spectra, c.cfg.psd_tol).all())),
+         _holds(lambda c: spectrum_in_C(c.fixed_spectra["base"], c.cfg.psd_tol).all())),
         ("state.reduced_random", "state-table",
          "every single-qubit marginal of both base states is I/2",
          _deviation(_reduced_pairs)),
         ("ppt.upb", "ppt",
          "complement state has no negative partial-transpose eigenvalue on any cut",
-         _near(lambda c: max(0.0, -min_pt_eigs(c.upb).min()), tol=1e-12)),
+         _near(lambda c: max(0.0, -c.fixed_spectra["upb_cuts"][:, 0].min()), tol=1e-12)),
         ("reflect.sep_to_upb", "reflection",
          "full reflection maps the separable mixture onto the complement state",
          _distance(lambda c: [(from_coherence(reflect(c.sep_t)), c.upb)])),
@@ -374,10 +378,10 @@ def _registry():
                               for pair in ((1, 2), (1, 3), (2, 3))])),
         ("reflect.single_component_spectrum", "reflection",
          "reflected rank-1 projector has spectrum {-3/4, 1/4 x7}",
-         _deviation(lambda c: [(_reflected_projector_spectrum(c), _PROJECTOR_SPECTRUM)], 1e-11)),
+         _deviation(lambda c: [(c.fixed_spectra["projector"], _PROJECTOR_SPECTRUM)], 1e-11)),
         ("reflect.set_c_closed", "reflection",
          "reflection keeps the sampled mixtures inside the eigenvalue band [0, 1/4]",
-         _holds(_set_c_closed)),
+         _holds(lambda c: spectrum_in_C(c.fixed_spectra["set_c"], c.cfg.psd_tol).all())),
         ("lhv.structure", "lhv-triples",
          "all eight builtin triples commute pairwise with product proportional to identity",
          _holds(lambda c: all(map(verify_triple_structure, UPB_TRIPLES + OQ_TRIPLES)))),

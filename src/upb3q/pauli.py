@@ -11,6 +11,7 @@ convention: a = 16j + 4k + l, qubit 1 is the leftmost Kronecker factor.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,20 +46,31 @@ def _is_index(n, values):
     return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n in values
 
 
+def _check_pauli_index(mu):
+    """Raise ValueError unless mu is an integer in 0..3 (a bool is not an index)."""
+    if not _is_index(mu, (0, 1, 2, 3)):
+        raise ValueError(f"Pauli index must be in {{0,1,2,3}}, got {mu!r}")
+
+
 def lambda_matrix(mu):
     """Return the normalized single-qubit basis matrix lambda_mu = sigma_mu/sqrt(2).
 
     The four matrices are trace-orthonormal: tr(lambda_a lambda_b) = delta_ab.
     Raises ValueError unless mu is an integer in 0..3 (a bool is not an index).
     """
-    if not _is_index(mu, (0, 1, 2, 3)):
-        raise ValueError(f"Pauli index must be in {{0,1,2,3}}, got {mu!r}")
+    _check_pauli_index(mu)
     return SIGMA[mu] / SQRT2
 
 
 def lambda_tensor(j, k, l):
-    """Return Lambda_{jkl} = lambda_j x lambda_k x lambda_l (8x8, trace-orthonormal)."""
-    return np.kron(np.kron(lambda_matrix(j), lambda_matrix(k)), lambda_matrix(l))
+    """Return Lambda_{jkl} = lambda_j x lambda_k x lambda_l (8x8, trace-orthonormal).
+
+    A fresh copy of LAMBDA_BASIS[flat_index(j, k, l)]; ValueError unless each
+    index is an integer in 0..3.
+    """
+    for mu in (j, k, l):
+        _check_pauli_index(mu)
+    return LAMBDA_BASIS[flat_index(j, k, l)].copy()
 
 
 def flat_index(j, k, l):
@@ -81,7 +93,8 @@ def label_to_tuple(label):
 # INDICES[a] = (j, k, l) of flat index a, and the full 64-element tensor
 # basis, flat-indexed; both built once at import.
 INDICES = np.array([index_tuple(a) for a in range(64)])
-LAMBDA_BASIS = np.stack([lambda_tensor(*idx) for idx in INDICES])
+LAMBDA_BASIS = np.stack([np.kron(np.kron(lambda_matrix(j), lambda_matrix(k)), lambda_matrix(l))
+                         for j, k, l in INDICES])
 
 
 def _check_coherence(c, stack=False):
@@ -133,20 +146,35 @@ _KET_SYMBOLS = {
 }
 
 
+# A local qubit vector's squared norm may differ from 1 by at most this; the
+# named +/- symbols carry 0.9999999999999998.
+_UNIT_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class ProductKet:
     """A 3-qubit product state: its three local qubit vectors, and amplitudes, their Kronecker product.
 
-    Raises BadLength unless there are exactly 3 locals of 2 entries each.
+    Raises BadLength unless locals holds exactly 3 vectors of 2 entries each,
+    and ValueError on a non-finite entry or a local whose squared norm is
+    not 1 within _UNIT_TOL.
     """
 
     locals: tuple
     amplitudes: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.locals, Iterable):
+            raise BadLength(f"need 3 local vectors of 2 entries, got {self.locals!r}")
         locs = tuple(np.array(v, dtype=complex) for v in self.locals)
         if len(locs) != 3 or any(v.shape != (2,) for v in locs):
             raise BadLength(f"need 3 local vectors of 2 entries, got shapes {[v.shape for v in locs]}")
+        for v in locs:
+            if not np.isfinite(v).all():
+                raise ValueError(f"local vector {v} has a NaN or infinite entry")
+            norm2 = float(np.vdot(v, v).real)
+            if abs(norm2 - 1.0) > _UNIT_TOL:
+                raise ValueError(f"local vector {v} has squared norm {norm2!r}, not 1")
         amps = np.kron(np.kron(locs[0], locs[1]), locs[2])
         for v in locs + (amps,):
             v.setflags(write=False)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_8x8, _check_tolerance, jacobi_eigh
+from .linalg import ShapeMismatch, _check_tolerance
 from .pauli import (
     INDICES,
     SQRT2,
@@ -62,10 +62,13 @@ class WrongCount(ValueError):
 
 
 def _four_kets(kets):
-    """kets as a tuple; WrongCount unless there are exactly 4."""
+    """kets as a tuple; WrongCount unless there are exactly 4, ValueError unless each is a ProductKet."""
     kets = tuple(kets)
     if len(kets) != 4:
         raise WrongCount(f"need exactly 4 kets, got {len(kets)}")
+    for i, k in enumerate(kets):
+        if not isinstance(k, ProductKet):
+            raise ValueError(f"ket {i} must be a ProductKet, got {k!r}")
     return kets
 
 
@@ -142,24 +145,17 @@ def partial_reflect(c, pair):
     return np.where(INDICES[:, [q - 1 for q in qubits]].any(axis=1), -c, c)
 
 
-def in_set_C(rho, tol=1e-10):
+def spectrum_in_C(w, tol=1e-10):
     """True iff every eigenvalue lies in [-tol, 1/4 + tol] (the reflection-stable set C).
 
-    rho is an 8x8 matrix (gives a bool) or a stack (..., 8, 8), which is
-    solved in one eigen call and gives a bool array of shape (...); a
-    negative or non-finite tol raises ValueError and any other shape
-    ShapeMismatch, both before the solve.
+    w holds ascending spectra of 8x8 matrices, shape (8,) (gives a bool) or
+    (..., 8) (gives a bool array of shape (...)).  Raises ShapeMismatch on
+    any other shape and ValueError on a negative or non-finite tol.
     """
     _check_tolerance("tol", tol)
-    return spectrum_in_C(jacobi_eigh(_check_8x8(rho), want_vectors=False)[0], tol)
-
-
-def spectrum_in_C(w, tol=1e-10):
-    """in_set_C from ascending spectra w, shape (..., n), already computed.
-
-    Raises ValueError on a negative or non-finite tol.
-    """
-    _check_tolerance("tol", tol)
+    w = np.asarray(w)
+    if w.shape[-1:] != (8,):
+        raise ShapeMismatch(f"expected spectra of 8 eigenvalues, shape (..., 8), got shape {w.shape}")
     ok = (w[..., 0] >= -tol) & (w[..., -1] <= 0.25 + tol)
     return bool(ok) if ok.ndim == 0 else ok
 
@@ -169,6 +165,7 @@ def complement_map(kets):
 
     Raises:
         WrongCount: unless exactly 4 kets are given.
+        ValueError: naming the first member that is not a ProductKet.
         NotOrthogonal: if any pairwise overlap exceeds 1e-12.
     """
     kets = _four_kets(kets)
@@ -217,6 +214,7 @@ def check_upb(kets):
 
     Raises:
         WrongCount: unless exactly 4 kets are given.
+        ValueError: naming the first member that is not a ProductKet.
     """
     kets = _four_kets(kets)
     orthogonal = all(

@@ -9,6 +9,7 @@ import pytest
 from upb3q.claims import (
     ClaimReport,
     RunConfig,
+    _ancilla_pairs,
     _Context,
     _grade,
     claim_ids,
@@ -20,6 +21,7 @@ from upb3q.claims import (
 )
 from upb3q.dynamics import ORBIT, STAGE1, TAU_P, generator, orbit
 from upb3q.linalg import _MAX_STACK, eigen_flow, jacobi_eigh
+from upb3q.pauli import LAMBDA_BASIS, lambda_matrix
 from upb3q.states import X, rho_upb
 
 EXPECTED_FAILURES = {
@@ -197,13 +199,14 @@ def test_claim_report_to_dict_round_trip():
 
 def test_full_run_stacks_its_eigen_solves(solver_calls):
     # ceil(8 * 64 / _MAX_STACK) orbit blocks plus one solve each for the two
-    # flow generators, the two base states, the three upb cuts, the ten
-    # set-C members, the reflected projector, and per preparation order the
-    # two generators and the interior probes
+    # flow generators, the 16 fixed matrices (the two base states, the three
+    # upb cuts, the ten set-C members and the reflected projector), and per
+    # preparation order the two generators and the interior probes
     n = 64
     run_claims(RunConfig(orbit_samples=n))
-    assert len(solver_calls) == math.ceil(8 * n / _MAX_STACK) + 9
+    assert len(solver_calls) == math.ceil(8 * n / _MAX_STACK) + 6
     assert sum(solver_calls) == 130 + 8 * n
+    assert sorted(solver_calls) == [2, 2, 2, 16, 54, 54, 256, 256]
 
 
 @pytest.mark.parametrize("axis", [STAGE1, ORBIT], ids=["333", "222"])
@@ -213,6 +216,18 @@ def test_shared_axis_eigs_match_one_flow_per_time(axis):
     h = generator(*axis)
     for t in np.linspace(0.0, TAU_P, 33):
         assert np.array_equal(eigen_flow(w, v, t, rho), eigen_flow(*jacobi_eigh(h), t, rho))
+
+
+def test_ancilla_pairs_match_the_per_element_kron_loop():
+    # four (64, 16, 16) Kronecker stacks give the bits of 256 one-at-a-time products
+    ctx = _Context(RunConfig())
+    [(_, via)] = _ancilla_pairs(ctx)
+    big = np.kron(ctx.upb, np.eye(2) / 2.0)
+    want = np.empty(256)
+    for a in range(64):
+        for m in range(4):
+            want[4 * a + m] = np.trace(big @ np.kron(LAMBDA_BASIS[a], lambda_matrix(m))).real
+    assert via.tobytes() == want.tobytes()
 
 
 REGISTRY_FILE = pathlib.Path(__file__).parent / "data" / "claim_registry.json"
@@ -234,11 +249,14 @@ def test_registry_metadata_is_frozen():
 @pytest.mark.parametrize("pattern, sizes", [
     ("lhv.*", []),
     ("prep.standard.*", [2, 54]),
-    ("state.spectrum_*", [2]),
+    ("state.spectrum_*", [16]),
+    ("reflect.*", [16]),
+    ("ppt.upb", [16]),
 ])
 def test_filtered_runs_build_only_what_they_use(solver_calls, pattern, sizes):
     # a filtered run solves only the shared artifacts its claims touch: the
-    # standard preparation never runs the swapped schedule, and the LHV
-    # claims need no eigen solve at all
+    # standard preparation never runs the swapped schedule, the LHV claims
+    # need no eigen solve at all, and every fixed-state spectrum claim reads
+    # the one solve of all 16 fixed matrices
     run_claims(RunConfig(filter=pattern))
     assert solver_calls == sizes

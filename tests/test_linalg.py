@@ -18,7 +18,7 @@ from upb3q.linalg import (
 )
 from upb3q.dynamics import ORBIT, rodrigues_flow
 from upb3q.pauli import to_coherence
-from upb3q.states import in_set_C, rho_upb
+from upb3q.states import rho_upb
 
 RNG = np.random.default_rng(99)
 
@@ -197,8 +197,9 @@ def test_flows_reject_non_finite_time(t):
 
 
 def test_rejected_time_or_tolerance_costs_no_eigen_solve(solver_calls):
-    # the call used to diagonalize its matrix before its check raised
+    # a bad tolerance is rejected before anything is diagonalized
     rho = np.eye(8, dtype=complex) / 8.0
-    with pytest.raises(ValueError, match="tol"):
-        in_set_C(rho, tol=float("nan"))
+    for tol in ("herm_tol", "conv_tol"):
+        with pytest.raises(ValueError, match=tol):
+            jacobi_eigh(rho, **{tol: float("nan")})
     assert solver_calls == []

@@ -157,6 +157,27 @@ def test_product_ket_is_built_from_its_locals():
         product_ket_from_locals([v, v])
 
 
+def test_product_ket_rejects_bad_locals():
+    # a NaN local used to build a ket of NaN amplitudes, [2, 0] a ket of norm
+    # 8, and a non-iterable raised a bare TypeError
+    v = np.array([1.0, 0.0])
+    for bad in (5, None, 1.5):
+        with pytest.raises(BadLength, match="need 3 local vectors of 2 entries"):
+            ProductKet(bad)
+    for bad in ((np.array([np.nan, 0]),) * 3, (v, v, np.array([np.inf, 0]))):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            ProductKet(bad)
+    for bad in ((np.array([2, 0]),) * 3, (v, v, np.array([1.0, 1.0])), (v, v, np.zeros(2)),
+                (v, v, np.array([1.0 + 1e-12, 0.0]))):
+        with pytest.raises(ValueError, match="squared norm"):
+            ProductKet(bad)
+    # the +/- symbols have squared norm 0.9999999999999998 and are accepted
+    plus = np.array([1.0, 1.0]) / SQRT2
+    assert np.vdot(plus, plus) == 0.9999999999999998
+    assert ProductKet((plus, v, plus)).amplitudes.tobytes() == ket_from_string("+0+").amplitudes.tobytes()
+    assert ProductKet((v, v, np.array([1.0 + 4e-13, 0.0]))).locals[2][0] == 1.0 + 4e-13
+
+
 def test_product_ket_from_locals_normalizes():
     v0 = np.array([1.0, 0.0])
     vp = np.array([1.0, 1.0]) / SQRT2
@@ -209,6 +230,19 @@ def test_bloch_vector_cardinal_directions():
 
 def test_lambda_tensor_matches_basis():
     assert np.abs(lambda_tensor(0, 3, 1) - LAMBDA_BASIS[13]).max() == 0.0
+    for a in range(64):
+        j, k, l = INDICES[a]
+        want = np.kron(np.kron(lambda_matrix(j), lambda_matrix(k)), lambda_matrix(l))
+        assert lambda_tensor(j, k, l).tobytes() == LAMBDA_BASIS[a].tobytes() == want.tobytes()
+
+
+def test_lambda_tensor_returns_a_copy():
+    before = LAMBDA_BASIS.copy()
+    h = lambda_tensor(3, 3, 3)
+    h[:] = 0.0
+    h += lambda_tensor(0, 1, 1)
+    assert np.array_equal(LAMBDA_BASIS, before)
+    assert not np.shares_memory(lambda_tensor(2, 2, 2), LAMBDA_BASIS)
 
 
 # Every routine that takes a coherence vector, as a one-argument call.

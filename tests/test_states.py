@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from upb3q.linalg import ShapeMismatch
+from upb3q.linalg import ShapeMismatch, jacobi_eigh
 from upb3q.pauli import SQRT2, BadSubset, from_coherence, ket_from_string, to_coherence
 from upb3q.states import (
     FAMILY_SYMBOLS,
@@ -17,7 +17,6 @@ from upb3q.states import (
     expected_upb_tensor,
     family,
     family_mixture,
-    in_set_C,
     partial_reflect,
     reflect,
     reflect_density,
@@ -114,20 +113,25 @@ def test_partial_reflect_rejects_bad_pairs():
         assert np.array_equal(partial_reflect(t, good), want)
 
 
+def in_set_c(rho, tol=1e-10):
+    """Membership of C from the library's own spectra, as the claims test it."""
+    return spectrum_in_C(jacobi_eigh(rho, want_vectors=False)[0], tol)
+
+
 def test_in_set_c():
-    assert in_set_C(rho_sep())
-    assert in_set_C(rho_upb())
+    assert in_set_c(rho_sep())
+    assert in_set_c(rho_upb())
     ghz = np.zeros(8, dtype=complex)
     ghz[0] = ghz[7] = 1 / SQRT2
-    assert not in_set_C(np.outer(ghz, ghz.conj()))  # top eigenvalue 1 > 1/4
+    assert not in_set_c(np.outer(ghz, ghz.conj()))  # top eigenvalue 1 > 1/4
 
 
 def test_in_set_c_checks_the_lower_bound():
     # trace 1 and top eigenvalue 0.15 <= 1/4, but one eigenvalue below 0
     below = np.diag([-0.05] + [0.15] * 7).astype(complex)
-    assert not in_set_C(below)
+    assert not in_set_c(below)
     assert not spectrum_in_C(np.linalg.eigvalsh(below))
-    assert in_set_C(below, tol=0.06)
+    assert in_set_c(below, tol=0.06)
 
 
 def test_in_set_c_stack_matches_per_matrix_calls():
@@ -136,12 +140,12 @@ def test_in_set_c_stack_matches_per_matrix_calls():
     members = [rho_sep(), rho_upb(), rho_oq(), np.outer(ghz, ghz.conj()),
                np.diag([-0.05] + [0.15] * 7), reflect_density(rho_oq())]
     stack = np.array(members, dtype=complex).reshape(3, 2, 8, 8)
-    got = in_set_C(stack)
+    got = in_set_c(stack)
     assert got.shape == (3, 2)
-    want = np.array([[in_set_C(stack[i, j]) for j in range(2)] for i in range(3)])
+    want = np.array([[in_set_c(stack[i, j]) for j in range(2)] for i in range(3)])
     assert np.array_equal(got, want)
     assert want.tolist() == [[True, True], [True, False], [False, True]]
-    assert isinstance(in_set_C(rho_sep()), bool)
+    assert isinstance(in_set_c(rho_sep()), bool)
 
 
 def test_complement_map_validation():
@@ -192,6 +196,18 @@ def test_extendable_detection_reports_orthogonality():
     assert not res.orthogonal
 
 
+@pytest.mark.parametrize("bad", [1, "000", None, np.zeros(8)])
+def test_check_upb_requires_product_kets(bad):
+    # check_upb([1, 2, 3, 4]) and complement_map(["000", ...]) used to raise a
+    # bare AttributeError: ... has no attribute 'amplitudes'
+    for pos in (0, 2):
+        kets = list(family("psi"))
+        kets[pos] = bad
+        for route in (check_upb, complement_map):
+            with pytest.raises(ValueError, match=f"ket {pos} must be a ProductKet, got "):
+                route(kets)
+
+
 @pytest.mark.parametrize("count", [0, 3, 5])
 def test_check_upb_requires_four_kets(count):
     # an empty set used to raise "max() arg is an empty sequence" from the
@@ -208,16 +224,17 @@ def test_in_set_c_rejects_bad_tolerance():
     w = np.linalg.eigvalsh(rho_upb())
     for bad in (float("nan"), float("inf"), -1e-10):
         with pytest.raises(ValueError, match="tol"):
-            in_set_C(rho_upb(), tol=bad)
+            in_set_c(rho_upb(), tol=bad)
         with pytest.raises(ValueError, match="tol"):
             spectrum_in_C(w, tol=bad)
-    assert in_set_C(rho_upb(), tol=1e-10)
+    assert in_set_c(rho_upb(), tol=1e-10)
 
 
-@pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4), (64,)])
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (64,)])
 def test_in_set_c_rejects_non_8x8_shapes(solver_calls, shape):
-    # np.eye(4) / 4 has its spectrum in [0, 1/4] and used to give True
-    rho = np.broadcast_to(np.eye(4) / 4, shape) if shape[-1] == 4 else np.zeros(shape)
-    with pytest.raises(ShapeMismatch, match="8x8"):
-        in_set_C(rho)
+    # the spectrum of np.eye(4) / 4, a stack of three of them, and a (64,)
+    # coherence vector all lie in [0, 1/4] and used to give True
+    w = np.full(shape, 0.25) if shape[-1] == 4 else np.zeros(shape)
+    with pytest.raises(ShapeMismatch, match=r"8 eigenvalues, shape \(\.\.\., 8\)"):
+        spectrum_in_C(w)
     assert solver_calls == []

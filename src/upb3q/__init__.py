@@ -6,7 +6,6 @@ from .claims import (
     ClaimReport,
     RunConfig,
     claim_ids,
-    exit_code,
     run_claims,
     write_bloch_csv,
     write_orbit_csv,
@@ -41,10 +40,8 @@ from .pauli import (
     coherence_product,
     flat_index,
     from_coherence,
-    index_tuple,
     ket_from_string,
     lambda_matrix,
-    lambda_tensor,
     reduced_density,
     to_coherence,
 )

@@ -46,7 +46,6 @@ from .pauli import (
     bloch_vector,
     coherence_product,
     from_coherence,
-    index_tuple,
     ket_from_string,
     lambda_matrix,
     reduced_density,
@@ -109,10 +108,6 @@ class ClaimReport:
     measured: object
     expected: object
     tolerance: float
-
-    def to_dict(self):
-        """The report as a dict whose 7 keys follow the field order above."""
-        return asdict(self)
 
 
 class _Context:
@@ -307,9 +302,8 @@ def _byproduct_unique(ctx):
 
 
 def _decoy_misses(ctx):
-    psi_t = to_coherence(family_mixture("psi"))
     return min(
-        frobenius_distance(from_coherence(rodrigues_flow(ORBIT, r, psi_t)), ctx.upb)
+        frobenius_distance(from_coherence(rodrigues_flow(ORBIT, r, ctx.sep_t)), ctx.upb)
         for r, _ in ctx.byproduct
     ) > 0.1
 
@@ -565,12 +559,8 @@ def run_claims(config=None):
     return reports
 
 
-def exit_code(reports):
-    return 1 if any(r.status == "fail" for r in reports) else 0
-
-
 def write_reports_json(reports, fobj):
-    json.dump([r.to_dict() for r in reports], fobj, indent=2)
+    json.dump([asdict(r) for r in reports], fobj, indent=2)
     fobj.write("\n")
 
 
@@ -584,7 +574,7 @@ def write_orbit_csv(fobj, orbit):
     writer = csv.writer(fobj)
     writer.writerow(
         ["t"]
-        + ["coh{}{}{}".format(*index_tuple(a)) for a in three]
+        + ["coh{}{}{}".format(*INDICES[a]) for a in three]
         + [f"min_pt_cut{q}" for q in (1, 2, 3)]
         + [f"reflected_min_pt_cut{q}" for q in (1, 2, 3)]
         + ["rank", "reflected_rank"]

@@ -23,7 +23,7 @@ from .entanglement import min_pt_eigs, partial_transpose
 from .linalg import (_MAX_STACK, _check_count, _check_matrix, _check_time, eigen_flow,
                      frobenius_distance, jacobi_eigh)
 from .pauli import (LAMBDA_BASIS, SQRT2, _check_coherence, flat_index, from_coherence,
-                    label_to_tuple, lambda_tensor, to_coherence)
+                    label_to_tuple, to_coherence)
 from .states import family_mixture, reflect, rho_sep, rho_upb
 
 # Common period of the Lambda_{333} and Lambda_{222} conjugation flows.
@@ -53,7 +53,7 @@ def generator(*labels):
     """The 8x8 sum of Lambda_jkl over labels like '011'; ValueError on a bad label."""
     h = np.zeros((8, 8), dtype=complex)
     for label in labels:
-        h += lambda_tensor(*label_to_tuple(label))
+        h += LAMBDA_BASIS[flat_index(*label_to_tuple(label))]
     return h
 
 

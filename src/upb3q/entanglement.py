@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .linalg import _check_8x8, _check_tolerance, frobenius_distance, jacobi_eigh
-from .pauli import BadSubset, _check_coherence, _is_index, flat_index, label_to_tuple, lambda_tensor
+from .pauli import LAMBDA_BASIS, BadSubset, _check_coherence, _is_index, flat_index, label_to_tuple
 
 
 def partial_transpose(rho, qubit):
@@ -74,12 +74,12 @@ def verify_triple_structure(triple):
     < _TRIPLE_TOL) and their product is c * Lambda_000 with c > 0.  Raises
     ValueError unless the triple holds exactly 3 valid labels.
     """
-    a, b, c = (lambda_tensor(*idx) for idx in _check_triple(triple))
+    a, b, c = (LAMBDA_BASIS[flat_index(*idx)] for idx in _check_triple(triple))
     for m1, m2 in itertools.combinations((a, b, c), 2):
         if frobenius_distance(m1 @ m2, m2 @ m1) >= _TRIPLE_TOL:
             return False
     prod = a @ b @ c
-    ident = lambda_tensor(0, 0, 0)
+    ident = LAMBDA_BASIS[0]
     coeff = np.trace(prod @ ident).real  # orthonormal-basis projection
     residual = frobenius_distance(prod, coeff * ident)
     return bool(residual < _TRIPLE_TOL and coeff > 0)

@@ -10,6 +10,7 @@ convention: a = 16j + 4k + l, qubit 1 is the leftmost Kronecker factor.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -46,41 +47,20 @@ def _is_index(n, values):
     return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n in values
 
 
-def _check_pauli_index(mu):
-    """Raise ValueError unless mu is an integer in 0..3 (a bool is not an index)."""
-    if not _is_index(mu, (0, 1, 2, 3)):
-        raise ValueError(f"Pauli index must be in {{0,1,2,3}}, got {mu!r}")
-
-
 def lambda_matrix(mu):
     """Return the normalized single-qubit basis matrix lambda_mu = sigma_mu/sqrt(2).
 
     The four matrices are trace-orthonormal: tr(lambda_a lambda_b) = delta_ab.
     Raises ValueError unless mu is an integer in 0..3 (a bool is not an index).
     """
-    _check_pauli_index(mu)
+    if not _is_index(mu, (0, 1, 2, 3)):
+        raise ValueError(f"Pauli index must be in {{0,1,2,3}}, got {mu!r}")
     return SIGMA[mu] / SQRT2
-
-
-def lambda_tensor(j, k, l):
-    """Return Lambda_{jkl} = lambda_j x lambda_k x lambda_l (8x8, trace-orthonormal).
-
-    A fresh copy of LAMBDA_BASIS[flat_index(j, k, l)]; ValueError unless each
-    index is an integer in 0..3.
-    """
-    for mu in (j, k, l):
-        _check_pauli_index(mu)
-    return LAMBDA_BASIS[flat_index(j, k, l)].copy()
 
 
 def flat_index(j, k, l):
     """Flat index of component (j,k,l): 16j + 4k + l."""
     return 16 * j + 4 * k + l
-
-
-def index_tuple(a):
-    """Inverse of flat_index."""
-    return a // 16, (a // 4) % 4, a % 4
 
 
 def label_to_tuple(label):
@@ -91,10 +71,12 @@ def label_to_tuple(label):
 
 
 # INDICES[a] = (j, k, l) of flat index a, and the full 64-element tensor
-# basis, flat-indexed; both built once at import.
-INDICES = np.array([index_tuple(a) for a in range(64)])
+# basis, flat-indexed; both built once at import and read-only.
+INDICES = np.array(list(itertools.product(range(4), repeat=3)))
 LAMBDA_BASIS = np.stack([np.kron(np.kron(lambda_matrix(j), lambda_matrix(k)), lambda_matrix(l))
                          for j, k, l in INDICES])
+INDICES.setflags(write=False)
+LAMBDA_BASIS.setflags(write=False)
 
 
 def _check_coherence(c, stack=False):
@@ -184,20 +166,6 @@ class ProductKet:
     def projector(self):
         """The rank-1 density matrix |ket><ket|."""
         return np.outer(self.amplitudes, self.amplitudes.conj())
-
-
-def product_ket_from_locals(locals_):
-    """Build a ProductKet from three single-qubit vectors (normalizing each)."""
-    normed = []
-    for v in locals_:
-        v = np.asarray(v, dtype=complex)
-        n = np.sqrt(np.real(np.vdot(v, v)))
-        if not np.isfinite(n):  # NaN or infinite entries, or an overflowing norm
-            raise ValueError(f"local vector {v} has no finite norm")
-        if n == 0:
-            raise ValueError("zero local vector")
-        normed.append(v / n)
-    return ProductKet(tuple(normed))
 
 
 def ket_from_string(s):

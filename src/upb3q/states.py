@@ -30,7 +30,6 @@ from .pauli import (
     from_coherence,
     ket_from_string,
     label_to_tuple,
-    product_ket_from_locals,
     to_coherence,
 )
 
@@ -63,6 +62,8 @@ class WrongCount(ValueError):
 
 def _four_kets(kets):
     """kets as a tuple; WrongCount unless there are exactly 4, ValueError unless each is a ProductKet."""
+    if not isinstance(kets, Iterable):
+        raise WrongCount(f"need exactly 4 kets, got {kets!r}")
     kets = tuple(kets)
     if len(kets) != 4:
         raise WrongCount(f"need exactly 4 kets, got {len(kets)}")
@@ -150,12 +151,17 @@ def spectrum_in_C(w, tol=1e-10):
 
     w holds ascending spectra of 8x8 matrices, shape (8,) (gives a bool) or
     (..., 8) (gives a bool array of shape (...)).  Raises ShapeMismatch on
-    any other shape and ValueError on a negative or non-finite tol.
+    any other shape, and ValueError on a negative or non-finite tol or on
+    spectra that are not real and finite numbers.
     """
     _check_tolerance("tol", tol)
     w = np.asarray(w)
     if w.shape[-1:] != (8,):
         raise ShapeMismatch(f"expected spectra of 8 eigenvalues, shape (..., 8), got shape {w.shape}")
+    if w.dtype.kind not in "iuf":
+        raise ValueError(f"spectra must be real numbers, got dtype {w.dtype}")
+    if not np.isfinite(w).all():
+        raise ValueError("spectra must be finite, got NaN or inf")
     ok = (w[..., 0] >= -tol) & (w[..., -1] <= 0.25 + tol)
     return bool(ok) if ok.ndim == 0 else ok
 
@@ -237,7 +243,7 @@ def check_upb(kets):
             _orthogonal_complement(vs[0]) if vs else np.array([1.0, 0.0], dtype=complex)
             for vs in per_party
         ]
-        witness = product_ket_from_locals(locals_)
+        witness = ProductKet(locals_)
         overlaps = [abs(np.vdot(k.amplitudes, witness.amplitudes)) for k in kets]
         if max(overlaps) >= 1e-10:  # pragma: no cover - guards the search logic
             raise AssertionError(f"witness failed verification: overlaps {overlaps}")

@@ -35,10 +35,10 @@ from upb3q.dynamics import (
 from upb3q.entanglement import OQ_TRIPLES, UPB_TRIPLES, lhv_oracle, min_pt_eigs, triple_value
 from upb3q.linalg import eigen_flow, frobenius_distance, jacobi_eigh
 from upb3q.pauli import (
+    INDICES,
     SQRT2,
     coherence_product,
     from_coherence,
-    index_tuple,
     ket_from_string,
     label_to_tuple,
     to_coherence,
@@ -206,7 +206,7 @@ def test_criterion_08_rodrigues(upb):
 
 
 def test_criterion_09_orbit_structure(orbit64):
-    low = np.array([sum(1 for i in index_tuple(a) if i) <= 2 for a in range(64)])
+    low = np.count_nonzero(INDICES, axis=1) <= 2
     base = orbit64.tensors[0][low]
     d_const = max(np.abs(c[low] - base).max() for c in orbit64.tensors)
     sin_set = [23, 29, 53, 63]
@@ -241,7 +241,7 @@ def _one_spin_norm(table, qubit, axis):
     """
     total = 0.0
     for a, c in enumerate(table):
-        if index_tuple(a)[qubit] not in (0, axis):
+        if INDICES[a][qubit] not in (0, axis):
             total += c * c / 2
     return float(np.sqrt(total))
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from upb3q.dynamics import COS_SET, ORBIT, SIN_SET, STAGE1, STAGE2, BadAxis, adjoint_matrix, rodrigues_flow
-from upb3q.pauli import SIGMA, SQRT2, flat_index, index_tuple, label_to_tuple, to_coherence
+from upb3q.pauli import INDICES, SIGMA, SQRT2, flat_index, label_to_tuple, to_coherence
 from upb3q.states import UPB_MINUS, UPB_PLUS, X, expected_upb_tensor, rho_sep, rho_upb
 
 
@@ -64,7 +64,7 @@ def _same(x, y):
 
 
 # The 64 Pauli products P_a = sigma_j x sigma_k x sigma_l, flat-indexed, as Gaussian-integer matrices.
-_PAULIS = [_gaussian(np.kron(np.kron(SIGMA[j], SIGMA[k]), SIGMA[l])) for j, k, l in map(index_tuple, range(64))]
+_PAULIS = [_gaussian(np.kron(np.kron(SIGMA[j], SIGMA[k]), SIGMA[l])) for j, k, l in INDICES]
 
 
 def _combination(coefficients):

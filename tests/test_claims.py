@@ -2,6 +2,7 @@ import io
 import json
 import math
 import pathlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from upb3q.claims import (
     _Context,
     _grade,
     claim_ids,
-    exit_code,
     run_claims,
     write_bloch_csv,
     write_orbit_csv,
@@ -45,7 +45,6 @@ def test_default_run_fails_only_single_qubit_stationarity():
         by_status.setdefault(r.status, []).append(r.claim_id)
     assert set(by_status["fail"]) == EXPECTED_FAILURES
     assert "skip" not in by_status
-    assert exit_code(reports) == 1
     # the failing measurements are the true commutator norms, not noise:
     # sqrt(3)*x for axes 1 and 3, sqrt(6)*x for axis 2
     for r in reports:
@@ -61,7 +60,6 @@ def test_filter_skips_everything_else():
     assert all(r.claim_id.startswith("lhv.") for r in executed)
     assert len(executed) == 10
     assert all(r.status == "pass" for r in executed)
-    assert exit_code(reports) == 0
     skipped = [r for r in reports if r.status == "skip"]
     assert all(r.measured is None and r.expected is None for r in skipped)
 
@@ -193,8 +191,10 @@ def test_run_config_rejects_bad_values():
 
 def test_claim_report_to_dict_round_trip():
     rep = ClaimReport("a.b", "desc", "ref", "pass", 1.0, 1.0, 0.1)
-    d = rep.to_dict()
-    assert d["claim_id"] == "a.b" and d["tolerance"] == 0.1
+    d = asdict(rep)
+    assert list(d) == ["claim_id", "description", "paper_ref", "status", "measured", "expected",
+                       "tolerance"]
+    assert d["claim_id"] == "a.b" and d["tolerance"] == 0.1 and ClaimReport(**d) == rep
 
 
 def test_full_run_stacks_its_eigen_solves(solver_calls):
@@ -239,7 +239,7 @@ def test_registry_metadata_is_frozen():
     # collapsed into parameterised families; measured values are left out
     # because they depend on the platform's floating point
     frozen = json.loads(REGISTRY_FILE.read_text(encoding="utf-8"))
-    current = [{k: r.to_dict()[k] for k in STATIC_KEYS} for r in run_claims()]
+    current = [{k: asdict(r)[k] for k in STATIC_KEYS} for r in run_claims()]
     assert [row["claim_id"] for row in frozen] == claim_ids()
     for want, got in zip(frozen, current):
         # compared as JSON text so that true and 1, or 0 and 0.0, differ

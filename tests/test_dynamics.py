@@ -24,7 +24,7 @@ from upb3q.dynamics import (
 )
 from upb3q.entanglement import partial_transpose
 from upb3q.linalg import NonHermitian, ShapeMismatch, eigen_flow, jacobi_eigh
-from upb3q.pauli import SQRT2, from_coherence, lambda_tensor, to_coherence
+from upb3q.pauli import LAMBDA_BASIS, SQRT2, flat_index, from_coherence, to_coherence
 from upb3q.states import X, family_mixture, reflect, rho_sep, rho_upb
 
 SQRT3 = np.sqrt(3.0)
@@ -42,9 +42,9 @@ def test_period_constant():
 
 def test_generator_matrix():
     h = generator("333")
-    assert np.abs(h - lambda_tensor(3, 3, 3)).max() == 0.0
+    assert np.abs(h - LAMBDA_BASIS[flat_index(3, 3, 3)]).max() == 0.0
     h2 = generator("011", "033")
-    expect = lambda_tensor(0, 1, 1) + lambda_tensor(0, 3, 3)
+    expect = LAMBDA_BASIS[flat_index(0, 1, 1)] + LAMBDA_BASIS[flat_index(0, 3, 3)]
     assert np.array_equal(h2, expect)
     assert generator(*STAGE2).shape == (8, 8)
 
@@ -69,10 +69,8 @@ def test_adjoint_matrix_matches_commutator():
     rng = np.random.default_rng(3)
     for axis, jkl in ((STAGE1, (3, 3, 3)), (ORBIT, (2, 2, 2))):
         r = adjoint_matrix(axis)
-        h = lambda_tensor(*jkl)
+        h = LAMBDA_BASIS[flat_index(*jkl)]
         for a in rng.choice(64, size=12, replace=False):
-            from upb3q.pauli import LAMBDA_BASIS
-
             comm = -1j * (h @ LAMBDA_BASIS[a] - LAMBDA_BASIS[a] @ h)
             col = np.einsum("bij,ji->b", LAMBDA_BASIS, comm).real
             assert np.abs(r[:, a] - col).max() < 1e-13

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -18,12 +19,9 @@ from upb3q.pauli import (
     coherence_product,
     flat_index,
     from_coherence,
-    index_tuple,
     ket_from_string,
     label_to_tuple,
     lambda_matrix,
-    lambda_tensor,
-    product_ket_from_locals,
     reduced_density,
     to_coherence,
 )
@@ -58,22 +56,20 @@ def test_lambda_matrix_normalization():
 
 @pytest.mark.parametrize("bad", [1.0, True, False, "1", None, -1])
 def test_pauli_indices_are_integers_in_range(bad):
-    # lambda_matrix(1.0) and lambda_tensor(1.0, 0, 0) used to raise a bare
-    # TypeError from tuple indexing, and lambda_matrix(True) returned sigma_x/sqrt2
+    # lambda_matrix(1.0) used to raise a bare TypeError from tuple indexing,
+    # and lambda_matrix(True) returned sigma_x/sqrt2
     with pytest.raises(ValueError, match="Pauli index"):
         lambda_matrix(bad)
-    with pytest.raises(ValueError, match="Pauli index"):
-        lambda_tensor(0, bad, 0)
 
 
 def test_pauli_indices_accept_numpy_integers():
     assert np.array_equal(lambda_matrix(np.int64(2)), lambda_matrix(2))
-    assert np.array_equal(lambda_tensor(*INDICES[27]), LAMBDA_BASIS[27])
+    assert flat_index(*INDICES[27]) == 27
 
 
 def test_flat_index_round_trip():
     for a in range(64):
-        assert flat_index(*index_tuple(a)) == a
+        assert flat_index(*INDICES[a]) == a
     assert flat_index(0, 3, 1) == 13
     assert label_to_tuple("031") == (0, 3, 1)
     with pytest.raises(ValueError):
@@ -153,13 +149,12 @@ def test_product_ket_is_built_from_its_locals():
     for bad in ((v, v), (v, v, v, v), (v, v, np.ones(3)), (v, v, np.ones((2, 1))), (np.ones(8),)):
         with pytest.raises(BadLength, match="need 3 local vectors of 2 entries"):
             ProductKet(bad)
-    with pytest.raises(BadLength):
-        product_ket_from_locals([v, v])
 
 
 def test_product_ket_rejects_bad_locals():
     # a NaN local used to build a ket of NaN amplitudes, [2, 0] a ket of norm
-    # 8, and a non-iterable raised a bare TypeError
+    # 8, and a non-iterable raised a bare TypeError; [1e200, 1e200] overflows
+    # its squared norm to inf
     v = np.array([1.0, 0.0])
     for bad in (5, None, 1.5):
         with pytest.raises(BadLength, match="need 3 local vectors of 2 entries"):
@@ -168,7 +163,7 @@ def test_product_ket_rejects_bad_locals():
         with pytest.raises(ValueError, match="NaN or infinite"):
             ProductKet(bad)
     for bad in ((np.array([2, 0]),) * 3, (v, v, np.array([1.0, 1.0])), (v, v, np.zeros(2)),
-                (v, v, np.array([1.0 + 1e-12, 0.0]))):
+                (v, v, np.array([1.0 + 1e-12, 0.0])), (v, v, np.array([1e200, 1e200]))):
         with pytest.raises(ValueError, match="squared norm"):
             ProductKet(bad)
     # the +/- symbols have squared norm 0.9999999999999998 and are accepted
@@ -176,23 +171,6 @@ def test_product_ket_rejects_bad_locals():
     assert np.vdot(plus, plus) == 0.9999999999999998
     assert ProductKet((plus, v, plus)).amplitudes.tobytes() == ket_from_string("+0+").amplitudes.tobytes()
     assert ProductKet((v, v, np.array([1.0 + 4e-13, 0.0]))).locals[2][0] == 1.0 + 4e-13
-
-
-def test_product_ket_from_locals_normalizes():
-    v0 = np.array([1.0, 0.0])
-    vp = np.array([1.0, 1.0]) / SQRT2
-    odd = np.array([2.0, 1.0j])  # not a named direction; gets normalized
-    ket = product_ket_from_locals([v0, vp, odd])
-    assert abs(np.vdot(ket.amplitudes, ket.amplitudes).real - 1.0) < 1e-14
-    assert np.abs(ket.amplitudes - np.kron(np.kron(v0, vp), odd / np.sqrt(5.0))).max() < 1e-15
-
-
-def test_product_ket_from_locals_rejects_non_finite():
-    # a NaN used to slip past the zero-norm guard and give a '?' ket of NaNs
-    ok = np.array([1.0, 0.0])
-    for bad in ([np.nan, 1.0], [np.inf, 0.0], [1e200, 1e200]):
-        with pytest.raises(ValueError):
-            product_ket_from_locals([ok, np.array(bad), ok])
 
 
 def test_reduced_density_matches_kron_inverse():
@@ -229,20 +207,24 @@ def test_bloch_vector_cardinal_directions():
 
 
 def test_lambda_tensor_matches_basis():
-    assert np.abs(lambda_tensor(0, 3, 1) - LAMBDA_BASIS[13]).max() == 0.0
-    for a in range(64):
-        j, k, l = INDICES[a]
+    # Lambda_jkl is the basis table's row flat_index(j, k, l), bit for bit
+    assert np.array_equal(INDICES[13], (0, 3, 1))
+    for a, (j, k, l) in enumerate(itertools.product(range(4), repeat=3)):
         want = np.kron(np.kron(lambda_matrix(j), lambda_matrix(k)), lambda_matrix(l))
-        assert lambda_tensor(j, k, l).tobytes() == LAMBDA_BASIS[a].tobytes() == want.tobytes()
+        assert LAMBDA_BASIS[flat_index(j, k, l)].tobytes() == want.tobytes()
+        assert tuple(INDICES[a]) == (j, k, l)
 
 
-def test_lambda_tensor_returns_a_copy():
+def test_lambda_basis_and_indices_are_read_only():
+    # callers index the tables directly, so a write into them must raise
+    # rather than corrupt every later expansion
     before = LAMBDA_BASIS.copy()
-    h = lambda_tensor(3, 3, 3)
-    h[:] = 0.0
-    h += lambda_tensor(0, 1, 1)
+    for table in (LAMBDA_BASIS, INDICES):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            table += 1
     assert np.array_equal(LAMBDA_BASIS, before)
-    assert not np.shares_memory(lambda_tensor(2, 2, 2), LAMBDA_BASIS)
 
 
 # Every routine that takes a coherence vector, as a one-argument call.

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from upb3q.entanglement import partial_transpose
 from upb3q.linalg import NoConvergence, NonHermitian, jacobi_eigh
-from upb3q.pauli import INDICES, from_coherence, product_ket_from_locals, to_coherence
+from upb3q.pauli import INDICES, ProductKet, from_coherence, to_coherence
 from upb3q.states import FAMILY_SYMBOLS, check_upb, reflect
 
 entries = arrays(np.float64, (2, 8, 8), elements=st.floats(-1.0, 1.0))
@@ -186,5 +186,5 @@ def brute_force_extendable(members):
 @example(list(FAMILY_SYMBOLS["phi"]))
 @example(list(FAMILY_SYMBOLS["psi"][:3]) + ["111"])
 def test_check_upb_matches_brute_force_witness_search(members):
-    kets = [product_ket_from_locals([PAULI_STATES[ch] for ch in m]) for m in members]
+    kets = [ProductKet([PAULI_STATES[ch] for ch in m]) for m in members]
     assert (check_upb(kets).extension_witness is None) == (not brute_force_extendable(members))

@@ -219,6 +219,29 @@ def test_check_upb_requires_four_kets(count):
         complement_map(kets)
 
 
+@pytest.mark.parametrize("bad", [5, None, 1.5])
+def test_check_upb_rejects_a_non_iterable(bad):
+    # check_upb(5) and complement_map(None) used to raise a bare TypeError
+    # from tuple(kets)
+    for route in (check_upb, complement_map):
+        with pytest.raises(WrongCount, match=f"need exactly 4 kets, got {bad!r}"):
+            route(bad)
+
+
+@pytest.mark.parametrize("w", [np.full(8, 0.1 + 1j), np.full(8, 0.1 + 0j), np.array(["0.1"] * 8),
+                               np.full(8, 0.1, dtype=object), np.full(8, True),
+                               np.full(8, np.nan), np.array([0.1] * 7 + [np.inf]),
+                               np.stack([np.full(8, 0.1), np.full(8, -np.inf)])],
+                         ids=["complex", "complex-real", "str", "object", "bool", "nan", "inf", "stack"])
+def test_spectrum_in_c_requires_real_finite_spectra(w):
+    # a complex spectrum used to be graded by numpy's ordering of complex
+    # numbers (0.1+1j gave True), a string array raised numpy's bare
+    # UFuncTypeError, and an all-NaN spectrum gave False without an error
+    with pytest.raises(ValueError, match="spectra must be (real numbers|finite)"):
+        spectrum_in_C(w)
+    assert spectrum_in_C(np.zeros(8, dtype=int)) and spectrum_in_C(np.full(8, 0.25, dtype=np.float32))
+
+
 def test_in_set_c_rejects_bad_tolerance():
     # a NaN tol used to give a False verdict without an error
     w = np.linalg.eigvalsh(rho_upb())

@@ -569,23 +569,23 @@ def _fmt17(value):
 
 
 def write_orbit_csv(fobj, orbit):
-    """17-significant-digit CSV of an Orbit: 3-coherences, min PT eigenvalues, ranks."""
+    """17-significant-digit CSV of an Orbit: 3-coherences, min PT eigenvalues, ranks.
+
+    Rows end in "\r\n", as csv.writer ends them; no field needs quoting.
+    """
     three = sorted(SIN_SET + COS_SET)
-    writer = csv.writer(fobj)
-    writer.writerow(
-        ["t"]
-        + ["coh{}{}{}".format(*INDICES[a]) for a in three]
-        + [f"min_pt_cut{q}" for q in (1, 2, 3)]
-        + [f"reflected_min_pt_cut{q}" for q in (1, 2, 3)]
-        + ["rank", "reflected_rank"]
-    )
+    header = (["t"]
+              + ["coh{}{}{}".format(*INDICES[a]) for a in three]
+              + [f"min_pt_cut{q}" for q in (1, 2, 3)]
+              + [f"reflected_min_pt_cut{q}" for q in (1, 2, 3)]
+              + ["rank", "reflected_rank"])
     ranks = np.sum(np.abs(orbit.spectra[:, :, 0]) > _RANK_TOL, axis=-1)  # (sample, reflected)
-    for t, c, min_pts, rank in zip(orbit.t, orbit.tensors, orbit.spectra[:, :, 1:, 0], ranks):
-        row = [_fmt17(t)]
-        row += [_fmt17(c[a]) for a in three]
-        row += [_fmt17(v) for v in min_pts.ravel()]  # the state's cuts, then the reflection's
-        row += [str(r) for r in rank]
-        writer.writerow(row)
+    # per sample: t, the coherences, then the state's cuts and the reflection's
+    reals = np.column_stack([orbit.t, orbit.tensors[:, three],
+                             orbit.spectra[:, :, 1:, 0].reshape(len(orbit.t), -1)])
+    row = ",".join(["%.17g"] * reals.shape[1] + ["%d", "%d"]) + "\r\n"
+    fobj.write(",".join(header) + "\r\n")
+    fobj.write("".join(row % (*x, *r) for x, r in zip(reals.tolist(), ranks.tolist())))
 
 
 def write_bloch_csv(fobj):

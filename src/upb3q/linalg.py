@@ -28,26 +28,34 @@ class ShapeMismatch(ValueError):
 
 
 # Largest stack one internal solve rotates at once; longer stacks are solved
-# in chunks of this size, which bounds the solver's scratch memory.  Every
-# sweep of a solve pays a fixed ~0.75-1.6 ms of per-pair numpy calls whatever
-# the stack holds (a sweep of 256 matrices takes 2.7-4.2 ms), so fuller
-# chunks are cheaper per matrix.  Measured on the benchmark's solver inputs
-# (best of 15 repetitions, five runs on a shared 2-core VM): orbit(128)'s 1024
-# matrices take 49-74 ms in chunks of 128, 36-56 ms at 256 and 32-45 ms at
-# 512; one order's 192 preparation probes 18-27 ms at 128 and 12-20 ms at 192
-# or more.  512 would raise the orbit and verify runs' peak RSS by 1.5-1.8 MB
-# (+4-5%).
-_MAX_STACK = 256
+# in chunks of this size.  Every sweep of a solve pays a fixed ~0.75-1.6 ms of
+# per-pair numpy calls whatever the stack holds, so fuller chunks are cheaper
+# per matrix.  Measured on orbit(128)'s 1024 eigenvalue-only matrices (best
+# of 15 repetitions, five runs on a shared 2-core VM): 51-54 ms in chunks of
+# 128, 37-40 ms at 256, 32-33 ms at 512 and 27-29 ms at 1024.  The working
+# copy is the size of the chunk, so the chunk sets peak memory: perfbench's
+# orbit_csv peaks at 36.8-36.9 MB RSS at 512 and at 38.4 MB at 1024, 5.2%
+# above the 36.4-36.5 MB of 256-matrix chunks and outside its 5% bound.
+_MAX_STACK = 512
+
+# Matrices per temporary in the Hermiticity check and the off-diagonal norms,
+# and the most a retirement copies, which bounds that scratch whatever the
+# chunk; every solve of 256 matrices or fewer (the verify run's own, the
+# preparation probes) stays one slice.
+_SLICE = 256
 
 
 def _check_hermitian(mat, tol):
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ShapeMismatch(f"expected a square matrix or a stack of them, got shape {mat.shape}")
+    flat = mat.reshape((math.prod(mat.shape[:-2]),) + mat.shape[-2:])
     with np.errstate(invalid="ignore"):  # inf - inf gives NaN, which the test below rejects
-        residue = np.abs(mat - np.swapaxes(mat.conj(), -1, -2)).max(initial=0.0)
-    if not residue <= tol:  # also rejects NaN, which compares False
-        raise NonHermitian(f"Hermiticity residue {residue:.3e} > {tol:.1e}")
+        for start in range(0, len(flat), _SLICE):  # the first slice over tol raises
+            part = flat[start:start + _SLICE]
+            residue = np.abs(part - np.swapaxes(part.conj(), -1, -2)).max(initial=0.0)
+            if not residue <= tol:  # also rejects NaN, which compares False
+                raise NonHermitian(f"Hermiticity residue {residue:.3e} > {tol:.1e}")
     return mat
 
 
@@ -90,12 +98,19 @@ def _offdiag_norms(a):
     """Off-diagonal Frobenius norm of each matrix of a batch-last (n, n, B) stack.
 
     Each matrix is summed over its own contiguous row of n*n squares, as one
-    matrix alone would be: a sum down the batch axis rounds differently.
+    matrix alone would be: a sum down the batch axis rounds differently.  The
+    squares are made _SLICE matrices at a time.
     """
-    off = np.moveaxis(a, -1, 0).copy()
     diag = np.arange(a.shape[0])
-    off[:, diag, diag] = 0.0
-    return np.sqrt(np.sum(np.abs(off.reshape(len(off), -1)) ** 2, axis=1))
+    norms = np.empty(a.shape[-1])
+    for start in range(0, a.shape[-1], _SLICE):
+        part = slice(start, start + _SLICE)
+        off = np.moveaxis(a[..., part], -1, 0).copy()
+        off[:, diag, diag] = 0.0
+        sq = np.abs(off.reshape(len(off), -1))
+        norms[part] = np.sqrt(np.sum(np.square(sq, out=sq), axis=1))
+        del off, sq  # free this slice's scratch before the next one is made
+    return norms
 
 
 def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vectors=True):
@@ -144,40 +159,57 @@ def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vector
 def _jacobi_stack(mats, conv_tol, max_sweeps, w_out, v_out):
     """Diagonalize a (B, n, n) stack into w_out (B, n) and, if given, v_out.
 
-    The solve works on its own batch-last copy, av[i, j, b] = mats[b, i, j],
+    The solve works on its own batch-last copy, store[i, j, b] = mats[b, i, j],
     so that each row or column slice of a rotation is a run of contiguous
     batch elements.  The eigenvector unitary V is carried below A in the same
     (2n, n, B) array, so that each column rotation A <- A U also does
-    V <- V U.  Matrices that have converged are retired between sweeps, so
-    the rest of the stack keeps rotating without them.
+    V <- V U.  Matrices that have converged are retired between sweeps: the
+    rotating ones fill the first k slots, live[s] is the stack position of
+    the matrix in slot s, and each retiree's slot is refilled in place by a
+    rotating matrix from the tail, so the rest of the stack keeps rotating as
+    the view store[..., :k] without a copy of the whole stack.  Once the
+    live ones fit one _SLICE they move to a store of their own, a copy no
+    larger than the other scratch, which makes each row slice of a rotation
+    one contiguous run again: numpy loops over those faster, and a stack of
+    _SLICE or fewer (every verify and preparation solve) never rotates a
+    view.
     """
     n = mats.shape[-1]
-    diag = np.arange(n)
-    av = np.empty((n if v_out is None else 2 * n, n, len(mats)), dtype=complex)
-    av[:n] = mats.transpose(1, 2, 0)  # a copy: the caller's matrices are never rotated
+    diag = np.arange(n)[:, None]
+    store = np.empty((n if v_out is None else 2 * n, n, len(mats)), dtype=complex)
+    store[:n] = mats.transpose(1, 2, 0)  # a copy: the caller's matrices are never rotated
     if v_out is not None:
-        av[n:] = np.eye(n)[:, :, None]
-    live = np.arange(len(mats))  # stack positions of the matrices still rotating
-    norms = _offdiag_norms(av[:n])
+        store[n:] = np.eye(n)[:, :, None]
+    k = len(mats)
+    live = np.arange(k)
+    norms = _offdiag_norms(store[:n])
     for sweep in range(max_sweeps + 1):
         done = norms < conv_tol
         if done.any():
-            fin = np.moveaxis(av.compress(done, axis=-1), -1, 0)
-            evals = fin[:, diag, diag].real
+            out = done.nonzero()[0]
+            evals = store[diag, diag, out].real.T  # (retirees, n): only their diagonals
             order = np.argsort(evals, axis=-1, kind="stable")
-            w_out[live[done]] = np.take_along_axis(evals, order, axis=-1)
+            w_out[live[out]] = np.take_along_axis(evals, order, axis=-1)
             if v_out is not None:
-                v_out[live[done]] = np.take_along_axis(fin[:, n:], order[:, None, :], axis=-1)
-            keep = ~done
-            av, live, norms = av.compress(keep, axis=-1), live[keep], norms[keep]
-        if not len(live) or sweep == max_sweeps:
+                vecs = np.moveaxis(store[n:, :, out], -1, 0)
+                v_out[live[out]] = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+            k -= len(out)
+            holes = out[out < k]  # retired slots inside the new live view
+            movers = k + (~done[k:]).nonzero()[0]  # rotating slots beyond it
+            store[..., holes] = store[..., movers]
+            live[holes], norms[holes] = live[movers], norms[movers]
+            live, norms = live[:k], norms[:k]
+            if k <= _SLICE:
+                store = store[..., :k].copy()
+        if not k or sweep == max_sweeps:
             break
+        av = store[..., :k]
         _sweep(av)
         norms = _offdiag_norms(av[:n])
-    if len(live):
+    if k:
         raise NoConvergence(
             f"off-diagonal norm {norms.max():.3e} > {conv_tol:.1e} "
-            f"after {max_sweeps} sweeps ({len(live)} of {len(mats)} matrices)"
+            f"after {max_sweeps} sweeps ({k} of {len(mats)} matrices)"
         )
 
 
@@ -215,11 +247,17 @@ def _sweep(av):
 
 
 def _mix(xs, ys, hit, c, s_xy, s_yx):
-    """x, y <- c x + s_xy y, s_yx x + c y for the batch members hit of the (m, B) rows xs, ys."""
+    """x, y <- c x + s_xy y, s_yx x + c y for the batch members hit of the (m, B) rows xs, ys.
+
+    Each product goes to a fresh buffer or to a scratch row outside the
+    stack, never to x or y: numpy may round a product that it must buffer
+    against overlap differently.  Three scratch rows serve the four products.
+    """
     x, y = xs[:, hit], ys[:, hit]  # views when hit is a slice, gathered copies otherwise
-    s_yx_x, c_y = s_yx * x, c * y
-    np.add(c * x, s_xy * y, out=x)
-    np.add(s_yx_x, c_y, out=y)
+    s_yx_x, tmp = s_yx * x, c * x
+    np.add(tmp, s_xy * y, out=x)
+    np.multiply(c, y, out=tmp)
+    np.add(s_yx_x, tmp, out=y)
     if not isinstance(hit, slice):
         xs[:, hit], ys[:, hit] = x, y
 

@@ -53,13 +53,22 @@ def lambda_matrix(mu):
     The four matrices are trace-orthonormal: tr(lambda_a lambda_b) = delta_ab.
     Raises ValueError unless mu is an integer in 0..3 (a bool is not an index).
     """
-    if not _is_index(mu, (0, 1, 2, 3)):
-        raise ValueError(f"Pauli index must be in {{0,1,2,3}}, got {mu!r}")
+    _check_pauli_index(mu)
     return SIGMA[mu] / SQRT2
 
 
+def _check_pauli_index(mu):
+    if not _is_index(mu, (0, 1, 2, 3)):
+        raise ValueError(f"Pauli index must be in {{0,1,2,3}}, got {mu!r}")
+
+
 def flat_index(j, k, l):
-    """Flat index of component (j,k,l): 16j + 4k + l."""
+    """Flat index of component (j,k,l): 16j + 4k + l.
+
+    Raises ValueError unless j, k and l are integers in 0..3 (a bool is not an index).
+    """
+    for mu in (j, k, l):
+        _check_pauli_index(mu)
     return 16 * j + 4 * k + l
 
 

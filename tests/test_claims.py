@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -19,9 +20,9 @@ from upb3q.claims import (
     write_orbit_csv,
     write_reports_json,
 )
-from upb3q.dynamics import ORBIT, STAGE1, TAU_P, generator, orbit
+from upb3q.dynamics import COS_SET, ORBIT, SIN_SET, STAGE1, TAU_P, generator, orbit
 from upb3q.linalg import _MAX_STACK, eigen_flow, jacobi_eigh
-from upb3q.pauli import LAMBDA_BASIS, lambda_matrix
+from upb3q.pauli import INDICES, LAMBDA_BASIS, lambda_matrix
 from upb3q.states import X, rho_upb
 
 EXPECTED_FAILURES = {
@@ -127,6 +128,25 @@ def test_orbit_csv_golden_rows():
         assert float(row_quarter[col]) >= -1e-10
 
 
+def test_orbit_csv_matches_the_csv_module_writer():
+    # each data row is one %-format string; the reference is csv.writer over
+    # fields formatted one at a time, the byte format the CSV has always had
+    orb = orbit(8)
+    buf = io.StringIO()
+    write_orbit_csv(buf, orb)
+    ref = io.StringIO()
+    writer = csv.writer(ref)
+    three = sorted(SIN_SET + COS_SET)
+    writer.writerow(["t"] + ["coh{}{}{}".format(*INDICES[a]) for a in three]
+                    + [f"min_pt_cut{q}" for q in (1, 2, 3)]
+                    + [f"reflected_min_pt_cut{q}" for q in (1, 2, 3)] + ["rank", "reflected_rank"])
+    for t, c, w in zip(orb.t, orb.tensors, orb.spectra):
+        writer.writerow([format(float(t), ".17g")] + [format(float(c[a]), ".17g") for a in three]
+                        + [format(float(v), ".17g") for v in w[:, 1:, 0].ravel()]
+                        + [str(int(np.sum(np.abs(x) > 1e-9))) for x in w[:, 0]])
+    assert buf.getvalue() == ref.getvalue()
+
+
 def test_orbit_csv_uses_17_significant_digits():
     buf = io.StringIO()
     write_orbit_csv(buf, orbit(2))
@@ -206,7 +226,7 @@ def test_full_run_stacks_its_eigen_solves(solver_calls):
     run_claims(RunConfig(orbit_samples=n))
     assert len(solver_calls) == math.ceil(8 * n / _MAX_STACK) + 6
     assert sum(solver_calls) == 130 + 8 * n
-    assert sorted(solver_calls) == [2, 2, 2, 16, 54, 54, 256, 256]
+    assert sorted(solver_calls) == [2, 2, 2, 16, 54, 54, 512]
 
 
 @pytest.mark.parametrize("axis", [STAGE1, ORBIT], ids=["333", "222"])

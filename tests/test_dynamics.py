@@ -174,9 +174,9 @@ def test_prepare_upb_probes_fill_one_chunk(order, solver_calls):
 
 
 def test_orbit_solves_full_chunks(solver_calls):
-    # 32 samples of 8 matrices per solve; 136 = 4 x 32 + 8
+    # 64 samples of 8 matrices per solve; 136 = 2 x 64 + 8
     orbit(136)
-    assert solver_calls == [256, 256, 256, 256, 64]
+    assert solver_calls == [512, 512, 64]
 
 
 @pytest.mark.parametrize("samples", [2, 33, 128])

@@ -2,12 +2,14 @@
 here only as an independent oracle."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from upb3q.linalg import (
     _MAX_STACK,
+    _SLICE,
     _offdiag_norms,
     NoConvergence,
     NonHermitian,
@@ -16,7 +18,8 @@ from upb3q.linalg import (
     frobenius_distance,
     jacobi_eigh,
 )
-from upb3q.dynamics import ORBIT, rodrigues_flow
+from upb3q import dynamics
+from upb3q.dynamics import ORBIT, _ORBIT_BLOCK, orbit, rodrigues_flow
 from upb3q.pauli import to_coherence
 from upb3q.states import rho_upb
 
@@ -73,6 +76,21 @@ def test_jacobi_rejects_nan_before_sweeping():
         jacobi_eigh(m)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("where", [0, _SLICE + 7, 3 * _SLICE - 1], ids=["first", "middle", "last"])
+def test_non_finite_entry_in_any_slice_is_not_hermitian(solver_calls, value, where):
+    # the Hermiticity residue is taken over one slice of the stack at a time;
+    # a NaN residue (a NaN pair, or inf - inf) in any slice must fail the
+    # check, whatever the finite residues of the other slices: folding the
+    # slices with `if not r <= residue: residue = r` drops an early NaN, and
+    # the solve then burns its sweep budget and raises NoConvergence instead
+    stack = np.repeat(np.eye(8, dtype=complex)[None], 3 * _SLICE, axis=0)
+    stack[where, 0, 1] = stack[where, 1, 0] = value
+    with pytest.raises(NonHermitian):
+        jacobi_eigh(stack)
+    assert solver_calls == []
+
+
 def test_jacobi_no_convergence_budget():
     m = random_hermitian(8)
     with pytest.raises(NoConvergence):
@@ -113,6 +131,26 @@ def test_stack_across_chunk_boundaries_equals_one_matrix_calls():
             w1, v1 = alone[i % len(members)]
             assert np.array_equal(w[i], w1)
             assert v1 is None if vecs is None else np.array_equal(vecs[i], v1)
+
+
+def test_orbit_block_solve_scratch_stays_under_twice_the_stack(monkeypatch):
+    # the eigenvalue-only solve of one full orbit block: its working copy, the
+    # norms and Hermiticity residues taken _SLICE matrices at a time, and the
+    # in-place retirement stay under 2x the stack (a copy of the whole working
+    # stack at each retirement and full-stack temporaries took 2.25x)
+    stacks = []
+    monkeypatch.setattr(dynamics, "jacobi_eigh",
+                        lambda stack, **kw: stacks.append(stack) or jacobi_eigh(stack, **kw))
+    orbit(_ORBIT_BLOCK)
+    [stack] = stacks
+    assert stack[..., 0, 0].size == _MAX_STACK
+    tracemalloc.start()
+    try:
+        jacobi_eigh(stack, want_vectors=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * stack.nbytes
 
 
 @pytest.mark.parametrize("size", [1, 3])

@@ -76,6 +76,14 @@ def test_flat_index_round_trip():
         label_to_tuple("04x")
 
 
+@pytest.mark.parametrize("jkl", [(0, 0, 4), (1.5, 0, 0), ("0", "3", "1"), (True, 0, 0), (0, -1, 0)])
+def test_flat_index_requires_pauli_indices(jkl):
+    # (0, 0, 4) returned 4, the index of (0, 1, 0); (1.5, 0, 0) returned 24.0;
+    # ('0', '3', '1') returned the string '000000000000000033331'
+    with pytest.raises(ValueError, match="Pauli index"):
+        flat_index(*jkl)
+
+
 def test_to_from_coherence_round_trip():
     rho = random_density()
     tens = to_coherence(rho)

@@ -4,7 +4,6 @@ flows, and a claim-grading command line tool."""
 
 from .claims import (
     ClaimReport,
-    RunConfig,
     claim_ids,
     run_claims,
     write_bloch_csv,

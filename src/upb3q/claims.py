@@ -13,7 +13,6 @@ the point is to pin the constructions against an independent record.
 
 from __future__ import annotations
 
-import csv
 import fnmatch
 import json
 from dataclasses import asdict, dataclass
@@ -38,7 +37,7 @@ from .dynamics import (
 )
 from .entanglement import (OQ_TRIPLES, UPB_TRIPLES, lhv_oracle, partial_transpose, triple_value,
                            verify_triple_structure)
-from .linalg import _check_count, _check_tolerance, eigen_flow, frobenius_distance, jacobi_eigh
+from .linalg import _check_count, eigen_flow, frobenius_distance, jacobi_eigh
 from .pauli import (
     INDICES,
     LAMBDA_BASIS,
@@ -73,30 +72,10 @@ X3 = X**3
 _FLAT_SPECTRUM = np.array([0.0, 0.0, 0.0, 0.0, 0.25, 0.25, 0.25, 0.25])
 # Eigenvalues of a reflected rank-1 projector.
 _PROJECTOR_SPECTRUM = np.array([-0.75] + [0.25] * 7)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Tolerances, the orbit grid size and the claim filter for one claim run.
-
-    Raises ValueError on a tolerance that is negative, NaN or infinite, on
-    an orbit grid that is not an integer >= 2, or on a filter that is neither
-    None nor a string.
-    """
-
-    equality_tol: float = 1e-12
-    psd_tol: float = 1e-10
-    sign_tol: float = 1e-8
-    flow_tol: float = 1e-10
-    orbit_samples: int = 64
-    filter: str | None = None
-
-    def __post_init__(self):
-        for name in ("equality_tol", "psd_tol", "sign_tol", "flow_tol"):
-            _check_tolerance(name, getattr(self, name))
-        _check_count("orbit_samples", self.orbit_samples, 2)
-        if not (self.filter is None or isinstance(self.filter, str)):
-            raise ValueError(f"filter must be None or a glob string, got {self.filter!r}")
+# Absolute tolerance of the equality claims that state none of their own.
+_EQUALITY_TOL = 1e-12
+# Tolerance of the preparation, Rodrigues and byproduct claims, which compare exact flows.
+_FLOW_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -113,8 +92,8 @@ class ClaimReport:
 class _Context:
     """Lazily computed artifacts shared across claims in one run."""
 
-    def __init__(self, cfg):
-        self.cfg = cfg
+    def __init__(self, orbit_samples):
+        self.orbit_samples = orbit_samples
 
     @cached_property
     def sep(self):
@@ -177,7 +156,7 @@ class _Context:
 
     @cached_property
     def orbit(self):
-        return orbit(self.cfg.orbit_samples)
+        return orbit(self.orbit_samples)
 
     @cached_property
     def byproduct(self):
@@ -186,16 +165,11 @@ class _Context:
 
 # ---------------------------------------------------------------------------
 # claim builders: each factory returns a builder, which maps the run's
-# _Context to (measured, expected, tolerance).  A tolerance given as a string
-# names a RunConfig field.
+# _Context to (measured, expected, tolerance).
 
-def _near(value, expected=0.0, tol="equality_tol"):
+def _near(value, expected=0.0, tol=_EQUALITY_TOL):
     """Numeric claim: value(ctx) equals expected within tol."""
-    def builder(ctx):
-        limit = getattr(ctx.cfg, tol) if isinstance(tol, str) else tol
-        return float(value(ctx)), expected, limit
-
-    return builder
+    return lambda ctx: (float(value(ctx)), expected, tol)
 
 
 def _holds(predicate):
@@ -203,12 +177,12 @@ def _holds(predicate):
     return lambda ctx: (bool(predicate(ctx)), True, 0.0)
 
 
-def _distance(pairs, tol="equality_tol"):
+def _distance(pairs, tol=_EQUALITY_TOL):
     """Zero claim: the largest Frobenius distance over the matrix pairs in pairs(ctx)."""
     return _near(lambda ctx: max(frobenius_distance(a, b) for a, b in pairs(ctx)), tol=tol)
 
 
-def _deviation(pairs, tol="equality_tol"):
+def _deviation(pairs, tol=_EQUALITY_TOL):
     """Zero claim: the largest componentwise |a - b| over the array pairs in pairs(ctx)."""
     return _near(lambda ctx: max(np.abs(a - b).max() for a, b in pairs(ctx)), tol=tol)
 
@@ -223,7 +197,7 @@ def _lhv_oracle(state, triples, count):
     """The sign oracle finds count consistent assignments per triple of one family."""
     def builder(ctx):
         tensor = getattr(ctx, state)
-        counts = [lhv_oracle(tensor, tr, ctx.cfg.sign_tol) for tr in triples]
+        counts = [lhv_oracle(tensor, tr) for tr in triples]
         return counts, [count] * len(triples), 0.0
 
     return builder
@@ -246,7 +220,7 @@ def _rodrigues_match(axis):
         (from_coherence(rodrigues_flow(axis, t, ctx.upb_t)),
          eigen_flow(*ctx.axis_eigs[axis], t, ctx.upb))
         for t in np.linspace(0.0, TAU_P, 33)
-    ], "flow_tol")
+    ], _FLOW_TOL)
 
 
 def _rodrigues_period(axis):
@@ -297,7 +271,7 @@ def _sum_only_stationary(ctx):
 
 
 def _byproduct_unique(ctx):
-    n = sum(1 for _, d in ctx.byproduct if d < ctx.cfg.flow_tol)
+    n = sum(1 for _, d in ctx.byproduct if d < _FLOW_TOL)
     return int(n), 1, 0.0
 
 
@@ -353,7 +327,7 @@ def _registry():
          _deviation(lambda c: [(c.fixed_spectra["base"][0], _FLAT_SPECTRUM)], 1e-11)),
         ("state.in_set_c", "spectrum",
          "both base states lie in the eigenvalue band [0, 1/4]",
-         _holds(lambda c: spectrum_in_C(c.fixed_spectra["base"], c.cfg.psd_tol).all())),
+         _holds(lambda c: spectrum_in_C(c.fixed_spectra["base"]).all())),
         ("state.reduced_random", "state-table",
          "every single-qubit marginal of both base states is I/2",
          _deviation(_reduced_pairs)),
@@ -375,7 +349,7 @@ def _registry():
          _deviation(lambda c: [(c.fixed_spectra["projector"], _PROJECTOR_SPECTRUM)], 1e-11)),
         ("reflect.set_c_closed", "reflection",
          "reflection keeps the sampled mixtures inside the eigenvalue band [0, 1/4]",
-         _holds(lambda c: spectrum_in_C(c.fixed_spectra["set_c"], c.cfg.psd_tol).all())),
+         _holds(lambda c: spectrum_in_C(c.fixed_spectra["set_c"]).all())),
         ("lhv.structure", "lhv-triples",
          "all eight builtin triples commute pairwise with product proportional to identity",
          _holds(lambda c: all(map(verify_triple_structure, UPB_TRIPLES + OQ_TRIPLES)))),
@@ -408,22 +382,22 @@ def _registry():
          _lhv_oracle("upb_t", OQ_TRIPLES, 2)),
         ("prep.standard.endpoint", "preparation",
          "triple-z then six-term schedule lands on the complement state",
-         _distance(lambda c: [(c.prep_standard.checkpoints["final"], c.upb)], "flow_tol")),
+         _distance(lambda c: [(c.prep_standard.checkpoints["final"], c.upb)], _FLOW_TOL)),
         ("prep.standard.intermediate", "preparation",
          "triple-z half-period stage lands on the mu mixture",
          _distance(lambda c: [(c.prep_standard.checkpoints["intermediate"],
-                               family_mixture("mu"))], "flow_tol")),
+                               family_mixture("mu"))], _FLOW_TOL)),
         ("prep.standard.interior_npt", "preparation",
          "standard schedule is NPT on every cut at all interior sample times",
          _interior_npt("standard")),
         ("prep.swapped.endpoint", "preparation",
          "swapped schedule lands on the same complement state",
-         _distance(lambda c: [(c.prep_swapped.checkpoints["final"], c.upb)], "flow_tol")),
+         _distance(lambda c: [(c.prep_swapped.checkpoints["final"], c.upb)], _FLOW_TOL)),
         ("prep.swapped.intermediate_reflects", "preparation",
          "swapped-schedule intermediate is the reflection of the standard one",
          _distance(lambda c: [(c.prep_swapped.checkpoints["intermediate"],
                                reflect_density(c.prep_standard.checkpoints["intermediate"]))],
-                   "flow_tol")),
+                   _FLOW_TOL)),
         ("prep.swapped.interior_npt", "preparation",
          "swapped schedule is NPT on every cut at all interior sample times",
          _interior_npt("swapped")),
@@ -482,7 +456,7 @@ def _registry():
          _rodrigues_period(ORBIT)),
         ("byproduct.distance", "byproduct",
          "one candidate evolution returns the theta mixture to the complement state",
-         _near(lambda c: min(d for _, d in c.byproduct), tol="flow_tol")),
+         _near(lambda c: min(d for _, d in c.byproduct), tol=_FLOW_TOL)),
         ("byproduct.parameter", "byproduct",
          "the matching period-reduced parameter is 3/4 of the period",
          _near(lambda c: min(c.byproduct, key=lambda e: e[1])[0], 3.0 * TAU_P / 4.0, 1e-9)),
@@ -537,13 +511,21 @@ def _grade(measured, expected, tol):
     return "pass" if ok else "fail"
 
 
-def run_claims(config=None):
-    """Execute the registry; returns reports sorted by claim id."""
-    cfg = config if config is not None else RunConfig()
-    ctx = _Context(cfg)
+def run_claims(orbit_samples=64, filter=None):
+    """Execute the registry; returns reports sorted by claim id.
+
+    The orbit claims sample orbit_samples times over one period, and claims
+    whose id the glob filter does not match are skipped.  Raises ValueError,
+    before any claim runs, on an orbit grid that is not an integer >= 2 or a
+    filter that is neither None nor a string.
+    """
+    _check_count("orbit_samples", orbit_samples, 2)
+    if not (filter is None or isinstance(filter, str)):
+        raise ValueError(f"filter must be None or a glob string, got {filter!r}")
+    ctx = _Context(orbit_samples)
     reports = []
     for cid, ref, desc, fn in _REGISTRY:
-        if cfg.filter and not fnmatch.fnmatchcase(cid, cfg.filter):
+        if filter and not fnmatch.fnmatchcase(cid, filter):
             reports.append(ClaimReport(cid, desc, ref, "skip", None, None, 0.0))
             continue
         try:
@@ -562,10 +544,6 @@ def run_claims(config=None):
 def write_reports_json(reports, fobj):
     json.dump([asdict(r) for r in reports], fobj, indent=2)
     fobj.write("\n")
-
-
-def _fmt17(value):
-    return format(float(value), ".17g")
 
 
 def write_orbit_csv(fobj, orbit):
@@ -590,12 +568,9 @@ def write_orbit_csv(fobj, orbit):
 
 def write_bloch_csv(fobj):
     """Per-member, per-qubit Bloch vectors of the three aligned ket families."""
-    writer = csv.writer(fobj)
-    writer.writerow(["family", "member", "qubit", "bloch_x", "bloch_y", "bloch_z"])
+    fobj.write("family,member,qubit,bloch_x,bloch_y,bloch_z\r\n")
     for tag, name in (("psi@t=0", "psi"), ("theta@t=tau_p/4", "theta"), ("phi@t=tau_p/2", "phi")):
         for member, ket in enumerate(family(name), start=1):
             for qubit, local in enumerate(ket.locals, start=1):
                 vec = bloch_vector(np.outer(local, local.conj()))
-                writer.writerow(
-                    [tag, str(member), str(qubit)] + [_fmt17(v) for v in vec]
-                )
+                fobj.write("%s,%d,%d,%.17g,%.17g,%.17g\r\n" % (tag, member, qubit, *vec))

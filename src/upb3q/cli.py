@@ -15,10 +15,9 @@ import argparse
 import fnmatch
 import sys
 
-from .claims import (RunConfig, claim_ids, run_claims, write_bloch_csv, write_orbit_csv,
-                     write_reports_json)
+from .claims import claim_ids, run_claims, write_bloch_csv, write_orbit_csv, write_reports_json
 from .dynamics import orbit
-from .linalg import _check_count, _check_tolerance
+from .linalg import _check_count
 
 
 def _fmt(value):
@@ -31,25 +30,17 @@ def _fmt(value):
     return str(value)
 
 
-def _argument(text, convert, check):
-    """Convert an argparse value and check it; a rejected value is a usage error."""
+def _samples(text):
+    """A grid size; one that is not an integer >= 2 is a usage error naming that rule."""
     try:
-        value = convert(text)
+        n = int(text)
     except ValueError:
-        value = text  # not a number: the check rejects it with its rule
+        n = text  # not a number: the check rejects it with its rule
     try:
-        check(value)
+        _check_count("N", n, 2)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
-def _samples(text):
-    return _argument(text, int, lambda n: _check_count("N", n, 2))
-
-
-def _tolerance(text):
-    return _argument(text, float, lambda t: _check_tolerance("TOL", t))
+    return n
 
 
 def _pattern(text):
@@ -60,15 +51,7 @@ def _pattern(text):
 
 
 def _cmd_verify(args):
-    cfg = RunConfig(
-        equality_tol=args.tolerance_equality,
-        psd_tol=args.tolerance_psd,
-        sign_tol=args.tolerance_sign,
-        flow_tol=args.tolerance_flow,
-        orbit_samples=args.orbit_samples,
-        filter=args.filter,
-    )
-    reports = run_claims(cfg)
+    reports = run_claims(args.orbit_samples, args.filter)
     log = sys.stderr if args.json == "-" else sys.stdout  # stdout then holds only the JSON
     for r in reports:
         print(f"[{r.status.upper():4s}] {r.claim_id}: measured={_fmt(r.measured)} "
@@ -121,10 +104,6 @@ def build_parser():
                         "and the claim lines to stderr")
     v.add_argument("--orbit-samples", type=_samples, default=64, metavar="N",
                    help="orbit grid size used by orbit claims (default 64)")
-    v.add_argument("--tolerance-equality", type=_tolerance, default=1e-12, metavar="TOL")
-    v.add_argument("--tolerance-psd", type=_tolerance, default=1e-10, metavar="TOL")
-    v.add_argument("--tolerance-sign", type=_tolerance, default=1e-8, metavar="TOL")
-    v.add_argument("--tolerance-flow", type=_tolerance, default=1e-10, metavar="TOL")
     v.set_defaults(func=_cmd_verify)
 
     o = sub.add_parser("orbit", help="sample the PPT-preserving orbit as CSV")

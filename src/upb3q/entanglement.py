@@ -62,7 +62,7 @@ _TRIPLE_TOL = 1e-12  # commutator and identity-residual norms below this count a
 
 def _check_triple(triple):
     """The component indices of a triple; ValueError unless it holds exactly 3 labels."""
-    if isinstance(triple, str) or len(triple) != 3:
+    if isinstance(triple, str) or not hasattr(triple, "__len__") or len(triple) != 3:
         raise ValueError(f"a triple must hold exactly 3 component labels, got {triple!r}")
     return [label_to_tuple(s) for s in triple]
 

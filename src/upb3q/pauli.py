@@ -89,7 +89,7 @@ LAMBDA_BASIS.setflags(write=False)
 
 
 def _check_coherence(c, stack=False):
-    """c as a float array; ValueError unless its components are real and finite.
+    """c as a float array; ValueError unless its components are real, finite numbers.
 
     ShapeMismatch unless c has shape (64,), or with stack=True any (..., 64).
     """
@@ -97,6 +97,8 @@ def _check_coherence(c, stack=False):
     if c.shape[-1:] != (64,) or (c.ndim > 1 and not stack):
         want = "(..., 64)" if stack else "(64,)"
         raise ShapeMismatch(f"expected coherence vectors of shape {want}, got shape {c.shape}")
+    if c.dtype.kind not in "iufc":
+        raise ValueError(f"coherence components must be real numbers, got dtype {c.dtype}")
     if c.dtype.kind == "c":
         if c.imag.any():
             raise ValueError("coherence components must be real, got a nonzero imaginary part")

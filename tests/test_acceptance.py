@@ -18,7 +18,7 @@ import itertools
 import numpy as np
 import pytest
 
-from upb3q.claims import RunConfig, run_claims
+from upb3q.claims import run_claims
 from upb3q.dynamics import (
     FIXED_POINT,
     ONE_SPIN,
@@ -273,7 +273,7 @@ def test_criterion_10_stationarity(upb):
     commutant = _commutant_dim(gens)
     off_identity = frobenius_distance(upb, np.trace(upb).real * np.eye(8) / 8)
 
-    reports = run_claims(RunConfig(filter="stationary.*"))
+    reports = run_claims(filter="stationary.*")
     ran = {r.claim_id: r for r in reports if r.status != "skip"}
     local_ids = {f"stationary.local_{lbl}" for lbl in analytic}
     others = set(ran) - local_ids

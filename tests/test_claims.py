@@ -10,7 +10,6 @@ import pytest
 
 from upb3q.claims import (
     ClaimReport,
-    RunConfig,
     _ancilla_pairs,
     _Context,
     _grade,
@@ -22,8 +21,8 @@ from upb3q.claims import (
 )
 from upb3q.dynamics import COS_SET, ORBIT, SIN_SET, STAGE1, TAU_P, generator, orbit
 from upb3q.linalg import _MAX_STACK, eigen_flow, jacobi_eigh
-from upb3q.pauli import INDICES, LAMBDA_BASIS, lambda_matrix
-from upb3q.states import X, rho_upb
+from upb3q.pauli import INDICES, LAMBDA_BASIS, bloch_vector, lambda_matrix
+from upb3q.states import X, family, rho_upb
 
 EXPECTED_FAILURES = {
     "stationary.local_100", "stationary.local_200", "stationary.local_300",
@@ -56,7 +55,7 @@ def test_default_run_fails_only_single_qubit_stationarity():
 
 
 def test_filter_skips_everything_else():
-    reports = run_claims(RunConfig(filter="lhv.*"))
+    reports = run_claims(filter="lhv.*")
     executed = [r for r in reports if r.status != "skip"]
     assert all(r.claim_id.startswith("lhv.") for r in executed)
     assert len(executed) == 10
@@ -77,7 +76,7 @@ def test_grade_rules():
 
 
 def test_report_json_schema():
-    reports = run_claims(RunConfig(filter="state.*"))
+    reports = run_claims(filter="state.*")
     buf = io.StringIO()
     write_reports_json(reports, buf)
     data = json.loads(buf.getvalue())
@@ -93,11 +92,10 @@ def test_report_json_schema():
 
 
 def test_report_json_is_deterministic():
-    cfg = RunConfig(filter="reflect.*")
     out = []
     for _ in range(2):
         buf = io.StringIO()
-        write_reports_json(run_claims(cfg), buf)
+        write_reports_json(run_claims(filter="reflect.*"), buf)
         out.append(buf.getvalue())
     assert out[0] == out[1]
 
@@ -129,22 +127,30 @@ def test_orbit_csv_golden_rows():
 
 
 def test_orbit_csv_matches_the_csv_module_writer():
-    # each data row is one %-format string; the reference is csv.writer over
-    # fields formatted one at a time, the byte format the CSV has always had
+    # each data row of both CSV writers is one %-format string; the reference
+    # is csv.writer over fields formatted one at a time, the byte format the
+    # CSVs have always had
     orb = orbit(8)
-    buf = io.StringIO()
-    write_orbit_csv(buf, orb)
-    ref = io.StringIO()
-    writer = csv.writer(ref)
     three = sorted(SIN_SET + COS_SET)
-    writer.writerow(["t"] + ["coh{}{}{}".format(*INDICES[a]) for a in three]
-                    + [f"min_pt_cut{q}" for q in (1, 2, 3)]
-                    + [f"reflected_min_pt_cut{q}" for q in (1, 2, 3)] + ["rank", "reflected_rank"])
+    orbit_rows = [["t"] + ["coh{}{}{}".format(*INDICES[a]) for a in three]
+                  + [f"min_pt_cut{q}" for q in (1, 2, 3)]
+                  + [f"reflected_min_pt_cut{q}" for q in (1, 2, 3)] + ["rank", "reflected_rank"]]
     for t, c, w in zip(orb.t, orb.tensors, orb.spectra):
-        writer.writerow([format(float(t), ".17g")] + [format(float(c[a]), ".17g") for a in three]
-                        + [format(float(v), ".17g") for v in w[:, 1:, 0].ravel()]
-                        + [str(int(np.sum(np.abs(x) > 1e-9))) for x in w[:, 0]])
-    assert buf.getvalue() == ref.getvalue()
+        orbit_rows.append([format(float(t), ".17g")] + [format(float(c[a]), ".17g") for a in three]
+                          + [format(float(v), ".17g") for v in w[:, 1:, 0].ravel()]
+                          + [str(int(np.sum(np.abs(x) > 1e-9))) for x in w[:, 0]])
+    bloch_rows = [["family", "member", "qubit", "bloch_x", "bloch_y", "bloch_z"]]
+    for tag, name in (("psi@t=0", "psi"), ("theta@t=tau_p/4", "theta"), ("phi@t=tau_p/2", "phi")):
+        for member, ket in enumerate(family(name), start=1):
+            for qubit, local in enumerate(ket.locals, start=1):
+                vec = bloch_vector(np.outer(local, local.conj()))
+                bloch_rows.append([tag, str(member), str(qubit)] + [format(float(v), ".17g") for v in vec])
+    for write, rows in ((lambda fobj: write_orbit_csv(fobj, orb), orbit_rows),
+                        (write_bloch_csv, bloch_rows)):
+        buf, ref = io.StringIO(), io.StringIO()
+        write(buf)
+        csv.writer(ref).writerows(rows)
+        assert buf.getvalue() == ref.getvalue()
 
 
 def test_orbit_csv_uses_17_significant_digits():
@@ -185,7 +191,7 @@ def test_error_in_claim_becomes_failure():
                lambda ctx: (_ for _ in ()).throw(RuntimeError("kaboom")))]
     mod._REGISTRY = original + broken
     try:
-        reports = run_claims(RunConfig(filter="zz.*"))
+        reports = run_claims(filter="zz.*")
     finally:
         mod._REGISTRY = original
     failing = [r for r in reports if r.claim_id == "zz.boom"]
@@ -194,19 +200,17 @@ def test_error_in_claim_becomes_failure():
     assert "kaboom" in failing[0].measured
 
 
-def test_run_config_rejects_bad_values():
+def test_run_config_rejects_bad_values(solver_calls):
     # used to be accepted, turning the orbit claims into `error:` failures
     bad = [{"orbit_samples": 0}, {"orbit_samples": 1}, {"orbit_samples": 2.5}]
-    for name in ("equality_tol", "psd_tol", "sign_tol", "flow_tol"):
-        bad += [{name: -1e-12}, {name: float("nan")}, {name: float("inf")}, {name: True}]
-    # a non-string filter used to build, and run_claims then raised a bare
-    # TypeError from fnmatch
+    # a non-string filter used to run, and raised a bare TypeError from fnmatch
     bad += [{"filter": 3}, {"filter": ["upb.*"]}, {"filter": b"upb.*"}]
     for kwargs in bad:
         with pytest.raises(ValueError):
-            run_claims(RunConfig(**kwargs))
-    assert RunConfig(orbit_samples=2, equality_tol=0.0).orbit_samples == 2
-    assert RunConfig(filter="upb.*").filter == "upb.*"
+            run_claims(**kwargs)
+    # both are checked before any claim runs
+    assert solver_calls == []
+    assert len(run_claims(orbit_samples=2, filter="upb.*")) == len(claim_ids())
 
 
 def test_claim_report_to_dict_round_trip():
@@ -223,7 +227,7 @@ def test_full_run_stacks_its_eigen_solves(solver_calls):
     # upb cuts, the ten set-C members and the reflected projector), and per
     # preparation order the two generators and the interior probes
     n = 64
-    run_claims(RunConfig(orbit_samples=n))
+    run_claims(orbit_samples=n)
     assert len(solver_calls) == math.ceil(8 * n / _MAX_STACK) + 6
     assert sum(solver_calls) == 130 + 8 * n
     assert sorted(solver_calls) == [2, 2, 2, 16, 54, 54, 512]
@@ -231,7 +235,7 @@ def test_full_run_stacks_its_eigen_solves(solver_calls):
 
 @pytest.mark.parametrize("axis", [STAGE1, ORBIT], ids=["333", "222"])
 def test_shared_axis_eigs_match_one_flow_per_time(axis):
-    w, v = _Context(RunConfig()).axis_eigs[axis]
+    w, v = _Context(64).axis_eigs[axis]
     rho = rho_upb()
     h = generator(*axis)
     for t in np.linspace(0.0, TAU_P, 33):
@@ -240,7 +244,7 @@ def test_shared_axis_eigs_match_one_flow_per_time(axis):
 
 def test_ancilla_pairs_match_the_per_element_kron_loop():
     # four (64, 16, 16) Kronecker stacks give the bits of 256 one-at-a-time products
-    ctx = _Context(RunConfig())
+    ctx = _Context(64)
     [(_, via)] = _ancilla_pairs(ctx)
     big = np.kron(ctx.upb, np.eye(2) / 2.0)
     want = np.empty(256)
@@ -278,5 +282,5 @@ def test_filtered_runs_build_only_what_they_use(solver_calls, pattern, sizes):
     # standard preparation never runs the swapped schedule, the LHV claims
     # need no eigen solve at all, and every fixed-state spectrum claim reads
     # the one solve of all 16 fixed matrices
-    run_claims(RunConfig(filter=pattern))
+    run_claims(filter=pattern)
     assert solver_calls == sizes

@@ -11,7 +11,7 @@ import pytest
 
 import upb3q
 from upb3q import dynamics
-from upb3q.claims import RunConfig, run_claims, write_bloch_csv, write_orbit_csv, write_reports_json
+from upb3q.claims import run_claims, write_bloch_csv, write_orbit_csv, write_reports_json
 from upb3q.cli import build_parser, main
 from upb3q.dynamics import orbit
 
@@ -28,7 +28,6 @@ def test_parser_defaults():
     args = build_parser().parse_args(["verify"])
     assert args.filter is None
     assert args.orbit_samples == 64
-    assert args.tolerance_equality == 1e-12
     args = build_parser().parse_args(["orbit", "--samples", "16"])
     assert args.samples == 16 and args.csv == "-"
 
@@ -54,18 +53,13 @@ def test_verify_default_exits_one(tmp_path):
     assert all(c.startswith("stationary.local_") for c in failing)
 
 
-def test_tolerance_override_changes_verdict(tmp_path):
-    # with a huge equality tolerance even the nine deliberate failures grade
-    # as pass, so the exit code flips: proves the flags are actually wired in
-    code = main([
-        "verify", "--filter", "stationary.local_*",
-        "--tolerance-equality", "1.0",
-        "--json", str(tmp_path / "r.json"),
-    ])
-    assert code == 0
-    data = json.loads((tmp_path / "r.json").read_text())
-    executed = [e for e in data if e["status"] != "skip"]
-    assert all(e["tolerance"] == 1.0 for e in executed)
+def test_claim_tolerances_are_not_options(capsys):
+    # every claim's tolerance is fixed in its registry row: no flag can turn
+    # the nine deliberate stationary.local_* failures green
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--filter", "stationary.local_*", "--tolerance-equality", "1.0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tolerance-equality 1.0" in capsys.readouterr().err
 
 
 def test_json_report_is_byte_identical(tmp_path):
@@ -127,7 +121,7 @@ def test_verify_json_to_stdout(tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert list(tmp_path.iterdir()) == []
     buf = io.StringIO()
-    write_reports_json(run_claims(RunConfig(filter="lhv.*")), buf)
+    write_reports_json(run_claims(filter="lhv.*"), buf)
     assert out == buf.getvalue()
     assert err.splitlines()[-1] == "10 passed, 0 failed, 53 skipped (of 63)"
 
@@ -160,9 +154,6 @@ def test_cli_subprocess_orbit_stdout_deterministic():
 @pytest.mark.parametrize("argv", [
     ["orbit", "--samples", "1"],
     ["verify", "--orbit-samples", "0"],
-    ["verify", "--tolerance-equality", "nan"],
-    ["verify", "--tolerance-psd", "-0.5"],
-    ["verify", "--tolerance-flow", "inf"],
 ])
 def test_bad_numeric_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -170,8 +161,7 @@ def test_bad_numeric_arguments_are_usage_errors(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     # the message names the broken rule, not just argparse's "invalid ... value"
-    rule = "must be an integer >= 2" if argv[1].endswith("samples") else "must be a finite number >= 0"
-    assert f"error: argument {argv[1]}: " in err and rule in err
+    assert f"error: argument {argv[1]}: " in err and "must be an integer >= 2" in err
     assert "invalid" not in err
 
 
@@ -200,7 +190,7 @@ def public_routines():
 
 def run_every_command(capsys):
     """The three command lines that together reach every public routine."""
-    main(["verify", "--json", "-", "--filter", "*", "--tolerance-psd", "1e-10"])
+    main(["verify", "--json", "-", "--filter", "*"])
     main(["orbit", "--samples", "4", "--csv", "-"])
     main(["bloch", "--csv", "-"])
     capsys.readouterr()
@@ -262,7 +252,7 @@ def test_every_dataclass_field_is_read_by_a_command(capsys, monkeypatch):
     run_every_command(capsys)
     monkeypatch.undo()
     assert sorted(classes) == [
-        "upb3q.claims.ClaimReport", "upb3q.claims.RunConfig", "upb3q.dynamics.InteriorSample",
+        "upb3q.claims.ClaimReport", "upb3q.dynamics.InteriorSample",
         "upb3q.dynamics.Orbit", "upb3q.dynamics.PreparationTrace", "upb3q.pauli.ProductKet",
         "upb3q.states.UPBCheckResult",
     ]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from upb3q import dynamics, entanglement, pauli, states
-from upb3q.claims import RunConfig, run_claims
+from upb3q import claims
+from upb3q.claims import run_claims
 from upb3q.dynamics import (
     _ORBIT_BLOCK,
     COS_SET,
@@ -255,7 +256,7 @@ def test_orbit_three_coherence_law():
 def test_orbit_role_swap_claims():
     # the separable and bound-entangled roles swap at t = 0, TAU_P/4, TAU_P/2;
     # the grid size only feeds the sampled orbit claims, not these five
-    reports = {r.claim_id: r for r in run_claims(RunConfig(filter="orbit.*", orbit_samples=4))}
+    reports = {r.claim_id: r for r in run_claims(filter="orbit.*", orbit_samples=4)}
     for cid in ("orbit.start_matches_families", "orbit.quarter_matches_table",
                 "orbit.quarter_is_theta_complement", "orbit.quarter_reflection_equals_theta",
                 "orbit.half_equals_phi"):
@@ -296,11 +297,13 @@ def test_byproduct_preparation():
     assert len(misses) == 1 and misses[0] > 0.3
 
 
-def test_byproduct_claims_grade_an_absurd_flow_tolerance():
-    # the closest evolution is returned and graded at flow_tol, so a
-    # tolerance below its 5.6e-14 distance gives verdicts, not errors
-    reports = {r.claim_id: r for r in run_claims(RunConfig(flow_tol=1e-30, filter="byproduct.*"))
-               if r.status != "skip"}
+def test_byproduct_claims_grade_an_absurd_flow_tolerance(monkeypatch):
+    # the closest evolution is returned and graded at _FLOW_TOL, so a
+    # tolerance below its 5.6e-14 distance gives verdicts, not errors; the
+    # registry reads the constant when it is built, so it is rebuilt here
+    monkeypatch.setattr(claims, "_FLOW_TOL", 1e-30)
+    monkeypatch.setattr(claims, "_REGISTRY", claims._registry())
+    reports = {r.claim_id: r for r in run_claims(filter="byproduct.*") if r.status != "skip"}
     assert not [r for r in reports.values() if str(r.measured).startswith("error:")]
     assert {cid: r.status for cid, r in reports.items()} == {
         "byproduct.distance": "fail",

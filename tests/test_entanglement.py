@@ -140,10 +140,11 @@ def test_structure_check_rejects_bad_triples():
     assert not verify_triple_structure(skew)
 
 
-@pytest.mark.parametrize("bad", [("031", "301"), ("031", "301", "330", "013"), "031"])
+@pytest.mark.parametrize("bad", [("031", "301"), ("031", "301", "330", "013"), "031", 5, None])
 def test_triple_routes_require_exactly_three_labels(bad):
     # a 4-label tuple used to run the old joint oracle (count 0) and a 2-label
-    # one gave 2, while the structure check failed inside tuple unpacking
+    # one gave 2, while the structure check failed inside tuple unpacking; a
+    # triple with no length raised a bare TypeError from len()
     upb_t = to_coherence(rho_upb())
     for route in (verify_triple_structure, lambda tr: triple_value(upb_t, tr),
                   lambda tr: lhv_oracle(upb_t, tr)):

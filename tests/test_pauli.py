@@ -285,6 +285,18 @@ def test_coherence_consumers_require_real_finite_components(name, solver_calls):
     assert np.array_equal(route(upb_t + 0j), route(upb_t))
 
 
+@pytest.mark.parametrize("name", sorted(COHERENCE_CONSUMERS))
+def test_coherence_consumers_require_numeric_components(name, solver_calls):
+    # bool and string vectors used to be read as floats, and an object array
+    # of None was reported as not finite
+    route = COHERENCE_CONSUMERS[name]
+    for bad in ([True] * 64, np.array(["1"] * 64), [b"1"] * 64, np.array([None] * 64)):
+        with pytest.raises(ValueError, match="must be real numbers, got dtype"):
+            route(bad)
+    assert solver_calls == []
+    assert np.array_equal(route([0] * 64), route(np.zeros(64)))
+
+
 @pytest.mark.parametrize("route", [to_coherence, lambda m: reduced_density(m, 1), bloch_vector],
                          ids=["to_coherence", "reduced_density", "bloch_vector"])
 def test_matrix_inputs_fail_loudly(route):

@@ -37,9 +37,9 @@ from .pauli import (
     ProductKet,
     bloch_vector,
     coherence_product,
-    flat_index,
     from_coherence,
     ket_from_string,
+    label_index,
     lambda_matrix,
     reduced_density,
     to_coherence,

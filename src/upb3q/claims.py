@@ -500,8 +500,6 @@ def claim_ids():
 def _grade(measured, expected, tol):
     if isinstance(expected, bool):
         ok = measured is True if expected else measured is False
-    elif isinstance(expected, int):
-        ok = measured == expected
     elif isinstance(expected, (list, tuple)):
         ok = len(measured) == len(expected) and all(
             abs(m - e) <= tol for m, e in zip(measured, expected)
@@ -511,21 +509,29 @@ def _grade(measured, expected, tol):
     return "pass" if ok else "fail"
 
 
+def _check_filter(pattern):
+    """ValueError unless the claim-id glob pattern matches some claim id."""
+    if not any(fnmatch.fnmatchcase(cid, pattern) for cid in claim_ids()):
+        raise ValueError(f"no claim id matches {pattern!r}")
+
+
 def run_claims(orbit_samples=64, filter=None):
     """Execute the registry; returns reports sorted by claim id.
 
     The orbit claims sample orbit_samples times over one period, and claims
     whose id the glob filter does not match are skipped.  Raises ValueError,
-    before any claim runs, on an orbit grid that is not an integer >= 2 or a
-    filter that is neither None nor a string.
+    before any claim runs, on an orbit grid that is not an integer >= 2, a
+    filter that is neither None nor a string, or one that matches no claim id.
     """
     _check_count("orbit_samples", orbit_samples, 2)
-    if not (filter is None or isinstance(filter, str)):
-        raise ValueError(f"filter must be None or a glob string, got {filter!r}")
+    if filter is not None:
+        if not isinstance(filter, str):
+            raise ValueError(f"filter must be None or a glob string, got {filter!r}")
+        _check_filter(filter)
     ctx = _Context(orbit_samples)
     reports = []
     for cid, ref, desc, fn in _REGISTRY:
-        if filter and not fnmatch.fnmatchcase(cid, filter):
+        if filter is not None and not fnmatch.fnmatchcase(cid, filter):
             reports.append(ClaimReport(cid, desc, ref, "skip", None, None, 0.0))
             continue
         try:

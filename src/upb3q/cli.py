@@ -12,10 +12,9 @@ byte-identical across runs with the same arguments.
 from __future__ import annotations
 
 import argparse
-import fnmatch
 import sys
 
-from .claims import claim_ids, run_claims, write_bloch_csv, write_orbit_csv, write_reports_json
+from .claims import _check_filter, run_claims, write_bloch_csv, write_orbit_csv, write_reports_json
 from .dynamics import orbit
 from .linalg import _check_count
 
@@ -45,8 +44,10 @@ def _samples(text):
 
 def _pattern(text):
     """A claim-id glob; one that matches no claim id is a usage error."""
-    if not any(fnmatch.fnmatchcase(cid, text) for cid in claim_ids()):
-        raise argparse.ArgumentTypeError(f"no claim id matches {text!r}")
+    try:
+        _check_filter(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return text
 
 

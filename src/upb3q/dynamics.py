@@ -22,8 +22,7 @@ import numpy as np
 from .entanglement import min_pt_eigs, partial_transpose
 from .linalg import (_MAX_STACK, _check_count, _check_matrix, _check_time, eigen_flow,
                      frobenius_distance, jacobi_eigh)
-from .pauli import (LAMBDA_BASIS, SQRT2, _check_coherence, flat_index, from_coherence,
-                    label_to_tuple, to_coherence)
+from .pauli import LAMBDA_BASIS, SQRT2, _check_coherence, from_coherence, label_index, to_coherence
 from .states import family_mixture, reflect, rho_sep, rho_upb
 
 # Common period of the Lambda_{333} and Lambda_{222} conjugation flows.
@@ -32,8 +31,8 @@ TAU_P = 2.0 * SQRT2 * np.pi
 # The eight 3-coherence flat indices, split by their role along the orbit:
 # SIN_SET components evolve as -x sin(t/sqrt2) from rho_sep, COS_SET as
 # -x cos(t/sqrt2); everything of lower weight is conserved.
-SIN_SET = (flat_index(1, 1, 3), flat_index(1, 3, 1), flat_index(3, 1, 1), flat_index(3, 3, 3))
-COS_SET = (flat_index(1, 1, 1), flat_index(1, 3, 3), flat_index(3, 1, 3), flat_index(3, 3, 1))
+SIN_SET = tuple(map(label_index, ("113", "131", "311", "333")))
+COS_SET = tuple(map(label_index, ("111", "133", "313", "331")))
 
 
 class BadAxis(ValueError):
@@ -53,7 +52,7 @@ def generator(*labels):
     """The 8x8 sum of Lambda_jkl over labels like '011'; ValueError on a bad label."""
     h = np.zeros((8, 8), dtype=complex)
     for label in labels:
-        h += LAMBDA_BASIS[flat_index(*label_to_tuple(label))]
+        h += LAMBDA_BASIS[label_index(label)]
     return h
 
 

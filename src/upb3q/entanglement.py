@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from .linalg import _check_8x8, _check_tolerance, frobenius_distance, jacobi_eigh
-from .pauli import LAMBDA_BASIS, BadSubset, _check_coherence, _is_index, flat_index, label_to_tuple
+from .linalg import _check_8x8, frobenius_distance, jacobi_eigh
+from .pauli import LAMBDA_BASIS, BadSubset, _check_coherence, _is_index, label_index
 
 
 def partial_transpose(rho, qubit):
@@ -58,13 +58,14 @@ OQ_TRIPLES = (("031", "101", "130"), ("013", "103", "110"),
               ("011", "301", "310"), ("033", "303", "330"))
 
 _TRIPLE_TOL = 1e-12  # commutator and identity-residual norms below this count as zero
+_SIGN_TOL = 1e-8  # a component of magnitude at most this imposes no sign constraint
 
 
 def _check_triple(triple):
-    """The component indices of a triple; ValueError unless it holds exactly 3 labels."""
+    """The flat indices of a triple; ValueError unless it holds exactly 3 labels."""
     if isinstance(triple, str) or not hasattr(triple, "__len__") or len(triple) != 3:
         raise ValueError(f"a triple must hold exactly 3 component labels, got {triple!r}")
-    return [label_to_tuple(s) for s in triple]
+    return [label_index(s) for s in triple]
 
 
 def verify_triple_structure(triple):
@@ -74,7 +75,7 @@ def verify_triple_structure(triple):
     < _TRIPLE_TOL) and their product is c * Lambda_000 with c > 0.  Raises
     ValueError unless the triple holds exactly 3 valid labels.
     """
-    a, b, c = (LAMBDA_BASIS[flat_index(*idx)] for idx in _check_triple(triple))
+    a, b, c = LAMBDA_BASIS[_check_triple(triple)]
     for m1, m2 in itertools.combinations((a, b, c), 2):
         if frobenius_distance(m1 @ m2, m2 @ m1) >= _TRIPLE_TOL:
             return False
@@ -88,28 +89,27 @@ def verify_triple_structure(triple):
 def triple_value(c, triple):
     """Product of the three components of a (64,) coherence vector a label triple addresses."""
     c = _check_coherence(c)
-    return math.prod(float(c[flat_index(*idx)]) for idx in _check_triple(triple))
+    return math.prod(float(c[a]) for a in _check_triple(triple))
 
 
-def lhv_oracle(c, triple, sign_tol=1e-8):
+def lhv_oracle(c, triple):
     """Count deterministic local-sign assignments consistent with one triple on a state.
 
-    Variables are the (qubit, axis) pairs with axis != 0 in the triple's
+    Variables are the (qubit, axis) pairs with axis != '0' in the triple's
     labels; an assignment maps each to +/-1.  Each observable whose component
-    in c exceeds sign_tol in magnitude requires the product of its variables'
+    in c exceeds _SIGN_TOL in magnitude requires the product of its variables'
     values to equal the component's sign; smaller components impose no
     constraint.  Returns the number of consistent assignments out of 2^V.
-    Raises ValueError on a negative or non-finite sign_tol or a triple of
-    other than 3 labels, and ShapeMismatch unless c has shape (64,).
+    Raises ValueError on a triple of other than 3 labels, and ShapeMismatch
+    unless c has shape (64,).
     """
-    _check_tolerance("sign_tol", sign_tol)
     c = _check_coherence(c)
     constraints, variables = [], set()
-    for idx in _check_triple(triple):
-        vars_of_obs = [(q, idx[q]) for q in range(3) if idx[q] != 0]
+    for label, a in zip(triple, _check_triple(triple)):
+        vars_of_obs = [(q, axis) for q, axis in enumerate(label) if axis != "0"]
         variables.update(vars_of_obs)
-        val = float(c[flat_index(*idx)])
-        if abs(val) > sign_tol:
+        val = float(c[a])
+        if abs(val) > _SIGN_TOL:
             constraints.append((vars_of_obs, 1 if val > 0 else -1))
     variables = sorted(variables)
     count = 0

@@ -53,30 +53,19 @@ def lambda_matrix(mu):
     The four matrices are trace-orthonormal: tr(lambda_a lambda_b) = delta_ab.
     Raises ValueError unless mu is an integer in 0..3 (a bool is not an index).
     """
-    _check_pauli_index(mu)
+    if not _is_index(mu, (0, 1, 2, 3)):
+        raise ValueError(f"Pauli index must be in {{0,1,2,3}}, got {mu!r}")
     return SIGMA[mu] / SQRT2
 
 
-def _check_pauli_index(mu):
-    if not _is_index(mu, (0, 1, 2, 3)):
-        raise ValueError(f"Pauli index must be in {{0,1,2,3}}, got {mu!r}")
+def label_index(label):
+    """Flat index 16j + 4k + l of a 3-character component label 'jkl' like '031' (13).
 
-
-def flat_index(j, k, l):
-    """Flat index of component (j,k,l): 16j + 4k + l.
-
-    Raises ValueError unless j, k and l are integers in 0..3 (a bool is not an index).
+    Raises ValueError unless label is a string of three characters from 0123.
     """
-    for mu in (j, k, l):
-        _check_pauli_index(mu)
-    return 16 * j + 4 * k + l
-
-
-def label_to_tuple(label):
-    """Parse a 3-character component label like '031' into (0, 3, 1)."""
     if not isinstance(label, str) or len(label) != 3 or any(ch not in "0123" for ch in label):
         raise ValueError(f"bad component label {label!r}")
-    return int(label[0]), int(label[1]), int(label[2])
+    return int(label, 4)
 
 
 # INDICES[a] = (j, k, l) of flat index a, and the full 64-element tensor

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeMismatch, _check_tolerance
+from .linalg import ShapeMismatch
 from .pauli import (
     INDICES,
     SQRT2,
@@ -26,10 +26,9 @@ from .pauli import (
     ProductKet,
     _check_coherence,
     _is_index,
-    flat_index,
     from_coherence,
     ket_from_string,
-    label_to_tuple,
+    label_index,
     to_coherence,
 )
 
@@ -104,7 +103,7 @@ def _table_tensor(plus, minus):
     c = np.zeros(64)
     c[0] = 1.0 / (2.0 * SQRT2)
     for labels, value in ((plus, X), (minus, -X)):
-        c[[flat_index(*label_to_tuple(s)) for s in labels]] = value
+        c[[label_index(s) for s in labels]] = value
     return c
 
 
@@ -146,15 +145,17 @@ def partial_reflect(c, pair):
     return np.where(INDICES[:, [q - 1 for q in qubits]].any(axis=1), -c, c)
 
 
-def spectrum_in_C(w, tol=1e-10):
-    """True iff every eigenvalue lies in [-tol, 1/4 + tol] (the reflection-stable set C).
+_C_TOL = 1e-10  # eigenvalues within this of [0, 1/4] count as inside the set C
+
+
+def spectrum_in_C(w):
+    """True iff every eigenvalue lies in [-_C_TOL, 1/4 + _C_TOL] (the reflection-stable set C).
 
     w holds ascending spectra of 8x8 matrices, shape (8,) (gives a bool) or
     (..., 8) (gives a bool array of shape (...)).  Raises ShapeMismatch on
-    any other shape, and ValueError on a negative or non-finite tol or on
-    spectra that are not real and finite numbers.
+    any other shape, and ValueError on spectra that are not real and finite
+    numbers.
     """
-    _check_tolerance("tol", tol)
     w = np.asarray(w)
     if w.shape[-1:] != (8,):
         raise ShapeMismatch(f"expected spectra of 8 eigenvalues, shape (..., 8), got shape {w.shape}")
@@ -162,7 +163,7 @@ def spectrum_in_C(w, tol=1e-10):
         raise ValueError(f"spectra must be real numbers, got dtype {w.dtype}")
     if not np.isfinite(w).all():
         raise ValueError("spectra must be finite, got NaN or inf")
-    ok = (w[..., 0] >= -tol) & (w[..., -1] <= 0.25 + tol)
+    ok = (w[..., 0] >= -_C_TOL) & (w[..., -1] <= 0.25 + _C_TOL)
     return bool(ok) if ok.ndim == 0 else ok
 
 

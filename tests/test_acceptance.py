@@ -40,7 +40,7 @@ from upb3q.pauli import (
     coherence_product,
     from_coherence,
     ket_from_string,
-    label_to_tuple,
+    label_index,
     to_coherence,
 )
 from upb3q.states import (
@@ -263,7 +263,7 @@ def test_criterion_10_stationarity(upb):
     d_locals = 0.0
     analytic = {}
     for label, gen in zip(ONE_SPIN, gens):
-        jkl = label_to_tuple(label)
+        jkl = INDICES[label_index(label)]
         qubit = next(i for i, m in enumerate(jkl) if m)
         want = _one_spin_norm(table, qubit, jkl[qubit])
         analytic[label] = want

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from upb3q.dynamics import COS_SET, ORBIT, SIN_SET, STAGE1, STAGE2, BadAxis, adjoint_matrix, rodrigues_flow
-from upb3q.pauli import INDICES, SIGMA, SQRT2, flat_index, label_to_tuple, to_coherence
+from upb3q.pauli import INDICES, SIGMA, SQRT2, label_index, to_coherence
 from upb3q.states import UPB_MINUS, UPB_PLUS, X, expected_upb_tensor, rho_sep, rho_upb
 
 
@@ -72,6 +72,32 @@ def _combination(coefficients):
     return tuple(sum(int(n) * p[part] for n, p in zip(coefficients, _PAULIS)) for part in (0, 1))
 
 
+def _sep_in_units_of_x():
+    """rho_sep's coherence vector in units of x, exactly: the reflection of rho_upb's table."""
+    table = expected_upb_tensor()
+    upb = np.rint(table / X).astype(np.int64)  # rho_upb's components in units of x
+    assert np.abs(upb * X - table).max() < 1e-15
+    return np.where(np.arange(64) == 0, upb, -upb)  # rho_sep = I/4 - rho_upb
+
+
+def test_orbit_law_holds_at_every_time(solver_calls):
+    # With S = sqrt2 R (S^3 = -S, certified above) and phi = t/sqrt2, the
+    # orbit from c0 = x K is c(t) = x (K + sin(phi) S K + (1 - cos(phi)) S^2 K)
+    # for an integer K.  So S K and S^2 K fix each component's time dependence
+    # exactly: -x sin(phi) on SIN_SET and -x cos(phi) on COS_SET
+    # (orbit.sinusoids), and constant on the trace and on every other
+    # component, all those of weight <= 2 among them (orbit.conserved_coherences).
+    s = np.rint(SQRT2 * adjoint_matrix(ORBIT)).astype(np.int64)
+    k = _sep_in_units_of_x()
+    sin_set, cos_set = np.isin(np.arange(64), SIN_SET), np.isin(np.arange(64), COS_SET)
+    assert np.array_equal(s @ k, np.where(sin_set, -1, 0))
+    assert np.array_equal(s @ s @ k, np.where(cos_set, 1, 0))
+    assert (k[sin_set] == 0).all() and (k[cos_set] == -1).all()
+    assert not s[0].any() and not s[:, 0].any()
+    assert (np.count_nonzero(INDICES[sin_set | cos_set], axis=1) == 3).all()
+    assert solver_calls == []
+
+
 def test_orbit_is_a_scaled_projector_with_ppt_projector_transposes_at_every_time(solver_calls):
     # Along the orbit c(t) keeps rho_sep's components of weight <= 2, and the
     # 3-coherences are -x sin(phi) on SIN_SET and -x cos(phi) on COS_SET, phi =
@@ -83,10 +109,7 @@ def test_orbit_is_a_scaled_projector_with_ppt_projector_transposes_at_every_time
     # Each side is a polynomial of degree <= 4 in u, so u = 0..4 proves it for
     # every u, and every phi by continuity; likewise for the reflection
     # I/4 - rho and every partial transpose (ppt.orbit, orbit.rank).
-    table = expected_upb_tensor()
-    upb = np.rint(table / X).astype(np.int64)  # rho_upb's components in units of x
-    assert np.abs(upb * X - table).max() < 1e-15
-    sep = np.where(np.arange(64) == 0, upb, -upb)  # the reflection: rho_sep = I/4 - rho_upb
+    sep = _sep_in_units_of_x()
     assert (sep[list(SIN_SET)] == 0).all() and (sep[list(COS_SET)] == -1).all()  # phi = 0
     a_coef, b_coef, c_coef = sep.copy(), np.zeros(64, np.int64), np.zeros(64, np.int64)
     a_coef[list(SIN_SET + COS_SET)] = 0
@@ -117,7 +140,7 @@ def test_base_states_are_ppt_and_cyclic_but_not_swap_symmetric(solver_calls):
     coef = np.zeros(64, np.int64)
     coef[0] = 4
     for labels, sign in ((UPB_PLUS, 1), (UPB_MINUS, -1)):
-        coef[[flat_index(*label_to_tuple(s)) for s in labels]] = sign
+        coef[[label_index(s) for s in labels]] = sign
     upb = _combination(coef)
     sep = (8 * np.eye(8, dtype=np.int64) - upb[0], -upb[1])
     for x, rho in ((upb, rho_upb()), (sep, rho_sep())):

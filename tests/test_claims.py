@@ -70,6 +70,7 @@ def test_grade_rules():
     assert _grade(True, True, 0.0) == "pass"
     assert _grade(False, True, 0.0) == "fail"
     assert _grade(1, 1, 0.0) == "pass"
+    assert _grade(2, 1, 0.0) == "fail"
     assert _grade([2, 2], [2, 2], 0.0) == "pass"
     assert _grade([2, 1], [2, 2], 0.0) == "fail"
     assert _grade([2, 1], [2, 2, 2], 0.0) == "fail"
@@ -205,6 +206,9 @@ def test_run_config_rejects_bad_values(solver_calls):
     bad = [{"orbit_samples": 0}, {"orbit_samples": 1}, {"orbit_samples": 2.5}]
     # a non-string filter used to run, and raised a bare TypeError from fnmatch
     bad += [{"filter": 3}, {"filter": ["upb.*"]}, {"filter": b"upb.*"}]
+    # a filter that matches no claim id ran all 63 claims ("") or skipped
+    # every one ("nomatch.*"), where the CLI rejects both
+    bad += [{"filter": ""}, {"filter": "nomatch.*"}]
     for kwargs in bad:
         with pytest.raises(ValueError):
             run_claims(**kwargs)

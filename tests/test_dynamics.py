@@ -25,7 +25,7 @@ from upb3q.dynamics import (
 )
 from upb3q.entanglement import partial_transpose
 from upb3q.linalg import NonHermitian, ShapeMismatch, eigen_flow, jacobi_eigh
-from upb3q.pauli import LAMBDA_BASIS, SQRT2, flat_index, from_coherence, to_coherence
+from upb3q.pauli import LAMBDA_BASIS, SQRT2, from_coherence, label_index, to_coherence
 from upb3q.states import X, family_mixture, reflect, rho_sep, rho_upb
 
 SQRT3 = np.sqrt(3.0)
@@ -43,9 +43,9 @@ def test_period_constant():
 
 def test_generator_matrix():
     h = generator("333")
-    assert np.abs(h - LAMBDA_BASIS[flat_index(3, 3, 3)]).max() == 0.0
+    assert np.abs(h - LAMBDA_BASIS[label_index("333")]).max() == 0.0
     h2 = generator("011", "033")
-    expect = LAMBDA_BASIS[flat_index(0, 1, 1)] + LAMBDA_BASIS[flat_index(0, 3, 3)]
+    expect = LAMBDA_BASIS[label_index("011")] + LAMBDA_BASIS[label_index("033")]
     assert np.array_equal(h2, expect)
     assert generator(*STAGE2).shape == (8, 8)
 
@@ -68,9 +68,9 @@ def test_adjoint_matrix_is_real_antisymmetric():
 def test_adjoint_matrix_matches_commutator():
     # column a of R must hold the components of -i[Lambda_axis, Lambda_a]
     rng = np.random.default_rng(3)
-    for axis, jkl in ((STAGE1, (3, 3, 3)), (ORBIT, (2, 2, 2))):
+    for axis, label in ((STAGE1, "333"), (ORBIT, "222")):
         r = adjoint_matrix(axis)
-        h = LAMBDA_BASIS[flat_index(*jkl)]
+        h = LAMBDA_BASIS[label_index(label)]
         for a in rng.choice(64, size=12, replace=False):
             comm = -1j * (h @ LAMBDA_BASIS[a] - LAMBDA_BASIS[a] @ h)
             col = np.einsum("bij,ji->b", LAMBDA_BASIS, comm).real

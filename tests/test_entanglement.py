@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from upb3q import entanglement
 from upb3q.entanglement import (
     OQ_TRIPLES,
     UPB_TRIPLES,
@@ -17,10 +18,9 @@ from upb3q.pauli import (
     INDICES,
     SQRT2,
     BadSubset,
-    flat_index,
     from_coherence,
     ket_from_string,
-    label_to_tuple,
+    label_index,
     to_coherence,
 )
 from upb3q.states import X, rho_oq, rho_sep, rho_upb
@@ -175,7 +175,7 @@ def test_triple_values_on_the_three_states():
         assert abs(triple_value(upb_t, tr) - X3) < 1e-15
 
 
-def test_oracle_counts_per_triple():
+def test_oracle_counts_per_triple(monkeypatch):
     upb_t = to_coherence(rho_upb())
     sep_t = to_coherence(rho_sep())
     for tr in UPB_TRIPLES:
@@ -183,25 +183,26 @@ def test_oracle_counts_per_triple():
         assert lhv_oracle(sep_t, tr) == 2
     # a huge threshold leaves the triple unconstrained: the count is the full
     # assignment space of its 3 variables
-    assert lhv_oracle(upb_t, UPB_TRIPLES[0], sign_tol=1.0) == 8
+    monkeypatch.setattr(entanglement, "_SIGN_TOL", 1.0)
+    assert lhv_oracle(upb_t, UPB_TRIPLES[0]) == 8
 
 
-def test_oracle_sign_thresholds():
+def test_oracle_sign_thresholds(monkeypatch):
     upb_t = to_coherence(rho_upb())
     tr = UPB_TRIPLES[0]  # (031, 301, 330): signs (+, -, +) on rho_upb
-    assert [np.sign(upb_t[flat_index(*label_to_tuple(s))]) for s in tr] == [1, -1, 1]
+    assert [np.sign(upb_t[label_index(s)]) for s in tr] == [1, -1, 1]
     # each variable occurs in two of the three observables, so the products
     # of the variables multiply to +1 while the signs multiply to -1
     assert lhv_oracle(upb_t, tr) == 0
-    # a component at or below sign_tol imposes no constraint; with one of the
+    # a component at or below _SIGN_TOL imposes no constraint; with one of the
     # three dropped, one free variable fixes the other two: 2 assignments
     uneven = np.zeros(64)
     uneven[0] = 1 / (2 * SQRT2)
     for label, value in zip(tr, (0.1, -0.01, 0.1)):
-        uneven[flat_index(*label_to_tuple(label))] = value
-    assert lhv_oracle(uneven, tr, sign_tol=0.0) == 0
-    assert lhv_oracle(uneven, tr, sign_tol=0.01) == 2
-    assert lhv_oracle(uneven, tr, sign_tol=0.1) == 8
+        uneven[label_index(label)] = value
+    for tol, count in ((0.0, 0), (0.01, 2), (0.1, 8)):
+        monkeypatch.setattr(entanglement, "_SIGN_TOL", tol)
+        assert lhv_oracle(uneven, tr) == count
 
 
 def test_oracle_cross_compatibility():
@@ -211,14 +212,6 @@ def test_oracle_cross_compatibility():
         assert lhv_oracle(upb_t, tr) == 2
     for tr in UPB_TRIPLES:
         assert lhv_oracle(oq_t, tr) == 2
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, True])
-def test_triple_tolerances_are_checked(bad):
-    # with these values a zero component got sign -1 instead of no constraint;
-    # True was read as 1.0, which dropped every constraint and counted all 8
-    with pytest.raises(ValueError, match="sign_tol"):
-        lhv_oracle(to_coherence(rho_upb()), UPB_TRIPLES[0], sign_tol=bad)
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4), (64,)])

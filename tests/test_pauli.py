@@ -17,10 +17,9 @@ from upb3q.pauli import (
     ProductKet,
     bloch_vector,
     coherence_product,
-    flat_index,
     from_coherence,
     ket_from_string,
-    label_to_tuple,
+    label_index,
     lambda_matrix,
     reduced_density,
     to_coherence,
@@ -64,24 +63,25 @@ def test_pauli_indices_are_integers_in_range(bad):
 
 def test_pauli_indices_accept_numpy_integers():
     assert np.array_equal(lambda_matrix(np.int64(2)), lambda_matrix(2))
-    assert flat_index(*INDICES[27]) == 27
+    assert label_index("%d%d%d" % tuple(INDICES[27])) == 27
 
 
 def test_flat_index_round_trip():
     for a in range(64):
-        assert flat_index(*INDICES[a]) == a
-    assert flat_index(0, 3, 1) == 13
-    assert label_to_tuple("031") == (0, 3, 1)
+        assert label_index("%d%d%d" % tuple(INDICES[a])) == a
+    assert label_index("031") == 13
+    assert tuple(INDICES[label_index("031")]) == (0, 3, 1)
     with pytest.raises(ValueError):
-        label_to_tuple("04x")
+        label_index("04x")
 
 
-@pytest.mark.parametrize("jkl", [(0, 0, 4), (1.5, 0, 0), ("0", "3", "1"), (True, 0, 0), (0, -1, 0)])
-def test_flat_index_requires_pauli_indices(jkl):
-    # (0, 0, 4) returned 4, the index of (0, 1, 0); (1.5, 0, 0) returned 24.0;
-    # ('0', '3', '1') returned the string '000000000000000033331'
-    with pytest.raises(ValueError, match="Pauli index"):
-        flat_index(*jkl)
+@pytest.mark.parametrize("label", ["04x", "0031", 31, None, b"031"],
+                         ids=["bad-character", "four-characters", "int", "None", "bytes"])
+def test_label_index_requires_a_component_label(label):
+    # a component is named only by three characters from 0123, one Pauli
+    # index per qubit; int(label, 4) alone would read "0031" as 13
+    with pytest.raises(ValueError, match="bad component label"):
+        label_index(label)
 
 
 def test_to_from_coherence_round_trip():
@@ -109,11 +109,11 @@ def test_to_coherence_rejects_nan():
 def test_coherence_vector_access():
     tens = np.zeros(64)
     tens[0] = 1 / (2 * SQRT2)
-    tens[flat_index(*label_to_tuple("031"))] = 0.5
-    tens[flat_index(*label_to_tuple("111"))] = -0.25
-    assert tens[flat_index(0, 3, 1)] == 0.5
-    assert tens[flat_index(1, 1, 1)] == -0.25
-    assert tens[flat_index(0, 0, 0)] == 1 / (2 * SQRT2)
+    tens[label_index("031")] = 0.5
+    tens[label_index("111")] = -0.25
+    assert tens[16 * 0 + 4 * 3 + 1] == 0.5
+    assert tens[16 * 1 + 4 * 1 + 1] == -0.25
+    assert tens[label_index("000")] == 1 / (2 * SQRT2)
     with pytest.raises(ShapeMismatch):
         from_coherence(np.zeros(63))
 
@@ -215,11 +215,11 @@ def test_bloch_vector_cardinal_directions():
 
 
 def test_lambda_tensor_matches_basis():
-    # Lambda_jkl is the basis table's row flat_index(j, k, l), bit for bit
+    # Lambda_jkl is the basis table's row label_index("jkl"), bit for bit
     assert np.array_equal(INDICES[13], (0, 3, 1))
     for a, (j, k, l) in enumerate(itertools.product(range(4), repeat=3)):
         want = np.kron(np.kron(lambda_matrix(j), lambda_matrix(k)), lambda_matrix(l))
-        assert LAMBDA_BASIS[flat_index(j, k, l)].tobytes() == want.tobytes()
+        assert LAMBDA_BASIS[label_index(f"{j}{k}{l}")].tobytes() == want.tobytes()
         assert tuple(INDICES[a]) == (j, k, l)
 
 

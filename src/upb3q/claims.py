@@ -124,7 +124,7 @@ class _Context:
         set_c = from_coherence(np.stack([members, reflect(members)], axis=1))  # (state, reflected, 8, 8)
         mats = np.concatenate([
             [self.sep, self.upb],
-            [partial_transpose(self.upb, q) for q in (1, 2, 3)],
+            partial_transpose(self.upb),
             set_c.reshape(-1, 8, 8),
             [reflect_density(family("psi")[0].projector())],
         ])
@@ -246,8 +246,7 @@ def _unextendable(name):
 # single-use claim bodies; the registry wraps all but _byproduct_unique in a factory
 
 def _reduced_pairs(ctx):
-    return [(reduced_density(rho, q), np.eye(2) / 2.0)
-            for rho in (ctx.sep, ctx.upb) for q in (1, 2, 3)]
+    return [(marginal, np.eye(2) / 2.0) for rho in (ctx.sep, ctx.upb) for marginal in reduced_density(rho)]
 
 
 _LOW_WEIGHT = np.count_nonzero(INDICES, axis=1) <= 2
@@ -327,7 +326,7 @@ def _registry():
          _deviation(lambda c: [(c.fixed_spectra["base"][0], _FLAT_SPECTRUM)], 1e-11)),
         ("state.in_set_c", "spectrum",
          "both base states lie in the eigenvalue band [0, 1/4]",
-         _holds(lambda c: spectrum_in_C(c.fixed_spectra["base"]).all())),
+         _holds(lambda c: spectrum_in_C(c.fixed_spectra["base"]))),
         ("state.reduced_random", "state-table",
          "every single-qubit marginal of both base states is I/2",
          _deviation(_reduced_pairs)),
@@ -342,14 +341,13 @@ def _registry():
          _deviation(lambda c: [(reflect(reflect(c.upb_t)), c.upb_t)])),
         ("reflect.partial_pairs", "reflection",
          "each two-qubit partial reflection also maps separable onto complement",
-         _distance(lambda c: [(from_coherence(partial_reflect(c.sep_t, pair)), c.upb)
-                              for pair in ((1, 2), (1, 3), (2, 3))])),
+         _distance(lambda c: [(from_coherence(row), c.upb) for row in partial_reflect(c.sep_t)])),
         ("reflect.single_component_spectrum", "reflection",
          "reflected rank-1 projector has spectrum {-3/4, 1/4 x7}",
          _deviation(lambda c: [(c.fixed_spectra["projector"], _PROJECTOR_SPECTRUM)], 1e-11)),
         ("reflect.set_c_closed", "reflection",
          "reflection keeps the sampled mixtures inside the eigenvalue band [0, 1/4]",
-         _holds(lambda c: spectrum_in_C(c.fixed_spectra["set_c"]).all())),
+         _holds(lambda c: spectrum_in_C(c.fixed_spectra["set_c"]))),
         ("lhv.structure", "lhv-triples",
          "all eight builtin triples commute pairwise with product proportional to identity",
          _holds(lambda c: all(map(verify_triple_structure, UPB_TRIPLES + OQ_TRIPLES)))),
@@ -560,8 +558,8 @@ def write_orbit_csv(fobj, orbit):
     three = sorted(SIN_SET + COS_SET)
     header = (["t"]
               + ["coh{}{}{}".format(*INDICES[a]) for a in three]
-              + [f"min_pt_cut{q}" for q in (1, 2, 3)]
-              + [f"reflected_min_pt_cut{q}" for q in (1, 2, 3)]
+              + [f"min_pt_cut{q}" for q in "123"]
+              + [f"reflected_min_pt_cut{q}" for q in "123"]
               + ["rank", "reflected_rank"])
     ranks = np.sum(np.abs(orbit.spectra[:, :, 0]) > _RANK_TOL, axis=-1)  # (sample, reflected)
     # per sample: t, the coherences, then the state's cuts and the reflection's

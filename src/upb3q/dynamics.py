@@ -135,7 +135,7 @@ def prepare_upb(order="standard", interior_samples=9):
     generators are diagonalized in one eigen solve, and the probes of both
     stages are scored in one more.
     """
-    if order not in ("standard", "swapped"):
+    if not (isinstance(order, str) and order in ("standard", "swapped")):
         raise ValueError(f"order must be 'standard' or 'swapped', got {order!r}")
     _check_count("interior_samples", interior_samples, 0)
     stages = [(STAGE1, TAU_P / 2.0), (STAGE2, TAU_P / 4.0)]
@@ -195,7 +195,7 @@ def orbit(samples=64):
     spectra = np.empty((samples, 2, 4, 8))
     for start in range(0, samples, _ORBIT_BLOCK):
         block = mats[start:start + _ORBIT_BLOCK]
-        stack = np.stack([block] + [partial_transpose(block, q) for q in (1, 2, 3)], axis=2)
+        stack = np.concatenate([block[:, :, None], partial_transpose(block)], axis=2)
         spectra[start:start + _ORBIT_BLOCK] = jacobi_eigh(stack, want_vectors=False)[0]
     return Orbit(t, tensors, spectra)
 

@@ -18,25 +18,21 @@ import math
 import numpy as np
 
 from .linalg import _check_8x8, frobenius_distance, jacobi_eigh
-from .pauli import LAMBDA_BASIS, BadSubset, _check_coherence, _is_index, label_index
+from .pauli import LAMBDA_BASIS, _check_coherence, label_index
 
 
-def partial_transpose(rho, qubit):
-    """Transpose one qubit, 1, 2 or 3: the PPT test of the cut that qubit splits from the other two.
+def partial_transpose(rho):
+    """Qubit 1, 2 and 3 transposed, in that order: the PPT tests of the cuts 1|23, 2|13 and 3|12.
 
-    rho is an 8x8 matrix or a stack of them, (..., 8, 8); any other shape
-    raises ShapeMismatch, and a qubit other than the integer 1, 2 or 3 (a
-    bool is not a qubit) raises BadSubset.
+    rho is an 8x8 matrix or a stack of them, (..., 8, 8), and the result has
+    shape (..., 3, 8, 8); any other shape raises ShapeMismatch, and a NaN or
+    infinite entry raises ValueError.
     """
-    if not _is_index(qubit, (1, 2, 3)):
-        raise BadSubset(f"qubit must be 1, 2 or 3, got {qubit!r}")
     rho = _check_8x8(rho)
     batch = rho.shape[:-2]
-    t = rho.reshape(batch + (2,) * 6)
-    q = len(batch) + qubit - 1
-    axes = list(range(t.ndim))
-    axes[q], axes[q + 3] = axes[q + 3], axes[q]
-    return t.transpose(axes).reshape(batch + (8, 8))
+    t, q = rho.reshape(batch + (2,) * 6), len(batch)
+    pts = [np.swapaxes(t, q + k, q + k + 3) for k in range(3)]  # row and column index of qubit k + 1
+    return np.stack(pts, axis=q).reshape(batch + (3, 8, 8))
 
 
 def min_pt_eigs(rho):
@@ -45,8 +41,7 @@ def min_pt_eigs(rho):
     Shape (3,) for one 8x8 matrix and (..., 3) for a stack (..., 8, 8); all
     cuts of all members come from one eigen solve.
     """
-    pts = np.stack([partial_transpose(rho, q) for q in (1, 2, 3)], axis=-3)
-    return jacobi_eigh(pts, want_vectors=False)[0][..., 0]
+    return jacobi_eigh(partial_transpose(rho), want_vectors=False)[0][..., 0]
 
 
 # Label triples probing rho_upb and rho_oq.  Each triple's observables pairwise

@@ -73,10 +73,12 @@ def _check_tolerance(name, tol):
 
 
 def _check_8x8(rho):
-    """rho as a complex array; ShapeMismatch unless it is 8x8 or a stack (..., 8, 8)."""
+    """rho as a complex array; ShapeMismatch unless 8x8 or a stack (..., 8, 8), ValueError unless finite."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (8, 8):
         raise ShapeMismatch(f"expected an 8x8 matrix or a stack (..., 8, 8), got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix entries must be finite, got NaN or inf")
     return rho
 
 

@@ -38,22 +38,13 @@ class BadLength(ValueError):
     """A ket string lacks exactly 3 symbols, or a ProductKet exactly 3 locals of 2 entries."""
 
 
-class BadSubset(ValueError):
-    """A qubit, or a pair of qubits, is not drawn from {1, 2, 3}."""
-
-
-def _is_index(n, values):
-    """True iff n is an integer (NumPy integers too, but not a bool) among values."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n in values
-
-
 def lambda_matrix(mu):
     """Return the normalized single-qubit basis matrix lambda_mu = sigma_mu/sqrt(2).
 
     The four matrices are trace-orthonormal: tr(lambda_a lambda_b) = delta_ab.
     Raises ValueError unless mu is an integer in 0..3 (a bool is not an index).
     """
-    if not _is_index(mu, (0, 1, 2, 3)):
+    if not (isinstance(mu, numbers.Integral) and not isinstance(mu, bool) and mu in (0, 1, 2, 3)):
         raise ValueError(f"Pauli index must be in {{0,1,2,3}}, got {mu!r}")
     return SIGMA[mu] / SQRT2
 
@@ -188,24 +179,17 @@ def ket_from_string(s):
     return ProductKet(tuple(_KET_SYMBOLS[ch] for ch in s))
 
 
-def reduced_density(rho, qubit):
-    """Partial trace of an 8x8 density matrix down to one qubit (1-based).
+def reduced_density(rho):
+    """Partial traces of an 8x8 density matrix down to qubit 1, 2 and 3, in that order: shape (3, 2, 2).
 
     Raises:
-        BadSubset: unless qubit is the integer 1, 2 or 3 (a bool is not a qubit).
         ShapeMismatch: unless rho is 8x8.
         NonHermitian: if max|rho - rho^dagger| exceeds 1e-12 or is NaN.
     """
-    if not _is_index(qubit, (1, 2, 3)):
-        raise BadSubset(f"qubit must be 1, 2 or 3, got {qubit!r}")
     t = _check_matrix(rho, 8).reshape(2, 2, 2, 2, 2, 2)
     # Row indices 0,1,2 and column indices 3,4,5 of the reshaped tensor; each
     # traced qubit shares its row letter with its column.
-    spec = list("abcdef")
-    for q in (1, 2, 3):
-        if q != qubit:
-            spec[q + 2] = spec[q - 1]
-    return np.einsum("".join(spec) + "->" + spec[qubit - 1] + spec[qubit + 2], t)
+    return np.stack([np.einsum(spec, t) for spec in ("abcdbc->ad", "abcaec->be", "abcabf->cf")])
 
 
 # Coherence vector of the maximally mixed ancilla qubit I/2: tr(I/2 lambda_m).

@@ -22,10 +22,8 @@ from .linalg import ShapeMismatch
 from .pauli import (
     INDICES,
     SQRT2,
-    BadSubset,
     ProductKet,
     _check_coherence,
-    _is_index,
     from_coherence,
     ket_from_string,
     label_index,
@@ -127,34 +125,25 @@ def reflect(c):
     return np.where(INDICES.any(axis=1), -c, c)
 
 
-def partial_reflect(c, pair):
-    """Negate every component whose index sub-tuple on the given qubit pair is not (0,0).
+def partial_reflect(c):
+    """Negate every component whose index sub-tuple on a qubit pair is not (0,0), for each pair.
 
-    Args:
-        c: (64,) coherence vector.
-        pair: two distinct qubits from {1, 2, 3}, in either order.
-
-    Raises:
-        ShapeMismatch: unless c has shape (64,).
-        BadSubset: unless pair holds two distinct integers from {1,2,3} (a bool is not a qubit).
+    Returns shape (3, 64): one row for each pair (1, 2), (1, 3) and (2, 3), in
+    that order.  Raises ShapeMismatch unless c has shape (64,).
     """
     c = _check_coherence(c)
-    qubits = tuple(pair) if isinstance(pair, Iterable) else ()
-    if len(qubits) != 2 or not all(_is_index(q, (1, 2, 3)) for q in qubits) or qubits[0] == qubits[1]:
-        raise BadSubset(f"pair must be two distinct qubits from {{1,2,3}}, got {pair!r}")
-    return np.where(INDICES[:, [q - 1 for q in qubits]].any(axis=1), -c, c)
+    return np.stack([np.where(INDICES[:, pair].any(axis=1), -c, c) for pair in ([0, 1], [0, 2], [1, 2])])
 
 
 _C_TOL = 1e-10  # eigenvalues within this of [0, 1/4] count as inside the set C
 
 
 def spectrum_in_C(w):
-    """True iff every eigenvalue lies in [-_C_TOL, 1/4 + _C_TOL] (the reflection-stable set C).
+    """True iff every spectrum in w lies in [-_C_TOL, 1/4 + _C_TOL] (the reflection-stable set C).
 
-    w holds ascending spectra of 8x8 matrices, shape (8,) (gives a bool) or
-    (..., 8) (gives a bool array of shape (...)).  Raises ShapeMismatch on
-    any other shape, and ValueError on spectra that are not real and finite
-    numbers.
+    w holds ascending spectra of 8x8 matrices, shape (8,) or (..., 8); the
+    answer is one bool either way.  Raises ShapeMismatch on any other shape,
+    and ValueError on spectra that are not real and finite numbers.
     """
     w = np.asarray(w)
     if w.shape[-1:] != (8,):
@@ -163,8 +152,7 @@ def spectrum_in_C(w):
         raise ValueError(f"spectra must be real numbers, got dtype {w.dtype}")
     if not np.isfinite(w).all():
         raise ValueError("spectra must be finite, got NaN or inf")
-    ok = (w[..., 0] >= -_C_TOL) & (w[..., -1] <= 0.25 + _C_TOL)
-    return bool(ok) if ok.ndim == 0 else ok
+    return bool(((w[..., 0] >= -_C_TOL) & (w[..., -1] <= 0.25 + _C_TOL)).all())
 
 
 def complement_map(kets):

@@ -107,8 +107,7 @@ def test_criterion_03_reflections(upb, sep):
     sep_t = to_coherence(sep)
     d_full = frobenius_distance(from_coherence(reflect(sep_t)), upb)
     d_pairs = max(
-        frobenius_distance(from_coherence(partial_reflect(sep_t, pair)), upb)
-        for pair in ((1, 2), (1, 3), (2, 3))
+        frobenius_distance(from_coherence(row), upb) for row in partial_reflect(sep_t)
     )
     d_invol = float(np.abs(reflect(reflect(sep_t)) - sep_t).max())
     proj_t = to_coherence(ket_from_string("01+").projector())

@@ -34,7 +34,7 @@ SQRT6 = np.sqrt(6.0)
 
 def min_pt_eig_alone(m, qubit):
     """One-matrix oracle: the smallest eigenvalue of one qubit's partial transpose."""
-    return jacobi_eigh(partial_transpose(m, qubit), want_vectors=False)[0][0]
+    return jacobi_eigh(partial_transpose(m)[qubit - 1], want_vectors=False)[0][0]
 
 
 def test_period_constant():
@@ -122,6 +122,11 @@ def test_preparation_swapped_reflects_intermediate():
 def test_prepare_upb_argument_validation():
     with pytest.raises(ValueError):
         prepare_upb("sideways")
+    # a one-element array used to run the standard order, and a longer one
+    # raised numpy's bare "truth value of an array ... is ambiguous"
+    for bad in (np.array(["standard"]), np.array(["standard", "swapped"])):
+        with pytest.raises(ValueError, match="order must be 'standard' or 'swapped'"):
+            prepare_upb(bad, 1)
     with pytest.raises(ValueError):
         prepare_upb(interior_samples=-1)
 
@@ -219,8 +224,8 @@ def test_orbit_blocks_match_per_matrix_solves(samples):
         for tens, eigs in ((tensor, spectra[0]), (reflect(tensor), spectra[1])):
             m = from_coherence(tens)
             assert np.array_equal(eigs[0], jacobi_eigh(m, want_vectors=False)[0])
-            for qubit, pt_eigs in zip((1, 2, 3), eigs[1:]):
-                alone = jacobi_eigh(partial_transpose(m, qubit), want_vectors=False)[0]
+            for pt, pt_eigs in zip(partial_transpose(m), eigs[1:]):
+                alone = jacobi_eigh(pt, want_vectors=False)[0]
                 assert np.array_equal(pt_eigs, alone)
 
 

@@ -35,7 +35,7 @@ def test_sign_masks_match_matrix_routes(parts):
     assert np.array_equal(reflect(refl), tens)
     for qubit in (1, 2, 3):
         via_mask = from_coherence(np.where(INDICES[:, qubit - 1] == 2, -tens, tens))
-        assert np.abs(via_mask - partial_transpose(rho, qubit)).max() < 1e-12
+        assert np.abs(via_mask - partial_transpose(rho)[qubit - 1]).max() < 1e-12
 
 
 # Stack members: one of four kinds, built from a (2, 8, 8) block of entries.

@@ -11,12 +11,10 @@ The expected values are intentionally hardcoded here rather than recomputed:
 the point is to pin the constructions against an independent record.
 """
 
-from __future__ import annotations
-
 import fnmatch
 import json
-from dataclasses import asdict, dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +76,7 @@ _EQUALITY_TOL = 1e-12
 _FLOW_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(NamedTuple):
     claim_id: str
     description: str
     paper_ref: str
@@ -546,7 +543,7 @@ def run_claims(orbit_samples=64, filter=None):
 
 
 def write_reports_json(reports, fobj):
-    json.dump([asdict(r) for r in reports], fobj, indent=2)
+    json.dump([{name: getattr(r, name) for name in r._fields} for r in reports], fobj, indent=2)
     fobj.write("\n")
 
 

@@ -9,8 +9,6 @@ verify exits 0 only when no executed claim fails.  File outputs are
 byte-identical across runs with the same arguments.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 

@@ -13,9 +13,7 @@ where R is the real 64x64 adjoint generator, read off the commutators of
 the generator with the Lambda basis.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +104,7 @@ def rodrigues_flow(axis, t, c):
     return expo @ _check_coherence(c)
 
 
-@dataclass(frozen=True)
-class InteriorSample:
+class InteriorSample(NamedTuple):
     """PPT diagnostics at one stage-interior time (stage-local t)."""
 
     stage: int
@@ -115,8 +112,7 @@ class InteriorSample:
     min_pt_eigs: tuple
 
 
-@dataclass(frozen=True)
-class PreparationTrace:
+class PreparationTrace(NamedTuple):
     """The states after each stage ("intermediate", "final") and the interior diagnostics."""
 
     checkpoints: dict
@@ -160,8 +156,7 @@ def prepare_upb(order="standard", interior_samples=9):
     return PreparationTrace(checkpoints, interior)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """The orbit at N times: t (N,), coherence vectors tensors (N, 64), spectra (N, 2, 4, 8).
 
     spectra holds ascending eigenvalues of the state, then of its reflection;

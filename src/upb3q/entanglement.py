@@ -10,8 +10,6 @@ assignment; the oracle checks this by exhaustive enumeration, one commuting
 triple at a time.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 

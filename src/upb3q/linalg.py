@@ -7,8 +7,6 @@ is used for array plumbing only; no LAPACK eigenroutine is called in library
 code.
 """
 
-from __future__ import annotations
-
 import math
 import numbers
 
@@ -45,8 +43,16 @@ _MAX_STACK = 512
 _SLICE = 256
 
 
+def _numeric(x, what):
+    """x as an array; ValueError naming what unless its entries are numbers (a bool or string is not)."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iufc":
+        raise ValueError(f"{what} must be numbers, got dtype {x.dtype}")
+    return x
+
+
 def _check_hermitian(mat, tol):
-    mat = np.asarray(mat, dtype=complex)
+    mat = np.asarray(_numeric(mat, "matrix entries"), dtype=complex)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ShapeMismatch(f"expected a square matrix or a stack of them, got shape {mat.shape}")
     flat = mat.reshape((math.prod(mat.shape[:-2]),) + mat.shape[-2:])
@@ -84,9 +90,8 @@ def _check_8x8(rho):
 
 def _check_matrix(m, n):
     """m as a complex array; ShapeMismatch unless it is n x n, NonHermitian unless Hermitian."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (n, n):
-        raise ShapeMismatch(f"expected a {n}x{n} matrix, got shape {m.shape}")
+    if np.shape(m) != (n, n):
+        raise ShapeMismatch(f"expected a {n}x{n} matrix, got shape {np.shape(m)}")
     return _check_hermitian(m, 1e-12)
 
 
@@ -129,7 +134,7 @@ def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vector
         herm_tol: allowed input Hermiticity residue.
         conv_tol: off-diagonal Frobenius norm at which iteration stops.
         max_sweeps: sweep budget before NoConvergence is raised.
-        want_vectors: accumulate the eigenvector unitary as well.
+        want_vectors: True or False, accumulate the eigenvector unitary as well.
 
     Returns:
         (w, V) with w ascending real eigenvalues, shape (..., n); V has the
@@ -138,10 +143,12 @@ def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vector
 
     Raises:
         ValueError (herm_tol not finite and >= 0, conv_tol not finite and
-        > 0, max_sweeps not an integer >= 0), NonHermitian (any matrix),
-        both checked before any sweep; NoConvergence (any matrix left
-        unconverged), ShapeMismatch.
+        > 0, max_sweeps not an integer >= 0, want_vectors not a bool, an
+        entry not a number), NonHermitian (any matrix), all checked before
+        any sweep; NoConvergence (any matrix left unconverged), ShapeMismatch.
     """
+    if not isinstance(want_vectors, (bool, np.bool_)):
+        raise ValueError(f"want_vectors must be True or False, got {want_vectors!r}")
     _check_tolerance("herm_tol", herm_tol)
     _check_tolerance("conv_tol", conv_tol)
     if conv_tol == 0.0:  # no off-diagonal norm is below 0: the budget would run out
@@ -282,10 +289,12 @@ def eigen_flow(w, v, t, rho):
 
 
 def frobenius_distance(a, b):
-    """Frobenius norm of (a - b); raises ShapeMismatch on incompatible shapes."""
-    a = np.asarray(a)
-    b = np.asarray(b)
+    """Frobenius norm of (a - b); ShapeMismatch on unequal shapes, ValueError unless numbers and finite."""
+    a, b = _numeric(a, "entries"), _numeric(b, "entries")
     if a.shape != b.shape:
         raise ShapeMismatch(f"shape {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.sqrt(np.sum(np.abs(d) ** 2)))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and overflow fail below
+        d = float(np.sqrt(np.sum(np.abs(a - b) ** 2)))
+    if not math.isfinite(d):
+        raise ValueError(f"Frobenius distance must be finite, got {d!r} (a NaN or inf entry, or overflow)")
+    return d

@@ -8,16 +8,13 @@ rho = sum_a c_a Lambda_a with real components c_a = tr(rho Lambda_a), the
 convention: a = 16j + 4k + l, qubit 1 is the leftmost Kronecker factor.
 """
 
-from __future__ import annotations
-
-import itertools
 import numbers
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import ShapeMismatch, _check_matrix
+from .linalg import ShapeMismatch, _check_matrix, _numeric
 
 SQRT2 = np.sqrt(2.0)
 
@@ -60,10 +57,15 @@ def label_index(label):
 
 
 # INDICES[a] = (j, k, l) of flat index a, and the full 64-element tensor
-# basis, flat-indexed; both built once at import and read-only.
-INDICES = np.array(list(itertools.product(range(4), repeat=3)))
-LAMBDA_BASIS = np.stack([np.kron(np.kron(lambda_matrix(j), lambda_matrix(k)), lambda_matrix(l))
-                         for j, k, l in INDICES])
+# basis, flat-indexed; both built once at import and read-only.  Broadcasting
+# puts lambda_j on axes (0, 3, 6) of one product, lambda_k on (1, 4, 7) and
+# lambda_l on (2, 5, 8), so it is indexed (j, k, l, rows, columns); it
+# multiplies as np.kron(np.kron(lambda_j, lambda_k), lambda_l) does, bit for bit.
+INDICES = np.indices((4, 4, 4)).reshape(3, 64).T.copy()
+_LAM = np.stack([lambda_matrix(mu) for mu in range(4)])
+LAMBDA_BASIS = (_LAM[:, None, None, :, None, None, :, None, None]
+                * _LAM[:, None, None, :, None, None, :, None]
+                * _LAM[:, None, None, :, None, None, :]).reshape(64, 8, 8)
 INDICES.setflags(write=False)
 LAMBDA_BASIS.setflags(write=False)
 
@@ -124,35 +126,39 @@ _KET_SYMBOLS = {
 _UNIT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ProductKet:
+class ProductKet(NamedTuple("ProductKet", [("locals", tuple), ("amplitudes", np.ndarray)])):
     """A 3-qubit product state: its three local qubit vectors, and amplitudes, their Kronecker product.
 
     Raises BadLength unless locals holds exactly 3 vectors of 2 entries each,
-    and ValueError on a non-finite entry or a local whose squared norm is
-    not 1 within _UNIT_TOL.
+    and ValueError on an entry that is not a finite number or a local whose
+    squared norm is not 1 within _UNIT_TOL.
     """
 
-    locals: tuple
-    amplitudes: np.ndarray = field(init=False)
+    __slots__ = ()
+    # _replace goes through _make, which reads only locals: new locals are checked, amplitudes= is refused
+    _make = classmethod(lambda cls, fields: cls(next(iter(fields))))
 
-    def __post_init__(self):
-        if not isinstance(self.locals, Iterable):
-            raise BadLength(f"need 3 local vectors of 2 entries, got {self.locals!r}")
-        locs = tuple(np.array(v, dtype=complex) for v in self.locals)
+    def __new__(cls, locals):
+        if not isinstance(locals, Iterable):
+            raise BadLength(f"need 3 local vectors of 2 entries, got {locals!r}")
+        locs = tuple(np.asarray(v) for v in locals)
         if len(locs) != 3 or any(v.shape != (2,) for v in locs):
             raise BadLength(f"need 3 local vectors of 2 entries, got shapes {[v.shape for v in locs]}")
+        locs = tuple(np.array(_numeric(v, "local vector entries"), dtype=complex) for v in locs)
         for v in locs:
             if not np.isfinite(v).all():
                 raise ValueError(f"local vector {v} has a NaN or infinite entry")
             norm2 = float(np.vdot(v, v).real)
             if abs(norm2 - 1.0) > _UNIT_TOL:
                 raise ValueError(f"local vector {v} has squared norm {norm2!r}, not 1")
-        amps = np.kron(np.kron(locs[0], locs[1]), locs[2])
+        # np.kron(np.kron(l1, l2), l3) as one broadcast product, with its bits
+        amps = (locs[0][:, None, None] * locs[1][:, None] * locs[2]).reshape(8)
         for v in locs + (amps,):
             v.setflags(write=False)
-        object.__setattr__(self, "locals", locs)
-        object.__setattr__(self, "amplitudes", amps)
+        return super().__new__(cls, locs, amps)
+
+    def __getnewargs__(self):  # copy and pickle rebuild a ket from its locals, as the constructor does
+        return (self.locals,)
 
     def projector(self):
         """The rank-1 density matrix |ket><ket|."""

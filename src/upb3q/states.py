@@ -10,11 +10,9 @@ two states share one magnitude x = 1/(8 sqrt 2) on 16 homogeneous slots and
 are exchanged by the reflection that negates every homogeneous component.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,8 +170,7 @@ def complement_map(kets):
     return (np.eye(8, dtype=complex) - q) / 4.0
 
 
-@dataclass(frozen=True)
-class UPBCheckResult:
+class UPBCheckResult(NamedTuple):
     """Outcome of the product-basis extension search.
 
     extension_witness is a verified product ket orthogonal to all 4 members

@@ -3,7 +3,6 @@ import io
 import json
 import math
 import pathlib
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -219,7 +218,7 @@ def test_run_config_rejects_bad_values(solver_calls):
 
 def test_claim_report_to_dict_round_trip():
     rep = ClaimReport("a.b", "desc", "ref", "pass", 1.0, 1.0, 0.1)
-    d = asdict(rep)
+    d = rep._asdict()
     assert list(d) == ["claim_id", "description", "paper_ref", "status", "measured", "expected",
                        "tolerance"]
     assert d["claim_id"] == "a.b" and d["tolerance"] == 0.1 and ClaimReport(**d) == rep
@@ -267,7 +266,7 @@ def test_registry_metadata_is_frozen():
     # collapsed into parameterised families; measured values are left out
     # because they depend on the platform's floating point
     frozen = json.loads(REGISTRY_FILE.read_text(encoding="utf-8"))
-    current = [{k: asdict(r)[k] for k in STATIC_KEYS} for r in run_claims()]
+    current = [{k: r._asdict()[k] for k in STATIC_KEYS} for r in run_claims()]
     assert [row["claim_id"] for row in frozen] == claim_ids()
     for want, got in zip(frozen, current):
         # compared as JSON text so that true and 1, or 0 and 0.0, differ

@@ -1,8 +1,9 @@
-import dataclasses
+import copy
 import importlib
 import inspect
 import io
 import json
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -11,9 +12,11 @@ import pytest
 
 import upb3q
 from upb3q import dynamics
-from upb3q.claims import run_claims, write_bloch_csv, write_orbit_csv, write_reports_json
+from upb3q.claims import ClaimReport, run_claims, write_bloch_csv, write_orbit_csv, write_reports_json
 from upb3q.cli import build_parser, main
-from upb3q.dynamics import orbit
+from upb3q.dynamics import orbit, prepare_upb
+from upb3q.pauli import ket_from_string
+from upb3q.states import check_upb, family
 
 
 def run_cli(*argv):
@@ -217,7 +220,7 @@ def test_every_public_routine_is_reached_by_a_command(capsys, monkeypatch):
     assert sorted(name for code, name in routines.items() if code not in entered) == []
 
 
-# Dataclass fields that no command reads, each with the reason it is kept.
+# Record fields that no command reads, each with the reason it is kept.
 UNREAD_FIELDS_KEPT = {
     "upb3q.dynamics.InteriorSample.stage":
         "perfbench/oracles.py::check_preparation matches each probe to its stage",
@@ -228,23 +231,24 @@ UNREAD_FIELDS_KEPT = {
 
 def test_every_dataclass_field_is_read_by_a_command(capsys, monkeypatch):
     # a field that is built but never read is dead weight: delete it, or give
-    # it a reader.  A read inside the class's own __post_init__ (validation,
-    # normalisation) does not count.
+    # it a reader.  A record is a class with named fields, _fields; a read
+    # inside the record's own constructor, its __new__ (validation,
+    # normalisation), does not count.
     classes, fields, read = set(), set(), set()
     for info in pkgutil.iter_modules(upb3q.__path__):
         module = importlib.import_module(f"upb3q.{info.name}")
         for name, cls in vars(module).items():
             if (name.startswith("_") or not inspect.isclass(cls)
-                    or not dataclasses.is_dataclass(cls) or cls.__module__ != module.__name__):
+                    or not hasattr(cls, "_fields") or cls.__module__ != module.__name__):
                 continue
             owner = f"{module.__name__}.{name}"
             classes.add(owner)
-            names = {f.name for f in dataclasses.fields(cls)}
+            names = set(cls._fields)
             fields.update(f"{owner}.{field}" for field in names)
-            post_init = getattr(getattr(cls, "__post_init__", None), "__code__", None)
+            constructor = getattr(cls.__new__, "__code__", None)
 
-            def traced(self, attr, owner=owner, names=names, post_init=post_init):
-                if attr in names and sys._getframe(1).f_code is not post_init:
+            def traced(self, attr, owner=owner, names=names, constructor=constructor):
+                if attr in names and sys._getframe(1).f_code is not constructor:
                     read.add(f"{owner}.{attr}")
                 return object.__getattribute__(self, attr)
 
@@ -257,3 +261,58 @@ def test_every_dataclass_field_is_read_by_a_command(capsys, monkeypatch):
         "upb3q.states.UPBCheckResult",
     ]
     assert sorted(fields - read) == sorted(UNREAD_FIELDS_KEPT)
+
+
+def test_every_record_is_immutable():
+    # frozen dataclasses made every field read-only; the NamedTuple records
+    # keep that, and hold no attribute outside their fields
+    trace = prepare_upb("standard", 1)
+    records = [ClaimReport("a.b", "desc", "ref", "pass", 1.0, 1.0, 0.1), trace.interior[0], orbit(2),
+               trace, ket_from_string("01+"), check_upb(family("psi"))]
+    assert sorted(f"{type(r).__module__}.{type(r).__name__}" for r in records) == [
+        "upb3q.claims.ClaimReport", "upb3q.dynamics.InteriorSample",
+        "upb3q.dynamics.Orbit", "upb3q.dynamics.PreparationTrace", "upb3q.pauli.ProductKet",
+        "upb3q.states.UPBCheckResult",
+    ]
+    for record in records:
+        for name in record._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
+def test_every_record_survives_pickle_and_copy():
+    trace = prepare_upb("standard", 1)
+    records = [ClaimReport("a.b", "desc", "ref", "pass", [1, 2], None, 0.1), trace.interior[0],
+               orbit(2), trace, ket_from_string("01+"), check_upb(family("psi")),
+               check_upb(family("psi")[:3] + (ket_from_string("111"),))]
+    for record in records:
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(twin) is type(record) and twin._fields == record._fields
+            assert pickle.dumps(twin) == pickle.dumps(record)
+    witness = pickle.loads(pickle.dumps(records[-1])).extension_witness
+    assert witness.amplitudes.tobytes() == records[-1].extension_witness.amplitudes.tobytes()
+    assert not witness.amplitudes.flags.writeable
+
+
+IMPORT_COUNTERS = """
+import sys
+import numpy
+calls = []
+kron = numpy.kron
+def counting_kron(*args, **kwargs):
+    calls.append(args)
+    return kron(*args, **kwargs)
+numpy.kron = counting_kron
+before = set(sys.modules)
+import upb3q, upb3q.cli
+print(len(calls), "dataclasses" in set(sys.modules) - before)
+"""
+
+
+def test_package_import_loads_no_dataclasses_and_calls_no_kron():
+    # the records are NamedTuples and LAMBDA_BASIS one broadcast product, so
+    # once numpy is loaded the import neither loads dataclasses nor calls
+    # np.kron (the 64-matrix basis took 128 calls); counted, not timed
+    proc = subprocess.run([sys.executable, "-c", IMPORT_COUNTERS], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.split() == ["0", "False"]

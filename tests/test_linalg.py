@@ -102,13 +102,14 @@ def test_jacobi_no_convergence_budget():
     ("conv_tol", float("nan")), ("conv_tol", float("inf")), ("conv_tol", 0.0),
     ("conv_tol", -1e-14), ("max_sweeps", 2.5), ("max_sweeps", -1),
     ("max_sweeps", True), ("max_sweeps", False), ("herm_tol", False), ("conv_tol", True),
+    ("want_vectors", "no"), ("want_vectors", None), ("want_vectors", 0), ("want_vectors", 1.0),
 ])
 def test_jacobi_rejects_bad_arguments_before_any_solve(solver_calls, name, bad):
     # a NaN, zero or negative conv_tol used to burn 100 sweeps and raise
     # NoConvergence; conv_tol=inf returned the unrotated diagonal, so the
     # minimum eigenvalue of rho_upb came back as 0.09375 instead of 0;
     # max_sweeps=True ran one sweep and reported "after True sweeps"; a bool
-    # tolerance was read as 0 or 1
+    # tolerance was read as 0 or 1; want_vectors="no" returned eigenvectors
     with pytest.raises(ValueError, match=name):
         jacobi_eigh(rho_upb(), **{name: bad})
     assert solver_calls == []
@@ -218,6 +219,38 @@ def test_frobenius_distance():
     assert abs(frobenius_distance(a, b) - np.sqrt(2)) < 1e-15
     with pytest.raises(ShapeMismatch):
         frobenius_distance(np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize("a, b, match", [
+    (np.full((8, 8), np.nan), np.eye(8), "Frobenius distance must be finite, got nan"),
+    (np.eye(8), np.diag([np.inf] + [0.0] * 7), "Frobenius distance must be finite, got inf"),
+    (np.full((8, 8), np.inf), np.full((8, 8), np.inf), "Frobenius distance must be finite, got nan"),
+    (np.full((8, 8), 1e200), np.eye(8), "Frobenius distance must be finite, got inf"),
+    (np.full((8, 8), "a"), np.eye(8), "entries must be numbers, got dtype <U1"),
+    (np.eye(8), np.full((8, 8), None), "entries must be numbers, got dtype object"),
+    (np.eye(8, dtype=bool), np.eye(8), "entries must be numbers, got dtype bool"),
+])
+def test_frobenius_distance_is_finite_or_raises(a, b, match):
+    # a NaN entry used to give a silent nan, a string entry numpy's bare
+    # UFuncTypeError; inf - inf and an overflowing square raise, not warn
+    with pytest.raises(ValueError, match=match):
+        frobenius_distance(a, b)
+
+
+def test_jacobi_takes_a_numpy_bool_for_want_vectors():
+    w, v = jacobi_eigh(np.eye(2), want_vectors=np.bool_(False))
+    assert v is None and np.array_equal(w, [1.0, 1.0])
+    assert jacobi_eigh(np.eye(2), want_vectors=np.True_)[1].shape == (2, 2)
+
+
+@pytest.mark.parametrize("mat", ["abc", np.array([["1", "0"], ["0", "1"]]), [[None, 0], [0, 1]]],
+                         ids=["string", "string-matrix", "none-entry"])
+def test_jacobi_requires_numeric_entries(solver_calls, mat):
+    # jacobi_eigh("abc") used to fail inside numpy with "complex() arg is a
+    # malformed string"
+    with pytest.raises(ValueError, match="matrix entries must be numbers, got dtype"):
+        jacobi_eigh(mat)
+    assert solver_calls == []
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), "0.3", None, 1 + 2j, True])

@@ -3,6 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from upb3q.dynamics import ORBIT, rodrigues_flow
 from upb3q.entanglement import UPB_TRIPLES, lhv_oracle, triple_value
@@ -23,7 +26,7 @@ from upb3q.pauli import (
     reduced_density,
     to_coherence,
 )
-from upb3q.states import partial_reflect, reflect, rho_sep, rho_upb
+from upb3q.states import FAMILY_SYMBOLS, family, partial_reflect, reflect, rho_sep, rho_upb
 
 RNG = np.random.default_rng(20240817)
 
@@ -42,6 +45,34 @@ def random_density(n=8):
 def test_basis_is_trace_orthonormal():
     gram = np.einsum("aij,bji->ab", LAMBDA_BASIS, LAMBDA_BASIS)
     assert np.abs(gram - np.eye(64)).max() < 1e-14
+
+
+def test_lambda_basis_has_the_bits_of_the_kron_construction():
+    # the basis is one broadcast product; np.kron, 128 calls of it, is the oracle
+    want = np.stack([np.kron(np.kron(lambda_matrix(j), lambda_matrix(k)), lambda_matrix(l))
+                     for j, k, l in itertools.product(range(4), repeat=3)])
+    assert LAMBDA_BASIS.shape == want.shape and LAMBDA_BASIS.dtype == want.dtype
+    assert LAMBDA_BASIS.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_SYMBOLS))
+def test_family_ket_amplitudes_have_the_bits_of_kron(name):
+    for ket in family(name):
+        a, b, c = ket.locals
+        assert ket.amplitudes.tobytes() == np.kron(np.kron(a, b), c).tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(arrays(np.float64, (3, 2, 2), elements=st.floats(-1.0, 1.0)))
+def test_product_ket_amplitudes_have_the_bits_of_kron(parts):
+    # unit locals from any real and imaginary parts; the tiny and subnormal
+    # parts that Hypothesis draws exercise underflow in the products
+    vecs = parts[..., 0] + 1j * parts[..., 1]
+    norms = np.sqrt(np.einsum("ij,ij->i", vecs.conj(), vecs).real)
+    assume((norms > 1e-3).all())
+    locs = tuple(vecs / norms[:, None])
+    ket = ProductKet(locs)
+    assert ket.amplitudes.tobytes() == np.kron(np.kron(locs[0], locs[1]), locs[2]).tobytes()
 
 
 def test_lambda_matrix_normalization():
@@ -156,6 +187,32 @@ def test_product_ket_is_built_from_its_locals():
     for bad in ((v, v), (v, v, v, v), (v, v, np.ones(3)), (v, v, np.ones((2, 1))), (np.ones(8),)):
         with pytest.raises(BadLength, match="need 3 local vectors of 2 entries"):
             ProductKet(bad)
+
+
+def test_product_ket_requires_numeric_locals(solver_calls):
+    # ProductKet("abc") and a local of strings used to fail inside numpy with
+    # "complex() arg is a malformed string"
+    with pytest.raises(BadLength, match="need 3 local vectors of 2 entries"):
+        ProductKet("abc")
+    v = np.array([1.0, 0.0])
+    for bad in ((v, v, np.array(["1", "0"])), (v, v, [None, 1.0]), (v, v, [True, False])):
+        with pytest.raises(ValueError, match="local vector entries must be numbers, got dtype"):
+            ProductKet(bad)
+    assert solver_calls == []
+
+
+def test_product_ket_replace_and_make_build_from_locals():
+    # a NamedTuple's _make and _replace would store any amplitudes given;
+    # the ket's go through its constructor, so amplitudes stay the locals' product
+    ket, other = ket_from_string("01+"), ket_from_string("-10")
+    for made in (ket._replace(locals=other.locals), ProductKet._make([other.locals, ket.amplitudes])):
+        assert type(made) is ProductKet
+        assert made.amplitudes.tobytes() == other.amplitudes.tobytes()
+        assert not made.amplitudes.flags.writeable
+    with pytest.raises(ValueError, match="unexpected field names: \\['amplitudes'\\]"):
+        ket._replace(amplitudes=other.amplitudes)
+    with pytest.raises(ValueError, match="squared norm"):
+        ket._replace(locals=(np.ones(2),) * 3)
 
 
 def test_product_ket_rejects_bad_locals():

@@ -18,9 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .entanglement import min_pt_eigs, partial_transpose
-from .linalg import (_MAX_STACK, _check_count, _check_matrix, _check_time, eigen_flow,
-                     frobenius_distance, jacobi_eigh)
-from .pauli import LAMBDA_BASIS, SQRT2, _check_coherence, from_coherence, label_index, to_coherence
+from .linalg import _MAX_STACK, _array, _check_count, _check_time, eigen_flow, frobenius_distance, jacobi_eigh
+from .pauli import LAMBDA_BASIS, SQRT2, from_coherence, label_index, to_coherence
 from .states import family_mixture, reflect, rho_sep, rho_upb
 
 # Common period of the Lambda_{333} and Lambda_{222} conjugation flows.
@@ -101,7 +100,7 @@ def rodrigues_flow(axis, t, c):
         + SQRT2 * np.sin(t / SQRT2) * r
         + 2.0 * (1.0 - np.cos(t / SQRT2)) * r2
     )
-    return expo @ _check_coherence(c)
+    return expo @ _array(c, "coherence components", (64,), real=True)
 
 
 class InteriorSample(NamedTuple):
@@ -201,7 +200,7 @@ def stationarity(h, rho):
     Raises ShapeMismatch on other shapes and NonHermitian on a matrix that is
     not Hermitian within 1e-12 or holds a NaN or infinite entry.
     """
-    h, rho = _check_matrix(h, 8), _check_matrix(rho, 8)
+    h, rho = (_array(m, "matrix entries", (8, 8), herm_tol=1e-12) for m in (h, rho))
     return frobenius_distance(h @ rho, rho @ h)
 
 

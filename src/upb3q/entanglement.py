@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .linalg import _check_8x8, frobenius_distance, jacobi_eigh
-from .pauli import LAMBDA_BASIS, _check_coherence, label_index
+from .linalg import _array, frobenius_distance, jacobi_eigh
+from .pauli import LAMBDA_BASIS, label_index
 
 
 def partial_transpose(rho):
@@ -26,7 +26,7 @@ def partial_transpose(rho):
     shape (..., 3, 8, 8); any other shape raises ShapeMismatch, and a NaN or
     infinite entry raises ValueError.
     """
-    rho = _check_8x8(rho)
+    rho = _array(rho, "matrix entries", (..., 8, 8))
     batch = rho.shape[:-2]
     t, q = rho.reshape(batch + (2,) * 6), len(batch)
     pts = [np.swapaxes(t, q + k, q + k + 3) for k in range(3)]  # row and column index of qubit k + 1
@@ -81,7 +81,7 @@ def verify_triple_structure(triple):
 
 def triple_value(c, triple):
     """Product of the three components of a (64,) coherence vector a label triple addresses."""
-    c = _check_coherence(c)
+    c = _array(c, "coherence components", (64,), real=True)
     return math.prod(float(c[a]) for a in _check_triple(triple))
 
 
@@ -96,7 +96,7 @@ def lhv_oracle(c, triple):
     Raises ValueError on a triple of other than 3 labels, and ShapeMismatch
     unless c has shape (64,).
     """
-    c = _check_coherence(c)
+    c = _array(c, "coherence components", (64,), real=True)
     constraints, variables = [], set()
     for label, a in zip(triple, _check_triple(triple)):
         vars_of_obs = [(q, axis) for q, axis in enumerate(label) if axis != "0"]

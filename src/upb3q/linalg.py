@@ -43,26 +43,45 @@ _MAX_STACK = 512
 _SLICE = 256
 
 
-def _numeric(x, what):
-    """x as an array; ValueError naming what unless its entries are numbers (a bool or string is not)."""
+def _array(x, what, shape=None, real=False, herm_tol=None):
+    """x as a float (real) or complex array, checked by the one rule for every array argument.
+
+    In this order: ValueError unless its entries are numbers (a bool, string,
+    bytes or object entry is not); ShapeMismatch unless it has shape, an
+    exact shape like (8, 8), a batch shape like (..., 8, 8), or "square" for
+    (..., n, n); with real, ValueError on a nonzero imaginary part; then with
+    herm_tol, NonHermitian unless every matrix is Hermitian within it (a NaN
+    or inf entry fails too), and without it, ValueError unless finite.
+    """
     x = np.asarray(x)
     if x.dtype.kind not in "iufc":
-        raise ValueError(f"{what} must be numbers, got dtype {x.dtype}")
-    return x
-
-
-def _check_hermitian(mat, tol):
-    mat = np.asarray(_numeric(mat, "matrix entries"), dtype=complex)
-    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
-        raise ShapeMismatch(f"expected a square matrix or a stack of them, got shape {mat.shape}")
-    flat = mat.reshape((math.prod(mat.shape[:-2]),) + mat.shape[-2:])
+        raise ValueError(f"{what} must be {'real ' if real else ''}numbers, got dtype {x.dtype}")
+    if shape == "square":
+        shape, fits = (..., "n", "n"), x.ndim >= 2 and x.shape[-1] == x.shape[-2]
+    elif shape and shape[0] is ...:
+        fits = x.shape[1 - len(shape):] == shape[1:]
+    else:
+        fits = shape is None or x.shape == shape
+    if not fits:
+        want = str(shape).replace("Ellipsis", "...").replace("'", "")
+        raise ShapeMismatch(f"{what} must have shape {want}, got shape {x.shape}")
+    if real and x.dtype.kind == "c":
+        if x.imag.any():
+            raise ValueError(f"{what} must be real, got a nonzero imaginary part")
+        x = x.real
+    x = np.asarray(x, dtype=float if real else complex)
+    if herm_tol is None:
+        if np.count_nonzero(np.isfinite(x)) < x.size:  # on these small arrays, ~1 us less than .all()
+            raise ValueError(f"{what} must be finite, got a NaN or infinite entry")
+        return x
+    flat = x.reshape((math.prod(x.shape[:-2]),) + x.shape[-2:])
     with np.errstate(invalid="ignore"):  # inf - inf gives NaN, which the test below rejects
         for start in range(0, len(flat), _SLICE):  # the first slice over tol raises
             part = flat[start:start + _SLICE]
             residue = np.abs(part - np.swapaxes(part.conj(), -1, -2)).max(initial=0.0)
-            if not residue <= tol:  # also rejects NaN, which compares False
-                raise NonHermitian(f"Hermiticity residue {residue:.3e} > {tol:.1e}")
-    return mat
+            if not residue <= herm_tol:  # also rejects NaN, which compares False
+                raise NonHermitian(f"Hermiticity residue {residue:.3e} > {herm_tol:.1e}")
+    return x
 
 
 def _check_count(name, n, minimum):
@@ -78,31 +97,14 @@ def _check_tolerance(name, tol):
         raise ValueError(f"{name} must be a finite number >= 0, got {tol!r}")
 
 
-def _check_8x8(rho):
-    """rho as a complex array; ShapeMismatch unless 8x8 or a stack (..., 8, 8), ValueError unless finite."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (8, 8):
-        raise ShapeMismatch(f"expected an 8x8 matrix or a stack (..., 8, 8), got shape {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise ValueError("matrix entries must be finite, got NaN or inf")
-    return rho
-
-
-def _check_matrix(m, n):
-    """m as a complex array; ShapeMismatch unless it is n x n, NonHermitian unless Hermitian."""
-    if np.shape(m) != (n, n):
-        raise ShapeMismatch(f"expected a {n}x{n} matrix, got shape {np.shape(m)}")
-    return _check_hermitian(m, 1e-12)
-
-
 def _check_time(t):
     """Raise ValueError unless the flow time t is a finite real number; a bool is not a time."""
     if not (isinstance(t, numbers.Real) and not isinstance(t, bool) and math.isfinite(t)):
         raise ValueError(f"flow time must be a finite real number, got {t!r}")
 
 
-def _offdiag_norms(a):
-    """Off-diagonal Frobenius norm of each matrix of a batch-last (n, n, B) stack.
+def _offdiag_norms(a, whole=False):
+    """Off-diagonal (with whole, full) Frobenius norm of each matrix of a batch-last (n, n, B) stack.
 
     Each matrix is summed over its own contiguous row of n*n squares, as one
     matrix alone would be: a sum down the batch axis rounds differently.  The
@@ -113,7 +115,8 @@ def _offdiag_norms(a):
     for start in range(0, a.shape[-1], _SLICE):
         part = slice(start, start + _SLICE)
         off = np.moveaxis(a[..., part], -1, 0).copy()
-        off[:, diag, diag] = 0.0
+        if not whole:
+            off[:, diag, diag] = 0.0
         sq = np.abs(off.reshape(len(off), -1))
         norms[part] = np.sqrt(np.sum(np.square(sq, out=sq), axis=1))
         del off, sq  # free this slice's scratch before the next one is made
@@ -124,7 +127,9 @@ def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vector
     """Cyclic complex Jacobi diagonalization of a Hermitian matrix or a stack.
 
     Repeatedly zeroes each off-diagonal pair (p, q) with a unitary plane
-    rotation until the off-diagonal Frobenius norm drops below conv_tol.
+    rotation until the off-diagonal Frobenius norm drops below
+    conv_tol x max(1, ||A||_F), with ||A||_F the Frobenius norm of the input:
+    rounding alone leaves about eps x ||A||_F off the diagonal.
     A stack runs the same cyclic sweep on every matrix at once; each matrix
     gets exactly the rotations, and so the bits, it would get on its own.
 
@@ -132,7 +137,8 @@ def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vector
         mat: n x n complex Hermitian array (n <= 16 intended), or a stack of
             them with any leading batch shape, (..., n, n).
         herm_tol: allowed input Hermiticity residue.
-        conv_tol: off-diagonal Frobenius norm at which iteration stops.
+        conv_tol: off-diagonal Frobenius norm, relative to max(1, ||A||_F),
+            at which iteration stops.
         max_sweeps: sweep budget before NoConvergence is raised.
         want_vectors: True or False, accumulate the eigenvector unitary as well.
 
@@ -144,8 +150,9 @@ def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vector
     Raises:
         ValueError (herm_tol not finite and >= 0, conv_tol not finite and
         > 0, max_sweeps not an integer >= 0, want_vectors not a bool, an
-        entry not a number), NonHermitian (any matrix), all checked before
-        any sweep; NoConvergence (any matrix left unconverged), ShapeMismatch.
+        entry not a number, ||A||_F overflowing), NonHermitian (any matrix),
+        ShapeMismatch, all checked before any sweep; NoConvergence (any
+        matrix left unconverged).
     """
     if not isinstance(want_vectors, (bool, np.bool_)):
         raise ValueError(f"want_vectors must be True or False, got {want_vectors!r}")
@@ -154,19 +161,24 @@ def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vector
     if conv_tol == 0.0:  # no off-diagonal norm is below 0: the budget would run out
         raise ValueError(f"conv_tol must be > 0, got {conv_tol!r}")
     _check_count("max_sweeps", max_sweeps, 0)
-    a = _check_hermitian(mat, herm_tol)
+    a = _array(mat, "matrix entries", "square", herm_tol=herm_tol)
     batch, n = a.shape[:-2], a.shape[-1]
     a = a.reshape(math.prod(batch), n, n)
+    with np.errstate(over="ignore"):  # an overflowing square fails the check below
+        fro = _offdiag_norms(a.transpose(1, 2, 0), whole=True)
+        tols = conv_tol * np.maximum(1.0, fro)
+    if not np.isfinite(fro).all():
+        raise ValueError("matrix entries must have a finite Frobenius norm, got squares that overflow")
     w = np.empty(a.shape[:2])
     v = np.empty(a.shape, dtype=complex) if want_vectors else None
     for start in range(0, len(a), _MAX_STACK):
         chunk = slice(start, start + _MAX_STACK)
-        _jacobi_stack(a[chunk], conv_tol, max_sweeps, w[chunk], None if v is None else v[chunk])
+        _jacobi_stack(a[chunk], tols[chunk], max_sweeps, w[chunk], None if v is None else v[chunk])
     return w.reshape(batch + (n,)), None if v is None else v.reshape(batch + (n, n))
 
 
-def _jacobi_stack(mats, conv_tol, max_sweeps, w_out, v_out):
-    """Diagonalize a (B, n, n) stack into w_out (B, n) and, if given, v_out.
+def _jacobi_stack(mats, tols, max_sweeps, w_out, v_out):
+    """Diagonalize a (B, n, n) stack into w_out (B, n) and, if given, v_out; matrix b stops below tols[b].
 
     The solve works on its own batch-last copy, store[i, j, b] = mats[b, i, j],
     so that each row or column slice of a rotation is a run of contiguous
@@ -193,7 +205,7 @@ def _jacobi_stack(mats, conv_tol, max_sweeps, w_out, v_out):
     live = np.arange(k)
     norms = _offdiag_norms(store[:n])
     for sweep in range(max_sweeps + 1):
-        done = norms < conv_tol
+        done = norms < tols[live]
         if done.any():
             out = done.nonzero()[0]
             evals = store[diag, diag, out].real.T  # (retirees, n): only their diagonals
@@ -217,7 +229,7 @@ def _jacobi_stack(mats, conv_tol, max_sweeps, w_out, v_out):
         norms = _offdiag_norms(av[:n])
     if k:
         raise NoConvergence(
-            f"off-diagonal norm {norms.max():.3e} > {conv_tol:.1e} "
+            f"off-diagonal norm {norms.max():.3e} is not below conv_tol x max(1, ||A||_F) "
             f"after {max_sweeps} sweeps ({k} of {len(mats)} matrices)"
         )
 
@@ -275,26 +287,30 @@ def eigen_flow(w, v, t, rho):
     """exp(-itH) rho exp(+itH) from H's eigenvalues w and eigenvectors v.
 
     Lets a caller that flows by one H to many times diagonalize it once.
-    Raises ValueError unless t is a finite real number and ShapeMismatch
-    unless rho has the shape of H and w one eigenvalue per column of v.
+    Raises ValueError unless t is a finite real number, w real and finite
+    numbers and v and rho finite numbers, and ShapeMismatch unless v is one
+    square matrix, rho has its shape and w one eigenvalue per column of v.
     """
     _check_time(t)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != np.shape(v):
-        raise ShapeMismatch(f"rho has shape {rho.shape}, H has shape {np.shape(v)}")
-    if np.shape(w) != np.shape(v)[:-1]:
-        raise ShapeMismatch(f"w has shape {np.shape(w)}, H has shape {np.shape(v)}")
+    w, v = _array(w, "eigenvalues", real=True), _array(v, "eigenvector entries")
+    rho = _array(rho, "matrix entries")
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:  # v.conj().T would transpose a stack's batch axis too
+        raise ShapeMismatch(f"H must be one square matrix, got eigenvectors of shape {v.shape}")
+    if rho.shape != v.shape:
+        raise ShapeMismatch(f"rho has shape {rho.shape}, H has shape {v.shape}")
+    if w.shape != v.shape[:-1]:
+        raise ShapeMismatch(f"w has shape {w.shape}, H has shape {v.shape}")
     u = (v * np.exp(-1j * t * w)) @ v.conj().T
     return u @ rho @ u.conj().T
 
 
 def frobenius_distance(a, b):
     """Frobenius norm of (a - b); ShapeMismatch on unequal shapes, ValueError unless numbers and finite."""
-    a, b = _numeric(a, "entries"), _numeric(b, "entries")
+    a, b = _array(a, "entries"), _array(b, "entries")
     if a.shape != b.shape:
         raise ShapeMismatch(f"shape {a.shape} vs {b.shape}")
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and overflow fail below
+    with np.errstate(over="ignore"):  # an overflow fails the check below
         d = float(np.sqrt(np.sum(np.abs(a - b) ** 2)))
-    if not math.isfinite(d):
-        raise ValueError(f"Frobenius distance must be finite, got {d!r} (a NaN or inf entry, or overflow)")
+    if not math.isfinite(d):  # finite entries can still overflow
+        raise ValueError(f"Frobenius distance must be finite, got {d!r} (an overflow)")
     return d

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import ShapeMismatch, _check_matrix, _numeric
+from .linalg import _array
 
 SQRT2 = np.sqrt(2.0)
 
@@ -70,27 +70,6 @@ INDICES.setflags(write=False)
 LAMBDA_BASIS.setflags(write=False)
 
 
-def _check_coherence(c, stack=False):
-    """c as a float array; ValueError unless its components are real, finite numbers.
-
-    ShapeMismatch unless c has shape (64,), or with stack=True any (..., 64).
-    """
-    c = np.asarray(c)
-    if c.shape[-1:] != (64,) or (c.ndim > 1 and not stack):
-        want = "(..., 64)" if stack else "(64,)"
-        raise ShapeMismatch(f"expected coherence vectors of shape {want}, got shape {c.shape}")
-    if c.dtype.kind not in "iufc":
-        raise ValueError(f"coherence components must be real numbers, got dtype {c.dtype}")
-    if c.dtype.kind == "c":
-        if c.imag.any():
-            raise ValueError("coherence components must be real, got a nonzero imaginary part")
-        c = c.real
-    c = np.asarray(c, dtype=float)
-    if not np.isfinite(c).all():
-        raise ValueError("coherence components must be finite, got NaN or inf")
-    return c
-
-
 def to_coherence(rho):
     """Expand a Hermitian 8x8 matrix in the Lambda basis.
 
@@ -105,12 +84,13 @@ def to_coherence(rho):
         ShapeMismatch: unless rho is 8x8.
         NonHermitian: if max|rho - rho^dagger| exceeds 1e-12 or is NaN.
     """
-    return np.einsum("aij,ji->a", LAMBDA_BASIS, _check_matrix(rho, 8)).real.copy()
+    rho = _array(rho, "matrix entries", (8, 8), herm_tol=1e-12)
+    return np.einsum("aij,ji->a", LAMBDA_BASIS, rho).real.copy()
 
 
 def from_coherence(c):
     """Reconstruct the 8x8 matrix sum_a c_a Lambda_a from a (64,) coherence vector, or a stack of them."""
-    return np.einsum("...a,aij->...ij", _check_coherence(c, stack=True), LAMBDA_BASIS)
+    return np.einsum("...a,aij->...ij", _array(c, "coherence components", (..., 64), real=True), LAMBDA_BASIS)
 
 
 _KET_SYMBOLS = {
@@ -144,10 +124,8 @@ class ProductKet(NamedTuple("ProductKet", [("locals", tuple), ("amplitudes", np.
         locs = tuple(np.asarray(v) for v in locals)
         if len(locs) != 3 or any(v.shape != (2,) for v in locs):
             raise BadLength(f"need 3 local vectors of 2 entries, got shapes {[v.shape for v in locs]}")
-        locs = tuple(np.array(_numeric(v, "local vector entries"), dtype=complex) for v in locs)
+        locs = tuple(_array(v, "local vector entries").copy() for v in locs)  # the caller's stays writeable
         for v in locs:
-            if not np.isfinite(v).all():
-                raise ValueError(f"local vector {v} has a NaN or infinite entry")
             norm2 = float(np.vdot(v, v).real)
             if abs(norm2 - 1.0) > _UNIT_TOL:
                 raise ValueError(f"local vector {v} has squared norm {norm2!r}, not 1")
@@ -192,7 +170,7 @@ def reduced_density(rho):
         ShapeMismatch: unless rho is 8x8.
         NonHermitian: if max|rho - rho^dagger| exceeds 1e-12 or is NaN.
     """
-    t = _check_matrix(rho, 8).reshape(2, 2, 2, 2, 2, 2)
+    t = _array(rho, "matrix entries", (8, 8), herm_tol=1e-12).reshape(2, 2, 2, 2, 2, 2)
     # Row indices 0,1,2 and column indices 3,4,5 of the reshaped tensor; each
     # traced qubit shares its row letter with its column.
     return np.stack([np.einsum(spec, t) for spec in ("abcdbc->ad", "abcaec->be", "abcabf->cf")])
@@ -216,7 +194,8 @@ def coherence_product(c):
     Raises:
         ShapeMismatch: unless c has shape (64,).
     """
-    return np.einsum("a,m->am", _check_coherence(c), _MIXED_ANCILLA).reshape(-1)
+    c = _array(c, "coherence components", (64,), real=True)
+    return np.einsum("a,m->am", c, _MIXED_ANCILLA).reshape(-1)
 
 
 def bloch_vector(rho_qubit):
@@ -224,5 +203,5 @@ def bloch_vector(rho_qubit):
 
     Raises ShapeMismatch unless rho_qubit is 2x2 and NonHermitian unless it is Hermitian.
     """
-    rho_qubit = _check_matrix(rho_qubit, 2)
+    rho_qubit = _array(rho_qubit, "matrix entries", (2, 2), herm_tol=1e-12)
     return np.array([np.trace(rho_qubit @ SIGMA[i]).real for i in (1, 2, 3)])

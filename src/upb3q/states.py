@@ -16,12 +16,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import ShapeMismatch
+from .linalg import _array
 from .pauli import (
     INDICES,
     SQRT2,
     ProductKet,
-    _check_coherence,
     from_coherence,
     ket_from_string,
     label_index,
@@ -119,7 +118,7 @@ def reflect(c):
     On trace-1 states this is rho -> I/4 - rho; it exchanges rho_sep and
     rho_upb and maps the set C = {0 <= eig <= 1/4} onto itself.
     """
-    c = _check_coherence(c, stack=True)
+    c = _array(c, "coherence components", (..., 64), real=True)
     return np.where(INDICES.any(axis=1), -c, c)
 
 
@@ -129,7 +128,7 @@ def partial_reflect(c):
     Returns shape (3, 64): one row for each pair (1, 2), (1, 3) and (2, 3), in
     that order.  Raises ShapeMismatch unless c has shape (64,).
     """
-    c = _check_coherence(c)
+    c = _array(c, "coherence components", (64,), real=True)
     return np.stack([np.where(INDICES[:, pair].any(axis=1), -c, c) for pair in ([0, 1], [0, 2], [1, 2])])
 
 
@@ -141,15 +140,12 @@ def spectrum_in_C(w):
 
     w holds ascending spectra of 8x8 matrices, shape (8,) or (..., 8); the
     answer is one bool either way.  Raises ShapeMismatch on any other shape,
-    and ValueError on spectra that are not real and finite numbers.
+    and ValueError on spectra that are not real and finite numbers; a complex
+    dtype is rejected even with a zero imaginary part.
     """
-    w = np.asarray(w)
-    if w.shape[-1:] != (8,):
-        raise ShapeMismatch(f"expected spectra of 8 eigenvalues, shape (..., 8), got shape {w.shape}")
-    if w.dtype.kind not in "iuf":
-        raise ValueError(f"spectra must be real numbers, got dtype {w.dtype}")
-    if not np.isfinite(w).all():
-        raise ValueError("spectra must be finite, got NaN or inf")
+    if np.iscomplexobj(w):
+        raise ValueError(f"spectra must be real numbers, got dtype {np.asarray(w).dtype}")
+    w = _array(w, "spectra", (..., 8), real=True)
     return bool(((w[..., 0] >= -_C_TOL) & (w[..., -1] <= 0.25 + _C_TOL)).all())
 
 

@@ -212,11 +212,12 @@ def test_oracle_cross_compatibility():
     pytest.param(np.zeros(64), ShapeMismatch, re.escape("(64,)"), id="shape2"),
     pytest.param(np.full((8, 8), np.nan), ValueError, "finite", id="nan"),
     pytest.param(np.array([np.eye(8), np.diag([np.inf] + [1.0] * 7)]), ValueError, "finite", id="inf"),
-    pytest.param(np.full((8, 8), None), ValueError, "finite", id="none"),
+    pytest.param(np.full((8, 8), None), ValueError, "must be numbers, got dtype object", id="none"),
 ])
 def test_pt_routes_reject_non_8x8_shapes(solver_calls, rho, error, match):
     # a 4x4 used to fail inside numpy with "cannot reshape array of size 16",
-    # and a NaN or inf entry, or an object array of None, came back as a NaN matrix
+    # and a NaN or inf entry, or an object array of None, came back as a NaN
+    # matrix; None is not a number, the rule of every array argument
     for route in (partial_transpose, min_pt_eigs):
         with pytest.raises(error, match=match):
             route(rho)

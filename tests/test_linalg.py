@@ -91,6 +91,33 @@ def test_non_finite_entry_in_any_slice_is_not_hermitian(solver_calls, value, whe
     assert solver_calls == []
 
 
+@pytest.mark.parametrize("scale", [1.0, 10.0, 1e4, 1e8])
+def test_jacobi_stop_is_relative_to_the_matrix_norm(scale):
+    # rounding leaves about eps x ||A||_F off the diagonal: with a stop at an
+    # absolute 1e-14, the 1e4 and 1e8 rows spent all 100 sweeps and raised
+    # NoConvergence, as 10 x some dense 8x8s of norm about 8 did
+    m = scale * random_hermitian(8)
+    w, v = jacobi_eigh(m)
+    ref = np.linalg.eigvalsh(m)
+    assert np.abs(w - ref).max() < 1e-14 * np.abs(ref).max()
+    assert np.abs(m @ v - v * w).max() < 1e-13 * scale
+
+
+def test_jacobi_rejects_entries_whose_squares_overflow(solver_calls):
+    # np.full((2, 2), 1e300) used to raise numpy's RuntimeWarning "overflow
+    # encountered in square", then NoConvergence after 100 sweeps
+    with pytest.raises(ValueError, match="finite Frobenius norm, got squares that overflow"):
+        jacobi_eigh(np.full((2, 2), 1e300))
+    assert solver_calls == []
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4, 2, 3)])
+def test_jacobi_rejects_non_square_matrices(solver_calls, shape):
+    with pytest.raises(ShapeMismatch, match=re.escape(f"must have shape (..., n, n), got shape {shape}")):
+        jacobi_eigh(np.zeros(shape))
+    assert solver_calls == []
+
+
 def test_jacobi_no_convergence_budget():
     m = random_hermitian(8)
     with pytest.raises(NoConvergence):
@@ -158,7 +185,7 @@ def test_orbit_block_solve_scratch_stays_under_twice_the_stack(monkeypatch):
 @pytest.mark.parametrize("want_vectors", [False, True])
 def test_jacobi_leaves_its_argument_unchanged(size, want_vectors):
     # the solve rotates a batch-last working copy; the input is complex, so
-    # _check_hermitian passes the caller's array through uncopied, and for one
+    # _array passes the caller's array through uncopied, and for one
     # matrix its transpose is already contiguous, so a no-copy conversion
     # would have rotated the caller's array in place
     stack = np.array([random_hermitian(8) for _ in range(size)])
@@ -213,6 +240,18 @@ def test_eigen_flow_checks_the_eigenvalue_shape():
             eigen_flow(w, np.eye(8), 1.0, rho_upb())
 
 
+def test_eigen_flow_takes_one_square_h(solver_calls):
+    # a stack of eight eigenvector matrices used to give an (8, 8, 8) array
+    # flowed by v.conj().T, which transposes the batch axis too, and a
+    # non-square v reached numpy's "operands could not be broadcast together"
+    stack = np.array([np.eye(8, dtype=complex)] * 8)
+    for w, v in ((np.zeros((8, 8)), stack), (np.zeros(8), np.zeros((8, 3)))):
+        pattern = re.escape(f"H must be one square matrix, got eigenvectors of shape {v.shape}")
+        with pytest.raises(ShapeMismatch, match=pattern):
+            eigen_flow(w, v, 0.3, v)
+    assert solver_calls == []
+
+
 def test_frobenius_distance():
     a = np.eye(2)
     b = np.zeros((2, 2))
@@ -222,9 +261,9 @@ def test_frobenius_distance():
 
 
 @pytest.mark.parametrize("a, b, match", [
-    (np.full((8, 8), np.nan), np.eye(8), "Frobenius distance must be finite, got nan"),
-    (np.eye(8), np.diag([np.inf] + [0.0] * 7), "Frobenius distance must be finite, got inf"),
-    (np.full((8, 8), np.inf), np.full((8, 8), np.inf), "Frobenius distance must be finite, got nan"),
+    (np.full((8, 8), np.nan), np.eye(8), "entries must be finite, got a NaN or infinite entry"),
+    (np.eye(8), np.diag([np.inf] + [0.0] * 7), "entries must be finite, got a NaN or infinite entry"),
+    (np.full((8, 8), np.inf), np.full((8, 8), np.inf), "entries must be finite, got a NaN or infinite entry"),
     (np.full((8, 8), 1e200), np.eye(8), "Frobenius distance must be finite, got inf"),
     (np.full((8, 8), "a"), np.eye(8), "entries must be numbers, got dtype <U1"),
     (np.eye(8), np.full((8, 8), None), "entries must be numbers, got dtype object"),
@@ -232,7 +271,8 @@ def test_frobenius_distance():
 ])
 def test_frobenius_distance_is_finite_or_raises(a, b, match):
     # a NaN entry used to give a silent nan, a string entry numpy's bare
-    # UFuncTypeError; inf - inf and an overflowing square raise, not warn
+    # UFuncTypeError; a NaN or inf entry fails the input check, and an
+    # overflowing square the check on the result, with no warning
     with pytest.raises(ValueError, match=match):
         frobenius_distance(a, b)
 

@@ -181,6 +181,10 @@ def test_product_ket_is_built_from_its_locals():
     assert ket.amplitudes.tobytes() == np.kron(np.kron(locs[0], locs[1]), locs[2]).tobytes()
     assert ket.amplitudes.tobytes() == ket_from_string("0+1").amplitudes.tobytes()
     assert not any(v.flags.writeable for v in ket.locals + (ket.amplitudes,))
+    # the ket freezes copies: complex locals pass the input check uncopied
+    mine = [np.array([1.0, 0.0], dtype=complex) for _ in range(3)]
+    ProductKet(mine)
+    assert all(v.flags.writeable for v in mine)
     with pytest.raises(TypeError):
         ProductKet(np.ones(8), locs)
     v = np.array([1.0, 0.0])

@@ -66,11 +66,14 @@ def scalar_jacobi_eigh(mat, conv_tol=1e-14, max_sweeps=100):
     """Reference: the one-matrix cyclic Jacobi loop the batched solver replaced.
 
     It works on numpy scalars, one (p, q) rotation at a time; the batched
-    solver must reproduce its eigenvalues and eigenvectors bit for bit.
+    solver must reproduce its eigenvalues and eigenvectors bit for bit.  It
+    stops, as the solver does, once the off-diagonal norm is below
+    conv_tol x max(1, ||A||_F), with ||A||_F the norm of the input.
     """
     a = np.array(mat, dtype=complex)
     n = a.shape[0]
     v = np.eye(n, dtype=complex)
+    conv_tol *= max(1.0, float(np.sqrt(np.sum(np.abs(a) ** 2))))
 
     def off_norm(m):
         return float(np.sqrt(np.sum(np.abs(m - np.diag(np.diag(m))) ** 2)))

@@ -243,6 +243,6 @@ def test_in_set_c_rejects_non_8x8_shapes(solver_calls, shape):
     # the spectrum of np.eye(4) / 4, a stack of three of them, and a (64,)
     # coherence vector all lie in [0, 1/4] and used to give True
     w = np.full(shape, 0.25) if shape[-1] == 4 else np.zeros(shape)
-    with pytest.raises(ShapeMismatch, match=r"8 eigenvalues, shape \(\.\.\., 8\)"):
+    with pytest.raises(ShapeMismatch, match=r"spectra must have shape \(\.\.\., 8\)"):
         spectrum_in_C(w)
     assert solver_calls == []

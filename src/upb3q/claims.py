@@ -26,6 +26,7 @@ from .dynamics import (
     SIN_SET,
     STAGE1,
     TAU_P,
+    _generator_eigs,
     byproduct_preparation,
     generator,
     orbit,
@@ -130,10 +131,8 @@ class _Context:
 
     @cached_property
     def axis_eigs(self):
-        """Eigenvalues and eigenvectors of the STAGE1 and ORBIT generators, keyed by axis."""
-        axes = (STAGE1, ORBIT)
-        w, v = jacobi_eigh(np.array([generator(*a) for a in axes]))
-        return dict(zip(axes, zip(w, v)))
+        """Read-only eigensystems of the STAGE1 and ORBIT generators, keyed by axis, solved once per process."""
+        return {axis: _generator_eigs(axis) for axis in (STAGE1, ORBIT)}
 
     @cached_property
     def quarter_t(self):
@@ -213,11 +212,12 @@ def _stationary(*labels):
 
 def _rodrigues_match(axis):
     """Closed-form flow against conjugation in the shared eigenbasis, at 33 times."""
-    return _distance(lambda ctx: [
-        (from_coherence(rodrigues_flow(axis, t, ctx.upb_t)),
-         eigen_flow(*ctx.axis_eigs[axis], t, ctx.upb))
-        for t in np.linspace(0.0, TAU_P, 33)
-    ], _FLOW_TOL)
+    def pairs(ctx):
+        times = np.linspace(0.0, TAU_P, 33)
+        flows = eigen_flow(*ctx.axis_eigs[axis], times, ctx.upb)
+        return [(from_coherence(rodrigues_flow(axis, t, ctx.upb_t)), flow) for t, flow in zip(times, flows)]
+
+    return _distance(pairs, _FLOW_TOL)
 
 
 def _rodrigues_period(axis):

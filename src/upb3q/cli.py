@@ -59,7 +59,7 @@ def _cmd_verify(args):
     n_fail = sum(1 for r in reports if r.status == "fail")
     n_skip = sum(1 for r in reports if r.status == "skip")
     print(f"{n_pass} passed, {n_fail} failed, {n_skip} skipped (of {len(reports)})", file=log)
-    if args.json and _write_output(args.json, lambda fobj: write_reports_json(reports, fobj)):
+    if args.json is not None and _write_output(args.json, lambda fobj: write_reports_json(reports, fobj)):
         return 1
     return 1 if n_fail else 0
 

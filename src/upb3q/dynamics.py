@@ -77,14 +77,34 @@ def adjoint_matrix(axis):
     return np.rint(SQRT2 * ad.imag) * (0.25 * SQRT2**3)
 
 
-_R_CACHE = {}  # axis -> (R, R @ R), built on first use
+_R_CACHE = {}  # axis -> read-only (R, R @ R), built on first use
 
 
 def _generator_powers(axis):
     if _check_axis(axis) not in _R_CACHE:  # checked first: a list is not hashable
         r = adjoint_matrix(axis)
         _R_CACHE[axis] = (r, r @ r)
+        for m in _R_CACHE[axis]:
+            m.setflags(write=False)
     return _R_CACHE[axis]
+
+
+_EIGS_CACHE = {}  # STAGE1, STAGE2 or ORBIT -> read-only (w, v) of its generator, built on first use
+
+
+def _generator_eigs(labels):
+    """Eigenvalues and eigenvectors of generator(*labels), for labels STAGE1, STAGE2 or ORBIT.
+
+    The first use solves all three generators in one eigen solve, which gives
+    each the bits of its own solve; later uses read them back.
+    """
+    if not _EIGS_CACHE:
+        named = (STAGE1, STAGE2, ORBIT)
+        w, v = jacobi_eigh(np.array([generator(*labels) for labels in named]))
+        w.setflags(write=False)
+        v.setflags(write=False)
+        _EIGS_CACHE.update(zip(named, zip(w, v)))
+    return _EIGS_CACHE[labels]
 
 
 def rodrigues_flow(axis, t, c):
@@ -127,8 +147,9 @@ def prepare_upb(order="standard", interior_samples=9):
     intermediate is then the reflection of the standard one, and the endpoint
     is unchanged.  interior_samples equispaced interior times per stage are
     scored with min partial-transpose eigenvalues per cut.  Both stage
-    generators are diagonalized in one eigen solve, and the probes of both
-    stages are scored in one more.
+    generators are diagonalized once per process (see _generator_eigs), each
+    stage flows its interior times and its endpoint in one eigen_flow call,
+    and the probes of both stages are scored in one eigen solve.
     """
     if not (isinstance(order, str) and order in ("standard", "swapped")):
         raise ValueError(f"order must be 'standard' or 'swapped', got {order!r}")
@@ -139,19 +160,19 @@ def prepare_upb(order="standard", interior_samples=9):
 
     state = rho_sep()
     checkpoints = {}
-    gens = jacobi_eigh(np.array([generator(*labels) for labels, _ in stages]))
-    probes = []  # (stage, t, state at t)
-    for num, ((_, duration), w, v) in enumerate(zip(stages, *gens), start=1):
-        for k in range(1, interior_samples + 1):
-            t = duration * k / (interior_samples + 1)
-            probes.append((num, t, eigen_flow(w, v, t, state)))
-        state = eigen_flow(w, v, duration, state)
+    probes, times = [], []  # each stage's (interior_samples, 8, 8) states; (stage, t) of each probe
+    for num, (labels, duration) in enumerate(stages, start=1):
+        ts = [duration * k / (interior_samples + 1) for k in range(1, interior_samples + 1)]
+        flows = eigen_flow(*_generator_eigs(labels), np.array(ts + [duration]), state)
+        state = flows[-1]
         checkpoints["intermediate" if num == 1 else "final"] = state
+        probes.append(flows[:-1])
+        times += [(num, t) for t in ts]
     interior = ()
-    if probes:
-        mins = min_pt_eigs(np.array([p for _, _, p in probes]))  # (probe, cut)
+    if times:
+        mins = min_pt_eigs(np.concatenate(probes))  # (probe, cut)
         interior = tuple(InteriorSample(num, t, tuple(float(x) for x in m))
-                         for (num, t, _), m in zip(probes, mins))
+                         for (num, t), m in zip(times, mins))
     return PreparationTrace(checkpoints, interior)
 
 

@@ -283,15 +283,35 @@ def _mix(xs, ys, hit, c, s_xy, s_yx):
         xs[:, hit], ys[:, hit] = x, y
 
 
-def eigen_flow(w, v, t, rho):
-    """exp(-itH) rho exp(+itH) from H's eigenvalues w and eigenvectors v.
+def _times(t):
+    """t as floats, shape () for one time or (T,) for a grid; ValueError unless it follows the time rule.
 
-    Lets a caller that flows by one H to many times diagonalize it once.
-    Raises ValueError unless t is a finite real number, w real and finite
+    The rule: t is a finite real number (a bool is not a time) or a 1-D grid
+    of them, an int or float array with no NaN or infinite entry.
+    """
+    try:
+        times = np.asarray(t)
+    except ValueError:  # a ragged sequence is no grid
+        times = None
+    if times is not None and times.ndim == 0:
+        _check_time(t)
+    elif times is None or times.ndim != 1 or times.dtype.kind not in "iuf" or not np.isfinite(times).all():
+        raise ValueError(f"flow time must be a finite real number or a 1-D grid of them, got {t!r}")
+    return times.astype(float)
+
+
+def eigen_flow(w, v, t, rho):
+    """exp(-itH) rho exp(+itH) from H's eigenvalues w and eigenvectors v, at one time or a grid.
+
+    Lets a caller that flows by one H to many times diagonalize it once.  A
+    finite real t gives one matrix of rho's shape; a 1-D grid of T times gives
+    the (T, n, n) stack of those matrices, each with the bits of its own
+    one-time call, from one stacked phase and three stacked products.
+    Raises ValueError unless t follows that time rule, w is real and finite
     numbers and v and rho finite numbers, and ShapeMismatch unless v is one
     square matrix, rho has its shape and w one eigenvalue per column of v.
     """
-    _check_time(t)
+    times = _times(t)
     w, v = _array(w, "eigenvalues", real=True), _array(v, "eigenvector entries")
     rho = _array(rho, "matrix entries")
     if v.ndim != 2 or v.shape[0] != v.shape[1]:  # v.conj().T would transpose a stack's batch axis too
@@ -300,8 +320,8 @@ def eigen_flow(w, v, t, rho):
         raise ShapeMismatch(f"rho has shape {rho.shape}, H has shape {v.shape}")
     if w.shape != v.shape[:-1]:
         raise ShapeMismatch(f"w has shape {w.shape}, H has shape {v.shape}")
-    u = (v * np.exp(-1j * t * w)) @ v.conj().T
-    return u @ rho @ u.conj().T
+    u = (v * np.exp(-1j * times[..., None, None] * w)) @ v.conj().T
+    return u @ rho @ np.swapaxes(u.conj(), -1, -2)
 
 
 def frobenius_distance(a, b):

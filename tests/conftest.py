@@ -1,11 +1,17 @@
 import pytest
 
-from upb3q import linalg
+from upb3q import dynamics, linalg
 
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Stack size of every internal Jacobi solve made while the test runs."""
+    """Stack size of every internal Jacobi solve made while the test runs.
+
+    The test starts from empty generator caches, as in a fresh process, so
+    the counts do not depend on which tests ran before it.
+    """
+    monkeypatch.setattr(dynamics, "_EIGS_CACHE", {})
+    monkeypatch.setattr(dynamics, "_R_CACHE", {})
     sizes = []
     inner = linalg._jacobi_stack
 

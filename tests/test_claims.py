@@ -225,15 +225,16 @@ def test_claim_report_to_dict_round_trip():
 
 
 def test_full_run_stacks_its_eigen_solves(solver_calls):
-    # ceil(8 * 64 / _MAX_STACK) orbit blocks plus one solve each for the two
-    # flow generators, the 16 fixed matrices (the two base states, the three
-    # upb cuts, the ten set-C members and the reflected projector), and per
-    # preparation order the two generators and the interior probes
+    # ceil(8 * 64 / _MAX_STACK) orbit blocks plus one solve each for the
+    # three named flow generators (STAGE1, STAGE2 and ORBIT, shared by the
+    # Rodrigues claims and both preparation orders), the 16 fixed matrices
+    # (the two base states, the three upb cuts, the ten set-C members and the
+    # reflected projector), and per preparation order the interior probes
     n = 64
     run_claims(orbit_samples=n)
-    assert len(solver_calls) == math.ceil(8 * n / _MAX_STACK) + 6
-    assert sum(solver_calls) == 130 + 8 * n
-    assert sorted(solver_calls) == [2, 2, 2, 16, 54, 54, 512]
+    assert len(solver_calls) == math.ceil(8 * n / _MAX_STACK) + 4
+    assert sum(solver_calls) == 127 + 8 * n
+    assert sorted(solver_calls) == [3, 16, 54, 54, 512]
 
 
 @pytest.mark.parametrize("axis", [STAGE1, ORBIT], ids=["333", "222"])
@@ -275,7 +276,7 @@ def test_registry_metadata_is_frozen():
 
 @pytest.mark.parametrize("pattern, sizes", [
     ("lhv.*", []),
-    ("prep.standard.*", [2, 54]),
+    ("prep.standard.*", [3, 54]),
     ("state.spectrum_*", [16]),
     ("reflect.*", [16]),
     ("ppt.upb", [16]),

@@ -116,6 +116,15 @@ def test_unwritable_output_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.count(f"error: cannot write {missing}") == 3
 
 
+def test_empty_output_path_is_an_error(capsys):
+    # verify --json "" used to exit 0 and write nothing, where the CSV
+    # subcommands fail on the same path; the claims themselves pass here
+    assert main(["verify", "--filter", "lhv.*", "--json", ""]) == 1
+    assert main(["orbit", "--samples", "2", "--csv", ""]) == 1
+    assert main(["bloch", "--csv", ""]) == 1
+    assert capsys.readouterr().err.count("error: cannot write :") == 3
+
+
 def test_verify_json_to_stdout(tmp_path, monkeypatch, capsys):
     # "-" means stdout, as for the CSV subcommands; it used to create a file
     # named "-", and the claim lines now go to stderr so stdout is pure JSON
@@ -204,6 +213,7 @@ def test_every_public_routine_is_reached_by_a_command(capsys, monkeypatch):
     # give it a caller; the three command lines together reach every one.
     # The flow generators start uncached, as in a fresh process.
     monkeypatch.setattr(dynamics, "_R_CACHE", {})
+    monkeypatch.setattr(dynamics, "_EIGS_CACHE", {})
     routines = public_routines()
     entered = set()
 

@@ -167,16 +167,36 @@ def test_flows_reject_rho_of_another_shape(solver_calls):
 
 @pytest.mark.parametrize("order", ["standard", "swapped"])
 def test_prepare_upb_makes_two_solves(order, solver_calls):
-    # both stage generators in one solve, all 2 x 3 x 9 interior cuts in another
+    # the three named generators in one solve, all 2 x 3 x 9 interior cuts in
+    # another; a second call reads the generators back and solves only its cuts
     prepare_upb(order, 9)
-    assert solver_calls == [2, 54]
+    assert solver_calls == [3, 54]
+    solver_calls.clear()
+    prepare_upb(order, 9)
+    assert solver_calls == [54]
+
+
+def test_generator_caches_are_read_only(solver_calls):
+    # a caller that wrote into the eigenvectors it got from axis_eigs, or into
+    # a cached adjoint generator, used to change every later flow of the process
+    cached = [dynamics._generator_eigs(labels) for labels in (STAGE1, STAGE2, ORBIT)]
+    cached += [dynamics._generator_powers(axis) for axis in (STAGE1, ORBIT)]
+    axis_eigs = claims._Context(64).axis_eigs
+    cached += list(axis_eigs.values())
+    for arrays in cached:
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+    # axis_eigs reads the process-wide solve, which was made once
+    assert axis_eigs[ORBIT][1] is dynamics._generator_eigs(ORBIT)[1]
+    assert solver_calls == [3]
 
 
 @pytest.mark.parametrize("order", ["standard", "swapped"])
 def test_prepare_upb_probes_fill_one_chunk(order, solver_calls):
     # 2 x 3 x 36 = 216 interior cuts fit one chunk of the batched solver
     prepare_upb(order, 36)
-    assert solver_calls == [2, 216]
+    assert solver_calls == [3, 216]
 
 
 def test_orbit_solves_full_chunks(solver_calls):
@@ -231,7 +251,7 @@ def test_orbit_blocks_match_per_matrix_solves(samples):
 
 
 @pytest.mark.parametrize("order", ["standard", "swapped"])
-@pytest.mark.parametrize("k", [0, 1, 9])
+@pytest.mark.parametrize("k", [0, 1, 9, 32, 36])
 def test_prepare_upb_matches_per_probe_flows(order, k):
     trace = prepare_upb(order, k)
     state = rho_sep()

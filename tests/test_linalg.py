@@ -252,6 +252,41 @@ def test_eigen_flow_takes_one_square_h(solver_calls):
     assert solver_calls == []
 
 
+@pytest.mark.parametrize("length", [1, 2, 33, 37])
+def test_eigen_flow_on_a_grid_has_the_bits_of_one_call_per_time(length):
+    w, v = jacobi_eigh(random_hermitian(8))
+    rho = random_hermitian(8)
+    times = RNG.normal(size=length) * 5.0
+    want = b"".join(eigen_flow(w, v, t, rho).tobytes() for t in times)
+    for grid in (times, list(times)):
+        flows = eigen_flow(w, v, grid, rho)
+        assert flows.shape == (length, 8, 8)
+        assert flows.tobytes() == want
+    ints = np.arange(-2, length - 2)
+    assert eigen_flow(w, v, ints, rho).tobytes() == b"".join(
+        eigen_flow(w, v, int(t), rho).tobytes() for t in ints)
+
+
+@pytest.mark.parametrize("t", [
+    np.array([0.1, np.nan]), np.array([np.inf, 0.2]), np.zeros((2, 2)), np.array([True, False]),
+    np.array(["0.3"]), np.array([0.3 + 0j]), [0.1, None], [0.1, [0.2, 0.3]],
+], ids=["nan", "inf", "2-d", "bool", "string", "complex", "none-entry", "ragged"])
+def test_eigen_flow_rejects_a_bad_time_grid(solver_calls, t):
+    # H = diag(0..7) needs no solve, and the time is checked before any flow
+    w, v = np.arange(8.0), np.eye(8, dtype=complex)
+    pattern = "flow time must be a finite real number or a 1-D grid of them"
+    with pytest.raises(ValueError, match=pattern):
+        eigen_flow(w, v, t, rho_upb())
+    assert solver_calls == []
+
+
+def test_rodrigues_flow_takes_one_time_only():
+    c = to_coherence(rho_upb())
+    for t in (np.array([0.3]), np.array([0.1, 0.2]), np.array(0.3), [0.3]):
+        with pytest.raises(ValueError, match="flow time must be a finite real number, got"):
+            rodrigues_flow(ORBIT, t, c)
+
+
 def test_frobenius_distance():
     a = np.eye(2)
     b = np.zeros((2, 2))

@@ -215,7 +215,8 @@ def _rodrigues_match(axis):
     def pairs(ctx):
         times = np.linspace(0.0, TAU_P, 33)
         flows = eigen_flow(*ctx.axis_eigs[axis], times, ctx.upb)
-        return [(from_coherence(rodrigues_flow(axis, t, ctx.upb_t)), flow) for t, flow in zip(times, flows)]
+        closed = from_coherence(np.array([rodrigues_flow(axis, t, ctx.upb_t) for t in times]))
+        return list(zip(closed, flows))
 
     return _distance(pairs, _FLOW_TOL)
 
@@ -272,10 +273,8 @@ def _byproduct_unique(ctx):
 
 
 def _decoy_misses(ctx):
-    return min(
-        frobenius_distance(from_coherence(rodrigues_flow(ORBIT, r, ctx.sep_t)), ctx.upb)
-        for r, _ in ctx.byproduct
-    ) > 0.1
+    ends = from_coherence(np.array([rodrigues_flow(ORBIT, r, ctx.sep_t) for r, _ in ctx.byproduct]))
+    return min(frobenius_distance(end, ctx.upb) for end in ends) > 0.1
 
 
 def _weakened_has_witness(ctx):

@@ -18,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .entanglement import min_pt_eigs, partial_transpose
-from .linalg import _MAX_STACK, _array, _check_count, _check_time, eigen_flow, frobenius_distance, jacobi_eigh
+from .linalg import (_MAX_STACK, _array, _check_count, _check_time, _finite_result, eigen_flow, frobenius_distance,
+                     jacobi_eigh)
 from .pauli import LAMBDA_BASIS, SQRT2, from_coherence, label_index, to_coherence
 from .states import family_mixture, reflect, rho_sep, rho_upb
 
@@ -78,6 +79,8 @@ def adjoint_matrix(axis):
 
 
 _R_CACHE = {}  # axis -> read-only (R, R @ R), built on first use
+_EYE64 = np.eye(64)
+_EYE64.setflags(write=False)
 
 
 def _generator_powers(axis):
@@ -115,12 +118,11 @@ def rodrigues_flow(axis, t, c):
     """
     _check_time(t)
     r, r2 = _generator_powers(axis)
-    expo = (
-        np.eye(64)
-        + SQRT2 * np.sin(t / SQRT2) * r
-        + 2.0 * (1.0 - np.cos(t / SQRT2)) * r2
-    )
-    return expo @ _array(c, "coherence components", (64,), real=True)
+    c = _array(c, "coherence components", (64,), real=True)
+    expo = SQRT2 * np.sin(t / SQRT2) * r
+    expo += _EYE64  # in place, with the bits of I + (sin term): the sum commutes
+    expo += 2.0 * (1.0 - np.cos(t / SQRT2)) * r2
+    return expo @ c
 
 
 class InteriorSample(NamedTuple):
@@ -219,10 +221,13 @@ def stationarity(h, rho):
     """Frobenius norm of the commutator [H, rho] of two Hermitian 8x8 matrices.
 
     Raises ShapeMismatch on other shapes and NonHermitian on a matrix that is
-    not Hermitian within 1e-12 or holds a NaN or infinite entry.
+    not Hermitian within 1e-12 or holds a NaN or infinite entry, and
+    ValueError if an entry of H rho or rho H overflows.
     """
     h, rho = (_array(m, "matrix entries", (8, 8), herm_tol=1e-12) for m in (h, rho))
-    return frobenius_distance(h @ rho, rho @ h)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
+        products = h @ rho, rho @ h
+    return frobenius_distance(*(_finite_result(p, "product entries") for p in products))
 
 
 def byproduct_preparation():
@@ -240,7 +245,5 @@ def byproduct_preparation():
     target = rho_upb()
     candidates = (TAU_P / 4.0, -TAU_P / 4.0, 3.0 * TAU_P / 4.0, -3.0 * TAU_P / 4.0)
     reduced = sorted({round(float(t % TAU_P), 12) for t in candidates})
-    return tuple(
-        (float(r), frobenius_distance(from_coherence(rodrigues_flow(ORBIT, r, theta_t)), target))
-        for r in reduced
-    )
+    ends = from_coherence(np.array([rodrigues_flow(ORBIT, r, theta_t) for r in reduced]))
+    return tuple((float(r), frobenius_distance(end, target)) for r, end in zip(reduced, ends))

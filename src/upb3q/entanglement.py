@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .linalg import _array, frobenius_distance, jacobi_eigh
+from .linalg import _array, _finite_result, frobenius_distance, jacobi_eigh
 from .pauli import LAMBDA_BASIS, label_index
 
 
@@ -80,9 +80,12 @@ def verify_triple_structure(triple):
 
 
 def triple_value(c, triple):
-    """Product of the three components of a (64,) coherence vector a label triple addresses."""
+    """Product of the three components of a (64,) coherence vector a label triple addresses.
+
+    Raises ValueError if the product overflows.
+    """
     c = _array(c, "coherence components", (64,), real=True)
-    return math.prod(float(c[a]) for a in _check_triple(triple))
+    return _finite_result(math.prod(float(c[a]) for a in _check_triple(triple)), "triple value")
 
 
 def lhv_oracle(c, triple):

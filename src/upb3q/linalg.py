@@ -84,6 +84,13 @@ def _array(x, what, shape=None, real=False, herm_tol=None):
     return x
 
 
+def _finite_result(x, what):
+    """x itself; ValueError naming the overflow unless every entry of the result x is finite."""
+    if np.count_nonzero(np.isfinite(x)) < np.size(x):
+        raise ValueError(f"{what} must be finite, got an infinite or NaN value (an overflow)")
+    return x
+
+
 def _check_count(name, n, minimum):
     """Raise ValueError unless n is an integer >= minimum; a bool is not a count."""
     if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= minimum):

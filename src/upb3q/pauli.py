@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _array
+from .linalg import _array, _finite_result
 
 SQRT2 = np.sqrt(2.0)
 
@@ -69,6 +69,23 @@ LAMBDA_BASIS = (_LAM[:, None, None, :, None, None, :, None, None]
 INDICES.setflags(write=False)
 LAMBDA_BASIS.setflags(write=False)
 
+# Each Lambda_a has one nonzero entry per row, so each of the 64 entries of
+# sum_a c_a Lambda_a is a sum of 8 terms.  _HITS[k] holds the k-th of the 8
+# strings a that hit each entry, in ascending a, and _HIT_VALUES[k] the value
+# Lambda_a has there, both laid out as the float view of a flat complex (64,)
+# matrix: re, im, re, im, ...  np.nonzero lists the (entry, a) pairs row-major,
+# so a ascends within each entry.
+_ENTRY_BY_STRING = LAMBDA_BASIS.reshape(64, 64).T
+_ENTRY, _STRING = np.nonzero(_ENTRY_BY_STRING)
+_HITS = np.repeat(_STRING.reshape(64, 8).T, 2, axis=1)
+_HIT_VALUES = _ENTRY_BY_STRING[_ENTRY, _STRING].reshape(64, 8).T.copy().view(float)
+_HITS.setflags(write=False)
+_HIT_VALUES.setflags(write=False)
+del _ENTRY_BY_STRING, _ENTRY, _STRING
+
+# Vectors gathered at once: their 8 KB of terms each stay in a 256 KB scratch.
+_GATHER = 32
+
 
 def to_coherence(rho):
     """Expand a Hermitian 8x8 matrix in the Lambda basis.
@@ -83,14 +100,39 @@ def to_coherence(rho):
     Raises:
         ShapeMismatch: unless rho is 8x8.
         NonHermitian: if max|rho - rho^dagger| exceeds 1e-12 or is NaN.
+        ValueError: if a component overflows.
     """
     rho = _array(rho, "matrix entries", (8, 8), herm_tol=1e-12)
-    return np.einsum("aij,ji->a", LAMBDA_BASIS, rho).real.copy()
+    return _finite_result(np.einsum("aij,ji->a", LAMBDA_BASIS, rho).real.copy(), "coherence components")
 
 
 def from_coherence(c):
-    """Reconstruct the 8x8 matrix sum_a c_a Lambda_a from a (64,) coherence vector, or a stack of them."""
-    return np.einsum("...a,aij->...ij", _array(c, "coherence components", (..., 64), real=True), LAMBDA_BASIS)
+    """Reconstruct the 8x8 matrix sum_a c_a Lambda_a from a (64,) coherence vector, or a stack of them.
+
+    Each entry sums only the 8 strings that hit it, in ascending flat index
+    from +0.0, so every matrix has the bytes of
+    np.einsum("...a,aij->...ij", c, LAMBDA_BASIS), signed zeros included:
+    the 56 other terms are zeros, which leave such a sum as it is.  A stack
+    gives each matrix the bytes of its one-vector call.
+
+    Raises:
+        ShapeMismatch: unless c has shape (..., 64).
+        ValueError: unless c holds real finite numbers, or if an entry of
+            the matrix overflows.
+    """
+    c = _array(c, "coherence components", (..., 64), real=True)
+    rho = np.empty(c.shape[:-1] + (8, 8), dtype=complex)
+    vectors, acc = c.reshape(-1, 64), rho.reshape(-1, 64).view(float)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
+        for start in range(0, len(vectors), _GATHER):
+            terms = np.take(vectors[start:start + _GATHER], _HITS, axis=-1)  # (vector, term, 128)
+            terms *= _HIT_VALUES
+            part = acc[start:start + _GATHER]
+            np.add(0.0, terms[:, 0], out=part)
+            for k in range(1, 8):
+                part += terms[:, k]
+    _finite_result(acc, "matrix entries")
+    return rho
 
 
 _KET_SYMBOLS = {
@@ -169,11 +211,13 @@ def reduced_density(rho):
     Raises:
         ShapeMismatch: unless rho is 8x8.
         NonHermitian: if max|rho - rho^dagger| exceeds 1e-12 or is NaN.
+        ValueError: if a marginal entry overflows.
     """
     t = _array(rho, "matrix entries", (8, 8), herm_tol=1e-12).reshape(2, 2, 2, 2, 2, 2)
     # Row indices 0,1,2 and column indices 3,4,5 of the reshaped tensor; each
     # traced qubit shares its row letter with its column.
-    return np.stack([np.einsum(spec, t) for spec in ("abcdbc->ad", "abcaec->be", "abcabf->cf")])
+    return _finite_result(np.stack([np.einsum(spec, t) for spec in ("abcdbc->ad", "abcaec->be", "abcabf->cf")]),
+                          "marginal entries")
 
 
 # Coherence vector of the maximally mixed ancilla qubit I/2: tr(I/2 lambda_m).

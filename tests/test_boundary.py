@@ -154,3 +154,25 @@ def test_former_failures_are_library_errors(solver_calls, name):
         with pytest.raises(ValueError, match=re.escape(pattern)):
             call()
     assert solver_calls == []
+
+
+# Finite arguments whose result overflows.  Each call used to return inf or
+# NaN without an error; stationarity's products also warned twice and were
+# then reported as non-finite input.
+OVERFLOWS = {
+    "from_coherence": lambda: from_coherence(np.full(64, 1e308)),
+    "from_coherence-stack": lambda: from_coherence(np.stack([C, np.full(64, 1e308)])),
+    "to_coherence": lambda: to_coherence(1e308 * np.eye(8)),
+    "reduced_density": lambda: reduced_density(np.full((8, 8), 1e308)),
+    "triple_value": lambda: triple_value(np.full(64, 1e308), UPB_TRIPLES[0]),
+    "stationarity": lambda: stationarity(1e200 * np.eye(8), 1e200 * np.eye(8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWS))
+def test_an_overflowing_result_is_a_library_error_naming_the_overflow(solver_calls, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("got an infinite or NaN value (an overflow)")):
+            OVERFLOWS[name]()
+    assert solver_calls == []

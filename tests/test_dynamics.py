@@ -359,3 +359,16 @@ def test_rodrigues_flow_rejects_non_finite_time(t):
     # used to return NaN components without an error
     with pytest.raises(ValueError, match="finite"):
         rodrigues_flow(ORBIT, t, to_coherence(rho_upb()))
+
+
+def test_rodrigues_flow_has_the_bits_of_its_closed_form():
+    # I + sqrt2 sin(t/sqrt2) R + 2 (1 - cos(t/sqrt2)) R^2, summed left to right
+    cs = [to_coherence(rho_sep()), to_coherence(rho_upb())] + list(np.random.default_rng(5).normal(size=(2, 64)))
+    times = list(np.linspace(-TAU_P, 2.0 * TAU_P, 25)) + [0.0, -0.0, 1e-300, 1e6]
+    for axis in (STAGE1, ORBIT):
+        r, r2 = dynamics._generator_powers(axis)
+        for t in times:
+            expo = (np.eye(64) + SQRT2 * np.sin(t / SQRT2) * r
+                    + 2.0 * (1.0 - np.cos(t / SQRT2)) * r2)
+            for c in cs:
+                assert rodrigues_flow(axis, float(t), c).tobytes() == (expo @ c).tobytes()

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entanglement import min_pt_eigs, partial_transpose
+from .entanglement import min_pt_eigs
 from .linalg import (_MAX_STACK, _array, _check_count, _check_time, _finite_result, eigen_flow, frobenius_distance,
                      jacobi_eigh)
 from .pauli import LAMBDA_BASIS, SQRT2, from_coherence, label_index, to_coherence
@@ -113,8 +113,8 @@ def _generator_eigs(labels):
 def rodrigues_flow(axis, t, c):
     """Closed-form flow of a (64,) coherence vector along STAGE1 or ORBIT, exact for all finite t.
 
-    Raises ValueError unless t is a finite real number and ShapeMismatch
-    unless c has shape (64,).
+    Raises ValueError unless t is a finite real number, or if a component
+    of the result overflows, and ShapeMismatch unless c has shape (64,).
     """
     _check_time(t)
     r, r2 = _generator_powers(axis)
@@ -122,7 +122,9 @@ def rodrigues_flow(axis, t, c):
     expo = SQRT2 * np.sin(t / SQRT2) * r
     expo += _EYE64  # in place, with the bits of I + (sin term): the sum commutes
     expo += 2.0 * (1.0 - np.cos(t / SQRT2)) * r2
-    return expo @ c
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
+        flowed = expo.dot(c)  # the bits of expo @ c, without matmul's ufunc dispatch
+    return _finite_result(flowed, "coherence components")
 
 
 class InteriorSample(NamedTuple):
@@ -190,10 +192,37 @@ class Orbit(NamedTuple):
     spectra: np.ndarray
 
 
-# Orbit samples per eigen solve: each brings 8 matrices (the state and its
-# reflection, each itself and under 3 partial transposes), so a block fills
-# one chunk of the batched solver.
-_ORBIT_BLOCK = _MAX_STACK // 8
+def _orbit_spectra(mats):
+    """Ascending spectra (N, 2, 4, 8) of the orbit's (N, 2, 8, 8) matrices and their partial transposes.
+
+    A transpose whose bits equal its matrix's (compared as int64, so that
+    -0.0 and +0.0 differ) takes its matrix's spectrum without a solve.  The
+    other matrices are solved in sample order, whole samples per chunk of up
+    to _MAX_STACK, each chunk filled into one reused buffer; the solver gives
+    each matrix the bits of its own solve, wherever it sits in a chunk.
+    """
+    n = len(mats)
+    grid = mats.reshape((n, 2) + (2,) * 6)  # (sample, reflected, row qubits, column qubits)
+    bits = mats.view(np.int64).reshape(grid.shape + (2,))  # the same, by (real, imaginary) bits
+    pts = [np.swapaxes(grid, 2 + k, 5 + k) for k in range(3)]  # views: row and column index of qubit k + 1
+    same = np.stack([(bits == np.swapaxes(bits, 2 + k, 5 + k)).all(axis=tuple(range(2, 9)))
+                     for k in range(3)], axis=-1)  # (sample, reflected, cut)
+    solve = np.concatenate([np.ones((n, 2, 1), dtype=bool), ~same], axis=-1)  # (sample, reflected, 4)
+    counts = solve.sum(axis=(1, 2))
+    spectra = np.empty((n, 2, 4, 8))
+    buf = np.empty((_MAX_STACK, 8, 8), dtype=complex)
+    cells = buf.reshape((_MAX_STACK,) + (2,) * 6)
+    start = 0
+    while start < n:
+        stop = start + int(np.searchsorted(np.cumsum(counts[start:]), _MAX_STACK, side="right"))
+        want = solve[start:stop]
+        slot = (np.cumsum(want) - 1).reshape(want.shape)  # each solved matrix's place in the chunk
+        for j, src in enumerate([grid] + pts):
+            cells[slot[..., j][want[..., j]]] = src[start:stop][want[..., j]]
+        spectra[start:stop][want] = jacobi_eigh(buf[:counts[start:stop].sum()], want_vectors=False)[0]
+        start = stop
+    np.copyto(spectra[:, :, 1:], spectra[:, :, :1], where=same[..., None])
+    return spectra
 
 
 def orbit(samples=64):
@@ -201,20 +230,16 @@ def orbit(samples=64):
 
     Grid: t_k = k TAU_P / samples for k = 0..samples-1 (the endpoint TAU_P
     duplicates t=0).  With samples divisible by 4 the quarter and half period
-    land exactly on grid points.  The spectra of a block of samples come from
-    one batched eigen solve; ValueError unless samples is an integer >= 2.
+    land exactly on grid points.  The spectra come from batched eigen solves
+    of up to _MAX_STACK distinct matrices each (see _orbit_spectra);
+    ValueError unless samples is an integer >= 2.
     """
     _check_count("samples", samples, 2)
     t = TAU_P * np.arange(samples) / samples
     base = to_coherence(rho_sep())
     tensors = np.array([rodrigues_flow(ORBIT, tk, base) for tk in t])
     mats = from_coherence(np.stack([tensors, reflect(tensors)], axis=1))  # (sample, reflected, 8, 8)
-    spectra = np.empty((samples, 2, 4, 8))
-    for start in range(0, samples, _ORBIT_BLOCK):
-        block = mats[start:start + _ORBIT_BLOCK]
-        stack = np.concatenate([block[:, :, None], partial_transpose(block)], axis=2)
-        spectra[start:start + _ORBIT_BLOCK] = jacobi_eigh(stack, want_vectors=False)[0]
-    return Orbit(t, tensors, spectra)
+    return Orbit(t, tensors, _orbit_spectra(mats))
 
 
 def stationarity(h, rho):

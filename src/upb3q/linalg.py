@@ -315,7 +315,8 @@ def eigen_flow(w, v, t, rho):
     the (T, n, n) stack of those matrices, each with the bits of its own
     one-time call, from one stacked phase and three stacked products.
     Raises ValueError unless t follows that time rule, w is real and finite
-    numbers and v and rho finite numbers, and ShapeMismatch unless v is one
+    numbers and v and rho finite numbers, or if the flowed matrix overflows
+    (a phase t w out of range gives NaN), and ShapeMismatch unless v is one
     square matrix, rho has its shape and w one eigenvalue per column of v.
     """
     times = _times(t)
@@ -327,8 +328,10 @@ def eigen_flow(w, v, t, rho):
         raise ShapeMismatch(f"rho has shape {rho.shape}, H has shape {v.shape}")
     if w.shape != v.shape[:-1]:
         raise ShapeMismatch(f"w has shape {w.shape}, H has shape {v.shape}")
-    u = (v * np.exp(-1j * times[..., None, None] * w)) @ v.conj().T
-    return u @ rho @ np.swapaxes(u.conj(), -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
+        u = (v * np.exp(-1j * times[..., None, None] * w)) @ v.conj().T
+        flowed = u @ rho @ np.swapaxes(u.conj(), -1, -2)
+    return _finite_result(flowed, "flowed matrix entries")
 
 
 def frobenius_distance(a, b):

@@ -245,7 +245,10 @@ def coherence_product(c):
 def bloch_vector(rho_qubit):
     """Bloch vector (tr(rho sigma_x), tr(rho sigma_y), tr(rho sigma_z)) of a qubit state.
 
-    Raises ShapeMismatch unless rho_qubit is 2x2 and NonHermitian unless it is Hermitian.
+    Raises ShapeMismatch unless rho_qubit is 2x2, NonHermitian unless it is
+    Hermitian, and ValueError if a component overflows.
     """
     rho_qubit = _array(rho_qubit, "matrix entries", (2, 2), herm_tol=1e-12)
-    return np.array([np.trace(rho_qubit @ SIGMA[i]).real for i in (1, 2, 3)])
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
+        vector = np.array([np.trace(rho_qubit @ SIGMA[i]).real for i in (1, 2, 3)])
+    return _finite_result(vector, "Bloch components")

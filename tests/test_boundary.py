@@ -158,7 +158,8 @@ def test_former_failures_are_library_errors(solver_calls, name):
 
 # Finite arguments whose result overflows.  Each call used to return inf or
 # NaN without an error; stationarity's products also warned twice and were
-# then reported as non-finite input.
+# then reported as non-finite input, eigen_flow's phase t w overflowed to an
+# all-NaN flow with two warnings, and bloch_vector and rodrigues_flow warned.
 OVERFLOWS = {
     "from_coherence": lambda: from_coherence(np.full(64, 1e308)),
     "from_coherence-stack": lambda: from_coherence(np.stack([C, np.full(64, 1e308)])),
@@ -166,6 +167,9 @@ OVERFLOWS = {
     "reduced_density": lambda: reduced_density(np.full((8, 8), 1e308)),
     "triple_value": lambda: triple_value(np.full(64, 1e308), UPB_TRIPLES[0]),
     "stationarity": lambda: stationarity(1e200 * np.eye(8), 1e200 * np.eye(8)),
+    "eigen_flow": lambda: eigen_flow(np.full(8, 1e308), np.eye(8), 1e10, np.eye(8)),
+    "bloch_vector": lambda: bloch_vector(np.full((2, 2), 1e308)),
+    "rodrigues_flow": lambda: rodrigues_flow(ORBIT, 1.0, np.full(64, 1.7e308)),
 }
 
 

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import math
 import pathlib
 
 import numpy as np
@@ -19,7 +18,7 @@ from upb3q.claims import (
     write_reports_json,
 )
 from upb3q.dynamics import COS_SET, ORBIT, SIN_SET, STAGE1, TAU_P, generator, orbit
-from upb3q.linalg import _MAX_STACK, eigen_flow, jacobi_eigh
+from upb3q.linalg import eigen_flow, jacobi_eigh
 from upb3q.pauli import INDICES, LAMBDA_BASIS, bloch_vector, lambda_matrix
 from upb3q.states import X, family, rho_upb
 
@@ -225,16 +224,15 @@ def test_claim_report_to_dict_round_trip():
 
 
 def test_full_run_stacks_its_eigen_solves(solver_calls):
-    # ceil(8 * 64 / _MAX_STACK) orbit blocks plus one solve each for the
-    # three named flow generators (STAGE1, STAGE2 and ORBIT, shared by the
-    # Rodrigues claims and both preparation orders), the 16 fixed matrices
-    # (the two base states, the three upb cuts, the ten set-C members and the
-    # reflected projector), and per preparation order the interior probes
-    n = 64
-    run_claims(orbit_samples=n)
-    assert len(solver_calls) == math.ceil(8 * n / _MAX_STACK) + 4
-    assert sum(solver_calls) == 127 + 8 * n
-    assert sorted(solver_calls) == [3, 16, 54, 54, 512]
+    # one orbit solve of its 476 distinct matrices (of 8 * 64; 36 transposes
+    # carry their matrix's bits) plus one solve each for the three named flow
+    # generators (STAGE1, STAGE2 and ORBIT, shared by the Rodrigues claims and
+    # both preparation orders), the 16 fixed matrices (the two base states,
+    # the three upb cuts, the ten set-C members and the reflected projector),
+    # and per preparation order the interior probes
+    run_claims(orbit_samples=64)
+    assert sum(solver_calls) == 127 + 476
+    assert sorted(solver_calls) == [3, 16, 54, 54, 476]
 
 
 @pytest.mark.parametrize("axis", [STAGE1, ORBIT], ids=["333", "222"])

@@ -5,7 +5,7 @@ from upb3q import dynamics, entanglement, linalg, pauli, states
 from upb3q import claims
 from upb3q.claims import run_claims
 from upb3q.dynamics import (
-    _ORBIT_BLOCK,
+    _orbit_spectra,
     COS_SET,
     FIXED_POINT,
     ONE_SPIN,
@@ -199,10 +199,52 @@ def test_prepare_upb_probes_fill_one_chunk(order, solver_calls):
     assert solver_calls == [3, 216]
 
 
+# Distinct matrices per solve: whole samples, each its 2 matrices and those of
+# their 6 transposes whose bits differ from them, up to _MAX_STACK per chunk;
+# every N of the benchmark's verify (56-72) and orbit (120-136) bands.
+ORBIT_SOLVES = {
+    2: [4], 4: [20], 56: [412], 57: [414], 58: [428], 59: [430], 60: [444], 61: [446], 62: [460],
+    63: [462], 64: [476], 65: [478], 66: [492], 67: [494], 68: [508], 69: [510], 70: [506, 18],
+    71: [512, 2], 72: [512, 4], 120: [510, 366], 121: [508, 382], 122: [510, 382], 123: [508, 398],
+    124: [510, 398], 125: [512, 398], 126: [510, 414], 127: [512, 414], 128: [510, 430],
+    129: [512, 430], 130: [510, 446], 131: [512, 446], 132: [510, 462], 133: [512, 462],
+    134: [510, 478], 135: [512, 478], 136: [510, 494],
+}
+
+
 def test_orbit_solves_full_chunks(solver_calls):
-    # 64 samples of 8 matrices per solve; 136 = 2 x 64 + 8
-    orbit(136)
-    assert solver_calls == [512, 512, 64]
+    for samples, sizes in ORBIT_SOLVES.items():
+        solver_calls.clear()
+        orbit(samples)
+        assert solver_calls == sizes, samples
+
+
+@pytest.mark.parametrize("samples", [2, 4, 64, 65, 129, 136])
+def test_orbit_spectra_have_the_bytes_of_one_stacked_solve(samples):
+    # the skipped transposes and the chunk packing change no bit: one plain
+    # solve of all 8N matrices, the state and its reflection, each itself and
+    # under the 3 partial transposes
+    orb = orbit(samples)
+    mats = from_coherence(np.stack([orb.tensors, reflect(orb.tensors)], axis=1))
+    stack = np.concatenate([mats[:, :, None], partial_transpose(mats)], axis=2)
+    assert orb.spectra.tobytes() == jacobi_eigh(stack, want_vectors=False)[0].tobytes()
+
+
+@pytest.mark.parametrize("zero, solved", [(0.0, 2), (-0.0, 4)])
+def test_a_transpose_that_differs_only_by_a_signed_zero_is_solved(solver_calls, zero, solved):
+    # m[0, 4] and m[4, 0] trade places under the transpose of qubit 1, and no
+    # other transpose moves them; the orbit's matrices carry signed zeros
+    m = np.diag(np.arange(8.0)).astype(complex)
+    m[0, 1] = m[1, 0] = 0.5
+    m[0, 4] = zero
+    mats = np.array([[m, m]])
+    pts = partial_transpose(m)
+    assert all(np.array_equal(pt, m) for pt in pts)  # equal as numbers either way
+    assert [pt.tobytes() == m.tobytes() for pt in pts] == [solved == 2, True, True]
+    spectra = _orbit_spectra(mats)
+    assert solver_calls == [solved]
+    stack = np.concatenate([mats[:, :, None], partial_transpose(mats)], axis=2)
+    assert spectra.tobytes() == jacobi_eigh(stack, want_vectors=False)[0].tobytes()
 
 
 @pytest.mark.parametrize("samples", [2, 33, 128])
@@ -236,7 +278,7 @@ def test_orbit_grid_and_invariants():
         orbit(1)
 
 
-@pytest.mark.parametrize("samples", [2, _ORBIT_BLOCK + 1, 64])  # a full block, then a partial one
+@pytest.mark.parametrize("samples", [2, 64, 65])
 def test_orbit_blocks_match_per_matrix_solves(samples):
     # each of the 8 spectra per sample against a one-matrix solve of a matrix
     # built from one vector; the orbit builds its matrices from stacks

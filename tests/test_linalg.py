@@ -19,7 +19,7 @@ from upb3q.linalg import (
     jacobi_eigh,
 )
 from upb3q import dynamics
-from upb3q.dynamics import ORBIT, _ORBIT_BLOCK, orbit, rodrigues_flow
+from upb3q.dynamics import ORBIT, orbit, rodrigues_flow
 from upb3q.pauli import to_coherence
 from upb3q.states import rho_upb
 
@@ -162,15 +162,17 @@ def test_stack_across_chunk_boundaries_equals_one_matrix_calls():
 
 
 def test_orbit_block_solve_scratch_stays_under_twice_the_stack(monkeypatch):
-    # the eigenvalue-only solve of one full orbit block: its working copy, the
+    # the eigenvalue-only solve of one full orbit chunk: its working copy, the
     # norms and Hermiticity residues taken _SLICE matrices at a time, and the
     # in-place retirement stay under 2x the stack (a copy of the whole working
-    # stack at each retirement and full-stack temporaries took 2.25x)
+    # stack at each retirement and full-stack temporaries took 2.25x); the
+    # first chunk of orbit(129) holds exactly _MAX_STACK matrices, copied out
+    # of the buffer that the second chunk refills
     stacks = []
     monkeypatch.setattr(dynamics, "jacobi_eigh",
-                        lambda stack, **kw: stacks.append(stack) or jacobi_eigh(stack, **kw))
-    orbit(_ORBIT_BLOCK)
-    [stack] = stacks
+                        lambda stack, **kw: stacks.append(stack.copy()) or jacobi_eigh(stack, **kw))
+    orbit(129)
+    stack = stacks[0]
     assert stack[..., 0, 0].size == _MAX_STACK
     tracemalloc.start()
     try:

@@ -36,7 +36,7 @@ from .dynamics import (
 )
 from .entanglement import (OQ_TRIPLES, UPB_TRIPLES, lhv_oracle, partial_transpose, triple_value,
                            verify_triple_structure)
-from .linalg import _check_count, eigen_flow, frobenius_distance, jacobi_eigh
+from .linalg import _number, eigen_flow, frobenius_distance, jacobi_eigh
 from .pauli import (
     INDICES,
     LAMBDA_BASIS,
@@ -130,11 +130,6 @@ class _Context:
         return {"base": w[:2], "upb_cuts": w[2:5], "set_c": w[5:15].reshape(5, 2, 8), "projector": w[15]}
 
     @cached_property
-    def axis_eigs(self):
-        """Read-only eigensystems of the STAGE1 and ORBIT generators, keyed by axis, solved once per process."""
-        return {axis: _generator_eigs(axis) for axis in (STAGE1, ORBIT)}
-
-    @cached_property
     def quarter_t(self):
         return rodrigues_flow(ORBIT, TAU_P / 4.0, self.sep_t)
 
@@ -214,7 +209,7 @@ def _rodrigues_match(axis):
     """Closed-form flow against conjugation in the shared eigenbasis, at 33 times."""
     def pairs(ctx):
         times = np.linspace(0.0, TAU_P, 33)
-        flows = eigen_flow(*ctx.axis_eigs[axis], times, ctx.upb)
+        flows = eigen_flow(*_generator_eigs(axis), times, ctx.upb)
         closed = from_coherence(np.array([rodrigues_flow(axis, t, ctx.upb_t) for t in times]))
         return list(zip(closed, flows))
 
@@ -225,7 +220,7 @@ def _rodrigues_period(axis):
     """Both flows return to the start after one full period."""
     def deviation(ctx):
         back = rodrigues_flow(axis, TAU_P, ctx.upb_t)
-        ref = eigen_flow(*ctx.axis_eigs[axis], TAU_P, ctx.upb)
+        ref = eigen_flow(*_generator_eigs(axis), TAU_P, ctx.upb)
         return max(np.abs(back - ctx.upb_t).max(),
                    frobenius_distance(ref, ctx.upb))
 
@@ -492,9 +487,7 @@ def claim_ids():
 
 
 def _grade(measured, expected, tol):
-    if isinstance(expected, bool):
-        ok = measured is True if expected else measured is False
-    elif isinstance(expected, (list, tuple)):
+    if isinstance(expected, (list, tuple)):
         ok = len(measured) == len(expected) and all(
             abs(m - e) <= tol for m, e in zip(measured, expected)
         )
@@ -517,7 +510,7 @@ def run_claims(orbit_samples=64, filter=None):
     before any claim runs, on an orbit grid that is not an integer >= 2, a
     filter that is neither None nor a string, or one that matches no claim id.
     """
-    _check_count("orbit_samples", orbit_samples, 2)
+    _number(orbit_samples, "orbit_samples", integer=True, low=2)
     if filter is not None:
         if not isinstance(filter, str):
             raise ValueError(f"filter must be None or a glob string, got {filter!r}")

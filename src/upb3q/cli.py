@@ -14,13 +14,11 @@ import sys
 
 from .claims import _check_filter, run_claims, write_bloch_csv, write_orbit_csv, write_reports_json
 from .dynamics import orbit
-from .linalg import _check_count
+from .linalg import _number
 
 
 def _fmt(value):
-    if isinstance(value, bool) or value is None:
-        return str(value)
-    if isinstance(value, float):
+    if isinstance(value, float):  # a bool or None is not a float: it prints as str() does
         return format(value, ".6g")
     if isinstance(value, list):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
@@ -34,10 +32,9 @@ def _samples(text):
     except ValueError:
         n = text  # not a number: the check rejects it with its rule
     try:
-        _check_count("N", n, 2)
+        return _number(n, "N", integer=True, low=2)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return n
 
 
 def _pattern(text):

@@ -18,8 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .entanglement import min_pt_eigs
-from .linalg import (_MAX_STACK, _array, _check_count, _check_time, _finite_result, eigen_flow, frobenius_distance,
-                     jacobi_eigh)
+from .linalg import _MAX_STACK, _array, _finite_result, _number, eigen_flow, frobenius_distance, jacobi_eigh
 from .pauli import LAMBDA_BASIS, SQRT2, from_coherence, label_index, to_coherence
 from .states import family_mixture, reflect, rho_sep, rho_upb
 
@@ -116,7 +115,7 @@ def rodrigues_flow(axis, t, c):
     Raises ValueError unless t is a finite real number, or if a component
     of the result overflows, and ShapeMismatch unless c has shape (64,).
     """
-    _check_time(t)
+    _number(t, "flow time")
     r, r2 = _generator_powers(axis)
     c = _array(c, "coherence components", (64,), real=True)
     expo = SQRT2 * np.sin(t / SQRT2) * r
@@ -157,7 +156,7 @@ def prepare_upb(order="standard", interior_samples=9):
     """
     if not (isinstance(order, str) and order in ("standard", "swapped")):
         raise ValueError(f"order must be 'standard' or 'swapped', got {order!r}")
-    _check_count("interior_samples", interior_samples, 0)
+    _number(interior_samples, "interior_samples", integer=True, low=0)
     stages = [(STAGE1, TAU_P / 2.0), (STAGE2, TAU_P / 4.0)]
     if order == "swapped":
         stages = stages[::-1]
@@ -234,7 +233,7 @@ def orbit(samples=64):
     of up to _MAX_STACK distinct matrices each (see _orbit_spectra);
     ValueError unless samples is an integer >= 2.
     """
-    _check_count("samples", samples, 2)
+    _number(samples, "samples", integer=True, low=2)
     t = TAU_P * np.arange(samples) / samples
     base = to_coherence(rho_sep())
     tensors = np.array([rodrigues_flow(ORBIT, tk, base) for tk in t])

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .linalg import _array, _finite_result, frobenius_distance, jacobi_eigh
+from .linalg import _array, _finite_result, _items, frobenius_distance, jacobi_eigh
 from .pauli import LAMBDA_BASIS, label_index
 
 
@@ -54,11 +54,10 @@ _TRIPLE_TOL = 1e-12  # commutator and identity-residual norms below this count a
 _SIGN_TOL = 1e-8  # a component of magnitude at most this imposes no sign constraint
 
 
-def _check_triple(triple):
-    """The flat indices of a triple; ValueError unless it holds exactly 3 labels."""
-    if isinstance(triple, str) or not hasattr(triple, "__len__") or len(triple) != 3:
-        raise ValueError(f"a triple must hold exactly 3 component labels, got {triple!r}")
-    return [label_index(s) for s in triple]
+def _triple(triple):
+    """The 3 labels of a triple, as a tuple, and their flat indices; ValueError unless it holds 3 labels."""
+    labels = _items(triple, 3, "a triple must hold exactly 3 component labels")
+    return labels, [label_index(s) for s in labels]
 
 
 def verify_triple_structure(triple):
@@ -68,7 +67,7 @@ def verify_triple_structure(triple):
     < _TRIPLE_TOL) and their product is c * Lambda_000 with c > 0.  Raises
     ValueError unless the triple holds exactly 3 valid labels.
     """
-    a, b, c = LAMBDA_BASIS[_check_triple(triple)]
+    a, b, c = LAMBDA_BASIS[_triple(triple)[1]]
     for m1, m2 in itertools.combinations((a, b, c), 2):
         if frobenius_distance(m1 @ m2, m2 @ m1) >= _TRIPLE_TOL:
             return False
@@ -85,7 +84,7 @@ def triple_value(c, triple):
     Raises ValueError if the product overflows.
     """
     c = _array(c, "coherence components", (64,), real=True)
-    return _finite_result(math.prod(float(c[a]) for a in _check_triple(triple)), "triple value")
+    return _finite_result(math.prod(float(c[a]) for a in _triple(triple)[1]), "triple value")
 
 
 def lhv_oracle(c, triple):
@@ -101,7 +100,7 @@ def lhv_oracle(c, triple):
     """
     c = _array(c, "coherence components", (64,), real=True)
     constraints, variables = [], set()
-    for label, a in zip(triple, _check_triple(triple)):
+    for label, a in zip(*_triple(triple)):
         vars_of_obs = [(q, axis) for q, axis in enumerate(label) if axis != "0"]
         variables.update(vars_of_obs)
         val = float(c[a])

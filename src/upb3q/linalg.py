@@ -9,6 +9,7 @@ code.
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -91,23 +92,36 @@ def _finite_result(x, what):
     return x
 
 
-def _check_count(name, n, minimum):
-    """Raise ValueError unless n is an integer >= minimum; a bool is not a count."""
-    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= minimum):
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
+def _number(x, what, integer=False, low=None, high=None):
+    """x itself, checked by the one rule for every number argument; ValueError naming the rule otherwise.
+
+    x must be a real number (with integer, an integer) that a float can hold,
+    so not NaN, inf or an int beyond 1.8e308, and lie in [low, high] where
+    they are given.  A bool, a 0-d array, a string or a complex number is
+    not a number.
+    """
+    if not (isinstance(x, numbers.Integral if integer else numbers.Real) and not isinstance(x, bool)
+            and -sys.float_info.max <= x <= sys.float_info.max
+            and (low is None or x >= low) and (high is None or x <= high)):
+        bounds = f" in [{low}, {high}]" if high is not None else "" if low is None else f" >= {low}"
+        raise ValueError(f"{what} must be {'an integer' if integer else 'a finite real number'}{bounds}, got {x!r}")
+    return x
 
 
-def _check_tolerance(name, tol):
-    """Raise ValueError unless tol is a finite real number >= 0; a bool is not a tolerance."""
-    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-            and math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"{name} must be a finite number >= 0, got {tol!r}")
+def _items(x, count, what, error=ValueError):
+    """x as a tuple of exactly count items; error, whose message starts with what, otherwise.
 
-
-def _check_time(t):
-    """Raise ValueError unless the flow time t is a finite real number; a bool is not a time."""
-    if not (isinstance(t, numbers.Real) and not isinstance(t, bool) and math.isfinite(t)):
-        raise ValueError(f"flow time must be a finite real number, got {t!r}")
+    x must be a collection: a str, bytes, 0-d array or anything that cannot
+    be iterated is refused, as a wrong count is.
+    """
+    try:
+        iterator = None if isinstance(x, (str, bytes)) else iter(x)
+    except TypeError:  # not iterable; a 0-d array raises this too
+        iterator = None
+    items = None if iterator is None else tuple(iterator)
+    if items is None or len(items) != count:
+        raise error(f"{what}, got {x!r}" if items is None else f"{what}, got {len(items)}")
+    return items
 
 
 def _offdiag_norms(a, whole=False):
@@ -163,11 +177,11 @@ def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vector
     """
     if not isinstance(want_vectors, (bool, np.bool_)):
         raise ValueError(f"want_vectors must be True or False, got {want_vectors!r}")
-    _check_tolerance("herm_tol", herm_tol)
-    _check_tolerance("conv_tol", conv_tol)
+    _number(herm_tol, "herm_tol", low=0)
+    _number(conv_tol, "conv_tol", low=0)
     if conv_tol == 0.0:  # no off-diagonal norm is below 0: the budget would run out
         raise ValueError(f"conv_tol must be > 0, got {conv_tol!r}")
-    _check_count("max_sweeps", max_sweeps, 0)
+    _number(max_sweeps, "max_sweeps", integer=True, low=0)
     a = _array(mat, "matrix entries", "square", herm_tol=herm_tol)
     batch, n = a.shape[:-2], a.shape[-1]
     a = a.reshape(math.prod(batch), n, n)
@@ -301,7 +315,7 @@ def _times(t):
     except ValueError:  # a ragged sequence is no grid
         times = None
     if times is not None and times.ndim == 0:
-        _check_time(t)
+        _number(t, "flow time")
     elif times is None or times.ndim != 1 or times.dtype.kind not in "iuf" or not np.isfinite(times).all():
         raise ValueError(f"flow time must be a finite real number or a 1-D grid of them, got {t!r}")
     return times.astype(float)

@@ -8,13 +8,11 @@ rho = sum_a c_a Lambda_a with real components c_a = tr(rho Lambda_a), the
 convention: a = 16j + 4k + l, qubit 1 is the leftmost Kronecker factor.
 """
 
-import numbers
-from collections.abc import Iterable
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _array, _finite_result
+from .linalg import _array, _finite_result, _items, _number
 
 SQRT2 = np.sqrt(2.0)
 
@@ -41,9 +39,7 @@ def lambda_matrix(mu):
     The four matrices are trace-orthonormal: tr(lambda_a lambda_b) = delta_ab.
     Raises ValueError unless mu is an integer in 0..3 (a bool is not an index).
     """
-    if not (isinstance(mu, numbers.Integral) and not isinstance(mu, bool) and mu in (0, 1, 2, 3)):
-        raise ValueError(f"Pauli index must be in {{0,1,2,3}}, got {mu!r}")
-    return SIGMA[mu] / SQRT2
+    return SIGMA[_number(mu, "Pauli index", integer=True, low=0, high=3)] / SQRT2
 
 
 def label_index(label):
@@ -161,10 +157,8 @@ class ProductKet(NamedTuple("ProductKet", [("locals", tuple), ("amplitudes", np.
     _make = classmethod(lambda cls, fields: cls(next(iter(fields))))
 
     def __new__(cls, locals):
-        if not isinstance(locals, Iterable):
-            raise BadLength(f"need 3 local vectors of 2 entries, got {locals!r}")
-        locs = tuple(np.asarray(v) for v in locals)
-        if len(locs) != 3 or any(v.shape != (2,) for v in locs):
+        locs = tuple(np.asarray(v) for v in _items(locals, 3, "need 3 local vectors of 2 entries", BadLength))
+        if any(v.shape != (2,) for v in locs):
             raise BadLength(f"need 3 local vectors of 2 entries, got shapes {[v.shape for v in locs]}")
         locs = tuple(_array(v, "local vector entries").copy() for v in locs)  # the caller's stays writeable
         for v in locs:

@@ -11,12 +11,11 @@ are exchanged by the reflection that negates every homogeneous component.
 """
 
 import itertools
-from collections.abc import Iterable
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _array
+from .linalg import _array, _items
 from .pauli import (
     INDICES,
     SQRT2,
@@ -56,11 +55,7 @@ class WrongCount(ValueError):
 
 def _four_kets(kets):
     """kets as a tuple; WrongCount unless there are exactly 4, ValueError unless each is a ProductKet."""
-    if not isinstance(kets, Iterable):
-        raise WrongCount(f"need exactly 4 kets, got {kets!r}")
-    kets = tuple(kets)
-    if len(kets) != 4:
-        raise WrongCount(f"need exactly 4 kets, got {len(kets)}")
+    kets = _items(kets, 4, "need exactly 4 kets", WrongCount)
     for i, k in enumerate(kets):
         if not isinstance(k, ProductKet):
             raise ValueError(f"ket {i} must be a ProductKet, got {k!r}")

@@ -17,7 +17,7 @@ from upb3q.claims import (
     write_orbit_csv,
     write_reports_json,
 )
-from upb3q.dynamics import COS_SET, ORBIT, SIN_SET, STAGE1, TAU_P, generator, orbit
+from upb3q.dynamics import COS_SET, ORBIT, SIN_SET, STAGE1, TAU_P, _generator_eigs, generator, orbit
 from upb3q.linalg import eigen_flow, jacobi_eigh
 from upb3q.pauli import INDICES, LAMBDA_BASIS, bloch_vector, lambda_matrix
 from upb3q.states import X, family, rho_upb
@@ -199,22 +199,6 @@ def test_error_in_claim_becomes_failure():
     assert "kaboom" in failing[0].measured
 
 
-def test_run_config_rejects_bad_values(solver_calls):
-    # used to be accepted, turning the orbit claims into `error:` failures
-    bad = [{"orbit_samples": 0}, {"orbit_samples": 1}, {"orbit_samples": 2.5}]
-    # a non-string filter used to run, and raised a bare TypeError from fnmatch
-    bad += [{"filter": 3}, {"filter": ["upb.*"]}, {"filter": b"upb.*"}]
-    # a filter that matches no claim id ran all 63 claims ("") or skipped
-    # every one ("nomatch.*"), where the CLI rejects both
-    bad += [{"filter": ""}, {"filter": "nomatch.*"}]
-    for kwargs in bad:
-        with pytest.raises(ValueError):
-            run_claims(**kwargs)
-    # both are checked before any claim runs
-    assert solver_calls == []
-    assert len(run_claims(orbit_samples=2, filter="upb.*")) == len(claim_ids())
-
-
 def test_claim_report_to_dict_round_trip():
     rep = ClaimReport("a.b", "desc", "ref", "pass", 1.0, 1.0, 0.1)
     d = rep._asdict()
@@ -237,7 +221,7 @@ def test_full_run_stacks_its_eigen_solves(solver_calls):
 
 @pytest.mark.parametrize("axis", [STAGE1, ORBIT], ids=["333", "222"])
 def test_shared_axis_eigs_match_one_flow_per_time(axis):
-    w, v = _Context(64).axis_eigs[axis]
+    w, v = _generator_eigs(axis)
     rho = rho_upb()
     h = generator(*axis)
     for t in np.linspace(0.0, TAU_P, 33):

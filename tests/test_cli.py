@@ -166,6 +166,9 @@ def test_cli_subprocess_orbit_stdout_deterministic():
 @pytest.mark.parametrize("argv", [
     ["orbit", "--samples", "1"],
     ["verify", "--orbit-samples", "0"],
+    ["orbit", "--samples", "2.5"],
+    ["orbit", "--samples", "nan"],
+    ["verify", "--orbit-samples", "true"],
 ])
 def test_bad_numeric_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

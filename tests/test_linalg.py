@@ -342,12 +342,3 @@ def test_flows_reject_non_finite_time(t):
         eigen_flow(w, v, t, rho)
     with pytest.raises(ValueError, match="flow time must be a finite real number"):
         rodrigues_flow(ORBIT, t, to_coherence(rho_upb()))
-
-
-def test_rejected_time_or_tolerance_costs_no_eigen_solve(solver_calls):
-    # a bad tolerance is rejected before anything is diagonalized
-    rho = np.eye(8, dtype=complex) / 8.0
-    for tol in ("herm_tol", "conv_tol"):
-        with pytest.raises(ValueError, match=tol):
-            jacobi_eigh(rho, **{tol: float("nan")})
-    assert solver_calls == []

@@ -220,13 +220,9 @@ def test_product_ket_replace_and_make_build_from_locals():
 
 
 def test_product_ket_rejects_bad_locals():
-    # a NaN local used to build a ket of NaN amplitudes, [2, 0] a ket of norm
-    # 8, and a non-iterable raised a bare TypeError; [1e200, 1e200] overflows
-    # its squared norm to inf
+    # a NaN local used to build a ket of NaN amplitudes and [2, 0] a ket of
+    # norm 8; [1e200, 1e200] overflows its squared norm to inf
     v = np.array([1.0, 0.0])
-    for bad in (5, None, 1.5):
-        with pytest.raises(BadLength, match="need 3 local vectors of 2 entries"):
-            ProductKet(bad)
     for bad in ((np.array([np.nan, 0]),) * 3, (v, v, np.array([np.inf, 0]))):
         with pytest.raises(ValueError, match="NaN or infinite"):
             ProductKet(bad)

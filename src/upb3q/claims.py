@@ -26,9 +26,10 @@ from .dynamics import (
     SIN_SET,
     STAGE1,
     TAU_P,
-    _generator_eigs,
+    _MAX_SAMPLES,
     byproduct_preparation,
     generator,
+    named_flow,
     orbit,
     prepare_upb,
     rodrigues_flow,
@@ -36,7 +37,7 @@ from .dynamics import (
 )
 from .entanglement import (OQ_TRIPLES, UPB_TRIPLES, lhv_oracle, partial_transpose, triple_value,
                            verify_triple_structure)
-from .linalg import _number, eigen_flow, frobenius_distance, jacobi_eigh
+from .linalg import _number, frobenius_distance, jacobi_eigh
 from .pauli import (
     INDICES,
     LAMBDA_BASIS,
@@ -206,10 +207,10 @@ def _stationary(*labels):
 
 
 def _rodrigues_match(axis):
-    """Closed-form flow against conjugation in the shared eigenbasis, at 33 times."""
+    """Closed-form flow against conjugation by the spectral projectors, at 33 times."""
     def pairs(ctx):
         times = np.linspace(0.0, TAU_P, 33)
-        flows = eigen_flow(*_generator_eigs(axis), times, ctx.upb)
+        flows = named_flow(axis, times, ctx.upb)
         closed = from_coherence(np.array([rodrigues_flow(axis, t, ctx.upb_t) for t in times]))
         return list(zip(closed, flows))
 
@@ -220,7 +221,7 @@ def _rodrigues_period(axis):
     """Both flows return to the start after one full period."""
     def deviation(ctx):
         back = rodrigues_flow(axis, TAU_P, ctx.upb_t)
-        ref = eigen_flow(*_generator_eigs(axis), TAU_P, ctx.upb)
+        ref = named_flow(axis, TAU_P, ctx.upb)
         return max(np.abs(back - ctx.upb_t).max(),
                    frobenius_distance(ref, ctx.upb))
 
@@ -507,10 +508,10 @@ def run_claims(orbit_samples=64, filter=None):
 
     The orbit claims sample orbit_samples times over one period, and claims
     whose id the glob filter does not match are skipped.  Raises ValueError,
-    before any claim runs, on an orbit grid that is not an integer >= 2, a
+    before any claim runs, on a grid not an integer in [2, _MAX_SAMPLES], a
     filter that is neither None nor a string, or one that matches no claim id.
     """
-    _number(orbit_samples, "orbit_samples", integer=True, low=2)
+    _number(orbit_samples, "orbit_samples", integer=True, low=2, high=_MAX_SAMPLES)
     if filter is not None:
         if not isinstance(filter, str):
             raise ValueError(f"filter must be None or a glob string, got {filter!r}")

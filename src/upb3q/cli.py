@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .claims import _check_filter, run_claims, write_bloch_csv, write_orbit_csv, write_reports_json
-from .dynamics import orbit
+from .dynamics import _MAX_SAMPLES, orbit
 from .linalg import _number
 
 
@@ -26,13 +26,13 @@ def _fmt(value):
 
 
 def _samples(text):
-    """A grid size; one that is not an integer >= 2 is a usage error naming that rule."""
+    """A grid size; one that is not an integer in [2, _MAX_SAMPLES] is a usage error naming that rule."""
     try:
         n = int(text)
     except ValueError:
         n = text  # not a number: the check rejects it with its rule
     try:
-        return _number(n, "N", integer=True, low=2)
+        return _number(n, "N", integer=True, low=2, high=_MAX_SAMPLES)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

@@ -1,4 +1,4 @@
-"""Adjoint flows, the two-stage preparation schedule, the 3-coherence orbit,
+"""Adjoint and spectral-projector flows, the two-stage preparation schedule, the 3-coherence orbit,
 stationarity checks, and the quarter-period byproduct route.
 
 Flow convention: U(t) = exp(-itH) with H built from the trace-orthonormal
@@ -13,17 +13,23 @@ where R is the real 64x64 adjoint generator, read off the commutators of
 the generator with the Lambda basis.
 """
 
+import math
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .entanglement import min_pt_eigs
-from .linalg import _MAX_STACK, _array, _finite_result, _number, eigen_flow, frobenius_distance, jacobi_eigh
+from .linalg import _MAX_STACK, _array, _finite_result, _number, _times, frobenius_distance, jacobi_eigh
 from .pauli import LAMBDA_BASIS, SQRT2, from_coherence, label_index, to_coherence
 from .states import family_mixture, reflect, rho_sep, rho_upb
 
 # Common period of the Lambda_{333} and Lambda_{222} conjugation flows.
 TAU_P = 2.0 * SQRT2 * np.pi
+
+# Largest grid, checked before it is allocated: a sample costs about 0.3-0.6 ms and 4.5 KB on the orbit
+# and 0.3 ms and 15 KB as a preparation probe, so a grid this size takes seconds and at most ~150 MB.
+_MAX_SAMPLES = 10_000
 
 # The eight 3-coherence flat indices, split by their role along the orbit:
 # SIN_SET components evolve as -x sin(t/sqrt2) from rho_sep, COS_SET as
@@ -33,7 +39,7 @@ COS_SET = tuple(map(label_index, ("111", "133", "313", "331")))
 
 
 class BadAxis(ValueError):
-    """Closed-form flow requested for an axis other than STAGE1 or ORBIT."""
+    """Flow requested along labels other than the named generators that flow takes."""
 
 
 # Named Hamiltonians as Lambda_jkl labels; generator(*labels) builds the matrix.
@@ -53,13 +59,14 @@ def generator(*labels):
     return h
 
 
-def _check_axis(axis):
-    """axis itself; BadAxis unless it is STAGE1 or ORBIT, the two closed-form flows.
+def _check_axis(axis, named=(STAGE1, ORBIT)):
+    """axis itself; BadAxis unless it is one of named, by default STAGE1 and ORBIT: the closed-form flows.
 
-    Only a tuple is compared: an array would compare elementwise.
+    Only a tuple of strings is compared: an array would compare elementwise.
     """
-    if not (isinstance(axis, tuple) and axis in (STAGE1, ORBIT)):
-        raise BadAxis(f"axis must be STAGE1 {STAGE1} or ORBIT {ORBIT}, got {axis!r}")
+    if not (isinstance(axis, tuple) and all(isinstance(x, str) for x in axis) and axis in named):
+        names = {STAGE1: "STAGE1", STAGE2: "STAGE2", ORBIT: "ORBIT"}
+        raise BadAxis(f"axis must be {' or '.join(f'{names[a]} {a}' for a in named)}, got {axis!r}")
     return axis
 
 
@@ -91,22 +98,44 @@ def _generator_powers(axis):
     return _R_CACHE[axis]
 
 
-_EIGS_CACHE = {}  # STAGE1, STAGE2 or ORBIT -> read-only (w, v) of its generator, built on first use
+def _spectral_table():
+    """Read-only {labels: (l, P)}: the integer eigenvalues l of M = 2 sqrt2 generator(*labels) and their projectors.
 
-
-def _generator_eigs(labels):
-    """Eigenvalues and eigenvectors of generator(*labels), for labels STAGE1, STAGE2 or ORBIT.
-
-    The first use solves all three generators in one eigen solve, which gives
-    each the bits of its own solve; later uses read them back.
+    M has Gaussian-integer entries, so P_l = prod_{m != l} (M - m I) / (l - m)
+    (Sylvester's formula) is exact integer products and one division, with
+    no eigen solve: exact for STAGE1 and ORBIT, where P = (I +- M) / 2.
     """
-    if not _EIGS_CACHE:
-        named = (STAGE1, STAGE2, ORBIT)
-        w, v = jacobi_eigh(np.array([generator(*labels) for labels in named]))
-        w.setflags(write=False)
-        v.setflags(write=False)
-        _EIGS_CACHE.update(zip(named, zip(w, v)))
-    return _EIGS_CACHE[labels]
+    table = {}
+    for labels, spectrum in ((STAGE1, (-1, 1)), (STAGE2, (-2, 0, 4)), (ORBIT, (-1, 1))):
+        h = 2.0 * SQRT2 * generator(*labels)
+        m = np.rint(h.real) + 1j * np.rint(h.imag)
+        projectors = [reduce(np.matmul, [m - mu * np.eye(8) for mu in spectrum if mu != lam])
+                      / math.prod(lam - mu for mu in spectrum if mu != lam) for lam in spectrum]
+        table[labels] = (np.array(spectrum, dtype=float), np.array(projectors))
+        for a in table[labels]:
+            a.setflags(write=False)
+    return table
+
+
+_SPECTRA = _spectral_table()  # read-only, built at import
+
+
+def named_flow(labels, t, rho):
+    """exp(-itH) rho exp(+itH) for H = generator(*labels), labels STAGE1, STAGE2 or ORBIT, at one time or a grid.
+
+    U = sum_l exp(-itl / (2 sqrt2)) P_l from _spectral_table; a 1-D grid of
+    T times gives a (T, 8, 8) stack with the bits of one call per time.
+    Raises BadAxis on other labels, ValueError on a t or rho that breaks the
+    time or finite rule or on an overflow (a huge t), and ShapeMismatch
+    unless rho is (8, 8).
+    """
+    lams, projectors = _SPECTRA[_check_axis(labels, (STAGE1, STAGE2, ORBIT))]
+    times, rho = _times(t), _array(rho, "matrix entries", (8, 8))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
+        phases = np.exp(-1j * (times[..., None] / (2.0 * SQRT2) * lams))  # (..., l)
+        u = sum(phases[..., k, None, None] * p for k, p in enumerate(projectors))
+        flowed = u @ rho @ np.swapaxes(u.conj(), -1, -2)
+    return _finite_result(flowed, "flowed matrix entries")
 
 
 def rodrigues_flow(axis, t, c):
@@ -149,14 +178,13 @@ def prepare_upb(order="standard", interior_samples=9):
     state).  swapped: same (labels, duration) pairs in reversed order; the
     intermediate is then the reflection of the standard one, and the endpoint
     is unchanged.  interior_samples equispaced interior times per stage are
-    scored with min partial-transpose eigenvalues per cut.  Both stage
-    generators are diagonalized once per process (see _generator_eigs), each
-    stage flows its interior times and its endpoint in one eigen_flow call,
-    and the probes of both stages are scored in one eigen solve.
+    scored with min partial-transpose eigenvalues per cut.  Each stage flows
+    its interior times and its endpoint in one named_flow call, and the
+    probes of both stages are scored in one eigen solve.
     """
     if not (isinstance(order, str) and order in ("standard", "swapped")):
         raise ValueError(f"order must be 'standard' or 'swapped', got {order!r}")
-    _number(interior_samples, "interior_samples", integer=True, low=0)
+    _number(interior_samples, "interior_samples", integer=True, low=0, high=_MAX_SAMPLES)
     stages = [(STAGE1, TAU_P / 2.0), (STAGE2, TAU_P / 4.0)]
     if order == "swapped":
         stages = stages[::-1]
@@ -166,16 +194,13 @@ def prepare_upb(order="standard", interior_samples=9):
     probes, times = [], []  # each stage's (interior_samples, 8, 8) states; (stage, t) of each probe
     for num, (labels, duration) in enumerate(stages, start=1):
         ts = [duration * k / (interior_samples + 1) for k in range(1, interior_samples + 1)]
-        flows = eigen_flow(*_generator_eigs(labels), np.array(ts + [duration]), state)
+        flows = named_flow(labels, np.array(ts + [duration]), state)
         state = flows[-1]
         checkpoints["intermediate" if num == 1 else "final"] = state
         probes.append(flows[:-1])
         times += [(num, t) for t in ts]
-    interior = ()
-    if times:
-        mins = min_pt_eigs(np.concatenate(probes))  # (probe, cut)
-        interior = tuple(InteriorSample(num, t, tuple(float(x) for x in m))
-                         for (num, t), m in zip(times, mins))
+    mins = min_pt_eigs(np.concatenate(probes))  # (probe, cut): none for interior_samples 0, and no solve
+    interior = tuple(InteriorSample(num, t, tuple(float(x) for x in m)) for (num, t), m in zip(times, mins))
     return PreparationTrace(checkpoints, interior)
 
 
@@ -231,9 +256,9 @@ def orbit(samples=64):
     duplicates t=0).  With samples divisible by 4 the quarter and half period
     land exactly on grid points.  The spectra come from batched eigen solves
     of up to _MAX_STACK distinct matrices each (see _orbit_spectra);
-    ValueError unless samples is an integer >= 2.
+    ValueError unless samples is an integer in [2, _MAX_SAMPLES].
     """
-    _number(samples, "samples", integer=True, low=2)
+    _number(samples, "samples", integer=True, low=2, high=_MAX_SAMPLES)
     t = TAU_P * np.arange(samples) / samples
     base = to_coherence(rho_sep())
     tensors = np.array([rodrigues_flow(ORBIT, tk, base) for tk in t])

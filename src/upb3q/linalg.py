@@ -1,4 +1,4 @@
-"""Self-contained dense Hermitian kernels: Jacobi eigensolver, flows, distances.
+"""Self-contained dense Hermitian kernels and argument checks: Jacobi eigensolver, distances.
 
 The eigensolver is a cyclic complex Jacobi iteration, adequate and fast for
 the n <= 16 matrices used here.  It takes one matrix or a stack and rotates
@@ -319,33 +319,6 @@ def _times(t):
     elif times is None or times.ndim != 1 or times.dtype.kind not in "iuf" or not np.isfinite(times).all():
         raise ValueError(f"flow time must be a finite real number or a 1-D grid of them, got {t!r}")
     return times.astype(float)
-
-
-def eigen_flow(w, v, t, rho):
-    """exp(-itH) rho exp(+itH) from H's eigenvalues w and eigenvectors v, at one time or a grid.
-
-    Lets a caller that flows by one H to many times diagonalize it once.  A
-    finite real t gives one matrix of rho's shape; a 1-D grid of T times gives
-    the (T, n, n) stack of those matrices, each with the bits of its own
-    one-time call, from one stacked phase and three stacked products.
-    Raises ValueError unless t follows that time rule, w is real and finite
-    numbers and v and rho finite numbers, or if the flowed matrix overflows
-    (a phase t w out of range gives NaN), and ShapeMismatch unless v is one
-    square matrix, rho has its shape and w one eigenvalue per column of v.
-    """
-    times = _times(t)
-    w, v = _array(w, "eigenvalues", real=True), _array(v, "eigenvector entries")
-    rho = _array(rho, "matrix entries")
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:  # v.conj().T would transpose a stack's batch axis too
-        raise ShapeMismatch(f"H must be one square matrix, got eigenvectors of shape {v.shape}")
-    if rho.shape != v.shape:
-        raise ShapeMismatch(f"rho has shape {rho.shape}, H has shape {v.shape}")
-    if w.shape != v.shape[:-1]:
-        raise ShapeMismatch(f"w has shape {w.shape}, H has shape {v.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
-        u = (v * np.exp(-1j * times[..., None, None] * w)) @ v.conj().T
-        flowed = u @ rho @ np.swapaxes(u.conj(), -1, -2)
-    return _finite_result(flowed, "flowed matrix entries")
 
 
 def frobenius_distance(a, b):

@@ -7,10 +7,9 @@ from upb3q import dynamics, linalg
 def solver_calls(monkeypatch):
     """Stack size of every internal Jacobi solve made while the test runs.
 
-    The test starts from empty generator caches, as in a fresh process, so
-    the counts do not depend on which tests ran before it.
+    The test starts from an empty adjoint generator cache, as in a fresh
+    process, so the counts do not depend on which tests ran before it.
     """
-    monkeypatch.setattr(dynamics, "_EIGS_CACHE", {})
     monkeypatch.setattr(dynamics, "_R_CACHE", {})
     sizes = []
     inner = linalg._jacobi_stack

@@ -48,15 +48,14 @@ from upb3q import (
     triple_value,
     verify_triple_structure,
 )
-from upb3q.dynamics import BadAxis
-from upb3q.linalg import NonHermitian, ShapeMismatch, eigen_flow
+from upb3q.dynamics import _MAX_SAMPLES, FIXED_POINT, BadAxis, named_flow
+from upb3q.linalg import NonHermitian, ShapeMismatch
 from upb3q.pauli import BadLength, BadSymbol
 from upb3q.states import WrongCount, spectrum_in_C
 
 RHO = rho_upb()
 C = to_coherence(RHO)
 H = generator(*STAGE1)
-W, V = np.arange(8.0), np.eye(8, dtype=complex)  # the eigensystem of diag(0..7), without a solve
 UP = np.array([1.0, 0.0])
 
 # One row per array argument: (the call, a valid value, what the argument must
@@ -66,9 +65,7 @@ UP = np.array([1.0, 0.0])
 # valid in the other rows, so only "real" rows get the complex kind.
 ROWS = {
     "jacobi_eigh": (jacobi_eigh, RHO, "hermitian"),
-    "eigen_flow(w)": (lambda w: eigen_flow(w, V, 0.3, RHO), W, "real"),
-    "eigen_flow(v)": (lambda v: eigen_flow(W, v, 0.3, RHO), V, "finite"),
-    "eigen_flow(rho)": (lambda rho: eigen_flow(W, V, 0.3, rho), RHO, "finite"),
+    "named_flow(rho)": (lambda rho: named_flow(STAGE1, 0.3, rho), RHO, "finite"),
     "frobenius_distance(a)": (lambda a: frobenius_distance(a, RHO), RHO, "finite"),
     "frobenius_distance(b)": (lambda b: frobenius_distance(RHO, b), RHO, "finite"),
     "partial_transpose": (partial_transpose, RHO, "finite"),
@@ -150,16 +147,16 @@ def test_each_row_accepts_its_valid_array(name):
 
 # Five calls that the separate checks of each helper let through:
 # partial_transpose("abc") failed with Python's "complex() arg is a malformed
-# string", eigen_flow and min_pt_eigs read an array of "1" strings as numbers,
-# min_pt_eigs returned [1, 1, 1] for a bool identity, and eigen_flow returned
-# a NaN matrix for a NaN rho.
+# string", the conjugation flow (now named_flow) and min_pt_eigs read an array
+# of "1" strings as numbers, min_pt_eigs returned [1, 1, 1] for a bool
+# identity, and the flow returned a NaN matrix for a NaN rho.
 FORMER_FAILURES = {
     "partial_transpose-text": (lambda: partial_transpose("abc"), "must be numbers, got dtype <U3"),
-    "eigen_flow-str-rho": (lambda: eigen_flow(W, V, 0.3, np.full((8, 8), "1")),
+    "named_flow-str-rho": (lambda: named_flow(STAGE1, 0.3, np.full((8, 8), "1")),
                            "must be numbers, got dtype <U1"),
     "min_pt_eigs-str": (lambda: min_pt_eigs(np.full((8, 8), "1")), "must be numbers, got dtype <U1"),
     "min_pt_eigs-bool": (lambda: min_pt_eigs(np.eye(8, dtype=bool)), "must be numbers, got dtype bool"),
-    "eigen_flow-nan-rho": (lambda: eigen_flow(W, V, 0.3, np.full((8, 8), np.nan)), "must be finite"),
+    "named_flow-nan-rho": (lambda: named_flow(STAGE1, 0.3, np.full((8, 8), np.nan)), "must be finite"),
 }
 
 
@@ -175,8 +172,9 @@ def test_former_failures_are_library_errors(solver_calls, name):
 
 # Finite arguments whose result overflows.  Each call used to return inf or
 # NaN without an error; stationarity's products also warned twice and were
-# then reported as non-finite input, eigen_flow's phase t w overflowed to an
-# all-NaN flow with two warnings, and bloch_vector and rodrigues_flow warned.
+# then reported as non-finite input, the conjugation flow's phase overflowed to
+# an all-NaN flow with two warnings, and bloch_vector and rodrigues_flow warned.
+# named_flow's phase t l / (2 sqrt2) overflows on STAGE2's eigenvalue 4.
 OVERFLOWS = {
     "from_coherence": lambda: from_coherence(np.full(64, 1e308)),
     "from_coherence-stack": lambda: from_coherence(np.stack([C, np.full(64, 1e308)])),
@@ -184,7 +182,7 @@ OVERFLOWS = {
     "reduced_density": lambda: reduced_density(np.full((8, 8), 1e308)),
     "triple_value": lambda: triple_value(np.full(64, 1e308), UPB_TRIPLES[0]),
     "stationarity": lambda: stationarity(1e200 * np.eye(8), 1e200 * np.eye(8)),
-    "eigen_flow": lambda: eigen_flow(np.full(8, 1e308), np.eye(8), 1e10, np.eye(8)),
+    "named_flow": lambda: named_flow(STAGE2, 1.7e308, np.eye(8)),
     "bloch_vector": lambda: bloch_vector(np.full((2, 2), 1e308)),
     "rodrigues_flow": lambda: rodrigues_flow(ORBIT, 1.0, np.full(64, 1.7e308)),
 }
@@ -232,18 +230,25 @@ ARGS = {
         (ValueError, "max_sweeps must be an integer >= 0, got {got}", 4.0, "4")]),
     "jacobi_eigh(want_vectors)": (lambda flag: jacobi_eigh(RHO, want_vectors=flag), np.False_, [
         (ValueError, "want_vectors must be True or False, got {got}", "no", 0, 1.0)]),
-    "eigen_flow(t)": (lambda t: eigen_flow(W, V, t, RHO), 0.3, [TIME[:4]]),  # a 1-D grid is a time too
+    "named_flow(t)": (lambda t: named_flow(STAGE1, t, RHO), 0.3, [TIME[:4]]),  # a 1-D grid is a time too
+    "named_flow(labels)": (lambda labels: named_flow(labels, 0.3, RHO), STAGE2, [
+        (BadAxis, f"axis must be STAGE1 {STAGE1} or STAGE2 {STAGE2} or ORBIT {ORBIT}, got {{got}}", "222", ["222"],
+         ("22",), FIXED_POINT, (np.array("222"),))]),
     "rodrigues_flow(t)": (lambda t: rodrigues_flow(ORBIT, t, C), 0.3, [TIME]),
     "rodrigues_flow(axis)": (lambda axis: rodrigues_flow(axis, 0.3, C), STAGE1, [
-        (BadAxis, "axis must be STAGE1 ('333',) or ORBIT ('222',), got {got}", "222", ["222"], ("22",), STAGE2)]),
+        (BadAxis, "axis must be STAGE1 ('333',) or ORBIT ('222',), got {got}", "222", ["222"], ("22",), STAGE2,
+         (np.array("222"),))]),
     "orbit(samples)": (orbit, np.int64(2), [
-        (ValueError, "samples must be an integer >= 2, got {got}", 1, 0, 4.0, "4")]),
+        (ValueError, f"samples must be an integer in [2, {_MAX_SAMPLES}], got {{got}}", 1, 0, 4.0, "4",
+         _MAX_SAMPLES + 1)]),
     "prepare_upb(order)": (lambda order: prepare_upb(order, 1), "swapped", [
         (ValueError, "order must be 'standard' or 'swapped', got {got}", "sideways", np.array(["standard"]))]),
     "prepare_upb(interior_samples)": (lambda n: prepare_upb("standard", n), np.int64(1), [
-        (ValueError, "interior_samples must be an integer >= 0, got {got}", 4.0, "4")]),
+        (ValueError, f"interior_samples must be an integer in [0, {_MAX_SAMPLES}], got {{got}}", 4.0, "4",
+         _MAX_SAMPLES + 1)]),
     "run_claims(orbit_samples)": (lambda n: run_claims(n, "upb.*"), 2, [
-        (ValueError, "orbit_samples must be an integer >= 2, got {got}", 0, 1)]),
+        (ValueError, f"orbit_samples must be an integer in [2, {_MAX_SAMPLES}], got {{got}}", 0, 1,
+         _MAX_SAMPLES + 1)]),
     "run_claims(filter)": (lambda pattern: run_claims(2, pattern), "upb.*", [
         (ValueError, "filter must be None or a glob string, got {got}", 3, ["upb.*"], b"upb.*"),
         (ValueError, "no claim id matches {got}", "", "nomatch.*")]),
@@ -275,7 +280,7 @@ SCALARS = {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "neg
 # a finite result without a warning.
 ANY_TIME = "a flow is defined at every finite real time, a negative one running it backwards"
 ACCEPTED = {
-    **{(row, kind): ANY_TIME for row in ("eigen_flow(t)", "rodrigues_flow(t)")
+    **{(row, kind): ANY_TIME for row in ("named_flow(t)", "rodrigues_flow(t)")
        for kind in ("negative", "huge", "float")},
     **{("jacobi_eigh(herm_tol)", kind): "a looser tolerance only widens what counts as Hermitian, and the "
        "matrix here is Hermitian, so its spectrum is right" for kind in ("huge", "float")},

@@ -17,10 +17,9 @@ from upb3q.claims import (
     write_orbit_csv,
     write_reports_json,
 )
-from upb3q.dynamics import COS_SET, ORBIT, SIN_SET, STAGE1, TAU_P, _generator_eigs, generator, orbit
-from upb3q.linalg import eigen_flow, jacobi_eigh
+from upb3q.dynamics import COS_SET, SIN_SET, TAU_P, orbit
 from upb3q.pauli import INDICES, LAMBDA_BASIS, bloch_vector, lambda_matrix
-from upb3q.states import X, family, rho_upb
+from upb3q.states import X, family
 
 EXPECTED_FAILURES = {
     "stationary.local_100", "stationary.local_200", "stationary.local_300",
@@ -209,23 +208,13 @@ def test_claim_report_to_dict_round_trip():
 
 def test_full_run_stacks_its_eigen_solves(solver_calls):
     # one orbit solve of its 476 distinct matrices (of 8 * 64; 36 transposes
-    # carry their matrix's bits) plus one solve each for the three named flow
-    # generators (STAGE1, STAGE2 and ORBIT, shared by the Rodrigues claims and
-    # both preparation orders), the 16 fixed matrices (the two base states,
-    # the three upb cuts, the ten set-C members and the reflected projector),
-    # and per preparation order the interior probes
+    # carry their matrix's bits) plus one solve each for the 16 fixed matrices
+    # (the two base states, the three upb cuts, the ten set-C members and the
+    # reflected projector) and per preparation order the interior probes; the
+    # named flows read their spectral table and solve nothing
     run_claims(orbit_samples=64)
-    assert sum(solver_calls) == 127 + 476
-    assert sorted(solver_calls) == [3, 16, 54, 54, 476]
-
-
-@pytest.mark.parametrize("axis", [STAGE1, ORBIT], ids=["333", "222"])
-def test_shared_axis_eigs_match_one_flow_per_time(axis):
-    w, v = _generator_eigs(axis)
-    rho = rho_upb()
-    h = generator(*axis)
-    for t in np.linspace(0.0, TAU_P, 33):
-        assert np.array_equal(eigen_flow(w, v, t, rho), eigen_flow(*jacobi_eigh(h), t, rho))
+    assert sum(solver_calls) == 124 + 476
+    assert sorted(solver_calls) == [16, 54, 54, 476]
 
 
 def test_ancilla_pairs_match_the_per_element_kron_loop():
@@ -258,15 +247,16 @@ def test_registry_metadata_is_frozen():
 
 @pytest.mark.parametrize("pattern, sizes", [
     ("lhv.*", []),
-    ("prep.standard.*", [3, 54]),
+    ("prep.standard.*", [54]),
+    ("rodrigues.*", []),
     ("state.spectrum_*", [16]),
     ("reflect.*", [16]),
     ("ppt.upb", [16]),
 ])
 def test_filtered_runs_build_only_what_they_use(solver_calls, pattern, sizes):
     # a filtered run solves only the shared artifacts its claims touch: the
-    # standard preparation never runs the swapped schedule, the LHV claims
-    # need no eigen solve at all, and every fixed-state spectrum claim reads
+    # standard preparation never runs the swapped schedule, the LHV and
+    # Rodrigues claims need no eigen solve at all, and every fixed-state spectrum claim reads
     # the one solve of all 16 fixed matrices
     run_claims(filter=pattern)
     assert solver_calls == sizes

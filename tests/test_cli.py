@@ -1,10 +1,13 @@
+import ast
 import copy
 import importlib
 import inspect
 import io
 import json
+import pathlib
 import pickle
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -169,6 +172,7 @@ def test_cli_subprocess_orbit_stdout_deterministic():
     ["orbit", "--samples", "2.5"],
     ["orbit", "--samples", "nan"],
     ["verify", "--orbit-samples", "true"],
+    ["orbit", "--samples", str(dynamics._MAX_SAMPLES + 1)],  # rejected before any grid is allocated
 ])
 def test_bad_numeric_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -176,7 +180,7 @@ def test_bad_numeric_arguments_are_usage_errors(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     # the message names the broken rule, not just argparse's "invalid ... value"
-    assert f"error: argument {argv[1]}: " in err and "must be an integer >= 2" in err
+    assert f"error: argument {argv[1]}: " in err and f"must be an integer in [2, {dynamics._MAX_SAMPLES}]" in err
     assert "invalid" not in err
 
 
@@ -214,9 +218,8 @@ def run_every_command(capsys):
 def test_every_public_routine_is_reached_by_a_command(capsys, monkeypatch):
     # a public routine that no command enters is dead weight: delete it, or
     # give it a caller; the three command lines together reach every one.
-    # The flow generators start uncached, as in a fresh process.
+    # The adjoint generators start uncached, as in a fresh process.
     monkeypatch.setattr(dynamics, "_R_CACHE", {})
-    monkeypatch.setattr(dynamics, "_EIGS_CACHE", {})
     routines = public_routines()
     entered = set()
 
@@ -240,6 +243,16 @@ UNREAD_FIELDS_KEPT = {
     "upb3q.dynamics.InteriorSample.t":
         "perfbench/oracles.py::check_preparation re-solves each probe at its time",
 }
+
+
+def test_every_export_is_named_in_the_readme():
+    # each name the package exports appears in README.md as code, right after a backtick
+    tree = ast.parse(pathlib.Path(upb3q.__file__).read_text(encoding="utf-8"))
+    names = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+             for alias in node.names]
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert len(names) == 48  # adding or deleting an export updates this count
+    assert [name for name in names if not re.search(rf"`{re.escape(name)}\b", readme)] == []
 
 
 def test_every_dataclass_field_is_read_by_a_command(capsys, monkeypatch):

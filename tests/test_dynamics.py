@@ -18,18 +18,34 @@ from upb3q.dynamics import (
     adjoint_matrix,
     byproduct_preparation,
     generator,
+    named_flow,
     orbit,
     prepare_upb,
     rodrigues_flow,
     stationarity,
 )
 from upb3q.entanglement import partial_transpose
-from upb3q.linalg import NonHermitian, ShapeMismatch, eigen_flow, jacobi_eigh
+from upb3q.linalg import NonHermitian, ShapeMismatch, jacobi_eigh
 from upb3q.pauli import LAMBDA_BASIS, SQRT2, from_coherence, label_index, to_coherence
 from upb3q.states import X, family_mixture, reflect, rho_sep, rho_upb
 
 SQRT3 = np.sqrt(3.0)
 SQRT6 = np.sqrt(6.0)
+NAMED = [STAGE1, STAGE2, ORBIT]
+RNG = np.random.default_rng(11)
+
+
+def eigh_flow(h, t, rho):
+    """Oracle: exp(-itH) rho exp(+itH) through numpy.linalg.eigh."""
+    w, v = np.linalg.eigh(h)
+    u = (v * np.exp(-1j * t * w)) @ v.conj().T
+    return u @ rho @ u.conj().T
+
+
+def random_density():
+    m = RNG.normal(size=(8, 8)) + 1j * RNG.normal(size=(8, 8))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
 
 
 def min_pt_eig_alone(m, qubit):
@@ -80,11 +96,10 @@ def test_adjoint_matrix_matches_commutator():
 @pytest.mark.parametrize("axis,label", [(STAGE1, "333"), (ORBIT, "222")], ids=["333-333", "222-222"])
 def test_rodrigues_flow_matches_conjugation(axis, label):
     tens = to_coherence(rho_upb())
-    eig = jacobi_eigh(generator(label))
     worst = 0.0
     for t in np.linspace(0.0, TAU_P, 9):
         direct = from_coherence(rodrigues_flow(axis, t, tens))
-        oracle = eigen_flow(*eig, t, rho_upb())
+        oracle = eigh_flow(generator(label), t, rho_upb())
         worst = max(worst, np.abs(direct - oracle).max())
     assert worst < 1e-12
 
@@ -136,12 +151,11 @@ def test_prepare_upb_argument_validation():
 
 def test_flows_reject_rho_of_another_shape(solver_calls):
     # both used to fail inside numpy with "matmul: Input operand 1 has a
-    # mismatch in its core dimension 0"; H = diag(0..7) needs no solve
-    w, v = np.arange(8.0), np.eye(8, dtype=complex)
+    # mismatch in its core dimension 0"
     h = generator("333")
     for rho in (np.eye(4) / 4, np.array([rho_upb()] * 2)):
-        with pytest.raises(ShapeMismatch, match=r"rho has shape"):
-            eigen_flow(w, v, 0.3, rho)
+        with pytest.raises(ShapeMismatch, match=r"must have shape \(8, 8\)"):
+            named_flow(STAGE1, 0.3, rho)
         with pytest.raises(ShapeMismatch, match=r"must have shape \(8, 8\)"):
             stationarity(h, rho)
     # a stack of generators used to give one norm for the whole stack
@@ -157,35 +171,111 @@ def test_flows_reject_rho_of_another_shape(solver_calls):
 
 
 @pytest.mark.parametrize("order", ["standard", "swapped"])
-def test_prepare_upb_makes_two_solves(order, solver_calls):
-    # the three named generators in one solve, all 2 x 3 x 9 interior cuts in
-    # another; a second call reads the generators back and solves only its cuts
-    prepare_upb(order, 9)
-    assert solver_calls == [3, 54]
-    solver_calls.clear()
-    prepare_upb(order, 9)
-    assert solver_calls == [54]
+def test_prepare_upb_makes_one_solve(order, solver_calls):
+    # all 2 x 3 x 9 interior cuts in one solve; the stage flows read the
+    # spectral table and solve nothing, in a first call as in a second
+    for _ in range(2):
+        solver_calls.clear()
+        prepare_upb(order, 9)
+        assert solver_calls == [54]
 
 
-def test_generator_caches_are_read_only(solver_calls):
-    # a caller that wrote into the eigenvectors it got from _generator_eigs, or
-    # into a cached adjoint generator, used to change every later flow of the process
-    cached = [dynamics._generator_eigs(labels) for labels in (STAGE1, STAGE2, ORBIT)]
-    cached += [dynamics._generator_powers(axis) for axis in (STAGE1, ORBIT)]
-    for arrays in cached:
+def test_generator_caches_are_read_only():
+    # a caller that wrote into a cached adjoint generator used to change every
+    # later flow of the process
+    for arrays in [dynamics._generator_powers(axis) for axis in (STAGE1, ORBIT)]:
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
-    # every later use reads the process-wide solve, which was made once
-    assert dynamics._generator_eigs(ORBIT)[1] is cached[2][1]
-    assert solver_calls == [3]
+
+
+@pytest.mark.parametrize("labels", NAMED, ids=["STAGE1", "STAGE2", "ORBIT"])
+def test_spectral_table_holds_the_projectors_of_each_named_generator(labels):
+    # M = 2 sqrt2 H has Gaussian-integer entries; its projectors resolve the
+    # identity, are orthogonal idempotents and are eigenprojectors of M:
+    # exactly for the (I +- M) / 2 of STAGE1 and ORBIT, and within one
+    # rounding of the divisions by 12, 8 and 24 for STAGE2
+    lams, projectors = dynamics._SPECTRA[labels]
+    h = 2.0 * SQRT2 * generator(*labels)
+    m = np.rint(h.real) + 1j * np.rint(h.imag)
+    assert np.abs(m - h).max() < 1e-14
+    tol = 1e-15 if labels == STAGE2 else 0.0
+    assert np.abs(projectors.sum(axis=0) - np.eye(8)).max() <= tol
+    for j, (lam, p) in enumerate(zip(lams, projectors)):
+        assert round(np.trace(p).real) >= 1  # every listed eigenvalue occurs
+        assert np.abs(m @ p - lam * p).max() <= tol
+        for k, q in enumerate(projectors):
+            assert np.abs(p @ q - (p if j == k else 0.0)).max() <= tol
+    # a caller that wrote into the table would change every later flow
+    for a in (lams, projectors):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_named_flow_matches_an_eigh_oracle_without_a_solve(solver_calls):
+    # at the 33 times of the rodrigues.match_* claims, from the complement
+    # state, and on both preparation stage grids of 9 interior times and the
+    # endpoint, from the separable mixture
+    runs = [(labels, np.linspace(0.0, TAU_P, 33), rho_upb()) for labels in NAMED]
+    runs += [(labels, duration * np.arange(1, 11) / 10, rho_sep())
+             for labels, duration in ((STAGE1, TAU_P / 2), (STAGE2, TAU_P / 4))]
+    for labels, times, rho in runs:
+        flows = named_flow(labels, times, rho)
+        oracle = [eigh_flow(generator(*labels), t, rho) for t in times]
+        assert np.abs(flows - oracle).max() < 1e-14
+    assert solver_calls == []
+
+
+@pytest.mark.parametrize("labels", NAMED, ids=["STAGE1", "STAGE2", "ORBIT"])
+def test_named_flow_preserves_spectrum_and_trace(labels):
+    rho = random_density()
+    out = named_flow(labels, 0.7, rho)
+    assert abs(np.trace(out).real - 1.0) < 1e-12
+    assert np.abs(np.linalg.eigvalsh(out) - np.linalg.eigvalsh(rho)).max() < 1e-11
+    # t=0 is the identity map
+    assert np.abs(named_flow(labels, 0.0, rho) - rho).max() < 1e-14
+
+
+@pytest.mark.parametrize("labels", NAMED, ids=["STAGE1", "STAGE2", "ORBIT"])
+def test_named_flow_group_law(labels):
+    rho = random_density()
+    one = named_flow(labels, 0.9, named_flow(labels, 0.4, rho))
+    two = named_flow(labels, 1.3, rho)
+    assert np.abs(one - two).max() < 1e-12
+
+
+@pytest.mark.parametrize("length", [1, 2, 33, 37])
+def test_named_flow_on_a_grid_has_the_bits_of_one_call_per_time(length):
+    rho = random_density()
+    times = RNG.normal(size=length) * 5.0
+    ints = np.arange(-2, length - 2)
+    for labels in NAMED:
+        want = b"".join(named_flow(labels, t, rho).tobytes() for t in times)
+        for grid in (times, list(times)):
+            flows = named_flow(labels, grid, rho)
+            assert flows.shape == (length, 8, 8)
+            assert flows.tobytes() == want
+        assert named_flow(labels, ints, rho).tobytes() == b"".join(
+            named_flow(labels, int(t), rho).tobytes() for t in ints)
+
+
+@pytest.mark.parametrize("t", [
+    np.array([0.1, np.nan]), np.array([np.inf, 0.2]), np.zeros((2, 2)), np.array([True, False]),
+    np.array(["0.3"]), np.array([0.3 + 0j]), [0.1, None], [0.1, [0.2, 0.3]],
+], ids=["nan", "inf", "2-d", "bool", "string", "complex", "none-entry", "ragged"])
+def test_named_flow_rejects_a_bad_time_grid(solver_calls, t):
+    # the time is checked before any flow
+    pattern = "flow time must be a finite real number or a 1-D grid of them"
+    with pytest.raises(ValueError, match=pattern):
+        named_flow(STAGE1, t, rho_upb())
+    assert solver_calls == []
 
 
 @pytest.mark.parametrize("order", ["standard", "swapped"])
 def test_prepare_upb_probes_fill_one_chunk(order, solver_calls):
     # 2 x 3 x 36 = 216 interior cuts fit one chunk of the batched solver
     prepare_upb(order, 36)
-    assert solver_calls == [3, 216]
+    assert solver_calls == [216]
 
 
 # Distinct matrices per solve: whole samples, each its 2 matrices and those of
@@ -291,13 +381,16 @@ def test_prepare_upb_matches_per_probe_flows(order, k):
     if order == "swapped":
         stages.reverse()
     for num, (labels, duration) in enumerate(stages, start=1):
-        eig = jacobi_eigh(generator(*labels))
+        h = generator(*labels)
         for j in range(1, k + 1):
-            probe = eigen_flow(*eig, duration * j / (k + 1), state)
+            t = duration * j / (k + 1)
+            probe = named_flow(labels, t, state)
+            assert np.abs(probe - eigh_flow(h, t, state)).max() < 1e-14
             sample = next(probes)
-            assert (sample.stage, sample.t) == (num, duration * j / (k + 1))
+            assert (sample.stage, sample.t) == (num, t)
             assert sample.min_pt_eigs == tuple(min_pt_eig_alone(probe, q) for q in (1, 2, 3))
-        state = eigen_flow(*eig, duration, state)
+        start, state = state, named_flow(labels, duration, state)
+        assert np.abs(state - eigh_flow(h, duration, start)).max() < 1e-14
         assert np.array_equal(trace.checkpoints["intermediate" if num == 1 else "final"], state)
     assert next(probes, None) is None
 
@@ -383,13 +476,6 @@ def test_bloch_rotation_between_psi_and_phi():
             bp = bloch_vector(np.outer(lp, lp.conj()))
             bf = bloch_vector(np.outer(lf, lf.conj()))
             assert np.abs(bf - rot @ bp).max() < 1e-12
-
-
-@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
-def test_rodrigues_flow_rejects_non_finite_time(t):
-    # used to return NaN components without an error
-    with pytest.raises(ValueError, match="finite"):
-        rodrigues_flow(ORBIT, t, to_coherence(rho_upb()))
 
 
 def test_rodrigues_flow_has_the_bits_of_its_closed_form():

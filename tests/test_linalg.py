@@ -14,7 +14,6 @@ from upb3q.linalg import (
     NoConvergence,
     NonHermitian,
     ShapeMismatch,
-    eigen_flow,
     frobenius_distance,
     jacobi_eigh,
 )
@@ -212,76 +211,6 @@ def test_offdiag_norms_sum_each_matrix_in_its_own_order():
         assert np.array_equal(norms[i], np.sqrt(np.sum(np.abs(off.ravel()) ** 2)))
 
 
-def test_conjugation_flow_preserves_spectrum_and_trace():
-    h = random_hermitian(8)
-    rho = random_hermitian(8)
-    rho = rho @ rho.T.conj()
-    rho /= np.trace(rho).real
-    eig = jacobi_eigh(h)
-    out = eigen_flow(*eig, 0.7, rho)
-    assert abs(np.trace(out).real - 1.0) < 1e-12
-    assert np.abs(np.linalg.eigvalsh(out) - np.linalg.eigvalsh(rho)).max() < 1e-11
-    # t=0 is the identity map
-    assert np.abs(eigen_flow(*eig, 0.0, rho) - rho).max() < 1e-14
-
-
-def test_conjugation_flow_group_law():
-    h = random_hermitian(8)
-    rho = random_hermitian(8)
-    eig = jacobi_eigh(h)
-    one = eigen_flow(*eig, 0.9, eigen_flow(*eig, 0.4, rho))
-    two = eigen_flow(*eig, 1.3, rho)
-    assert np.abs(one - two).max() < 1e-12
-
-
-def test_eigen_flow_checks_the_eigenvalue_shape():
-    # three eigenvalues used to reach numpy's "operands could not be
-    # broadcast"; an (8, 1) column or a scalar broadcast to a wrong flow
-    for w in (np.zeros(3), np.zeros((8, 1)), np.zeros(()), 0.5):
-        with pytest.raises(ShapeMismatch, match=re.escape(f"w has shape {np.shape(w)}")):
-            eigen_flow(w, np.eye(8), 1.0, rho_upb())
-
-
-def test_eigen_flow_takes_one_square_h(solver_calls):
-    # a stack of eight eigenvector matrices used to give an (8, 8, 8) array
-    # flowed by v.conj().T, which transposes the batch axis too, and a
-    # non-square v reached numpy's "operands could not be broadcast together"
-    stack = np.array([np.eye(8, dtype=complex)] * 8)
-    for w, v in ((np.zeros((8, 8)), stack), (np.zeros(8), np.zeros((8, 3)))):
-        pattern = re.escape(f"H must be one square matrix, got eigenvectors of shape {v.shape}")
-        with pytest.raises(ShapeMismatch, match=pattern):
-            eigen_flow(w, v, 0.3, v)
-    assert solver_calls == []
-
-
-@pytest.mark.parametrize("length", [1, 2, 33, 37])
-def test_eigen_flow_on_a_grid_has_the_bits_of_one_call_per_time(length):
-    w, v = jacobi_eigh(random_hermitian(8))
-    rho = random_hermitian(8)
-    times = RNG.normal(size=length) * 5.0
-    want = b"".join(eigen_flow(w, v, t, rho).tobytes() for t in times)
-    for grid in (times, list(times)):
-        flows = eigen_flow(w, v, grid, rho)
-        assert flows.shape == (length, 8, 8)
-        assert flows.tobytes() == want
-    ints = np.arange(-2, length - 2)
-    assert eigen_flow(w, v, ints, rho).tobytes() == b"".join(
-        eigen_flow(w, v, int(t), rho).tobytes() for t in ints)
-
-
-@pytest.mark.parametrize("t", [
-    np.array([0.1, np.nan]), np.array([np.inf, 0.2]), np.zeros((2, 2)), np.array([True, False]),
-    np.array(["0.3"]), np.array([0.3 + 0j]), [0.1, None], [0.1, [0.2, 0.3]],
-], ids=["nan", "inf", "2-d", "bool", "string", "complex", "none-entry", "ragged"])
-def test_eigen_flow_rejects_a_bad_time_grid(solver_calls, t):
-    # H = diag(0..7) needs no solve, and the time is checked before any flow
-    w, v = np.arange(8.0), np.eye(8, dtype=complex)
-    pattern = "flow time must be a finite real number or a 1-D grid of them"
-    with pytest.raises(ValueError, match=pattern):
-        eigen_flow(w, v, t, rho_upb())
-    assert solver_calls == []
-
-
 def test_rodrigues_flow_takes_one_time_only():
     c = to_coherence(rho_upb())
     for t in (np.array([0.3]), np.array([0.1, 0.2]), np.array(0.3), [0.3]):
@@ -328,17 +257,3 @@ def test_jacobi_requires_numeric_entries(solver_calls, mat):
     with pytest.raises(ValueError, match="matrix entries must be numbers, got dtype"):
         jacobi_eigh(mat)
     assert solver_calls == []
-
-
-@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), "0.3", None, 1 + 2j, True])
-def test_flows_reject_non_finite_time(t):
-    # a non-finite time used to give a NaN matrix with only a numpy warning,
-    # a string, None or a complex time a bare TypeError from math.isfinite,
-    # and True flowed to t = 1
-    h = np.diag([0.5, -0.5, 0.25, 0.0]).astype(complex)
-    rho = np.full((4, 4), 0.25, dtype=complex)
-    w, v = jacobi_eigh(h)
-    with pytest.raises(ValueError, match="flow time must be a finite real number"):
-        eigen_flow(w, v, t, rho)
-    with pytest.raises(ValueError, match="flow time must be a finite real number"):
-        rodrigues_flow(ORBIT, t, to_coherence(rho_upb()))

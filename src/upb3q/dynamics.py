@@ -20,15 +20,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .entanglement import min_pt_eigs
-from .linalg import _MAX_STACK, _array, _finite_result, _number, _times, frobenius_distance, jacobi_eigh
+from .linalg import _array, _finite_result, _number, _times, frobenius_distance, jacobi_eigh
 from .pauli import LAMBDA_BASIS, SQRT2, from_coherence, label_index, to_coherence
 from .states import family_mixture, reflect, rho_sep, rho_upb
 
 # Common period of the Lambda_{333} and Lambda_{222} conjugation flows.
 TAU_P = 2.0 * SQRT2 * np.pi
 
-# Largest grid, checked before it is allocated: a sample costs about 0.3-0.6 ms and 4.5 KB on the orbit
-# and 0.3 ms and 15 KB as a preparation probe, so a grid this size takes seconds and at most ~150 MB.
+# Largest grid, checked before it is allocated: a sample costs about 0.3-0.6 ms and 12 KB on the orbit
+# (one stack of its distinct matrices) and 0.3 ms and 15 KB as a preparation probe, so a grid this size
+# takes seconds and at most ~150 MB.
 _MAX_SAMPLES = 10_000
 
 # The eight 3-coherence flat indices, split by their role along the orbit:
@@ -221,9 +222,8 @@ def _orbit_spectra(mats):
 
     A transpose whose bits equal its matrix's (compared as int64, so that
     -0.0 and +0.0 differ) takes its matrix's spectrum without a solve.  The
-    other matrices are solved in sample order, whole samples per chunk of up
-    to _MAX_STACK, each chunk filled into one reused buffer; the solver gives
-    each matrix the bits of its own solve, wherever it sits in a chunk.
+    other matrices are gathered in sample order into one stack for one
+    jacobi_eigh call, which gives each matrix the bits of its own solve.
     """
     n = len(mats)
     grid = mats.reshape((n, 2) + (2,) * 6)  # (sample, reflected, row qubits, column qubits)
@@ -232,19 +232,12 @@ def _orbit_spectra(mats):
     same = np.stack([(bits == np.swapaxes(bits, 2 + k, 5 + k)).all(axis=tuple(range(2, 9)))
                      for k in range(3)], axis=-1)  # (sample, reflected, cut)
     solve = np.concatenate([np.ones((n, 2, 1), dtype=bool), ~same], axis=-1)  # (sample, reflected, 4)
-    counts = solve.sum(axis=(1, 2))
+    slot = (np.cumsum(solve) - 1).reshape(solve.shape)  # each solved matrix's place in the stack
+    stack = np.empty((int(solve.sum()),) + (2,) * 6, dtype=complex)
+    for j, src in enumerate([grid] + pts):
+        stack[slot[..., j][solve[..., j]]] = src[solve[..., j]]
     spectra = np.empty((n, 2, 4, 8))
-    buf = np.empty((_MAX_STACK, 8, 8), dtype=complex)
-    cells = buf.reshape((_MAX_STACK,) + (2,) * 6)
-    start = 0
-    while start < n:
-        stop = start + int(np.searchsorted(np.cumsum(counts[start:]), _MAX_STACK, side="right"))
-        want = solve[start:stop]
-        slot = (np.cumsum(want) - 1).reshape(want.shape)  # each solved matrix's place in the chunk
-        for j, src in enumerate([grid] + pts):
-            cells[slot[..., j][want[..., j]]] = src[start:stop][want[..., j]]
-        spectra[start:stop][want] = jacobi_eigh(buf[:counts[start:stop].sum()], want_vectors=False)[0]
-        start = stop
+    spectra[solve] = jacobi_eigh(stack.reshape(-1, 8, 8), want_vectors=False)[0]
     np.copyto(spectra[:, :, 1:], spectra[:, :, :1], where=same[..., None])
     return spectra
 
@@ -254,9 +247,9 @@ def orbit(samples=64):
 
     Grid: t_k = k TAU_P / samples for k = 0..samples-1 (the endpoint TAU_P
     duplicates t=0).  With samples divisible by 4 the quarter and half period
-    land exactly on grid points.  The spectra come from batched eigen solves
-    of up to _MAX_STACK distinct matrices each (see _orbit_spectra);
-    ValueError unless samples is an integer in [2, _MAX_SAMPLES].
+    land exactly on grid points.  The spectra come from one eigen solve of
+    the distinct matrices (see _orbit_spectra); ValueError unless samples
+    is an integer in [2, _MAX_SAMPLES].
     """
     _number(samples, "samples", integer=True, low=2, high=_MAX_SAMPLES)
     t = TAU_P * np.arange(samples) / samples

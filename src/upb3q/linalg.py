@@ -159,7 +159,7 @@ def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vector
             them with any leading batch shape, (..., n, n).
         herm_tol: allowed input Hermiticity residue.
         conv_tol: off-diagonal Frobenius norm, relative to max(1, ||A||_F),
-            at which iteration stops.
+            at which iteration stops; in (0, 1).
         max_sweeps: sweep budget before NoConvergence is raised.
         want_vectors: True or False, accumulate the eigenvector unitary as well.
 
@@ -169,18 +169,18 @@ def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vector
         want_vectors is False).
 
     Raises:
-        ValueError (herm_tol not finite and >= 0, conv_tol not finite and
-        > 0, max_sweeps not an integer >= 0, want_vectors not a bool, an
-        entry not a number, ||A||_F overflowing), NonHermitian (any matrix),
+        ValueError (herm_tol not finite and >= 0, conv_tol not in (0, 1),
+        max_sweeps not an integer >= 0, want_vectors not a bool, an entry
+        not a number, ||A||_F overflowing), NonHermitian (any matrix),
         ShapeMismatch, all checked before any sweep; NoConvergence (any
         matrix left unconverged).
     """
     if not isinstance(want_vectors, (bool, np.bool_)):
         raise ValueError(f"want_vectors must be True or False, got {want_vectors!r}")
     _number(herm_tol, "herm_tol", low=0)
-    _number(conv_tol, "conv_tol", low=0)
-    if conv_tol == 0.0:  # no off-diagonal norm is below 0: the budget would run out
-        raise ValueError(f"conv_tol must be > 0, got {conv_tol!r}")
+    # at 0 the stop is never met; from 1 up a matrix with a nonzero diagonal meets it unrotated
+    if not (isinstance(conv_tol, numbers.Real) and 0 < conv_tol < 1):
+        raise ValueError(f"conv_tol must be a real number in (0, 1), got {conv_tol!r}")
     _number(max_sweeps, "max_sweeps", integer=True, low=0)
     a = _array(mat, "matrix entries", "square", herm_tol=herm_tol)
     batch, n = a.shape[:-2], a.shape[-1]

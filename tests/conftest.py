@@ -1,16 +1,11 @@
 import pytest
 
-from upb3q import dynamics, linalg
+from upb3q import linalg
 
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Stack size of every internal Jacobi solve made while the test runs.
-
-    The test starts from an empty adjoint generator cache, as in a fresh
-    process, so the counts do not depend on which tests ran before it.
-    """
-    monkeypatch.setattr(dynamics, "_R_CACHE", {})
+    """Stack size of every internal Jacobi solve made while the test runs."""
     sizes = []
     inner = linalg._jacobi_stack
 

@@ -205,7 +205,9 @@ def test_an_overflowing_result_is_a_library_error_naming_the_overflow(solver_cal
 # before every collection went through one check, linalg._items:
 # ProductKet(np.array(0.3)), check_upb(np.array(0.3)), complement_map(np.array(5)),
 # verify_triple_structure(np.array("031")) and lhv_oracle(c, np.array(0.3));
-# and rodrigues_flow(ORBIT, 10**400, c) raised a bare OverflowError.
+# and rodrigues_flow(ORBIT, 10**400, c) raised a bare OverflowError.  Before
+# jacobi_eigh checked its numbers, max_sweeps=True ran one sweep, a bool
+# tolerance was read as 0 or 1, and want_vectors="no" returned eigenvectors.
 KETS = family("psi")
 TRIPLE = UPB_TRIPLES[0]
 TIME = (ValueError, "flow time must be a finite real number, got {got}", "0.3", 10**400, np.array([0.3]), [0.3])
@@ -223,9 +225,9 @@ THREE_LABELS = [
 ARGS = {
     "jacobi_eigh(herm_tol)": (lambda tol: jacobi_eigh(RHO, herm_tol=tol), 1e-10, [
         (ValueError, "herm_tol must be a finite real number >= 0, got {got}", -1e-10)]),
+    # a conv_tol of 1 or more used to return the unrotated diagonal: 0.09375 for rho_upb's least eigenvalue 0
     "jacobi_eigh(conv_tol)": (lambda tol: jacobi_eigh(RHO, conv_tol=tol), 1e-14, [
-        (ValueError, "conv_tol must be a finite real number >= 0, got {got}", -1e-14),
-        (ValueError, "conv_tol must be > 0, got {got}", 0.0, -0.0)]),
+        (ValueError, "conv_tol must be a real number in (0, 1), got {got}", -1e-14, 0.0, -0.0, 1.0, 1)]),
     "jacobi_eigh(max_sweeps)": (lambda n: jacobi_eigh(RHO, max_sweeps=n), 100, [
         (ValueError, "max_sweeps must be an integer >= 0, got {got}", 4.0, "4")]),
     "jacobi_eigh(want_vectors)": (lambda flag: jacobi_eigh(RHO, want_vectors=flag), np.False_, [
@@ -284,8 +286,6 @@ ACCEPTED = {
        for kind in ("negative", "huge", "float")},
     **{("jacobi_eigh(herm_tol)", kind): "a looser tolerance only widens what counts as Hermitian, and the "
        "matrix here is Hermitian, so its spectrum is right" for kind in ("huge", "float")},
-    **{("jacobi_eigh(conv_tol)", kind): "the documented stop, relative to max(1, ||A||_F), honoured as given: "
-       "one above 1 ends before any rotation and returns the diagonal" for kind in ("huge", "float")},
     ("jacobi_eigh(want_vectors)", "true"): "a flag: True or False is its whole rule",
     ("jacobi_eigh(want_vectors)", "false"): "a flag: True or False is its whole rule",
     ("run_claims(filter)", "none"): "None is the default: no claim is filtered out",

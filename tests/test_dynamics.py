@@ -278,16 +278,17 @@ def test_prepare_upb_probes_fill_one_chunk(order, solver_calls):
     assert solver_calls == [216]
 
 
-# Distinct matrices per solve: whole samples, each its 2 matrices and those of
-# their 6 transposes whose bits differ from them, up to _MAX_STACK per chunk;
-# every N of the benchmark's verify (56-72) and orbit (120-136) bands.
+# Matrices per internal solve: one stack of each sample's 2 matrices and
+# those of their 6 transposes whose bits differ from them, which the solver
+# splits into full _MAX_STACK chunks and a remainder; every N of the
+# benchmark's verify (56-72) and orbit (120-136) bands.
 ORBIT_SOLVES = {
     2: [4], 4: [20], 56: [412], 57: [414], 58: [428], 59: [430], 60: [444], 61: [446], 62: [460],
-    63: [462], 64: [476], 65: [478], 66: [492], 67: [494], 68: [508], 69: [510], 70: [506, 18],
-    71: [512, 2], 72: [512, 4], 120: [510, 366], 121: [508, 382], 122: [510, 382], 123: [508, 398],
-    124: [510, 398], 125: [512, 398], 126: [510, 414], 127: [512, 414], 128: [510, 430],
-    129: [512, 430], 130: [510, 446], 131: [512, 446], 132: [510, 462], 133: [512, 462],
-    134: [510, 478], 135: [512, 478], 136: [510, 494],
+    63: [462], 64: [476], 65: [478], 66: [492], 67: [494], 68: [508], 69: [510], 70: [512, 12],
+    71: [512, 2], 72: [512, 4], 120: [512, 364], 121: [512, 378], 122: [512, 380], 123: [512, 394],
+    124: [512, 396], 125: [512, 398], 126: [512, 412], 127: [512, 414], 128: [512, 428],
+    129: [512, 430], 130: [512, 444], 131: [512, 446], 132: [512, 460], 133: [512, 462],
+    134: [512, 476], 135: [512, 478], 136: [512, 492],
 }
 
 
@@ -300,7 +301,7 @@ def test_orbit_solves_full_chunks(solver_calls):
 
 @pytest.mark.parametrize("samples", [2, 4, 64, 65, 129, 136])
 def test_orbit_spectra_have_the_bytes_of_one_stacked_solve(samples):
-    # the skipped transposes and the chunk packing change no bit: one plain
+    # the skipped transposes and the gathering change no bit: one plain
     # solve of all 8N matrices, the state and its reflection, each itself and
     # under the 3 partial transposes
     orb = orbit(samples)

@@ -123,24 +123,6 @@ def test_jacobi_no_convergence_budget():
         jacobi_eigh(m, max_sweeps=0)
 
 
-@pytest.mark.parametrize("name, bad", [
-    ("herm_tol", float("nan")), ("herm_tol", float("inf")), ("herm_tol", -1e-10),
-    ("conv_tol", float("nan")), ("conv_tol", float("inf")), ("conv_tol", 0.0),
-    ("conv_tol", -1e-14), ("max_sweeps", 2.5), ("max_sweeps", -1),
-    ("max_sweeps", True), ("max_sweeps", False), ("herm_tol", False), ("conv_tol", True),
-    ("want_vectors", "no"), ("want_vectors", None), ("want_vectors", 0), ("want_vectors", 1.0),
-])
-def test_jacobi_rejects_bad_arguments_before_any_solve(solver_calls, name, bad):
-    # a NaN, zero or negative conv_tol used to burn 100 sweeps and raise
-    # NoConvergence; conv_tol=inf returned the unrotated diagonal, so the
-    # minimum eigenvalue of rho_upb came back as 0.09375 instead of 0;
-    # max_sweeps=True ran one sweep and reported "after True sweeps"; a bool
-    # tolerance was read as 0 or 1; want_vectors="no" returned eigenvectors
-    with pytest.raises(ValueError, match=name):
-        jacobi_eigh(rho_upb(), **{name: bad})
-    assert solver_calls == []
-
-
 def test_stack_across_chunk_boundaries_equals_one_matrix_calls():
     # five members, so that the chunk boundaries at multiples of _MAX_STACK
     # fall on different members and the last chunk holds only three matrices
@@ -164,14 +146,14 @@ def test_orbit_block_solve_scratch_stays_under_twice_the_stack(monkeypatch):
     # the eigenvalue-only solve of one full orbit chunk: its working copy, the
     # norms and Hermiticity residues taken _SLICE matrices at a time, and the
     # in-place retirement stay under 2x the stack (a copy of the whole working
-    # stack at each retirement and full-stack temporaries took 2.25x); the
-    # first chunk of orbit(129) holds exactly _MAX_STACK matrices, copied out
-    # of the buffer that the second chunk refills
+    # stack at each retirement and full-stack temporaries took 2.25x); orbit(129)
+    # hands the solver all 942 of its distinct matrices in one call, and the
+    # first _MAX_STACK of them make its first chunk
     stacks = []
-    monkeypatch.setattr(dynamics, "jacobi_eigh",
-                        lambda stack, **kw: stacks.append(stack.copy()) or jacobi_eigh(stack, **kw))
+    monkeypatch.setattr(dynamics, "jacobi_eigh", lambda stack, **kw: stacks.append(stack) or jacobi_eigh(stack, **kw))
     orbit(129)
-    stack = stacks[0]
+    [whole] = stacks
+    stack = whole[:_MAX_STACK]
     assert stack[..., 0, 0].size == _MAX_STACK
     tracemalloc.start()
     try:

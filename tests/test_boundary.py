@@ -205,9 +205,7 @@ def test_an_overflowing_result_is_a_library_error_naming_the_overflow(solver_cal
 # before every collection went through one check, linalg._items:
 # ProductKet(np.array(0.3)), check_upb(np.array(0.3)), complement_map(np.array(5)),
 # verify_triple_structure(np.array("031")) and lhv_oracle(c, np.array(0.3));
-# and rodrigues_flow(ORBIT, 10**400, c) raised a bare OverflowError.  Before
-# jacobi_eigh checked its numbers, max_sweeps=True ran one sweep, a bool
-# tolerance was read as 0 or 1, and want_vectors="no" returned eigenvectors.
+# and rodrigues_flow(ORBIT, 10**400, c) raised a bare OverflowError.
 KETS = family("psi")
 TRIPLE = UPB_TRIPLES[0]
 TIME = (ValueError, "flow time must be a finite real number, got {got}", "0.3", 10**400, np.array([0.3]), [0.3])

@@ -132,6 +132,29 @@ def test_structure_check_rejects_bad_triples():
     assert not verify_triple_structure(skew)
 
 
+@pytest.mark.parametrize("bad", [("031", "301"), ("031", "301", "330", "013"), "031", 5, None])
+def test_triple_routes_require_exactly_three_labels(bad):
+    # a 4-label tuple used to run the old joint oracle (count 0) and a 2-label
+    # one gave 2, while the structure check failed inside tuple unpacking; a
+    # triple with no length raised a bare TypeError from len()
+    upb_t = to_coherence(rho_upb())
+    for route in (verify_triple_structure, lambda tr: triple_value(upb_t, tr),
+                  lambda tr: lhv_oracle(upb_t, tr)):
+        with pytest.raises(ValueError, match="exactly 3 component labels"):
+            route(bad)
+
+
+@pytest.mark.parametrize("bad", [(31, 301, 330), ("031", 301, "330"), ("031", None, "330"),
+                                 ("031", b"301", "330")])
+def test_triple_routes_reject_non_string_labels(bad):
+    # an integer label used to reach len() and raise a bare TypeError
+    upb_t = to_coherence(rho_upb())
+    for route in (verify_triple_structure, lambda tr: triple_value(upb_t, tr),
+                  lambda tr: lhv_oracle(upb_t, tr)):
+        with pytest.raises(ValueError, match="bad component label"):
+            route(bad)
+
+
 def test_triple_values_on_the_three_states():
     upb_t = to_coherence(rho_upb())
     sep_t = to_coherence(rho_sep())

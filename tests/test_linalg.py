@@ -123,6 +123,24 @@ def test_jacobi_no_convergence_budget():
         jacobi_eigh(m, max_sweeps=0)
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("herm_tol", float("nan")), ("herm_tol", float("inf")), ("herm_tol", -1e-10),
+    ("conv_tol", float("nan")), ("conv_tol", float("inf")), ("conv_tol", 0.0),
+    ("conv_tol", -1e-14), ("max_sweeps", 2.5), ("max_sweeps", -1),
+    ("max_sweeps", True), ("max_sweeps", False), ("herm_tol", False), ("conv_tol", True),
+    ("want_vectors", "no"), ("want_vectors", None), ("want_vectors", 0), ("want_vectors", 1.0),
+])
+def test_jacobi_rejects_bad_arguments_before_any_solve(solver_calls, name, bad):
+    # a NaN, zero or negative conv_tol used to burn 100 sweeps and raise
+    # NoConvergence; conv_tol=inf returned the unrotated diagonal, so the
+    # minimum eigenvalue of rho_upb came back as 0.09375 instead of 0;
+    # max_sweeps=True ran one sweep and reported "after True sweeps"; a bool
+    # tolerance was read as 0 or 1; want_vectors="no" returned eigenvectors
+    with pytest.raises(ValueError, match=name):
+        jacobi_eigh(rho_upb(), **{name: bad})
+    assert solver_calls == []
+
+
 def test_stack_across_chunk_boundaries_equals_one_matrix_calls():
     # five members, so that the chunk boundaries at multiples of _MAX_STACK
     # fall on different members and the last chunk holds only three matrices

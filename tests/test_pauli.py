@@ -83,6 +83,14 @@ def test_lambda_matrix_normalization():
         lambda_matrix(4)
 
 
+@pytest.mark.parametrize("bad", [1.0, True, False, "1", None, -1])
+def test_pauli_indices_are_integers_in_range(bad):
+    # lambda_matrix(1.0) used to raise a bare TypeError from tuple indexing,
+    # and lambda_matrix(True) returned sigma_x/sqrt2
+    with pytest.raises(ValueError, match="Pauli index"):
+        lambda_matrix(bad)
+
+
 def test_pauli_indices_accept_numpy_integers():
     assert np.array_equal(lambda_matrix(np.int64(2)), lambda_matrix(2))
     assert label_index("%d%d%d" % tuple(INDICES[27])) == 27

@@ -204,6 +204,26 @@ def test_check_upb_requires_product_kets(bad):
                 route(kets)
 
 
+@pytest.mark.parametrize("count", [0, 3, 5])
+def test_check_upb_requires_four_kets(count):
+    # an empty set used to raise "max() arg is an empty sequence" from the
+    # witness check; 3 and 5 kets were searched as if they were a basis
+    kets = (family("psi") + family("theta"))[:count]
+    with pytest.raises(WrongCount, match=f"need exactly 4 kets, got {count}"):
+        check_upb(kets)
+    with pytest.raises(WrongCount, match=f"need exactly 4 kets, got {count}"):
+        complement_map(kets)
+
+
+@pytest.mark.parametrize("bad", [5, None, 1.5])
+def test_check_upb_rejects_a_non_iterable(bad):
+    # check_upb(5) and complement_map(None) used to raise a bare TypeError
+    # from tuple(kets)
+    for route in (check_upb, complement_map):
+        with pytest.raises(WrongCount, match=f"need exactly 4 kets, got {bad!r}"):
+            route(bad)
+
+
 @pytest.mark.parametrize("w", [np.full(8, 0.1 + 1j), np.full(8, 0.1 + 0j), np.array(["0.1"] * 8),
                                np.full(8, 0.1, dtype=object), np.full(8, True),
                                np.full(8, np.nan), np.array([0.1] * 7 + [np.inf]),

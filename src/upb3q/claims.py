@@ -37,7 +37,7 @@ from .dynamics import (
 )
 from .entanglement import (OQ_TRIPLES, UPB_TRIPLES, lhv_oracle, partial_transpose, triple_value,
                            verify_triple_structure)
-from .linalg import _number, frobenius_distance, jacobi_eigh
+from .linalg import _number, _real_if_exact, frobenius_distance, jacobi_eigh
 from .pauli import (
     INDICES,
     LAMBDA_BASIS,
@@ -117,6 +117,7 @@ class _Context:
         base (2, 8): sep and upb.  upb_cuts (3, 8): upb transposed on qubit
         1, 2 and 3.  set_c (5, 2, 8): five states of the set C and their
         reflections.  projector (8,): the reflected first psi projector.
+        All 16 are real, so with no imaginary bit set they solve in float64.
         """
         members = np.stack([self.sep_t, self.upb_t, self.quarter_t,
                             to_coherence(family_mixture("theta")), to_coherence(family_mixture("phi"))])
@@ -127,7 +128,7 @@ class _Context:
             set_c.reshape(-1, 8, 8),
             [reflect_density(family("psi")[0].projector())],
         ])
-        w = jacobi_eigh(mats, want_vectors=False)[0]
+        w = jacobi_eigh(_real_if_exact(mats), want_vectors=False)[0]
         return {"base": w[:2], "upb_cuts": w[2:5], "set_c": w[5:15].reshape(5, 2, 8), "projector": w[15]}
 
     @cached_property

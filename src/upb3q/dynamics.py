@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .entanglement import min_pt_eigs
-from .linalg import _array, _finite_result, _number, _times, frobenius_distance, jacobi_eigh
+from .linalg import _array, _finite_result, _number, _real_if_exact, _times, frobenius_distance, jacobi_eigh
 from .pauli import LAMBDA_BASIS, SQRT2, from_coherence, label_index, to_coherence
 from .states import family_mixture, reflect, rho_sep, rho_upb
 
@@ -223,7 +223,8 @@ def _orbit_spectra(mats):
     A transpose whose bits equal its matrix's (compared as int64, so that
     -0.0 and +0.0 differ) takes its matrix's spectrum without a solve.  The
     other matrices are gathered in sample order into one stack for one
-    jacobi_eigh call, which gives each matrix the bits of its own solve.
+    jacobi_eigh call, which gives each matrix the bits of its own solve; the
+    stack is solved in float64 when none of its imaginary bits is set.
     """
     n = len(mats)
     grid = mats.reshape((n, 2) + (2,) * 6)  # (sample, reflected, row qubits, column qubits)
@@ -237,7 +238,7 @@ def _orbit_spectra(mats):
     for j, src in enumerate([grid] + pts):
         stack[slot[..., j][solve[..., j]]] = src[solve[..., j]]
     spectra = np.empty((n, 2, 4, 8))
-    spectra[solve] = jacobi_eigh(stack.reshape(-1, 8, 8), want_vectors=False)[0]
+    spectra[solve] = jacobi_eigh(_real_if_exact(stack.reshape(-1, 8, 8)), want_vectors=False)[0]
     np.copyto(spectra[:, :, 1:], spectra[:, :, :1], where=same[..., None])
     return spectra
 
@@ -253,8 +254,10 @@ def orbit(samples=64):
     """
     _number(samples, "samples", integer=True, low=2, high=_MAX_SAMPLES)
     t = TAU_P * np.arange(samples) / samples
+    r, r2 = _generator_powers(ORBIT)
     base = to_coherence(rho_sep())
-    tensors = np.array([rodrigues_flow(ORBIT, tk, base) for tk in t])
+    phi = (t / SQRT2)[:, None]  # rodrigues_flow's closed form, on the two vectors R c0 and R^2 c0
+    tensors = base + SQRT2 * np.sin(phi) * (r @ base) + 2.0 * (1.0 - np.cos(phi)) * (r2 @ base)
     mats = from_coherence(np.stack([tensors, reflect(tensors)], axis=1))  # (sample, reflected, 8, 8)
     return Orbit(t, tensors, _orbit_spectra(mats))
 

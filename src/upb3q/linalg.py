@@ -1,8 +1,9 @@
 """Self-contained dense Hermitian kernels and argument checks: Jacobi eigensolver, distances.
 
-The eigensolver is a cyclic complex Jacobi iteration, adequate and fast for
-the n <= 16 matrices used here.  It takes one matrix or a stack and rotates
-every matrix of a stack at once, with the same bits as one at a time.  numpy
+The eigensolver is a cyclic Jacobi iteration, real or complex by the input's
+dtype, adequate and fast for the n <= 16 matrices used here.  It takes one
+matrix or a stack and rotates every matrix of a stack at once, with the same
+bits as one at a time.  numpy
 is used for array plumbing only; no LAPACK eigenroutine is called in library
 code.
 """
@@ -92,6 +93,11 @@ def _finite_result(x, what):
     return x
 
 
+def _real_if_exact(x):
+    """x.real, a float view, if no imaginary bit of the complex array x is set (-0.0 sets one); else x."""
+    return x if x.view(np.int64)[..., 1::2].any() else x.real
+
+
 def _number(x, what, integer=False, low=None, high=None):
     """x itself, checked by the one rule for every number argument; ValueError naming the rule otherwise.
 
@@ -138,25 +144,28 @@ def _offdiag_norms(a, whole=False):
         off = np.moveaxis(a[..., part], -1, 0).copy()
         if not whole:
             off[:, diag, diag] = 0.0
-        sq = np.abs(off.reshape(len(off), -1))
+        sq = off.reshape(len(off), -1)  # a real slice is its own copy, squared in place: abs only drops signs
+        sq = np.abs(sq) if sq.dtype.kind == "c" else sq
         norms[part] = np.sqrt(np.sum(np.square(sq, out=sq), axis=1))
         del off, sq  # free this slice's scratch before the next one is made
     return norms
 
 
 def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vectors=True):
-    """Cyclic complex Jacobi diagonalization of a Hermitian matrix or a stack.
+    """Cyclic Jacobi diagonalization of a Hermitian matrix or a stack.
 
-    Repeatedly zeroes each off-diagonal pair (p, q) with a unitary plane
-    rotation until the off-diagonal Frobenius norm drops below
+    Repeatedly zeroes each off-diagonal pair (p, q) with a plane rotation
+    until the off-diagonal Frobenius norm drops below
     conv_tol x max(1, ||A||_F), with ||A||_F the Frobenius norm of the input:
     rounding alone leaves about eps x ||A||_F off the diagonal.
     A stack runs the same cyclic sweep on every matrix at once; each matrix
     gets exactly the rotations, and so the bits, it would get on its own.
 
     Args:
-        mat: n x n complex Hermitian array (n <= 16 intended), or a stack of
-            them with any leading batch shape, (..., n, n).
+        mat: n x n Hermitian array (n <= 16 intended), or a stack of them
+            with any leading batch shape, (..., n, n).  Its dtype, not its
+            values, picks the rotation: an int or float input is solved in
+            float64 with a real one, a complex input in complex128.
         herm_tol: allowed input Hermiticity residue.
         conv_tol: off-diagonal Frobenius norm, relative to max(1, ||A||_F),
             at which iteration stops; in (0, 1).
@@ -166,7 +175,7 @@ def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vector
     Returns:
         (w, V) with w ascending real eigenvalues, shape (..., n); V has the
         matching eigenvectors as columns, shape (..., n, n) (None if
-        want_vectors is False).
+        want_vectors is False), float64 and complex128 for either dtype.
 
     Raises:
         ValueError (herm_tol not finite and >= 0, conv_tol not in (0, 1),
@@ -182,7 +191,8 @@ def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vector
     if not (isinstance(conv_tol, numbers.Real) and 0 < conv_tol < 1):
         raise ValueError(f"conv_tol must be a real number in (0, 1), got {conv_tol!r}")
     _number(max_sweeps, "max_sweeps", integer=True, low=0)
-    a = _array(mat, "matrix entries", "square", herm_tol=herm_tol)
+    mat = np.asarray(mat)
+    a = _array(mat, "matrix entries", "square", real=mat.dtype.kind in "iuf", herm_tol=herm_tol)
     batch, n = a.shape[:-2], a.shape[-1]
     a = a.reshape(math.prod(batch), n, n)
     with np.errstate(over="ignore"):  # an overflowing square fails the check below
@@ -218,7 +228,7 @@ def _jacobi_stack(mats, tols, max_sweeps, w_out, v_out):
     """
     n = mats.shape[-1]
     diag = np.arange(n)[:, None]
-    store = np.empty((n if v_out is None else 2 * n, n, len(mats)), dtype=complex)
+    store = np.empty((n if v_out is None else 2 * n, n, len(mats)), dtype=mats.dtype)
     store[:n] = mats.transpose(1, 2, 0)  # a copy: the caller's matrices are never rotated
     if v_out is not None:
         store[n:] = np.eye(n)[:, :, None]
@@ -260,8 +270,11 @@ def _sweep(av):
 
     A matrix whose a[p, q] is exactly zero is left out of that rotation, as
     the scalar iteration skips it: the angle formulas would turn a zero pair
-    into a rotation by pi.  |a_pq| is hypot(re, im), which rounds like the
-    scalar abs() (complex np.abs differs in the last bits on about a third of
+    into a rotation by pi.  Both dtypes turn by theta = atan2(2 |a_pq|, gap)/2,
+    gap = a_pp - a_qq.  A real stack builds c and s from hypot, sqrt and
+    division alone, whose bits numpy's SIMD dispatch does not move.  A
+    complex stack takes |a_pq| as hypot(re, im), which rounds like the scalar
+    abs() (complex np.abs differs in the last bits on about a third of
     inputs), and the angle operands are made contiguous, since numpy may
     choose another arctan2 loop for strided ones.  cos(theta) is made complex
     once per pair; a real-by-complex multiply would cast it on every call.
@@ -275,17 +288,27 @@ def _sweep(av):
             elif not len(hit):
                 continue
             apq = av[p, q, hit]
-            re, im = apq.real.copy(), apq.imag.copy()
-            gap = (av[p, p, hit] - av[q, q, hit]).real.copy()
-            theta = 0.5 * np.arctan2(2.0 * np.hypot(re, im), gap)
-            c = np.cos(theta).astype(complex)
-            s = np.sin(theta)
-            ph = np.exp(1j * np.arctan2(im, re))
-            cph = np.conj(ph)
+            if av.dtype.kind == "c":
+                re, im = apq.real.copy(), apq.imag.copy()
+                gap = (av[p, p, hit] - av[q, q, hit]).real.copy()
+                theta = 0.5 * np.arctan2(2.0 * np.hypot(re, im), gap)
+                c = np.cos(theta).astype(complex)
+                s = np.sin(theta)
+                ph = np.exp(1j * np.arctan2(im, re))
+                cph = np.conj(ph)
+                cols, rows = (c, s * cph, -s * ph), (c, s * ph, -s * cph)
+            else:
+                gap = av[p, p, hit] - av[q, q, hit]
+                rho = np.hypot(gap, 2.0 * apq)
+                big = np.sqrt((1.0 + np.abs(gap / rho)) / 2.0)  # the larger of c and |s|
+                small = np.abs(apq) / (rho * big)
+                narrow = gap >= 0.0  # theta <= pi/4, so c is the larger
+                c, s = np.where(narrow, big, small), np.copysign(np.where(narrow, small, big), apq)
+                cols = rows = (c, s, -s)
             # Columns: A <- A U with U mixing columns p and q (and V <- V U).
-            _mix(av[:, p], av[:, q], hit, c, s * cph, -s * ph)
+            _mix(av[:, p], av[:, q], hit, *cols)
             # Rows: A <- U^dagger A.
-            _mix(av[p], av[q], hit, c, s * ph, -s * cph)
+            _mix(av[p], av[q], hit, *rows)
 
 
 def _mix(xs, ys, hit, c, s_xy, s_yx):

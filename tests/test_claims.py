@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from upb3q import claims
 from upb3q.claims import (
     ClaimReport,
     _ancilla_pairs,
@@ -18,6 +19,7 @@ from upb3q.claims import (
     write_reports_json,
 )
 from upb3q.dynamics import COS_SET, SIN_SET, TAU_P, orbit
+from upb3q.linalg import jacobi_eigh
 from upb3q.pauli import INDICES, LAMBDA_BASIS, bloch_vector, lambda_matrix
 from upb3q.states import X, family
 
@@ -215,6 +217,25 @@ def test_full_run_stacks_its_eigen_solves(solver_calls):
     run_claims(orbit_samples=64)
     assert sum(solver_calls) == 124 + 476
     assert sorted(solver_calls) == [16, 54, 54, 476]
+
+
+@pytest.mark.parametrize("imag, dtype", [(0.0, np.float64), (-0.0, np.complex128), (5e-324, np.complex128)])
+def test_fixed_spectra_solve_real_only_with_no_imaginary_bit_set(monkeypatch, imag, dtype):
+    # the 16 fixed matrices are real; one set imaginary bit in the last of
+    # them, the reflected projector, keeps the whole solve complex
+    seen = []
+    monkeypatch.setattr(claims, "jacobi_eigh", lambda m, **kw: seen.append(m.dtype) or jacobi_eigh(m, **kw))
+    inner = claims.reflect_density
+
+    def marked(m):
+        out = np.array(inner(m))
+        out[3, 3] = complex(out[3, 3].real, imag)
+        return out
+
+    monkeypatch.setattr(claims, "reflect_density", marked)
+    spectra = _Context(64).fixed_spectra
+    assert seen == [dtype]
+    assert np.abs(spectra["projector"] - claims._PROJECTOR_SPECTRUM).max() < 1e-15
 
 
 def test_ancilla_pairs_match_the_per_element_kron_loop():

@@ -49,7 +49,11 @@ def random_density():
 
 
 def min_pt_eig_alone(m, qubit):
-    """One-matrix oracle: the smallest eigenvalue of one qubit's partial transpose."""
+    """One-matrix oracle: the smallest eigenvalue of one qubit's partial transpose.
+
+    partial_transpose gives complex128, as it gives min_pt_eigs, so both take
+    the complex rotation; the preparation probes carry imaginary parts anyway.
+    """
     return jacobi_eigh(partial_transpose(m)[qubit - 1], want_vectors=False)[0][0]
 
 
@@ -301,13 +305,14 @@ def test_orbit_solves_full_chunks(solver_calls):
 
 @pytest.mark.parametrize("samples", [2, 4, 64, 65, 129, 136])
 def test_orbit_spectra_have_the_bytes_of_one_stacked_solve(samples):
-    # the skipped transposes and the gathering change no bit: one plain
+    # the skipped transposes and the gathering change no bit: one plain real
     # solve of all 8N matrices, the state and its reflection, each itself and
-    # under the 3 partial transposes
+    # under the 3 partial transposes; not one of their imaginary bits is set
     orb = orbit(samples)
     mats = from_coherence(np.stack([orb.tensors, reflect(orb.tensors)], axis=1))
     stack = np.concatenate([mats[:, :, None], partial_transpose(mats)], axis=2)
-    assert orb.spectra.tobytes() == jacobi_eigh(stack, want_vectors=False)[0].tobytes()
+    assert not stack.view(np.int64)[..., 1::2].any()
+    assert orb.spectra.tobytes() == jacobi_eigh(stack.real, want_vectors=False)[0].tobytes()
 
 
 @pytest.mark.parametrize("zero, solved", [(0.0, 2), (-0.0, 4)])
@@ -324,13 +329,14 @@ def test_a_transpose_that_differs_only_by_a_signed_zero_is_solved(solver_calls, 
     spectra = _orbit_spectra(mats)
     assert solver_calls == [solved]
     stack = np.concatenate([mats[:, :, None], partial_transpose(mats)], axis=2)
-    assert spectra.tobytes() == jacobi_eigh(stack, want_vectors=False)[0].tobytes()
+    assert spectra.tobytes() == jacobi_eigh(stack.real, want_vectors=False)[0].tobytes()
 
 
 @pytest.mark.parametrize("samples", [2, 33, 128])
 def test_orbit_checks_each_coherence_vector_once(samples, monkeypatch):
-    # one check per flow, then one for the stack it reflects and one for the
-    # stack it turns into matrices; orbit(128) used to make 512 checks
+    # one check for the stack it reflects and one for the stack it turns into
+    # matrices: the tensors come from two vectors, with no flow call and so no
+    # check per time; orbit(128) used to make 512 checks, then 130
     calls = []
     inner = linalg._array
 
@@ -342,8 +348,7 @@ def test_orbit_checks_each_coherence_vector_once(samples, monkeypatch):
     for module in (linalg, pauli, states, entanglement, dynamics):
         monkeypatch.setattr(module, "_array", counting)
     orbit(samples)
-    assert len(calls) == samples + 2
-    assert calls[-2:] == [(samples, 64), (samples, 2, 64)]
+    assert calls == [(samples, 64), (samples, 2, 64)]
 
 
 def test_orbit_grid_and_invariants():
@@ -360,16 +365,42 @@ def test_orbit_grid_and_invariants():
 
 @pytest.mark.parametrize("samples", [2, 64, 65])
 def test_orbit_blocks_match_per_matrix_solves(samples):
-    # each of the 8 spectra per sample against a one-matrix solve of a matrix
-    # built from one vector; the orbit builds its matrices from stacks
+    # each of the 8 spectra per sample against a one-matrix real solve of a
+    # matrix built from one vector; the orbit builds its matrices from stacks
     orb = orbit(samples)
     for tensor, spectra in zip(orb.tensors, orb.spectra):
         for tens, eigs in ((tensor, spectra[0]), (reflect(tensor), spectra[1])):
             m = from_coherence(tens)
-            assert np.array_equal(eigs[0], jacobi_eigh(m, want_vectors=False)[0])
+            assert np.array_equal(eigs[0], jacobi_eigh(m.real, want_vectors=False)[0])
             for pt, pt_eigs in zip(partial_transpose(m), eigs[1:]):
-                alone = jacobi_eigh(pt, want_vectors=False)[0]
+                alone = jacobi_eigh(pt.real, want_vectors=False)[0]
                 assert np.array_equal(pt_eigs, alone)
+
+
+@pytest.mark.parametrize("imag, dtype", [(0.0, np.float64), (-0.0, np.complex128), (5e-324, np.complex128)])
+def test_one_set_imaginary_bit_keeps_the_orbit_stack_complex(monkeypatch, imag, dtype):
+    # the path is read from the bits: a -0.0 imaginary part is a set bit, and
+    # so is the smallest subnormal; the stack then has its complex bits
+    seen = []
+    monkeypatch.setattr(dynamics, "jacobi_eigh", lambda m, **kw: seen.append(m.dtype) or jacobi_eigh(m, **kw))
+    orb = orbit(4)
+    mats = from_coherence(np.stack([orb.tensors, reflect(orb.tensors)], axis=1))
+    mats[1, 0, 3, 3] = complex(mats[1, 0, 3, 3].real, imag)
+    spectra = _orbit_spectra(mats)
+    assert seen[-1] == dtype
+    stack = np.concatenate([mats[:, :, None], partial_transpose(mats)], axis=2)
+    solved = stack.real if dtype is np.float64 else stack
+    assert spectra.tobytes() == jacobi_eigh(solved, want_vectors=False)[0].tobytes()
+
+
+@pytest.mark.parametrize("samples", [2, 33, 128])
+def test_orbit_tensors_match_the_flow_at_every_time(samples):
+    # the two-vector form c0 + sqrt2 sin(phi) R c0 + 2 (1 - cos phi) R^2 c0
+    # rounds apart from one flow call per time, by far less than an ulp of 1
+    orb = orbit(samples)
+    base = to_coherence(rho_sep())
+    flowed = np.array([rodrigues_flow(ORBIT, t, base) for t in orb.t])
+    assert np.abs(orb.tensors - flowed).max() <= 1e-16
 
 
 @pytest.mark.parametrize("order", ["standard", "swapped"])

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from upb3q import linalg
 from upb3q.linalg import (
     _MAX_STACK,
     _SLICE,
@@ -160,19 +161,26 @@ def test_stack_across_chunk_boundaries_equals_one_matrix_calls():
             assert v1 is None if vecs is None else np.array_equal(vecs[i], v1)
 
 
-def test_orbit_block_solve_scratch_stays_under_twice_the_stack(monkeypatch):
+def orbit_stack(samples):
+    """The one stack of distinct matrices that orbit(samples) hands jacobi_eigh, as the solver receives it."""
+    stacks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "jacobi_eigh", lambda stack, **kw: stacks.append(stack) or jacobi_eigh(stack, **kw))
+        orbit(samples)
+    [stack] = stacks
+    return stack
+
+
+def test_orbit_block_solve_scratch_stays_under_twice_the_stack():
     # the eigenvalue-only solve of one full orbit chunk: its working copy, the
     # norms and Hermiticity residues taken _SLICE matrices at a time, and the
     # in-place retirement stay under 2x the stack (a copy of the whole working
     # stack at each retirement and full-stack temporaries took 2.25x); orbit(129)
     # hands the solver all 942 of its distinct matrices in one call, and the
-    # first _MAX_STACK of them make its first chunk
-    stacks = []
-    monkeypatch.setattr(dynamics, "jacobi_eigh", lambda stack, **kw: stacks.append(stack) or jacobi_eigh(stack, **kw))
-    orbit(129)
-    [whole] = stacks
-    stack = whole[:_MAX_STACK]
-    assert stack[..., 0, 0].size == _MAX_STACK
+    # first _MAX_STACK of them make its first chunk, real since no imaginary
+    # bit is set
+    stack = orbit_stack(129)[:_MAX_STACK]
+    assert stack[..., 0, 0].size == _MAX_STACK and stack.dtype == np.float64
     tracemalloc.start()
     try:
         jacobi_eigh(stack, want_vectors=False)
@@ -180,6 +188,35 @@ def test_orbit_block_solve_scratch_stays_under_twice_the_stack(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * stack.nbytes
+
+
+@pytest.mark.parametrize("kind", ["orbit", "dense"])
+def test_real_and_complex_rotations_agree_in_the_same_sweeps(monkeypatch, kind):
+    # one input, solved once as float64 and once as complex128 with zero
+    # imaginary parts: the two rotations turn by the same angles
+    if kind == "orbit":
+        stack = orbit_stack(64).astype(complex)
+    else:
+        m = np.random.default_rng(54).normal(size=(54, 8, 8))
+        rho = m @ np.swapaxes(m, -1, -2)  # 54 dense real density matrices, generic spectra
+        stack = (rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None]).astype(complex)
+    sweeps = []
+    inner = linalg._sweep
+    monkeypatch.setattr(linalg, "_sweep", lambda av: sweeps.append(av.dtype.kind) or inner(av))
+    w_complex = jacobi_eigh(stack, want_vectors=False)[0]
+    w_real = jacobi_eigh(stack.real, want_vectors=False)[0]
+    assert sweeps.count("f") == sweeps.count("c") > 0
+    assert np.abs(w_real - w_complex).max() <= 1e-15
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128])
+def test_jacobi_returns_float_values_and_complex_vectors_for_every_dtype(dtype):
+    m = np.array([[2, 1, 0], [1, 2, 0], [0, 0, 5]], dtype=dtype)
+    w, v = jacobi_eigh(m)
+    assert (w.dtype, v.dtype) == (np.float64, np.complex128)
+    assert jacobi_eigh(m, want_vectors=False)[0].dtype == np.float64
+    assert np.abs(w - [1.0, 3.0, 5.0]).max() < 1e-15
+    assert np.abs(m @ v - v * w).max() < 1e-15
 
 
 @pytest.mark.parametrize("size", [1, 3])

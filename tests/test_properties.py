@@ -68,11 +68,13 @@ def scalar_jacobi_eigh(mat, conv_tol=1e-14, max_sweeps=100):
     It works on numpy scalars, one (p, q) rotation at a time; the batched
     solver must reproduce its eigenvalues and eigenvectors bit for bit.  It
     stops, as the solver does, once the off-diagonal norm is below
-    conv_tol x max(1, ||A||_F), with ||A||_F the norm of the input.
+    conv_tol x max(1, ||A||_F), with ||A||_F the norm of the input.  A real
+    input takes the real rotation, from hypot, sqrt and division alone.
     """
-    a = np.array(mat, dtype=complex)
+    real = np.asarray(mat).dtype.kind in "iuf"
+    a = np.array(mat, dtype=float if real else complex)
     n = a.shape[0]
-    v = np.eye(n, dtype=complex)
+    v = np.eye(n, dtype=a.dtype)
     conv_tol *= max(1.0, float(np.sqrt(np.sum(np.abs(a) ** 2))))
 
     def off_norm(m):
@@ -86,27 +88,44 @@ def scalar_jacobi_eigh(mat, conv_tol=1e-14, max_sweeps=100):
                 apq = a[p, q]
                 if abs(apq) == 0.0:
                     continue
-                theta = 0.5 * np.arctan2(2.0 * abs(apq), (a[p, p] - a[q, q]).real)
-                c, s, ph = np.cos(theta), np.sin(theta), np.exp(1j * np.angle(apq))
+                if real:  # c = cos(theta) and s = sgn(a_pq) sin(theta), from hypot, sqrt and division
+                    gap = a[p, p] - a[q, q]
+                    rho = np.hypot(gap, 2.0 * apq)
+                    big = np.sqrt((1.0 + abs(gap / rho)) / 2.0)
+                    small = abs(apq) / (rho * big)
+                    c, s = (big, small) if gap >= 0.0 else (small, big)
+                    s = np.copysign(s, apq)
+                    cols = rows = (s, -s)
+                else:
+                    theta = 0.5 * np.arctan2(2.0 * abs(apq), (a[p, p] - a[q, q]).real)
+                    c, s, ph = np.cos(theta), np.sin(theta), np.exp(1j * np.angle(apq))
+                    cols, rows = (s * np.conj(ph), -s * ph), (s * ph, -s * np.conj(ph))
                 col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p + s * np.conj(ph) * col_q
-                a[:, q] = -s * ph * col_p + c * col_q
+                a[:, p] = c * col_p + cols[0] * col_q
+                a[:, q] = cols[1] * col_p + c * col_q
                 row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p + s * ph * row_q
-                a[q, :] = -s * np.conj(ph) * row_p + c * row_q
+                a[p, :] = c * row_p + rows[0] * row_q
+                a[q, :] = rows[1] * row_p + c * row_q
                 vcol_p, vcol_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vcol_p + s * np.conj(ph) * vcol_q
-                v[:, q] = -s * ph * vcol_p + c * vcol_q
+                v[:, p] = c * vcol_p + cols[0] * vcol_q
+                v[:, q] = cols[1] * vcol_p + c * vcol_q
     assert off_norm(a) < conv_tol
     w = np.diag(a).real
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
 
 
+def real_symmetric(kind, parts):
+    """The real symmetric 8x8 of the given kind: hermitian() of the real entries alone, as float64."""
+    return hermitian(kind, (parts[0], np.zeros_like(parts[0]))).real
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(members)
-def test_stacked_jacobi_equals_per_matrix_calls(stack_members):
-    stack = np.array([hermitian(kind, parts) for kind, parts in stack_members])
+@given(members, st.booleans())
+def test_stacked_jacobi_equals_per_matrix_calls(stack_members, real):
+    # a real stack takes the real rotation, a complex one the complex rotation
+    build = real_symmetric if real else hermitian
+    stack = np.array([build(kind, parts) for kind, parts in stack_members])
     for want_vectors in (False, True):
         w, v = jacobi_eigh(stack, want_vectors=want_vectors)
         for i, m in enumerate(stack):

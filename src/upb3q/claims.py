@@ -117,7 +117,6 @@ class _Context:
         base (2, 8): sep and upb.  upb_cuts (3, 8): upb transposed on qubit
         1, 2 and 3.  set_c (5, 2, 8): five states of the set C and their
         reflections.  projector (8,): the reflected first psi projector.
-        All 16 are real, so with no imaginary bit set they solve in float64.
         """
         members = np.stack([self.sep_t, self.upb_t, self.quarter_t,
                             to_coherence(family_mixture("theta")), to_coherence(family_mixture("phi"))])

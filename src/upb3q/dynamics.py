@@ -223,8 +223,7 @@ def _orbit_spectra(mats):
     A transpose whose bits equal its matrix's (compared as int64, so that
     -0.0 and +0.0 differ) takes its matrix's spectrum without a solve.  The
     other matrices are gathered in sample order into one stack for one
-    jacobi_eigh call, which gives each matrix the bits of its own solve; the
-    stack is solved in float64 when none of its imaginary bits is set.
+    jacobi_eigh call (float64 with no imaginary bit set), giving each matrix its own solve's bits.
     """
     n = len(mats)
     grid = mats.reshape((n, 2) + (2,) * 6)  # (sample, reflected, row qubits, column qubits)

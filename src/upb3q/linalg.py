@@ -3,9 +3,8 @@
 The eigensolver is a cyclic Jacobi iteration, real or complex by the input's
 dtype, adequate and fast for the n <= 16 matrices used here.  It takes one
 matrix or a stack and rotates every matrix of a stack at once, with the same
-bits as one at a time.  numpy
-is used for array plumbing only; no LAPACK eigenroutine is called in library
-code.
+bits as one at a time.  numpy is used for array plumbing only; no LAPACK
+eigenroutine is called in library code.
 """
 
 import math
@@ -144,9 +143,8 @@ def _offdiag_norms(a, whole=False):
         off = np.moveaxis(a[..., part], -1, 0).copy()
         if not whole:
             off[:, diag, diag] = 0.0
-        sq = off.reshape(len(off), -1)  # a real slice is its own copy, squared in place: abs only drops signs
-        sq = np.abs(sq) if sq.dtype.kind == "c" else sq
-        norms[part] = np.sqrt(np.sum(np.square(sq, out=sq), axis=1))
+        sq = np.abs(off) if off.dtype.kind == "c" else off  # a real slice is its own copy, squared in place
+        norms[part] = np.sqrt(np.sum(np.square(sq, out=sq).reshape(len(off), -1), axis=1))
         del off, sq  # free this slice's scratch before the next one is made
     return norms
 
@@ -191,8 +189,7 @@ def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vector
     if not (isinstance(conv_tol, numbers.Real) and 0 < conv_tol < 1):
         raise ValueError(f"conv_tol must be a real number in (0, 1), got {conv_tol!r}")
     _number(max_sweeps, "max_sweeps", integer=True, low=0)
-    mat = np.asarray(mat)
-    a = _array(mat, "matrix entries", "square", real=mat.dtype.kind in "iuf", herm_tol=herm_tol)
+    a = _array(mat, "matrix entries", "square", real=np.asarray(mat).dtype.kind in "iuf", herm_tol=herm_tol)
     batch, n = a.shape[:-2], a.shape[-1]
     a = a.reshape(math.prod(batch), n, n)
     with np.errstate(over="ignore"):  # an overflowing square fails the check below
@@ -223,8 +220,7 @@ def _jacobi_stack(mats, tols, max_sweeps, w_out, v_out):
     live ones fit one _SLICE they move to a store of their own, a copy no
     larger than the other scratch, which makes each row slice of a rotation
     one contiguous run again: numpy loops over those faster, and a stack of
-    _SLICE or fewer (every verify and preparation solve) never rotates a
-    view.
+    _SLICE or fewer (every verify and preparation solve) never rotates a view.
     """
     n = mats.shape[-1]
     diag = np.arange(n)[:, None]
@@ -270,14 +266,14 @@ def _sweep(av):
 
     A matrix whose a[p, q] is exactly zero is left out of that rotation, as
     the scalar iteration skips it: the angle formulas would turn a zero pair
-    into a rotation by pi.  Both dtypes turn by theta = atan2(2 |a_pq|, gap)/2,
-    gap = a_pp - a_qq.  A real stack builds c and s from hypot, sqrt and
-    division alone, whose bits numpy's SIMD dispatch does not move.  A
-    complex stack takes |a_pq| as hypot(re, im), which rounds like the scalar
-    abs() (complex np.abs differs in the last bits on about a third of
-    inputs), and the angle operands are made contiguous, since numpy may
-    choose another arctan2 loop for strided ones.  cos(theta) is made complex
-    once per pair; a real-by-complex multiply would cast it on every call.
+    into a rotation by pi.  A real stack builds c and s from division, hypot
+    and sqrt, whose bits numpy's SIMD dispatch does not move, on gap and a_pq
+    over the larger of their sizes, so that hypot never rounds a subnormal.
+    A complex stack takes |a_pq| as hypot(re, im), which rounds like the
+    scalar abs() (complex np.abs differs in the last bits on about a third of
+    inputs), and makes the angle operands contiguous, since numpy may choose
+    another arctan2 loop for strided ones; cos(theta) is cast to complex once,
+    not in every real-by-complex multiply.
     """
     n = av.shape[1]
     for p in range(n - 1):
@@ -287,21 +283,22 @@ def _sweep(av):
                 hit = slice(None)  # plain views instead of gathered copies
             elif not len(hit):
                 continue
-            apq = av[p, q, hit]
+            apq, gap = av[p, q, hit], av[p, p, hit] - av[q, q, hit]
             if av.dtype.kind == "c":
                 re, im = apq.real.copy(), apq.imag.copy()
-                gap = (av[p, p, hit] - av[q, q, hit]).real.copy()
-                theta = 0.5 * np.arctan2(2.0 * np.hypot(re, im), gap)
+                theta = 0.5 * np.arctan2(2.0 * np.hypot(re, im), gap.real.copy())
                 c = np.cos(theta).astype(complex)
                 s = np.sin(theta)
                 ph = np.exp(1j * np.arctan2(im, re))
                 cph = np.conj(ph)
                 cols, rows = (c, s * cph, -s * ph), (c, s * ph, -s * cph)
             else:
-                gap = av[p, p, hit] - av[q, q, hit]
-                rho = np.hypot(gap, 2.0 * apq)
+                size = np.maximum(np.abs(gap), np.abs(apq))
+                gap /= size  # in place, as apq / size: the solve's scratch stays under 2x its stack
+                h = np.divide(apq, size, out=size)  # gap or h is now +-1, so rho >= 1
+                rho = np.hypot(gap, 2.0 * h)
                 big = np.sqrt((1.0 + np.abs(gap / rho)) / 2.0)  # the larger of c and |s|
-                small = np.abs(apq) / (rho * big)
+                small = np.abs(h / rho) / big
                 narrow = gap >= 0.0  # theta <= pi/4, so c is the larger
                 c, s = np.where(narrow, big, small), np.copysign(np.where(narrow, small, big), apq)
                 cols = rows = (c, s, -s)

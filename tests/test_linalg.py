@@ -209,6 +209,20 @@ def test_real_and_complex_rotations_agree_in_the_same_sweeps(monkeypatch, kind):
     assert np.abs(w_real - w_complex).max() <= 1e-15
 
 
+@pytest.mark.parametrize("pair", [(1.0, 1.0, 5e-324), (0.0, 1e-323, 5e-324), (3e-310, 1e-310, 2e-310),
+                                  (1e-300, 1e-300, -7e-320), (1.0, 0.0, 5e-324)])
+def test_real_rotation_of_a_subnormal_pair_stays_orthogonal(pair):
+    # a_pq subnormal, and the gap a_pp - a_qq zero or subnormal too: hypot of
+    # the unscaled pair would round to a few subnormal ulps, and c^2 + s^2
+    # would miss 1 by up to 1/2
+    app, aqq, apq = pair
+    m = np.array([[app, apq, 0.5], [apq, aqq, 0.0], [0.5, 0.0, 2.0]])
+    w, v = jacobi_eigh(m)
+    assert np.abs(v.conj().T @ v - np.eye(3)).max() < 1e-15
+    assert np.abs(w - np.linalg.eigvalsh(m)).max() < 1e-15
+    assert np.abs(w - jacobi_eigh(m.astype(complex))[0]).max() < 1e-15
+
+
 @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128])
 def test_jacobi_returns_float_values_and_complex_vectors_for_every_dtype(dtype):
     m = np.array([[2, 1, 0], [1, 2, 0], [0, 0, 5]], dtype=dtype)

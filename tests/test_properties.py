@@ -69,7 +69,8 @@ def scalar_jacobi_eigh(mat, conv_tol=1e-14, max_sweeps=100):
     solver must reproduce its eigenvalues and eigenvectors bit for bit.  It
     stops, as the solver does, once the off-diagonal norm is below
     conv_tol x max(1, ||A||_F), with ||A||_F the norm of the input.  A real
-    input takes the real rotation, from hypot, sqrt and division alone.
+    input takes the real rotation, from hypot, sqrt and division alone, on
+    gap and a_pq over the larger of their sizes.
     """
     real = np.asarray(mat).dtype.kind in "iuf"
     a = np.array(mat, dtype=float if real else complex)
@@ -90,9 +91,11 @@ def scalar_jacobi_eigh(mat, conv_tol=1e-14, max_sweeps=100):
                     continue
                 if real:  # c = cos(theta) and s = sgn(a_pq) sin(theta), from hypot, sqrt and division
                     gap = a[p, p] - a[q, q]
-                    rho = np.hypot(gap, 2.0 * apq)
-                    big = np.sqrt((1.0 + abs(gap / rho)) / 2.0)
-                    small = abs(apq) / (rho * big)
+                    size = max(abs(gap), abs(apq))
+                    g, h = gap / size, apq / size
+                    rho = np.hypot(g, 2.0 * h)
+                    big = np.sqrt((1.0 + abs(g / rho)) / 2.0)
+                    small = abs(h / rho) / big
                     c, s = (big, small) if gap >= 0.0 else (small, big)
                     s = np.copysign(s, apq)
                     cols = rows = (s, -s)
@@ -121,20 +124,21 @@ def real_symmetric(kind, parts):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(members, st.booleans())
-def test_stacked_jacobi_equals_per_matrix_calls(stack_members, real):
-    # a real stack takes the real rotation, a complex one the complex rotation
-    build = real_symmetric if real else hermitian
-    stack = np.array([build(kind, parts) for kind, parts in stack_members])
-    for want_vectors in (False, True):
-        w, v = jacobi_eigh(stack, want_vectors=want_vectors)
+@given(members)
+def test_stacked_jacobi_equals_per_matrix_calls(stack_members):
+    # a complex stack takes the complex rotation, and the real stack of the
+    # same draw (its real entries alone, as float64) the real rotation
+    for build in (hermitian, real_symmetric):
+        stack = np.array([build(kind, parts) for kind, parts in stack_members])
+        for want_vectors in (False, True):
+            w, v = jacobi_eigh(stack, want_vectors=want_vectors)
+            for i, m in enumerate(stack):
+                w1, v1 = jacobi_eigh(m, want_vectors=want_vectors)
+                assert np.array_equal(w[i], w1)
+                assert v1 is None if v is None else np.array_equal(v[i], v1)
         for i, m in enumerate(stack):
-            w1, v1 = jacobi_eigh(m, want_vectors=want_vectors)
-            assert np.array_equal(w[i], w1)
-            assert v1 is None if v is None else np.array_equal(v[i], v1)
-    for i, m in enumerate(stack):
-        w_ref, v_ref = scalar_jacobi_eigh(m)
-        assert np.array_equal(w[i], w_ref) and np.array_equal(v[i], v_ref)
+            w_ref, v_ref = scalar_jacobi_eigh(m)
+            assert np.array_equal(w[i], w_ref) and np.array_equal(v[i], v_ref)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

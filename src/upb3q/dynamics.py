@@ -27,9 +27,9 @@ from .states import family_mixture, reflect, rho_sep, rho_upb
 # Common period of the Lambda_{333} and Lambda_{222} conjugation flows.
 TAU_P = 2.0 * SQRT2 * np.pi
 
-# Largest grid, checked before it is allocated: a sample costs about 0.3-0.6 ms and 12 KB on the orbit
-# (one stack of its distinct matrices) and 0.3 ms and 15 KB as a preparation probe, so a grid this size
-# takes seconds and at most ~150 MB.
+# Largest grid, checked before it is allocated: a sample costs about 0.1 ms and 7 KB on the orbit
+# (one float64 stack of its distinct matrices) and 0.3 ms and 15 KB as a preparation probe, so a grid
+# this size takes seconds and at most ~150 MB.
 _MAX_SAMPLES = 10_000
 
 # The eight 3-coherence flat indices, split by their role along the orbit:
@@ -220,24 +220,27 @@ class Orbit(NamedTuple):
 def _orbit_spectra(mats):
     """Ascending spectra (N, 2, 4, 8) of the orbit's (N, 2, 8, 8) matrices and their partial transposes.
 
-    A transpose whose bits equal its matrix's (compared as int64, so that
-    -0.0 and +0.0 differ) takes its matrix's spectrum without a solve.  The
-    other matrices are gathered in sample order into one stack for one
-    jacobi_eigh call (float64 with no imaginary bit set), giving each matrix its own solve's bits.
+    The matrices are read as float64 when no imaginary bit is set.  A
+    transpose whose bits equal its matrix's (compared as int64, so that -0.0
+    and +0.0 differ) takes its matrix's spectrum without a solve.  The other
+    matrices are gathered in sample order into one contiguous stack of their
+    dtype for one jacobi_eigh call, giving each matrix its own solve's bits;
+    a float64 stack is cut into chunks of 1024, so that call is one solve for
+    every N <= 139.
     """
-    n = len(mats)
+    n, mats = len(mats), _real_if_exact(mats)
     grid = mats.reshape((n, 2) + (2,) * 6)  # (sample, reflected, row qubits, column qubits)
-    bits = mats.view(np.int64).reshape(grid.shape + (2,))  # the same, by (real, imaginary) bits
+    bits = mats.view(np.int64).reshape(grid.shape + (-1,))  # the same, by (real[, imaginary]) bits
     pts = [np.swapaxes(grid, 2 + k, 5 + k) for k in range(3)]  # views: row and column index of qubit k + 1
     same = np.stack([(bits == np.swapaxes(bits, 2 + k, 5 + k)).all(axis=tuple(range(2, 9)))
                      for k in range(3)], axis=-1)  # (sample, reflected, cut)
     solve = np.concatenate([np.ones((n, 2, 1), dtype=bool), ~same], axis=-1)  # (sample, reflected, 4)
     slot = (np.cumsum(solve) - 1).reshape(solve.shape)  # each solved matrix's place in the stack
-    stack = np.empty((int(solve.sum()),) + (2,) * 6, dtype=complex)
+    stack = np.empty((int(solve.sum()),) + (2,) * 6, dtype=mats.dtype)
     for j, src in enumerate([grid] + pts):
         stack[slot[..., j][solve[..., j]]] = src[solve[..., j]]
     spectra = np.empty((n, 2, 4, 8))
-    spectra[solve] = jacobi_eigh(_real_if_exact(stack.reshape(-1, 8, 8)), want_vectors=False)[0]
+    spectra[solve] = jacobi_eigh(stack.reshape(-1, 8, 8), want_vectors=False)[0]
     np.copyto(spectra[:, :, 1:], spectra[:, :, :1], where=same[..., None])
     return spectra
 

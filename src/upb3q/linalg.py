@@ -26,16 +26,18 @@ class ShapeMismatch(ValueError):
     """Operands do not have matching shapes."""
 
 
-# Largest stack one internal solve rotates at once; longer stacks are solved
-# in chunks of this size.  Every sweep of a solve pays a fixed ~0.75-1.6 ms of
-# per-pair numpy calls whatever the stack holds, so fuller chunks are cheaper
-# per matrix.  Measured on orbit(128)'s 1024 eigenvalue-only matrices (best
-# of 15 repetitions, five runs on a shared 2-core VM): 51-54 ms in chunks of
-# 128, 37-40 ms at 256, 32-33 ms at 512 and 27-29 ms at 1024.  The working
-# copy is the size of the chunk, so the chunk sets peak memory: perfbench's
-# orbit_csv peaks at 36.8-36.9 MB RSS at 512 and at 38.4 MB at 1024, 5.2%
-# above the 36.4-36.5 MB of 256-matrix chunks and outside its 5% bound.
-_MAX_STACK = 512
+# Bytes of the largest stack one internal solve rotates at once: 512 complex
+# or 1024 real 8x8 matrices; longer stacks are solved in chunks of that many.
+# Every sweep of a solve pays a fixed ~0.75-1.6 ms of per-pair numpy calls
+# whatever the stack holds, so fuller chunks are cheaper per matrix: the 940
+# float64 matrices of orbit(128), eigenvalues only, took 18.6-19.7 ms in
+# chunks of 256, 14.0-14.7 ms at 512 and 11.1-11.6 ms at 1024 (best of 15,
+# three runs on a shared 2-core VM).  The working copy is the size of the
+# chunk, so its bytes, not its matrix count, set peak memory: 1024-matrix
+# complex chunks put perfbench's orbit_csv 5.2% above its RSS at 512, while
+# the orbit's float64 stack, half its complex one, pays for 1024 real ones:
+# orbit_csv peaks at a median 36.2 MB either way (BENCH_34.json).
+_MAX_STACK_BYTES = 512 * 8 * 8 * 16
 
 # Matrices per temporary in the Hermiticity check and the off-diagonal norms,
 # and the most a retirement copies, which bounds that scratch whatever the
@@ -199,8 +201,9 @@ def jacobi_eigh(mat, herm_tol=1e-10, conv_tol=1e-14, max_sweeps=100, want_vector
         raise ValueError("matrix entries must have a finite Frobenius norm, got squares that overflow")
     w = np.empty(a.shape[:2])
     v = np.empty(a.shape, dtype=complex) if want_vectors else None
-    for start in range(0, len(a), _MAX_STACK):
-        chunk = slice(start, start + _MAX_STACK)
+    step = max(1, _MAX_STACK_BYTES // max(1, n * n * a.itemsize))
+    for start in range(0, len(a), step):
+        chunk = slice(start, start + step)
         _jacobi_stack(a[chunk], tols[chunk], max_sweeps, w[chunk], None if v is None else v[chunk])
     return w.reshape(batch + (n,)), None if v is None else v.reshape(batch + (n, n))
 
@@ -266,14 +269,7 @@ def _sweep(av):
 
     A matrix whose a[p, q] is exactly zero is left out of that rotation, as
     the scalar iteration skips it: the angle formulas would turn a zero pair
-    into a rotation by pi.  A real stack builds c and s from division, hypot
-    and sqrt, whose bits numpy's SIMD dispatch does not move, on gap and a_pq
-    over the larger of their sizes, so that hypot never rounds a subnormal.
-    A complex stack takes |a_pq| as hypot(re, im), which rounds like the
-    scalar abs() (complex np.abs differs in the last bits on about a third of
-    inputs), and makes the angle operands contiguous, since numpy may choose
-    another arctan2 loop for strided ones; cos(theta) is cast to complex once,
-    not in every real-by-complex multiply.
+    into a rotation by pi.
     """
     n = av.shape[1]
     for p in range(n - 1):
@@ -283,29 +279,43 @@ def _sweep(av):
                 hit = slice(None)  # plain views instead of gathered copies
             elif not len(hit):
                 continue
-            apq, gap = av[p, q, hit], av[p, p, hit] - av[q, q, hit]
-            if av.dtype.kind == "c":
-                re, im = apq.real.copy(), apq.imag.copy()
-                theta = 0.5 * np.arctan2(2.0 * np.hypot(re, im), gap.real.copy())
-                c = np.cos(theta).astype(complex)
-                s = np.sin(theta)
-                ph = np.exp(1j * np.arctan2(im, re))
-                cph = np.conj(ph)
-                cols, rows = (c, s * cph, -s * ph), (c, s * ph, -s * cph)
-            else:
-                size = np.maximum(np.abs(gap), np.abs(apq))
-                gap /= size  # in place, as apq / size: the solve's scratch stays under 2x its stack
-                h = np.divide(apq, size, out=size)  # gap or h is now +-1, so rho >= 1
-                rho = np.hypot(gap, 2.0 * h)
-                big = np.sqrt((1.0 + np.abs(gap / rho)) / 2.0)  # the larger of c and |s|
-                small = np.abs(h / rho) / big
-                narrow = gap >= 0.0  # theta <= pi/4, so c is the larger
-                c, s = np.where(narrow, big, small), np.copysign(np.where(narrow, small, big), apq)
-                cols = rows = (c, s, -s)
+            cols, rows = _rotation(av[p, q, hit], av[p, p, hit] - av[q, q, hit])
             # Columns: A <- A U with U mixing columns p and q (and V <- V U).
             _mix(av[:, p], av[:, q], hit, *cols)
             # Rows: A <- U^dagger A.
             _mix(av[p], av[q], hit, *rows)
+
+
+def _rotation(apq, gap):
+    """_mix's (c, s_xy, s_yx) for the columns, then for the rows, of the rotations zeroing a_pq, given a_pp - a_qq.
+
+    Its temporaries are freed on return, before _mix makes its scratch rows.
+    A real stack builds c and s from division, hypot and sqrt, whose bits
+    numpy's SIMD dispatch does not move, on gap and a_pq over the larger of
+    their sizes, so that hypot never rounds a subnormal.  A complex stack
+    takes |a_pq| as hypot(re, im), which rounds like the scalar abs()
+    (complex np.abs differs in the last bits on about a third of inputs), and
+    makes the angle operands contiguous, since numpy may choose another
+    arctan2 loop for strided ones; cos(theta) is cast to complex once, not in
+    every real-by-complex multiply.
+    """
+    if apq.dtype.kind == "c":
+        re, im = apq.real.copy(), apq.imag.copy()
+        theta = 0.5 * np.arctan2(2.0 * np.hypot(re, im), gap.real.copy())
+        c = np.cos(theta).astype(complex)
+        s = np.sin(theta)
+        ph = np.exp(1j * np.arctan2(im, re))
+        cph = np.conj(ph)
+        return (c, s * cph, -s * ph), (c, s * ph, -s * cph)
+    size = np.maximum(np.abs(gap), np.abs(apq))
+    gap /= size  # in place, as apq / size
+    h = np.divide(apq, size, out=size)  # gap or h is now +-1, so rho >= 1
+    rho = np.hypot(gap, 2.0 * h)
+    big = np.sqrt((1.0 + np.abs(gap / rho)) / 2.0)  # the larger of c and |s|
+    small = np.abs(h / rho) / big
+    narrow = gap >= 0.0  # theta <= pi/4, so c is the larger
+    c, s = np.where(narrow, big, small), np.copysign(np.where(narrow, small, big), apq)
+    return ((c, s, -s),) * 2
 
 
 def _mix(xs, ys, hit, c, s_xy, s_yx):
@@ -313,13 +323,17 @@ def _mix(xs, ys, hit, c, s_xy, s_yx):
 
     Each product goes to a fresh buffer or to a scratch row outside the
     stack, never to x or y: numpy may round a product that it must buffer
-    against overlap differently.  Three scratch rows serve the four products.
+    against overlap differently.  Two scratch rows serve the four products;
+    the new x waits in one of them until s_yx x is made, so at most four
+    rows are live beside the stack, with gathered copies of x and y.
     """
     x, y = xs[:, hit], ys[:, hit]  # views when hit is a slice, gathered copies otherwise
-    s_yx_x, tmp = s_yx * x, c * x
-    np.add(tmp, s_xy * y, out=x)
-    np.multiply(c, y, out=tmp)
-    np.add(s_yx_x, tmp, out=y)
+    new_x, tmp = c * x, s_xy * y
+    np.add(new_x, tmp, out=new_x)
+    np.multiply(s_yx, x, out=tmp)
+    x[...] = new_x
+    np.multiply(c, y, out=new_x)
+    np.add(tmp, new_x, out=y)
     if not isinstance(hit, slice):
         xs[:, hit], ys[:, hit] = x, y
 

@@ -282,17 +282,17 @@ def test_prepare_upb_probes_fill_one_chunk(order, solver_calls):
     assert solver_calls == [216]
 
 
-# Matrices per internal solve: one stack of each sample's 2 matrices and
-# those of their 6 transposes whose bits differ from them, which the solver
-# splits into full _MAX_STACK chunks and a remainder; every N of the
-# benchmark's verify (56-72) and orbit (120-136) bands.
+# Matrices per internal solve: one float64 stack of each sample's 2 matrices
+# and those of their 6 transposes whose bits differ from them, which the
+# solver splits into full chunks of 1024 real 8x8 matrices (the 512 KiB of
+# linalg._MAX_STACK_BYTES) and a remainder; every N of the benchmark's verify
+# (56-72) and orbit (120-136) bands, and 140, the first N past one chunk.
 ORBIT_SOLVES = {
     2: [4], 4: [20], 56: [412], 57: [414], 58: [428], 59: [430], 60: [444], 61: [446], 62: [460],
-    63: [462], 64: [476], 65: [478], 66: [492], 67: [494], 68: [508], 69: [510], 70: [512, 12],
-    71: [512, 2], 72: [512, 4], 120: [512, 364], 121: [512, 378], 122: [512, 380], 123: [512, 394],
-    124: [512, 396], 125: [512, 398], 126: [512, 412], 127: [512, 414], 128: [512, 428],
-    129: [512, 430], 130: [512, 444], 131: [512, 446], 132: [512, 460], 133: [512, 462],
-    134: [512, 476], 135: [512, 478], 136: [512, 492],
+    63: [462], 64: [476], 65: [478], 66: [492], 67: [494], 68: [508], 69: [510], 70: [524],
+    71: [514], 72: [516], 120: [876], 121: [890], 122: [892], 123: [906], 124: [908], 125: [910],
+    126: [924], 127: [926], 128: [940], 129: [942], 130: [956], 131: [958], 132: [972],
+    133: [974], 134: [988], 135: [990], 136: [1004], 140: [1024, 12],
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from upb3q import linalg
 from upb3q.linalg import (
-    _MAX_STACK,
+    _MAX_STACK_BYTES,
     _SLICE,
     _offdiag_norms,
     NoConvergence,
@@ -142,18 +142,31 @@ def test_jacobi_rejects_bad_arguments_before_any_solve(solver_calls, name, bad):
     assert solver_calls == []
 
 
-def test_stack_across_chunk_boundaries_equals_one_matrix_calls():
-    # five members, so that the chunk boundaries at multiples of _MAX_STACK
-    # fall on different members and the last chunk holds only three matrices
-    v, _ = np.linalg.qr(RNG.normal(size=(8, 8)) + 1j * RNG.normal(size=(8, 8)))
-    sparse = random_hermitian(8)
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_stack_across_chunk_boundaries_equals_one_matrix_calls(solver_calls, dtype):
+    # five members, so that the chunk boundaries, every 512 complex or 1024
+    # real 8x8 matrices, fall on different members and the last chunk holds
+    # only three matrices; a real stack takes the real rotation throughout
+    real = dtype is np.float64
+
+    def draw():  # a random Hermitian matrix, or its real part: a real symmetric one
+        m = random_hermitian(8)
+        return m.real if real else m
+
+    g = RNG.normal(size=(8, 8))
+    v, _ = np.linalg.qr(g if real else g + 1j * RNG.normal(size=(8, 8)))
+    sparse = draw()
     sparse[np.abs(sparse) < 0.6] = 0.0  # exact zeros exercise the skipped pairs
-    members = [random_hermitian(8), v @ np.diag([0.0] * 4 + [0.25] * 4) @ v.conj().T,
-               sparse, np.diag(RNG.normal(size=8)).astype(complex), random_hermitian(8)]
-    size = 2 * _MAX_STACK + 3
+    members = [draw(), v @ np.diag([0.0] * 4 + [0.25] * 4) @ v.conj().T,
+               sparse, np.diag(RNG.normal(size=8)).astype(dtype), draw()]
+    chunk = _MAX_STACK_BYTES // (8 * 8 * np.dtype(dtype).itemsize)
+    size = 2 * chunk + 3
     stack = np.array([members[i % len(members)] for i in range(size)])
+    assert stack.dtype == dtype
     for want_vectors in (False, True):
+        solver_calls.clear()
         w, vecs = jacobi_eigh(stack, want_vectors=want_vectors)
+        assert solver_calls == [chunk, chunk, 3]
         alone = [jacobi_eigh(m, want_vectors=want_vectors) for m in members]
         for i in range(size):
             w1, v1 = alone[i % len(members)]
@@ -171,16 +184,18 @@ def orbit_stack(samples):
     return stack
 
 
-def test_orbit_block_solve_scratch_stays_under_twice_the_stack():
-    # the eigenvalue-only solve of one full orbit chunk: its working copy, the
-    # norms and Hermiticity residues taken _SLICE matrices at a time, and the
-    # in-place retirement stay under 2x the stack (a copy of the whole working
-    # stack at each retirement and full-stack temporaries took 2.25x); orbit(129)
-    # hands the solver all 942 of its distinct matrices in one call, and the
-    # first _MAX_STACK of them make its first chunk, real since no imaginary
-    # bit is set
-    stack = orbit_stack(129)[:_MAX_STACK]
-    assert stack[..., 0, 0].size == _MAX_STACK and stack.dtype == np.float64
+@pytest.mark.parametrize("samples", [120, 128, 129, 136])
+def test_orbit_block_solve_scratch_stays_under_twice_the_stack(samples):
+    # the eigenvalue-only solve of the orbit's whole stack, one real chunk at
+    # each N: its working copy, the norms and Hermiticity residues taken
+    # _SLICE matrices at a time, the in-place retirement and _mix's four
+    # scratch rows stay under 2x the stack. A copy of the whole working stack
+    # at each retirement and full-stack temporaries took 2.25x; five scratch
+    # rows with the angle temporaries still live took 2.116x at N = 120, 128
+    # and 136, where a zero pair in some matrix makes _mix gather its rows
+    stack = orbit_stack(samples)
+    assert stack.dtype == np.float64 and stack.flags.c_contiguous
+    assert len(stack) <= _MAX_STACK_BYTES // stack[0].nbytes  # one chunk
     tracemalloc.start()
     try:
         jacobi_eigh(stack, want_vectors=False)

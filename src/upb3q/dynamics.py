@@ -22,14 +22,14 @@ import numpy as np
 from .entanglement import min_pt_eigs
 from .linalg import _array, _finite_result, _number, _real_if_exact, _times, frobenius_distance, jacobi_eigh
 from .pauli import LAMBDA_BASIS, SQRT2, from_coherence, label_index, to_coherence
-from .states import family_mixture, reflect, rho_sep, rho_upb
+from .states import family_mixture, rho_sep, rho_upb
 
 # Common period of the Lambda_{333} and Lambda_{222} conjugation flows.
 TAU_P = 2.0 * SQRT2 * np.pi
 
-# Largest grid, checked before it is allocated: a sample costs about 0.1 ms and 7 KB on the orbit
-# (one float64 stack of its distinct matrices) and 0.3 ms and 15 KB as a preparation probe, so a grid
-# this size takes seconds and at most ~150 MB.
+# Largest grid, checked before it is allocated: a sample costs about 0.05 ms and 4.5 KB on the orbit
+# (one float64 stack of its state's distinct matrices; a tracemalloc peak of 44 MB for orbit(10000))
+# and 0.3 ms and 15 KB as a preparation probe, so a grid this size takes seconds and at most ~150 MB.
 _MAX_SAMPLES = 10_000
 
 # The eight 3-coherence flat indices, split by their role along the orbit:
@@ -208,7 +208,7 @@ def prepare_upb(order="standard", interior_samples=9):
 class Orbit(NamedTuple):
     """The orbit at N times: t (N,), coherence vectors tensors (N, 64), spectra (N, 2, 4, 8).
 
-    spectra holds ascending eigenvalues of the state, then of its reflection;
+    spectra holds ascending eigenvalues of the state, then of its reflection I/4 - rho;
     for each, of the matrix, then of its partial transposes on 1|23, 2|13, 3|12.
     """
 
@@ -218,30 +218,31 @@ class Orbit(NamedTuple):
 
 
 def _orbit_spectra(mats):
-    """Ascending spectra (N, 2, 4, 8) of the orbit's (N, 2, 8, 8) matrices and their partial transposes.
+    """Ascending spectra (N, 2, 4, 8) of the orbit's (N, 8, 8) states and their reflections, each with its transposes.
 
     The matrices are read as float64 when no imaginary bit is set.  A
     transpose whose bits equal its matrix's (compared as int64, so that -0.0
     and +0.0 differ) takes its matrix's spectrum without a solve.  The other
     matrices are gathered in sample order into one contiguous stack of their
-    dtype for one jacobi_eigh call, giving each matrix its own solve's bits;
-    a float64 stack is cut into chunks of 1024, so that call is one solve for
-    every N <= 139.
+    dtype for one jacobi_eigh call (one float64 chunk for N <= 279), giving
+    each matrix its own solve's bits.  Each reflection I/4 - rho takes 1/4
+    minus its state's spectra, reversed (partial transposes are linear).
     """
     n, mats = len(mats), _real_if_exact(mats)
-    grid = mats.reshape((n, 2) + (2,) * 6)  # (sample, reflected, row qubits, column qubits)
+    grid = mats.reshape((n,) + (2,) * 6)  # (sample, row qubits, column qubits)
     bits = mats.view(np.int64).reshape(grid.shape + (-1,))  # the same, by (real[, imaginary]) bits
-    pts = [np.swapaxes(grid, 2 + k, 5 + k) for k in range(3)]  # views: row and column index of qubit k + 1
-    same = np.stack([(bits == np.swapaxes(bits, 2 + k, 5 + k)).all(axis=tuple(range(2, 9)))
-                     for k in range(3)], axis=-1)  # (sample, reflected, cut)
-    solve = np.concatenate([np.ones((n, 2, 1), dtype=bool), ~same], axis=-1)  # (sample, reflected, 4)
+    pts = [np.swapaxes(grid, 1 + k, 4 + k) for k in range(3)]  # views: row and column index of qubit k + 1
+    same = np.stack([(bits == np.swapaxes(bits, 1 + k, 4 + k)).all(axis=tuple(range(1, 8)))
+                     for k in range(3)], axis=-1)  # (sample, cut)
+    solve = np.concatenate([np.ones((n, 1), dtype=bool), ~same], axis=-1)  # (sample, 4)
     slot = (np.cumsum(solve) - 1).reshape(solve.shape)  # each solved matrix's place in the stack
     stack = np.empty((int(solve.sum()),) + (2,) * 6, dtype=mats.dtype)
     for j, src in enumerate([grid] + pts):
         stack[slot[..., j][solve[..., j]]] = src[solve[..., j]]
     spectra = np.empty((n, 2, 4, 8))
-    spectra[solve] = jacobi_eigh(stack.reshape(-1, 8, 8), want_vectors=False)[0]
-    np.copyto(spectra[:, :, 1:], spectra[:, :, :1], where=same[..., None])
+    spectra[:, 0][solve] = jacobi_eigh(stack.reshape(-1, 8, 8), want_vectors=False)[0]
+    np.copyto(spectra[:, 0, 1:], spectra[:, 0, :1], where=same[..., None])
+    spectra[:, 1] = 0.25 - spectra[:, 0, :, ::-1]
     return spectra
 
 
@@ -251,8 +252,8 @@ def orbit(samples=64):
     Grid: t_k = k TAU_P / samples for k = 0..samples-1 (the endpoint TAU_P
     duplicates t=0).  With samples divisible by 4 the quarter and half period
     land exactly on grid points.  The spectra come from one eigen solve of
-    the distinct matrices (see _orbit_spectra); ValueError unless samples
-    is an integer in [2, _MAX_SAMPLES].
+    the states' distinct matrices (see _orbit_spectra); ValueError unless
+    samples is an integer in [2, _MAX_SAMPLES].
     """
     _number(samples, "samples", integer=True, low=2, high=_MAX_SAMPLES)
     t = TAU_P * np.arange(samples) / samples
@@ -260,8 +261,7 @@ def orbit(samples=64):
     base = to_coherence(rho_sep())
     phi = (t / SQRT2)[:, None]  # rodrigues_flow's closed form, on the two vectors R c0 and R^2 c0
     tensors = base + SQRT2 * np.sin(phi) * (r @ base) + 2.0 * (1.0 - np.cos(phi)) * (r2 @ base)
-    mats = from_coherence(np.stack([tensors, reflect(tensors)], axis=1))  # (sample, reflected, 8, 8)
-    return Orbit(t, tensors, _orbit_spectra(mats))
+    return Orbit(t, tensors, _orbit_spectra(from_coherence(tensors)))
 
 
 def stationarity(h, rho):

@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from upb3q import claims
+from upb3q import claims, dynamics
 from upb3q.claims import (
     ClaimReport,
     _ancilla_pairs,
@@ -20,8 +20,8 @@ from upb3q.claims import (
 )
 from upb3q.dynamics import COS_SET, SIN_SET, TAU_P, orbit
 from upb3q.linalg import jacobi_eigh
-from upb3q.pauli import INDICES, LAMBDA_BASIS, bloch_vector, lambda_matrix
-from upb3q.states import X, family
+from upb3q.pauli import INDICES, LAMBDA_BASIS, bloch_vector, from_coherence, lambda_matrix, to_coherence
+from upb3q.states import X, family, family_mixture, reflect, reflect_density
 
 EXPECTED_FAILURES = {
     "stationary.local_100", "stationary.local_200", "stationary.local_300",
@@ -209,14 +209,50 @@ def test_claim_report_to_dict_round_trip():
 
 
 def test_full_run_stacks_its_eigen_solves(solver_calls):
-    # one orbit solve of its 476 distinct matrices (of 8 * 64; 36 transposes
-    # carry their matrix's bits) plus one solve each for the 16 fixed matrices
-    # (the two base states, the three upb cuts, the ten set-C members and the
-    # reflected projector) and per preparation order the interior probes; the
-    # named flows read their spectral table and solve nothing
+    # one orbit solve of its 238 distinct state matrices (of 4 * 64; 18
+    # transposes carry their matrix's bits, and the reflections' spectra are
+    # derived) plus one solve each for the 16 fixed matrices (the two base
+    # states, the three upb cuts, the ten set-C members and the reflected
+    # projector) and per preparation order the interior probes; the named
+    # flows read their spectral table and solve nothing
     run_claims(orbit_samples=64)
-    assert sum(solver_calls) == 124 + 476
-    assert sorted(solver_calls) == [16, 54, 54, 476]
+    assert sum(solver_calls) == 124 + 238
+    assert sorted(solver_calls) == [16, 54, 54, 238]
+
+
+def test_fixed_spectra_solve_the_reflected_matrices_themselves(monkeypatch):
+    # reflect.set_c_closed and reflect.single_component_spectrum grade solves
+    # of the reflected matrices, not 1/4 minus the states' spectra, which
+    # would hold by construction: the one stack holds the five reflected set-C
+    # members and the reflected psi projector as reflect builds them
+    stacks = []
+    monkeypatch.setattr(claims, "jacobi_eigh", lambda m, **kw: stacks.append(m) or jacobi_eigh(m, **kw))
+    ctx = _Context(64)
+    spectra = ctx.fixed_spectra
+    [stack] = stacks
+    members = np.stack([ctx.sep_t, ctx.upb_t, ctx.quarter_t,
+                        to_coherence(family_mixture("theta")), to_coherence(family_mixture("phi"))])
+    assert stack.shape == (16, 8, 8)
+    set_c = stack[5:15].reshape(5, 2, 8, 8)
+    assert set_c[:, 0].tobytes() == from_coherence(members).real.tobytes()
+    assert set_c[:, 1].tobytes() == from_coherence(reflect(members)).real.tobytes()
+    assert stack[15].tobytes() == reflect_density(family("psi")[0].projector()).real.tobytes()
+    assert spectra["set_c"].tobytes() == jacobi_eigh(set_c, want_vectors=False)[0].tobytes()
+
+
+def test_ppt_orbit_reads_the_derived_reflected_minima(monkeypatch):
+    # each solved matrix's largest eigenvalue raised by 1e-9 leaves the state
+    # half's minima where they were; the reflected minima, 1/4 minus those
+    # largest eigenvalues, drop 1e-9 below zero, and the claim fails
+    def raised(m, **kw):
+        w, v = jacobi_eigh(m, **kw)
+        w[..., -1] += 1e-9
+        return w, v
+
+    monkeypatch.setattr(dynamics, "jacobi_eigh", raised)
+    [report] = [r for r in run_claims(orbit_samples=4, filter="ppt.orbit") if r.status != "skip"]
+    assert report.claim_id == "ppt.orbit" and report.status == "fail"
+    assert 0.9e-9 < report.measured < 1.1e-9
 
 
 @pytest.mark.parametrize("imag, dtype", [(0.0, np.float64), (-0.0, np.complex128), (5e-324, np.complex128)])

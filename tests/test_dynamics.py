@@ -282,17 +282,18 @@ def test_prepare_upb_probes_fill_one_chunk(order, solver_calls):
     assert solver_calls == [216]
 
 
-# Matrices per internal solve: one float64 stack of each sample's 2 matrices
-# and those of their 6 transposes whose bits differ from them, which the
-# solver splits into full chunks of 1024 real 8x8 matrices (the 512 KiB of
-# linalg._MAX_STACK_BYTES) and a remainder; every N of the benchmark's verify
-# (56-72) and orbit (120-136) bands, and 140, the first N past one chunk.
+# Matrices per internal solve: one float64 stack of each sample's state and
+# those of its 3 transposes whose bits differ from it (the reflections are
+# not solved), which the solver splits into full chunks of 1024 real 8x8
+# matrices (the 512 KiB of linalg._MAX_STACK_BYTES) and a remainder; every N
+# of the benchmark's verify (56-72) and orbit (120-136) bands, 140, and 279
+# and 280, the last N in one chunk and the first past it.
 ORBIT_SOLVES = {
-    2: [4], 4: [20], 56: [412], 57: [414], 58: [428], 59: [430], 60: [444], 61: [446], 62: [460],
-    63: [462], 64: [476], 65: [478], 66: [492], 67: [494], 68: [508], 69: [510], 70: [524],
-    71: [514], 72: [516], 120: [876], 121: [890], 122: [892], 123: [906], 124: [908], 125: [910],
-    126: [924], 127: [926], 128: [940], 129: [942], 130: [956], 131: [958], 132: [972],
-    133: [974], 134: [988], 135: [990], 136: [1004], 140: [1024, 12],
+    2: [2], 4: [10], 56: [206], 57: [207], 58: [214], 59: [215], 60: [222], 61: [223], 62: [230],
+    63: [231], 64: [238], 65: [239], 66: [246], 67: [247], 68: [254], 69: [255], 70: [262],
+    71: [257], 72: [258], 120: [438], 121: [445], 122: [446], 123: [453], 124: [454], 125: [455],
+    126: [462], 127: [463], 128: [470], 129: [471], 130: [478], 131: [479], 132: [486],
+    133: [487], 134: [494], 135: [495], 136: [502], 140: [518], 279: [1023], 280: [1024, 6],
 }
 
 
@@ -303,40 +304,60 @@ def test_orbit_solves_full_chunks(solver_calls):
         assert solver_calls == sizes, samples
 
 
+def with_transposes(mats):
+    """(..., 4, 8, 8): each (..., 8, 8) matrix, then its partial transposes on qubit 1, 2 and 3."""
+    return np.concatenate([mats[..., None, :, :], partial_transpose(mats)], axis=-3)
+
+
 @pytest.mark.parametrize("samples", [2, 4, 64, 65, 129, 136])
 def test_orbit_spectra_have_the_bytes_of_one_stacked_solve(samples):
     # the skipped transposes and the gathering change no bit: one plain real
-    # solve of all 8N matrices, the state and its reflection, each itself and
-    # under the 3 partial transposes; not one of their imaginary bits is set
+    # solve of all 4N state matrices, each itself and under the 3 partial
+    # transposes, not one of whose imaginary bits is set; each reflection's
+    # spectra are 1/4 minus its state's, reversed
     orb = orbit(samples)
-    mats = from_coherence(np.stack([orb.tensors, reflect(orb.tensors)], axis=1))
-    stack = np.concatenate([mats[:, :, None], partial_transpose(mats)], axis=2)
+    stack = with_transposes(from_coherence(orb.tensors))
     assert not stack.view(np.int64)[..., 1::2].any()
-    assert orb.spectra.tobytes() == jacobi_eigh(stack.real, want_vectors=False)[0].tobytes()
+    assert orb.spectra[:, 0].tobytes() == jacobi_eigh(stack.real, want_vectors=False)[0].tobytes()
+    assert orb.spectra[:, 1].tobytes() == (0.25 - orb.spectra[:, 0, :, ::-1]).tobytes()
 
 
-@pytest.mark.parametrize("zero, solved", [(0.0, 2), (-0.0, 4)])
+@pytest.mark.parametrize("samples", [2, 4, 64, 65, 136])
+def test_reflected_spectra_are_a_quarter_minus_the_state_spectra(samples):
+    # reflect(c) is I/4 - rho on the trace-1 orbit and partial transposition
+    # is linear, so the derived spectra of the reflected half lie within 1e-15
+    # (5.8e-16 measured) of direct solves of the reflected matrices and their
+    # transposes, by the Jacobi solver and by LAPACK
+    orb = orbit(samples)
+    derived = orb.spectra[:, 1]
+    assert derived.tobytes() == (0.25 - orb.spectra[:, 0, :, ::-1]).tobytes()
+    reflected = with_transposes(from_coherence(reflect(orb.tensors))).real
+    assert np.abs(derived - jacobi_eigh(reflected, want_vectors=False)[0]).max() < 1e-15
+    assert np.abs(derived - np.linalg.eigvalsh(reflected)).max() < 1e-15
+
+
+@pytest.mark.parametrize("zero, solved", [(0.0, 1), (-0.0, 2)])
 def test_a_transpose_that_differs_only_by_a_signed_zero_is_solved(solver_calls, zero, solved):
     # m[0, 4] and m[4, 0] trade places under the transpose of qubit 1, and no
     # other transpose moves them; the orbit's matrices carry signed zeros
     m = np.diag(np.arange(8.0)).astype(complex)
     m[0, 1] = m[1, 0] = 0.5
     m[0, 4] = zero
-    mats = np.array([[m, m]])
+    mats = np.array([m])
     pts = partial_transpose(m)
     assert all(np.array_equal(pt, m) for pt in pts)  # equal as numbers either way
-    assert [pt.tobytes() == m.tobytes() for pt in pts] == [solved == 2, True, True]
+    assert [pt.tobytes() == m.tobytes() for pt in pts] == [solved == 1, True, True]
     spectra = _orbit_spectra(mats)
     assert solver_calls == [solved]
-    stack = np.concatenate([mats[:, :, None], partial_transpose(mats)], axis=2)
-    assert spectra.tobytes() == jacobi_eigh(stack.real, want_vectors=False)[0].tobytes()
+    assert spectra[:, 0].tobytes() == jacobi_eigh(with_transposes(mats).real, want_vectors=False)[0].tobytes()
 
 
 @pytest.mark.parametrize("samples", [2, 33, 128])
 def test_orbit_checks_each_coherence_vector_once(samples, monkeypatch):
-    # one check for the stack it reflects and one for the stack it turns into
-    # matrices: the tensors come from two vectors, with no flow call and so no
-    # check per time; orbit(128) used to make 512 checks, then 130
+    # one check, for the stack it turns into matrices: the tensors come from
+    # two vectors, with no flow call and so no check per time, and the
+    # reflections are not built; orbit(128) used to make 512 checks, then
+    # 130, then 2
     calls = []
     inner = linalg._array
 
@@ -348,7 +369,7 @@ def test_orbit_checks_each_coherence_vector_once(samples, monkeypatch):
     for module in (linalg, pauli, states, entanglement, dynamics):
         monkeypatch.setattr(module, "_array", counting)
     orbit(samples)
-    assert calls == [(samples, 64), (samples, 2, 64)]
+    assert calls == [(samples, 64)]
 
 
 def test_orbit_grid_and_invariants():
@@ -365,16 +386,18 @@ def test_orbit_grid_and_invariants():
 
 @pytest.mark.parametrize("samples", [2, 64, 65])
 def test_orbit_blocks_match_per_matrix_solves(samples):
-    # each of the 8 spectra per sample against a one-matrix real solve of a
-    # matrix built from one vector; the orbit builds its matrices from stacks
+    # each of the 4 state spectra per sample against a one-matrix real solve
+    # of a matrix built from one vector, and each of the 4 reflected spectra
+    # against a one-matrix solve of its reflected matrix; the orbit builds its
+    # matrices from a stack and derives the reflected spectra
     orb = orbit(samples)
     for tensor, spectra in zip(orb.tensors, orb.spectra):
-        for tens, eigs in ((tensor, spectra[0]), (reflect(tensor), spectra[1])):
-            m = from_coherence(tens)
-            assert np.array_equal(eigs[0], jacobi_eigh(m.real, want_vectors=False)[0])
-            for pt, pt_eigs in zip(partial_transpose(m), eigs[1:]):
-                alone = jacobi_eigh(pt.real, want_vectors=False)[0]
-                assert np.array_equal(pt_eigs, alone)
+        m = from_coherence(tensor)
+        assert np.array_equal(spectra[0, 0], jacobi_eigh(m.real, want_vectors=False)[0])
+        for pt, pt_eigs in zip(partial_transpose(m), spectra[0, 1:]):
+            assert np.array_equal(pt_eigs, jacobi_eigh(pt.real, want_vectors=False)[0])
+        for r, eigs in zip(with_transposes(from_coherence(reflect(tensor))).real, spectra[1]):
+            assert np.abs(eigs - jacobi_eigh(r, want_vectors=False)[0]).max() < 1e-15
 
 
 @pytest.mark.parametrize("imag, dtype", [(0.0, np.float64), (-0.0, np.complex128), (5e-324, np.complex128)])
@@ -383,14 +406,14 @@ def test_one_set_imaginary_bit_keeps_the_orbit_stack_complex(monkeypatch, imag, 
     # so is the smallest subnormal; the stack then has its complex bits
     seen = []
     monkeypatch.setattr(dynamics, "jacobi_eigh", lambda m, **kw: seen.append(m.dtype) or jacobi_eigh(m, **kw))
-    orb = orbit(4)
-    mats = from_coherence(np.stack([orb.tensors, reflect(orb.tensors)], axis=1))
-    mats[1, 0, 3, 3] = complex(mats[1, 0, 3, 3].real, imag)
+    mats = from_coherence(orbit(4).tensors)
+    mats[1, 3, 3] = complex(mats[1, 3, 3].real, imag)
     spectra = _orbit_spectra(mats)
     assert seen[-1] == dtype
-    stack = np.concatenate([mats[:, :, None], partial_transpose(mats)], axis=2)
+    stack = with_transposes(mats)
     solved = stack.real if dtype is np.float64 else stack
-    assert spectra.tobytes() == jacobi_eigh(solved, want_vectors=False)[0].tobytes()
+    assert spectra[:, 0].tobytes() == jacobi_eigh(solved, want_vectors=False)[0].tobytes()
+    assert spectra[:, 1].tobytes() == (0.25 - spectra[:, 0, :, ::-1]).tobytes()
 
 
 @pytest.mark.parametrize("samples", [2, 33, 128])

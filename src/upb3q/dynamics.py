@@ -224,9 +224,9 @@ def _orbit_spectra(mats):
     transpose whose bits equal its matrix's (compared as int64, so that -0.0
     and +0.0 differ) takes its matrix's spectrum without a solve.  The other
     matrices are gathered in sample order into one contiguous stack of their
-    dtype for one jacobi_eigh call (one float64 chunk for N <= 279), giving
-    each matrix its own solve's bits.  Each reflection I/4 - rho takes 1/4
-    minus its state's spectra, reversed (partial transposes are linear).
+    dtype for one jacobi_eigh call, giving each matrix its own solve's bits.
+    Each reflection I/4 - rho takes 1/4 minus its state's spectra, reversed
+    (partial transposes are linear).
     """
     n, mats = len(mats), _real_if_exact(mats)
     grid = mats.reshape((n,) + (2,) * 6)  # (sample, row qubits, column qubits)

@@ -29,8 +29,8 @@ class ShapeMismatch(ValueError):
 # Bytes of the largest stack one internal solve rotates at once: 512 complex
 # or 1024 real 8x8 matrices; longer stacks are solved in chunks of that many.
 # Every sweep of a solve pays a fixed ~0.75-1.6 ms of per-pair numpy calls
-# whatever the stack holds, so fuller chunks are cheaper per matrix: the 940
-# float64 matrices of orbit(128), eigenvalues only, took 18.6-19.7 ms in
+# whatever the stack holds, so fuller chunks are cheaper per matrix: a stack
+# of 940 float64 8x8 matrices, eigenvalues only, took 18.6-19.7 ms in
 # chunks of 256, 14.0-14.7 ms at 512 and 11.1-11.6 ms at 1024 (best of 15,
 # three runs on a shared 2-core VM).  The working copy is the size of the
 # chunk, so its bytes, not its matrix count, set peak memory: 1024-matrix

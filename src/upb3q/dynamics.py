@@ -27,8 +27,8 @@ from .states import family_mixture, rho_sep, rho_upb
 # Common period of the Lambda_{333} and Lambda_{222} conjugation flows.
 TAU_P = 2.0 * SQRT2 * np.pi
 
-# Largest grid, checked before it is allocated: a sample costs about 0.05 ms and 4.5 KB on the orbit
-# (one float64 stack of its state's distinct matrices; a tracemalloc peak of 44 MB for orbit(10000))
+# Largest grid, checked before it is allocated: a sample costs about 0.05 ms and 4.5 KB on the orbit (its
+# state and 3 partial transposes in one float64 stack; a tracemalloc peak of 45 MB for orbit(10000))
 # and 0.3 ms and 15 KB as a preparation probe, so a grid this size takes seconds and at most ~150 MB.
 _MAX_SAMPLES = 10_000
 
@@ -220,28 +220,17 @@ class Orbit(NamedTuple):
 def _orbit_spectra(mats):
     """Ascending spectra (N, 2, 4, 8) of the orbit's (N, 8, 8) states and their reflections, each with its transposes.
 
-    The matrices are read as float64 when no imaginary bit is set.  A
-    transpose whose bits equal its matrix's (compared as int64, so that -0.0
-    and +0.0 differ) takes its matrix's spectrum without a solve.  The other
-    matrices are gathered in sample order into one contiguous stack of their
-    dtype for one jacobi_eigh call, giving each matrix its own solve's bits.
-    Each reflection I/4 - rho takes 1/4 minus its state's spectra, reversed
-    (partial transposes are linear).
+    The matrices are read as float64 when no imaginary bit is set.  Each
+    state and its three partial transposes are stacked in sample order, as
+    one contiguous stack, for one jacobi_eigh call that gives each matrix its
+    own solve's bits.  Each reflection I/4 - rho takes 1/4 minus its state's
+    spectra, reversed (partial transposes are linear).
     """
     n, mats = len(mats), _real_if_exact(mats)
     grid = mats.reshape((n,) + (2,) * 6)  # (sample, row qubits, column qubits)
-    bits = mats.view(np.int64).reshape(grid.shape + (-1,))  # the same, by (real[, imaginary]) bits
-    pts = [np.swapaxes(grid, 1 + k, 4 + k) for k in range(3)]  # views: row and column index of qubit k + 1
-    same = np.stack([(bits == np.swapaxes(bits, 1 + k, 4 + k)).all(axis=tuple(range(1, 8)))
-                     for k in range(3)], axis=-1)  # (sample, cut)
-    solve = np.concatenate([np.ones((n, 1), dtype=bool), ~same], axis=-1)  # (sample, 4)
-    slot = (np.cumsum(solve) - 1).reshape(solve.shape)  # each solved matrix's place in the stack
-    stack = np.empty((int(solve.sum()),) + (2,) * 6, dtype=mats.dtype)
-    for j, src in enumerate([grid] + pts):
-        stack[slot[..., j][solve[..., j]]] = src[solve[..., j]]
+    stack = np.stack([grid] + [np.swapaxes(grid, 1 + k, 4 + k) for k in range(3)], axis=1)
     spectra = np.empty((n, 2, 4, 8))
-    spectra[:, 0][solve] = jacobi_eigh(stack.reshape(-1, 8, 8), want_vectors=False)[0]
-    np.copyto(spectra[:, 0, 1:], spectra[:, 0, :1], where=same[..., None])
+    spectra[:, 0] = jacobi_eigh(stack.reshape(-1, 8, 8), want_vectors=False)[0].reshape(n, 4, 8)
     spectra[:, 1] = 0.25 - spectra[:, 0, :, ::-1]
     return spectra
 
@@ -252,8 +241,8 @@ def orbit(samples=64):
     Grid: t_k = k TAU_P / samples for k = 0..samples-1 (the endpoint TAU_P
     duplicates t=0).  With samples divisible by 4 the quarter and half period
     land exactly on grid points.  The spectra come from one eigen solve of
-    the states' distinct matrices (see _orbit_spectra); ValueError unless
-    samples is an integer in [2, _MAX_SAMPLES].
+    the states and their partial transposes (see _orbit_spectra); ValueError
+    unless samples is an integer in [2, _MAX_SAMPLES].
     """
     _number(samples, "samples", integer=True, low=2, high=_MAX_SAMPLES)
     t = TAU_P * np.arange(samples) / samples

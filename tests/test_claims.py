@@ -209,15 +209,15 @@ def test_claim_report_to_dict_round_trip():
 
 
 def test_full_run_stacks_its_eigen_solves(solver_calls):
-    # one orbit solve of its 238 distinct state matrices (of 4 * 64; 18
-    # transposes carry their matrix's bits, and the reflections' spectra are
-    # derived) plus one solve each for the 16 fixed matrices (the two base
-    # states, the three upb cuts, the ten set-C members and the reflected
-    # projector) and per preparation order the interior probes; the named
-    # flows read their spectral table and solve nothing
+    # one orbit solve of its 4 * 64 state matrices (each state and its 3
+    # partial transposes; the reflections' spectra are derived) plus one
+    # solve each for the 16 fixed matrices (the two base states, the three
+    # upb cuts, the ten set-C members and the reflected projector) and per
+    # preparation order the interior probes; the named flows read their
+    # spectral table and solve nothing
     run_claims(orbit_samples=64)
-    assert sum(solver_calls) == 124 + 238
-    assert sorted(solver_calls) == [16, 54, 54, 238]
+    assert sum(solver_calls) == 124 + 4 * 64
+    assert sorted(solver_calls) == [16, 54, 54, 256]
 
 
 def test_fixed_spectra_solve_the_reflected_matrices_themselves(monkeypatch):

@@ -283,17 +283,14 @@ def test_prepare_upb_probes_fill_one_chunk(order, solver_calls):
 
 
 # Matrices per internal solve: one float64 stack of each sample's state and
-# those of its 3 transposes whose bits differ from it (the reflections are
-# not solved), which the solver splits into full chunks of 1024 real 8x8
-# matrices (the 512 KiB of linalg._MAX_STACK_BYTES) and a remainder; every N
-# of the benchmark's verify (56-72) and orbit (120-136) bands, 140, and 279
-# and 280, the last N in one chunk and the first past it.
+# its 3 partial transposes, 4N matrices (the reflections are not solved),
+# which the solver splits into full chunks of 1024 real 8x8 matrices (the
+# 512 KiB of linalg._MAX_STACK_BYTES) and a remainder; every N of the
+# benchmark's verify (56-72) and orbit (120-136) bands, 140, 256, the last N
+# in one chunk, and 257, 279 and 280 past it.
 ORBIT_SOLVES = {
-    2: [2], 4: [10], 56: [206], 57: [207], 58: [214], 59: [215], 60: [222], 61: [223], 62: [230],
-    63: [231], 64: [238], 65: [239], 66: [246], 67: [247], 68: [254], 69: [255], 70: [262],
-    71: [257], 72: [258], 120: [438], 121: [445], 122: [446], 123: [453], 124: [454], 125: [455],
-    126: [462], 127: [463], 128: [470], 129: [471], 130: [478], 131: [479], 132: [486],
-    133: [487], 134: [494], 135: [495], 136: [502], 140: [518], 279: [1023], 280: [1024, 6],
+    **{n: [4 * n] for n in (2, 4, *range(56, 73), *range(120, 137), 140, 256)},
+    257: [1024, 4], 279: [1024, 92], 280: [1024, 96],
 }
 
 
@@ -310,15 +307,20 @@ def with_transposes(mats):
 
 
 @pytest.mark.parametrize("samples", [2, 4, 64, 65, 129, 136])
-def test_orbit_spectra_have_the_bytes_of_one_stacked_solve(samples):
-    # the skipped transposes and the gathering change no bit: one plain real
-    # solve of all 4N state matrices, each itself and under the 3 partial
-    # transposes, not one of whose imaginary bits is set; each reflection's
-    # spectra are 1/4 minus its state's, reversed
+def test_orbit_spectra_have_the_bytes_of_one_stacked_solve(samples, monkeypatch):
+    # orbit(N) hands jacobi_eigh one contiguous float64 stack of all 4N state
+    # matrices, each itself and under the 3 partial transposes, not one of
+    # whose imaginary bits is set, and its spectra have the bits of that
+    # plain solve; each reflection's spectra are 1/4 minus its state's, reversed
+    stacks = []
+    monkeypatch.setattr(dynamics, "jacobi_eigh", lambda m, **kw: stacks.append(m) or jacobi_eigh(m, **kw))
     orb = orbit(samples)
-    stack = with_transposes(from_coherence(orb.tensors))
-    assert not stack.view(np.int64)[..., 1::2].any()
-    assert orb.spectra[:, 0].tobytes() == jacobi_eigh(stack.real, want_vectors=False)[0].tobytes()
+    mats = with_transposes(from_coherence(orb.tensors))
+    assert not mats.view(np.int64)[..., 1::2].any()
+    [stack] = stacks
+    assert stack.dtype == np.float64 and stack.flags.c_contiguous and stack.shape == (4 * samples, 8, 8)
+    assert stack.tobytes() == mats.real.reshape(-1, 8, 8).tobytes()
+    assert orb.spectra[:, 0].tobytes() == jacobi_eigh(mats.real, want_vectors=False)[0].tobytes()
     assert orb.spectra[:, 1].tobytes() == (0.25 - orb.spectra[:, 0, :, ::-1]).tobytes()
 
 
@@ -336,19 +338,20 @@ def test_reflected_spectra_are_a_quarter_minus_the_state_spectra(samples):
     assert np.abs(derived - np.linalg.eigvalsh(reflected)).max() < 1e-15
 
 
-@pytest.mark.parametrize("zero, solved", [(0.0, 1), (-0.0, 2)])
-def test_a_transpose_that_differs_only_by_a_signed_zero_is_solved(solver_calls, zero, solved):
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_a_transpose_that_differs_only_by_a_signed_zero_is_solved(solver_calls, zero):
     # m[0, 4] and m[4, 0] trade places under the transpose of qubit 1, and no
-    # other transpose moves them; the orbit's matrices carry signed zeros
+    # other transpose moves them; the orbit's matrices carry signed zeros.
+    # Each transpose is solved, whether or not it carries its matrix's bits
     m = np.diag(np.arange(8.0)).astype(complex)
     m[0, 1] = m[1, 0] = 0.5
     m[0, 4] = zero
     mats = np.array([m])
     pts = partial_transpose(m)
     assert all(np.array_equal(pt, m) for pt in pts)  # equal as numbers either way
-    assert [pt.tobytes() == m.tobytes() for pt in pts] == [solved == 1, True, True]
+    assert [pt.tobytes() == m.tobytes() for pt in pts] == [not np.signbit(zero), True, True]
     spectra = _orbit_spectra(mats)
-    assert solver_calls == [solved]
+    assert solver_calls == [4]
     assert spectra[:, 0].tobytes() == jacobi_eigh(with_transposes(mats).real, want_vectors=False)[0].tobytes()
 
 

@@ -175,7 +175,7 @@ def test_stack_across_chunk_boundaries_equals_one_matrix_calls(solver_calls, dty
 
 
 def orbit_stack(samples):
-    """The one stack of distinct matrices that orbit(samples) hands jacobi_eigh, as the solver receives it."""
+    """The one stack of states and transposes that orbit(samples) hands jacobi_eigh, as the solver receives it."""
     stacks = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "jacobi_eigh", lambda stack, **kw: stacks.append(stack) or jacobi_eigh(stack, **kw))
@@ -184,16 +184,17 @@ def orbit_stack(samples):
     return stack
 
 
-@pytest.mark.parametrize("samples", [256, 264, 272, 278])
+@pytest.mark.parametrize("samples", [232, 240, 248, 256])
 def test_orbit_block_solve_scratch_stays_under_twice_the_stack(samples):
-    # the eigenvalue-only solve of the orbit's whole stack, 934-1022 state
-    # matrices that nearly fill one real chunk: its working copy, the norms
-    # and Hermiticity residues taken _SLICE matrices at a time, the in-place
-    # retirement and _mix's four scratch rows stay under 2x the stack. A copy
-    # of the whole working stack at each retirement and full-stack temporaries
-    # took 2.25x; five scratch rows with the angle temporaries still live took
-    # 2.116x at N = 120, 128 and 136 (then 1004-1908 matrices, the state and
-    # its reflection), where a zero pair in some matrix makes _mix gather its rows
+    # the eigenvalue-only solve of the orbit's whole stack, 928-1024 matrices
+    # (each state and its 3 partial transposes) that nearly fill one real
+    # chunk: its working copy, the norms and Hermiticity residues taken
+    # _SLICE matrices at a time, the in-place retirement and _mix's four
+    # scratch rows stay under 2x the stack. A copy of the whole working stack
+    # at each retirement and full-stack temporaries took 2.25x; five scratch
+    # rows with the angle temporaries still live took 2.116x at N = 120, 128
+    # and 136 (then 1004-1908 matrices, the state and its reflection), where
+    # a zero pair in some matrix makes _mix gather its rows
     stack = orbit_stack(samples)
     assert stack.dtype == np.float64 and stack.flags.c_contiguous
     assert len(stack) <= _MAX_STACK_BYTES // stack[0].nbytes  # one chunk

@@ -211,7 +211,7 @@ def _rodrigues_match(axis):
     def pairs(ctx):
         times = np.linspace(0.0, TAU_P, 33)
         flows = named_flow(axis, times, ctx.upb)
-        closed = from_coherence(np.array([rodrigues_flow(axis, t, ctx.upb_t) for t in times]))
+        closed = from_coherence(rodrigues_flow(axis, times, ctx.upb_t))
         return list(zip(closed, flows))
 
     return _distance(pairs, _FLOW_TOL)
@@ -269,7 +269,7 @@ def _byproduct_unique(ctx):
 
 
 def _decoy_misses(ctx):
-    ends = from_coherence(np.array([rodrigues_flow(ORBIT, r, ctx.sep_t) for r, _ in ctx.byproduct]))
+    ends = from_coherence(rodrigues_flow(ORBIT, [r for r, _ in ctx.byproduct], ctx.sep_t))
     return min(frobenius_distance(end, ctx.upb) for end in ends) > 0.1
 
 

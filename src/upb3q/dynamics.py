@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .entanglement import min_pt_eigs
-from .linalg import _array, _finite_result, _number, _real_if_exact, _times, frobenius_distance, jacobi_eigh
+from .linalg import _array, _finite_result, _number, _real_if_exact, frobenius_distance, jacobi_eigh
 from .pauli import LAMBDA_BASIS, SQRT2, from_coherence, label_index, to_coherence
 from .states import family_mixture, rho_sep, rho_upb
 
@@ -31,6 +31,27 @@ TAU_P = 2.0 * SQRT2 * np.pi
 # state and 3 partial transposes in one float64 stack; a tracemalloc peak of 45 MB for orbit(10000))
 # and 0.3 ms and 15 KB as a preparation probe, so a grid this size takes seconds and at most ~150 MB.
 _MAX_SAMPLES = 10_000
+
+
+def _times(t):
+    """t as floats, shape () for one time or (T,) for a grid; ValueError unless it follows the time rule.
+
+    The rule: t is a finite real number (a bool is not a time) or a 1-D grid
+    of them, an int or float array with no NaN or infinite entry and at most
+    _MAX_SAMPLES + 1 times (prepare_upb's largest grid), counted before any entry is read.
+    """
+    try:
+        times = np.asarray(t)
+    except ValueError:  # a ragged sequence is no grid
+        times = None
+    if times is not None and times.ndim == 1 and len(times) > _MAX_SAMPLES + 1:
+        raise ValueError(f"a flow time grid must hold at most {_MAX_SAMPLES + 1} times, got {len(times)}")
+    if times is not None and times.ndim == 0:
+        _number(t, "flow time")
+    elif times is None or times.ndim != 1 or times.dtype.kind not in "iuf" or not np.isfinite(times).all():
+        raise ValueError(f"flow time must be a finite real number or a 1-D grid of them, got {t!r}")
+    return times.astype(float)
+
 
 # The eight 3-coherence flat indices, split by their role along the orbit:
 # SIN_SET components evolve as -x sin(t/sqrt2) from rho_sep, COS_SET as
@@ -86,8 +107,6 @@ def adjoint_matrix(axis):
 
 
 _R_CACHE = {}  # axis -> read-only (R, R @ R), built on first use
-_EYE64 = np.eye(64)
-_EYE64.setflags(write=False)
 
 
 def _generator_powers(axis):
@@ -140,19 +159,18 @@ def named_flow(labels, t, rho):
 
 
 def rodrigues_flow(axis, t, c):
-    """Closed-form flow of a (64,) coherence vector along STAGE1 or ORBIT, exact for all finite t.
+    """Closed-form flow c + sqrt2 sin(t/sqrt2) (R c) + 2 (1 - cos(t/sqrt2)) (R^2 c) along STAGE1 or ORBIT.
 
-    Raises ValueError unless t is a finite real number, or if a component
-    of the result overflows, and ShapeMismatch unless c has shape (64,).
+    c is (64,); one time gives (64,), and a 1-D grid of T times (T, 64) with the bits of one call per time.
+    Raises ValueError on a t that breaks the time rule of _times, on a c not real and finite, or on an
+    overflow; BadAxis on other axes, and ShapeMismatch unless c is (64,).
     """
-    _number(t, "flow time")
+    times = _times(t)
     r, r2 = _generator_powers(axis)
     c = _array(c, "coherence components", (64,), real=True)
-    expo = SQRT2 * np.sin(t / SQRT2) * r
-    expo += _EYE64  # in place, with the bits of I + (sin term): the sum commutes
-    expo += 2.0 * (1.0 - np.cos(t / SQRT2)) * r2
+    phi = times[..., None] / SQRT2  # (1,) or (T, 1): a one-time call takes the grid's array loops
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
-        flowed = expo.dot(c)  # the bits of expo @ c, without matmul's ufunc dispatch
+        flowed = c + SQRT2 * np.sin(phi) * (r @ c) + 2.0 * (1.0 - np.cos(phi)) * (r2 @ c)
     return _finite_result(flowed, "coherence components")
 
 
@@ -246,10 +264,7 @@ def orbit(samples=64):
     """
     _number(samples, "samples", integer=True, low=2, high=_MAX_SAMPLES)
     t = TAU_P * np.arange(samples) / samples
-    r, r2 = _generator_powers(ORBIT)
-    base = to_coherence(rho_sep())
-    phi = (t / SQRT2)[:, None]  # rodrigues_flow's closed form, on the two vectors R c0 and R^2 c0
-    tensors = base + SQRT2 * np.sin(phi) * (r @ base) + 2.0 * (1.0 - np.cos(phi)) * (r2 @ base)
+    tensors = rodrigues_flow(ORBIT, t, to_coherence(rho_sep()))
     return Orbit(t, tensors, _orbit_spectra(from_coherence(tensors)))
 
 
@@ -281,5 +296,5 @@ def byproduct_preparation():
     target = rho_upb()
     candidates = (TAU_P / 4.0, -TAU_P / 4.0, 3.0 * TAU_P / 4.0, -3.0 * TAU_P / 4.0)
     reduced = sorted({round(float(t % TAU_P), 12) for t in candidates})
-    ends = from_coherence(np.array([rodrigues_flow(ORBIT, r, theta_t) for r in reduced]))
+    ends = from_coherence(rodrigues_flow(ORBIT, reduced, theta_t))
     return tuple((float(r), frobenius_distance(end, target)) for r, end in zip(reduced, ends))

@@ -338,23 +338,6 @@ def _mix(xs, ys, hit, c, s_xy, s_yx):
         xs[:, hit], ys[:, hit] = x, y
 
 
-def _times(t):
-    """t as floats, shape () for one time or (T,) for a grid; ValueError unless it follows the time rule.
-
-    The rule: t is a finite real number (a bool is not a time) or a 1-D grid
-    of them, an int or float array with no NaN or infinite entry.
-    """
-    try:
-        times = np.asarray(t)
-    except ValueError:  # a ragged sequence is no grid
-        times = None
-    if times is not None and times.ndim == 0:
-        _number(t, "flow time")
-    elif times is None or times.ndim != 1 or times.dtype.kind not in "iuf" or not np.isfinite(times).all():
-        raise ValueError(f"flow time must be a finite real number or a 1-D grid of them, got {t!r}")
-    return times.astype(float)
-
-
 def frobenius_distance(a, b):
     """Frobenius norm of (a - b); ShapeMismatch on unequal shapes, ValueError unless numbers and finite."""
     a, b = _array(a, "entries"), _array(b, "entries")

@@ -208,7 +208,10 @@ def test_an_overflowing_result_is_a_library_error_naming_the_overflow(solver_cal
 # and rodrigues_flow(ORBIT, 10**400, c) raised a bare OverflowError.
 KETS = family("psi")
 TRIPLE = UPB_TRIPLES[0]
-TIME = (ValueError, "flow time must be a finite real number, got {got}", "0.3", 10**400, np.array([0.3]), [0.3])
+TIME = (ValueError, "flow time must be a finite real number, got {got}", "0.3", 10**400)  # a 1-D grid is a time too
+# a grid is counted before its entries are read; prepare_upb's largest grid holds _MAX_SAMPLES + 1 times
+GRID = (ValueError, f"a flow time grid must hold at most {_MAX_SAMPLES + 1} times, got {{len}}",
+        np.zeros(_MAX_SAMPLES + 2), [float("nan")] * 30_000)
 LABEL = (ValueError, "bad component label {got}", "03", "0311", "0a1", b"031", 13)
 FAMILY = (ValueError, "unknown family {got}", "psi2", "", b"psi")
 FOUR_KETS = [(WrongCount, "need exactly 4 kets, got {got}", 5, 1.5, "abcd", np.array(0.3)),
@@ -230,11 +233,11 @@ ARGS = {
         (ValueError, "max_sweeps must be an integer >= 0, got {got}", 4.0, "4")]),
     "jacobi_eigh(want_vectors)": (lambda flag: jacobi_eigh(RHO, want_vectors=flag), np.False_, [
         (ValueError, "want_vectors must be True or False, got {got}", "no", 0, 1.0)]),
-    "named_flow(t)": (lambda t: named_flow(STAGE1, t, RHO), 0.3, [TIME[:4]]),  # a 1-D grid is a time too
+    "named_flow(t)": (lambda t: named_flow(STAGE1, t, RHO), 0.3, [TIME, GRID]),
     "named_flow(labels)": (lambda labels: named_flow(labels, 0.3, RHO), STAGE2, [
         (BadAxis, f"axis must be STAGE1 {STAGE1} or STAGE2 {STAGE2} or ORBIT {ORBIT}, got {{got}}", "222", ["222"],
          ("22",), FIXED_POINT, (np.array("222"),))]),
-    "rodrigues_flow(t)": (lambda t: rodrigues_flow(ORBIT, t, C), 0.3, [TIME]),
+    "rodrigues_flow(t)": (lambda t: rodrigues_flow(ORBIT, t, C), 0.3, [TIME, GRID]),
     "rodrigues_flow(axis)": (lambda axis: rodrigues_flow(axis, 0.3, C), STAGE1, [
         (BadAxis, "axis must be STAGE1 ('333',) or ORBIT ('222',), got {got}", "222", ["222"], ("22",), STAGE2,
          (np.array("222"),))]),

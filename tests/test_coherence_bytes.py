@@ -44,8 +44,8 @@ CASES = {
     "integers": RNG.integers(-5, 6, size=(6, 64)),
     "empty": np.zeros((0, 64)),
     "rho_upb": to_coherence(rho_upb()),
-    "flows": np.array([rodrigues_flow(axis, t, to_coherence(rho_sep()))
-                       for axis in (STAGE1, ORBIT) for t in np.linspace(0.0, TAU_P, 9)]),
+    "flows": np.concatenate([rodrigues_flow(axis, np.linspace(0.0, TAU_P, 9), to_coherence(rho_sep()))
+                             for axis in (STAGE1, ORBIT)]),
 }
 ORBIT_SAMPLES = (2, 65, 136)
 

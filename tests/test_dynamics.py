@@ -357,10 +357,9 @@ def test_a_transpose_that_differs_only_by_a_signed_zero_is_solved(solver_calls, 
 
 @pytest.mark.parametrize("samples", [2, 33, 128])
 def test_orbit_checks_each_coherence_vector_once(samples, monkeypatch):
-    # one check, for the stack it turns into matrices: the tensors come from
-    # two vectors, with no flow call and so no check per time, and the
-    # reflections are not built; orbit(128) used to make 512 checks, then
-    # 130, then 2
+    # two checks: the base vector, once in its one grid flow call, and the
+    # stack it turns into matrices; never one per time, and the reflections
+    # are not built; orbit(128) used to make 512 checks, then 130, then 2
     calls = []
     inner = linalg._array
 
@@ -372,7 +371,7 @@ def test_orbit_checks_each_coherence_vector_once(samples, monkeypatch):
     for module in (linalg, pauli, states, entanglement, dynamics):
         monkeypatch.setattr(module, "_array", counting)
     orbit(samples)
-    assert calls == [(samples, 64)]
+    assert calls == [(64,), (samples, 64)]
 
 
 def test_orbit_grid_and_invariants():
@@ -421,12 +420,11 @@ def test_one_set_imaginary_bit_keeps_the_orbit_stack_complex(monkeypatch, imag, 
 
 @pytest.mark.parametrize("samples", [2, 33, 128])
 def test_orbit_tensors_match_the_flow_at_every_time(samples):
-    # the two-vector form c0 + sqrt2 sin(phi) R c0 + 2 (1 - cos phi) R^2 c0
-    # rounds apart from one flow call per time, by far less than an ulp of 1
+    # the orbit is one grid flow, so each sample has the bytes of one flow call at its time
     orb = orbit(samples)
     base = to_coherence(rho_sep())
     flowed = np.array([rodrigues_flow(ORBIT, t, base) for t in orb.t])
-    assert np.abs(orb.tensors - flowed).max() <= 1e-16
+    assert orb.tensors.tobytes() == flowed.tobytes()
 
 
 @pytest.mark.parametrize("order", ["standard", "swapped"])
@@ -537,13 +535,37 @@ def test_bloch_rotation_between_psi_and_phi():
 
 
 def test_rodrigues_flow_has_the_bits_of_its_closed_form():
-    # I + sqrt2 sin(t/sqrt2) R + 2 (1 - cos(t/sqrt2)) R^2, summed left to right
+    # c + sqrt2 sin(t/sqrt2) (R c) + 2 (1 - cos(t/sqrt2)) (R^2 c), summed left to right on a (1,) time
     cs = [to_coherence(rho_sep()), to_coherence(rho_upb())] + list(np.random.default_rng(5).normal(size=(2, 64)))
     times = list(np.linspace(-TAU_P, 2.0 * TAU_P, 25)) + [0.0, -0.0, 1e-300, 1e6]
     for axis in (STAGE1, ORBIT):
         r, r2 = dynamics._generator_powers(axis)
         for t in times:
-            expo = (np.eye(64) + SQRT2 * np.sin(t / SQRT2) * r
-                    + 2.0 * (1.0 - np.cos(t / SQRT2)) * r2)
+            phi = np.array([t]) / SQRT2
             for c in cs:
-                assert rodrigues_flow(axis, float(t), c).tobytes() == (expo @ c).tobytes()
+                want = c + SQRT2 * np.sin(phi) * (r @ c) + 2.0 * (1.0 - np.cos(phi)) * (r2 @ c)
+                assert rodrigues_flow(axis, float(t), c).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("axis", [STAGE1, ORBIT], ids=["333", "222"])
+def test_rodrigues_flow_grid_rows_have_the_bits_of_one_time_calls(axis):
+    # sin and cos run on vector lanes: every row of a grid, whatever its
+    # length or place in the grid, has the bytes of the one-time call
+    times = np.concatenate([np.linspace(-2.0 * TAU_P, 0.0, 9), [0.0, -0.0, 1e-300, -1e-300, 1e6, -1e6],
+                            TAU_P * np.arange(136) / 136])  # the last 136: orbit(136)'s grid
+    cs = [to_coherence(rho_sep()), to_coherence(rho_upb()), np.random.default_rng(7).normal(size=64)]
+    for c in cs:
+        ones = np.array([rodrigues_flow(axis, float(t), c) for t in times])
+        grid = rodrigues_flow(axis, times, c)
+        assert grid.shape == (len(times), 64)
+        assert grid.tobytes() == ones.tobytes()
+        for n in (1, 2, 3, 5, 8, 17):  # short grids end inside a lane
+            assert rodrigues_flow(axis, times[-n:], c).tobytes() == ones[-n:].tobytes()
+
+
+@pytest.mark.parametrize("flow, start", [(named_flow, rho_sep()), (rodrigues_flow, to_coherence(rho_sep()))],
+                         ids=["named_flow", "rodrigues_flow"])
+def test_each_flow_takes_the_largest_grid_of_prepare_upb(flow, start):
+    # prepare_upb(order, _MAX_SAMPLES) flows its probes and endpoint in one grid of _MAX_SAMPLES + 1 times
+    times = np.linspace(0.0, TAU_P, dynamics._MAX_SAMPLES + 1)
+    assert flow(STAGE1, times, start).shape == times.shape + np.shape(start)

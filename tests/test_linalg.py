@@ -19,8 +19,7 @@ from upb3q.linalg import (
     jacobi_eigh,
 )
 from upb3q import dynamics
-from upb3q.dynamics import ORBIT, orbit, rodrigues_flow
-from upb3q.pauli import to_coherence
+from upb3q.dynamics import orbit
 from upb3q.states import rho_upb
 
 RNG = np.random.default_rng(99)
@@ -277,13 +276,6 @@ def test_offdiag_norms_sum_each_matrix_in_its_own_order():
         off = m.copy()
         np.fill_diagonal(off, 0.0)
         assert np.array_equal(norms[i], np.sqrt(np.sum(np.abs(off.ravel()) ** 2)))
-
-
-def test_rodrigues_flow_takes_one_time_only():
-    c = to_coherence(rho_upb())
-    for t in (np.array([0.3]), np.array([0.1, 0.2]), np.array(0.3), [0.3]):
-        with pytest.raises(ValueError, match="flow time must be a finite real number, got"):
-            rodrigues_flow(ORBIT, t, c)
 
 
 def test_frobenius_distance():

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entanglement import min_pt_eigs
+from .entanglement import min_pt_eigs, partial_transpose
 from .linalg import _array, _finite_result, _number, _real_if_exact, frobenius_distance, jacobi_eigh
 from .pauli import LAMBDA_BASIS, SQRT2, from_coherence, label_index, to_coherence
 from .states import family_mixture, rho_sep, rho_upb
@@ -27,8 +27,8 @@ from .states import family_mixture, rho_sep, rho_upb
 # Common period of the Lambda_{333} and Lambda_{222} conjugation flows.
 TAU_P = 2.0 * SQRT2 * np.pi
 
-# Largest grid, checked before it is allocated: a sample costs about 0.05 ms and 4.5 KB on the orbit (its
-# state and 3 partial transposes in one float64 stack; a tracemalloc peak of 45 MB for orbit(10000))
+# Largest grid, checked before it is allocated: a sample costs about 0.05 ms and 5 KB on the orbit (its
+# state and 3 partial transposes in one float64 stack; a tracemalloc peak of 51 MB for orbit(10000))
 # and 0.3 ms and 15 KB as a preparation probe, so a grid this size takes seconds and at most ~150 MB.
 _MAX_SAMPLES = 10_000
 
@@ -238,15 +238,14 @@ class Orbit(NamedTuple):
 def _orbit_spectra(mats):
     """Ascending spectra (N, 2, 4, 8) of the orbit's (N, 8, 8) states and their reflections, each with its transposes.
 
-    The matrices are read as float64 when no imaginary bit is set.  Each
-    state and its three partial transposes are stacked in sample order, as
-    one contiguous stack, for one jacobi_eigh call that gives each matrix its
-    own solve's bits.  Each reflection I/4 - rho takes 1/4 minus its state's
-    spectra, reversed (partial transposes are linear).
+    The matrices are read as float64, which partial_transpose keeps, when no
+    imaginary bit is set.  Each state and its three partial transposes are
+    stacked in sample order for one jacobi_eigh call that gives each matrix
+    its own solve's bits.  Each reflection I/4 - rho takes 1/4 minus its
+    state's spectra, reversed (partial transposes are linear).
     """
     n, mats = len(mats), _real_if_exact(mats)
-    grid = mats.reshape((n,) + (2,) * 6)  # (sample, row qubits, column qubits)
-    stack = np.stack([grid] + [np.swapaxes(grid, 1 + k, 4 + k) for k in range(3)], axis=1)
+    stack = np.concatenate([mats[:, None], partial_transpose(mats)], axis=1)  # (sample, 4, 8, 8)
     spectra = np.empty((n, 2, 4, 8))
     spectra[:, 0] = jacobi_eigh(stack.reshape(-1, 8, 8), want_vectors=False)[0].reshape(n, 4, 8)
     spectra[:, 1] = 0.25 - spectra[:, 0, :, ::-1]

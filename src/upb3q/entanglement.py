@@ -23,10 +23,11 @@ def partial_transpose(rho):
     """Qubit 1, 2 and 3 transposed, in that order: the PPT tests of the cuts 1|23, 2|13 and 3|12.
 
     rho is an 8x8 matrix or a stack of them, (..., 8, 8), and the result has
-    shape (..., 3, 8, 8); any other shape raises ShapeMismatch, and a NaN or
-    infinite entry raises ValueError.
+    shape (..., 3, 8, 8): float64 for an int or float input and complex128 for
+    a complex one, as jacobi_eigh reads dtypes.  Any other shape raises
+    ShapeMismatch, and a NaN or infinite entry raises ValueError.
     """
-    rho = _array(rho, "matrix entries", (..., 8, 8))
+    rho = _array(rho, "matrix entries", (..., 8, 8), real=np.asarray(rho).dtype.kind in "iuf")
     batch = rho.shape[:-2]
     t, q = rho.reshape(batch + (2,) * 6), len(batch)
     pts = [np.swapaxes(t, q + k, q + k + 3) for k in range(3)]  # row and column index of qubit k + 1

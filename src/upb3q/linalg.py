@@ -40,9 +40,8 @@ class ShapeMismatch(ValueError):
 _MAX_STACK_BYTES = 512 * 8 * 8 * 16
 
 # Matrices per temporary in the Hermiticity check and the off-diagonal norms,
-# and the most a retirement copies, which bounds that scratch whatever the
-# chunk; every solve of 256 matrices or fewer (the verify run's own, the
-# preparation probes) stays one slice.
+# which bounds that scratch whatever the chunk; every solve of 256 matrices or
+# fewer (the verify run's own, the preparation probes) stays one slice.
 _SLICE = 256
 
 
@@ -219,11 +218,9 @@ def _jacobi_stack(mats, tols, max_sweeps, w_out, v_out):
     rotating ones fill the first k slots, live[s] is the stack position of
     the matrix in slot s, and each retiree's slot is refilled in place by a
     rotating matrix from the tail, so the rest of the stack keeps rotating as
-    the view store[..., :k] without a copy of the whole stack.  Once the
-    live ones fit one _SLICE they move to a store of their own, a copy no
-    larger than the other scratch, which makes each row slice of a rotation
-    one contiguous run again: numpy loops over those faster, and a stack of
-    _SLICE or fewer (every verify and preparation solve) never rotates a view.
+    the view store[..., :k] without a copy of the whole stack.  A retirement
+    gathers the movers into a temporary, up to half the stack: a stack whose
+    first half converges at once moves all of its second half.
     """
     n = mats.shape[-1]
     diag = np.arange(n)[:, None]
@@ -250,8 +247,6 @@ def _jacobi_stack(mats, tols, max_sweeps, w_out, v_out):
             store[..., holes] = store[..., movers]
             live[holes], norms[holes] = live[movers], norms[movers]
             live, norms = live[:k], norms[:k]
-            if k <= _SLICE:
-                store = store[..., :k].copy()
         if not k or sweep == max_sweeps:
             break
         av = store[..., :k]

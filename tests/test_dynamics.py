@@ -51,8 +51,8 @@ def random_density():
 def min_pt_eig_alone(m, qubit):
     """One-matrix oracle: the smallest eigenvalue of one qubit's partial transpose.
 
-    partial_transpose gives complex128, as it gives min_pt_eigs, so both take
-    the complex rotation; the preparation probes carry imaginary parts anyway.
+    partial_transpose keeps m's dtype kind, as it does for min_pt_eigs, so both
+    take the same rotation; the preparation probes carry imaginary parts.
     """
     return jacobi_eigh(partial_transpose(m)[qubit - 1], want_vectors=False)[0][0]
 

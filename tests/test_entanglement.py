@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from upb3q import entanglement
+from upb3q import entanglement, linalg
 from upb3q.entanglement import (
     OQ_TRIPLES,
     UPB_TRIPLES,
@@ -67,6 +67,34 @@ def test_partial_transpose_routes_agree(qubit):
     for idx in np.ndindex(2, 2):
         assert np.array_equal(pts[idx], partial_transpose(stack[idx])[qubit - 1])
         assert mins[idx] == min_pt_eig_alone(stack[idx], qubit)
+
+
+@pytest.mark.parametrize("kind", ["int", "float", "complex"])
+def test_partial_transpose_keeps_the_input_dtype_kind(monkeypatch, kind):
+    # partial_transpose reads the dtype as jacobi_eigh does: an int or float
+    # stack comes back float64 with the bits of the complex route's real part,
+    # a complex one stays complex128, and min_pt_eigs solves each in its own
+    rng = np.random.default_rng(41)
+    if kind == "int":
+        m = rng.integers(-4, 5, size=(6, 8, 8))
+        rho = m + np.swapaxes(m, -1, -2)
+    else:
+        m = rng.normal(size=(6, 8, 8)) + (1j * rng.normal(size=(6, 8, 8)) if kind == "complex" else 0)
+        rho = m @ np.swapaxes(m.conj(), -1, -2)
+        rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    pts = partial_transpose(rho)
+    if kind == "complex":
+        assert pts.dtype == np.complex128
+    else:
+        assert pts.dtype == np.float64
+        assert pts.tobytes() == partial_transpose(rho.astype(complex)).real.tobytes()
+    sweeps = []
+    inner = linalg._sweep
+    monkeypatch.setattr(linalg, "_sweep", lambda av: sweeps.append(av.dtype) or inner(av))
+    mins = min_pt_eigs(rho)
+    assert set(sweeps) == {pts.dtype}
+    if kind == "float":
+        assert np.abs(mins - min_pt_eigs(rho.astype(complex))).max() <= 1e-15
 
 
 def test_partial_transpose_takes_a_qubit():

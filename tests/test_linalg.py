@@ -183,7 +183,7 @@ def orbit_stack(samples):
     return stack
 
 
-@pytest.mark.parametrize("samples", [232, 240, 248, 256])
+@pytest.mark.parametrize("samples", [232, 240, 248, 256, "diagonal_first_half"])
 def test_orbit_block_solve_scratch_stays_under_twice_the_stack(samples):
     # the eigenvalue-only solve of the orbit's whole stack, 928-1024 matrices
     # (each state and its 3 partial transposes) that nearly fill one real
@@ -193,8 +193,14 @@ def test_orbit_block_solve_scratch_stays_under_twice_the_stack(samples):
     # at each retirement and full-stack temporaries took 2.25x; five scratch
     # rows with the angle temporaries still live took 2.116x at N = 120, 128
     # and 136 (then 1004-1908 matrices, the state and its reflection), where
-    # a zero pair in some matrix makes _mix gather its rows
-    stack = orbit_stack(samples)
+    # a zero pair in some matrix makes _mix gather its rows. The worst
+    # retirement: 1024 matrices whose first 512 are diagonal retire those at
+    # once, and the other 512 move into their slots in one gather
+    if samples == "diagonal_first_half":
+        stack = orbit_stack(256)
+        stack[:512] *= np.eye(8)
+    else:
+        stack = orbit_stack(samples)
     assert stack.dtype == np.float64 and stack.flags.c_contiguous
     assert len(stack) <= _MAX_STACK_BYTES // stack[0].nbytes  # one chunk
     tracemalloc.start()

@@ -27,7 +27,6 @@ from .entanglement import (
     OQ_TRIPLES,
     UPB_TRIPLES,
     lhv_oracle,
-    min_pt_eigs,
     partial_transpose,
     triple_value,
     verify_triple_structure,

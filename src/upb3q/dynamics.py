@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entanglement import min_pt_eigs, partial_transpose
+from .entanglement import _QUBIT_SHIFT, partial_transpose
 from .linalg import _array, _finite_result, _number, _real_if_exact, frobenius_distance, jacobi_eigh
 from .pauli import LAMBDA_BASIS, SQRT2, from_coherence, label_index, to_coherence
 from .states import family_mixture, rho_sep, rho_upb
@@ -29,7 +29,8 @@ TAU_P = 2.0 * SQRT2 * np.pi
 
 # Largest grid, checked before it is allocated: a sample costs about 0.05 ms and 5 KB on the orbit (its
 # state and 3 partial transposes in one float64 stack; a tracemalloc peak of 51 MB for orbit(10000))
-# and 0.3 ms and 15 KB as a preparation probe, so a grid this size takes seconds and at most ~150 MB.
+# and 0.05 ms and 6 KB as a preparation probe (one solved transpose; a peak of 115 MB for the 20000
+# probes of prepare_upb(order, 10000)), so a grid this size takes about a second and at most ~120 MB.
 _MAX_SAMPLES = 10_000
 
 
@@ -189,6 +190,17 @@ class PreparationTrace(NamedTuple):
     interior: tuple
 
 
+# Largest ||rho - Pi rho Pi^T||_F, Pi the cyclic qubit shift (entanglement._QUBIT_SHIFT), that a preparation
+# probe may have for its cut-1 minimum to stand for cuts 2 and 3: by Weyl's inequality the carried minima then
+# lie within this (twice this on cut 3) of their own.  rho_sep, STAGE1 and STAGE2 are cyclic; the probes
+# measured at most 1.7e-16 for k <= 1000, both orders.
+_CYCLIC_TOL = 1e-14
+
+
+class NotCyclic(RuntimeError):
+    """A preparation probe is further than _CYCLIC_TOL from its cyclic qubit shift."""
+
+
 def prepare_upb(order="standard", interior_samples=9):
     """Run the two-stage schedule from the separable mixture.
 
@@ -198,8 +210,11 @@ def prepare_upb(order="standard", interior_samples=9):
     intermediate is then the reflection of the standard one, and the endpoint
     is unchanged.  interior_samples equispaced interior times per stage are
     scored with min partial-transpose eigenvalues per cut.  Each stage flows
-    its interior times and its endpoint in one named_flow call, and the
-    probes of both stages are scored in one eigen solve.
+    its interior times and its endpoint in one named_flow call.  One eigen
+    solve scores cut 1 of every probe and cuts 2 and 3 of each stage's first
+    probe; every other probe reports its cut-1 minimum for cuts 2 and 3,
+    after every probe is checked to lie within _CYCLIC_TOL of its cyclic
+    qubit shift (NotCyclic, before any solve, otherwise).
     """
     if not (isinstance(order, str) and order in ("standard", "swapped")):
         raise ValueError(f"order must be 'standard' or 'swapped', got {order!r}")
@@ -214,11 +229,25 @@ def prepare_upb(order="standard", interior_samples=9):
     for num, (labels, duration) in enumerate(stages, start=1):
         ts = [duration * k / (interior_samples + 1) for k in range(1, interior_samples + 1)]
         flows = named_flow(labels, np.array(ts + [duration]), state)
-        state = flows[-1]
+        state = flows[-1].copy()  # a view would keep the whole grid alive in the trace
         checkpoints["intermediate" if num == 1 else "final"] = state
         probes.append(flows[:-1])
         times += [(num, t) for t in ts]
-    mins = min_pt_eigs(np.concatenate(probes))  # (probe, cut): none for interior_samples 0, and no solve
+    probes = np.concatenate(probes)  # (probe, 8, 8), stage-major
+    residues = np.sqrt(np.sum(np.abs(probes - probes[:, _QUBIT_SHIFT[:, None], _QUBIT_SHIFT]) ** 2, axis=(1, 2)))
+    if (residues > _CYCLIC_TOL).any():
+        worst = int(residues.argmax())
+        stage, t = times[worst]
+        raise NotCyclic(f"the stage-{stage} probe at t = {t:.6g} has cyclic residue ||rho - Pi rho Pi^T||_F = "
+                        f"{residues[worst]:.3e} > {_CYCLIC_TOL}, so cut 1's minimum stands for no other cut")
+    n = len(probes)
+    first = np.arange(n) % max(interior_samples, 1) == 0  # each stage's first probe
+    pts = partial_transpose(probes)  # (probe, cut, 8, 8)
+    solved = np.concatenate([pts[:, 0], pts[first, 1:].reshape(-1, 8, 8)])  # no solve for interior_samples 0
+    del pts  # the unsolved transposes go before the solve makes its scratch
+    eigs = jacobi_eigh(solved, want_vectors=False)[0][..., 0]
+    mins = np.repeat(eigs[:n, None], 3, axis=1)  # (probe, cut): cut 1's minimum on every cut
+    mins[first, 1:] = eigs[n:].reshape(-1, 2)
     interior = tuple(InteriorSample(num, t, tuple(float(x) for x in m)) for (num, t), m in zip(times, mins))
     return PreparationTrace(checkpoints, interior)
 

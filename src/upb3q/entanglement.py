@@ -1,6 +1,6 @@
-"""Partial transposes, the minimum partial-transpose eigenvalue of every cut
-(the PPT test: a state is PPT iff none is negative), observable-triple sign
-tests on label triples, and the brute-force local-hidden-sign oracle.
+"""Partial transposes (the PPT test: a state is PPT iff no cut's partial
+transpose has a negative eigenvalue), the cyclic qubit shift, observable-triple
+sign tests on label triples, and the brute-force local-hidden-sign oracle.
 
 The triple test: three pairwise-commuting basis observables whose matrix
 product is a positive multiple of the identity direction force any
@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .linalg import _array, _finite_result, _items, frobenius_distance, jacobi_eigh
+from .linalg import _array, _finite_result, _items, frobenius_distance
 from .pauli import LAMBDA_BASIS, label_index
 
 
@@ -34,13 +34,11 @@ def partial_transpose(rho):
     return np.stack(pts, axis=q).reshape(batch + (3, 8, 8))
 
 
-def min_pt_eigs(rho):
-    """Minimum partial-transpose eigenvalue on the cuts 1|23, 2|13 and 3|12, in that order.
-
-    Shape (3,) for one 8x8 matrix and (..., 3) for a stack (..., 8, 8); all
-    cuts of all members come from one eigen solve.
-    """
-    return jacobi_eigh(partial_transpose(rho), want_vectors=False)[0][..., 0]
+# The cyclic qubit shift Pi as an index map: Pi rho Pi^T is rho[..., _QUBIT_SHIFT[:, None], _QUBIT_SHIFT],
+# the matrix with qubits 1, 2, 3 read in the order 2, 3, 1 (the shift that fixes the Shifts UPB).  Then the
+# qubit-1 transpose of Pi rho Pi^T is Pi (qubit-2 transpose of rho) Pi^T, and that of Pi^2 rho Pi^2T is
+# Pi^2 (qubit-3 transpose of rho) Pi^2T: a cyclic rho has one partial-transpose spectrum on every cut.
+_QUBIT_SHIFT = np.arange(8).reshape(2, 2, 2).transpose(1, 2, 0).reshape(8)
 
 
 # Label triples probing rho_upb and rho_oq.  Each triple's observables pairwise

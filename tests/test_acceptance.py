@@ -32,7 +32,7 @@ from upb3q.dynamics import (
     rodrigues_flow,
     stationarity,
 )
-from upb3q.entanglement import OQ_TRIPLES, UPB_TRIPLES, lhv_oracle, min_pt_eigs, triple_value
+from upb3q.entanglement import OQ_TRIPLES, UPB_TRIPLES, lhv_oracle, triple_value
 from upb3q.linalg import frobenius_distance, jacobi_eigh
 from upb3q.pauli import (
     INDICES,
@@ -56,6 +56,8 @@ from upb3q.states import (
     rho_sep,
     rho_upb,
 )
+
+from helpers import min_pt_eigs
 
 X3 = X**3
 

@@ -32,7 +32,6 @@ from upb3q import (
     label_index,
     lambda_matrix,
     lhv_oracle,
-    min_pt_eigs,
     orbit,
     partial_reflect,
     partial_transpose,
@@ -69,7 +68,6 @@ ROWS = {
     "frobenius_distance(a)": (lambda a: frobenius_distance(a, RHO), RHO, "finite"),
     "frobenius_distance(b)": (lambda b: frobenius_distance(RHO, b), RHO, "finite"),
     "partial_transpose": (partial_transpose, RHO, "finite"),
-    "min_pt_eigs": (min_pt_eigs, RHO, "finite"),
     "to_coherence": (to_coherence, RHO, "hermitian"),
     "from_coherence": (from_coherence, C, "real"),
     "reduced_density": (reduced_density, RHO, "hermitian"),
@@ -145,17 +143,14 @@ def test_each_row_accepts_its_valid_array(name):
         call(good)
 
 
-# Five calls that the separate checks of each helper let through:
+# Three calls that the separate checks of each helper let through:
 # partial_transpose("abc") failed with Python's "complex() arg is a malformed
-# string", the conjugation flow (now named_flow) and min_pt_eigs read an array
-# of "1" strings as numbers, min_pt_eigs returned [1, 1, 1] for a bool
-# identity, and the flow returned a NaN matrix for a NaN rho.
+# string", the conjugation flow (now named_flow) read an array of "1" strings
+# as numbers, and the flow returned a NaN matrix for a NaN rho.
 FORMER_FAILURES = {
     "partial_transpose-text": (lambda: partial_transpose("abc"), "must be numbers, got dtype <U3"),
     "named_flow-str-rho": (lambda: named_flow(STAGE1, 0.3, np.full((8, 8), "1")),
                            "must be numbers, got dtype <U1"),
-    "min_pt_eigs-str": (lambda: min_pt_eigs(np.full((8, 8), "1")), "must be numbers, got dtype <U1"),
-    "min_pt_eigs-bool": (lambda: min_pt_eigs(np.eye(8, dtype=bool)), "must be numbers, got dtype bool"),
     "named_flow-nan-rho": (lambda: named_flow(STAGE1, 0.3, np.full((8, 8), np.nan)), "must be finite"),
 }
 
@@ -355,6 +350,6 @@ def test_every_parameter_of_every_export_is_a_row_or_exempt():
               for name, (call, _, _) in ROWS.items()}
     params = {f"{name}({param})" for name, obj in vars(upb3q).items()
               if callable(obj) and not name.startswith("_") for param in inspect.signature(obj).parameters}
-    assert len(params) == 51  # adding or deleting a parameter of an export updates this count
+    assert len(params) == 50  # adding or deleting a parameter of an export updates this count
     assert sorted(params - arrays - set(ARGS) - set(EXEMPT)) == []
     assert sorted(set(EXEMPT) - params) == []

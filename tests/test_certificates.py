@@ -153,3 +153,18 @@ def test_base_states_are_ppt_and_cyclic_but_not_swap_symmetric(solver_calls):
         for swap in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
             assert not _same(_permute_qubits(x, swap), x)
     assert solver_calls == []
+
+
+@pytest.mark.parametrize("labels", [STAGE1, STAGE2, ORBIT], ids=["STAGE1", "STAGE2", "ORBIT"])
+def test_generators_are_closed_under_the_cyclic_shift(labels, solver_calls):
+    # The cyclic qubit shift maps P_jkl to P_klj, so a label set closed under
+    # jkl -> klj sums to a generator that commutes with the shift.  Its flow
+    # then keeps rho_sep, which the shift fixes (certified above), cyclic at
+    # every time: the symmetry by which prepare_upb carries each probe's cut-1
+    # minimum to cuts 2 and 3.
+    assert {s[1:] + s[0] for s in labels} == set(labels)
+    coef = np.zeros(64, np.int64)
+    coef[[label_index(s) for s in labels]] = 1
+    h = _combination(coef)  # the sum of P_a over the labels: 2 sqrt2 generator(*labels)
+    assert _same(_permute_qubits(h, (1, 2, 0)), h)
+    assert solver_calls == []

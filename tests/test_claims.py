@@ -213,11 +213,12 @@ def test_full_run_stacks_its_eigen_solves(solver_calls):
     # partial transposes; the reflections' spectra are derived) plus one
     # solve each for the 16 fixed matrices (the two base states, the three
     # upb cuts, the ten set-C members and the reflected projector) and per
-    # preparation order the interior probes; the named flows read their
-    # spectral table and solve nothing
+    # preparation order cut 1 of its 18 interior probes and cuts 2 and 3 of
+    # each stage's first probe; the named flows read their spectral table and
+    # solve nothing
     run_claims(orbit_samples=64)
-    assert sum(solver_calls) == 124 + 4 * 64
-    assert sorted(solver_calls) == [16, 54, 54, 256]
+    assert sum(solver_calls) == 60 + 4 * 64
+    assert sorted(solver_calls) == [16, 22, 22, 256]
 
 
 def test_fixed_spectra_solve_the_reflected_matrices_themselves(monkeypatch):
@@ -253,6 +254,24 @@ def test_ppt_orbit_reads_the_derived_reflected_minima(monkeypatch):
     [report] = [r for r in run_claims(orbit_samples=4, filter="ppt.orbit") if r.status != "skip"]
     assert report.claim_id == "ppt.orbit" and report.status == "fail"
     assert 0.9e-9 < report.measured < 1.1e-9
+
+
+@pytest.mark.parametrize("qubit", [1, 2, 3])
+def test_interior_npt_reads_every_cut(monkeypatch, qubit):
+    # a partial transpose that leaves qubit q's block as it is makes that cut
+    # of a probe the probe itself, a state, so no longer NPT: both
+    # prep.*.interior_npt claims fail, on cut 1 at every probe and on cuts 2
+    # and 3 at each stage's first probe, where they are solved, not carried
+    inner = dynamics.partial_transpose
+
+    def untransposed(rho):
+        pts = inner(rho)
+        pts[..., qubit - 1, :, :] = rho
+        return pts
+
+    monkeypatch.setattr(dynamics, "partial_transpose", untransposed)
+    failed = {r.claim_id for r in run_claims(filter="prep.*") if r.status == "fail"}
+    assert failed == {"prep.standard.interior_npt", "prep.swapped.interior_npt"}
 
 
 @pytest.mark.parametrize("imag, dtype", [(0.0, np.float64), (-0.0, np.complex128), (5e-324, np.complex128)])
@@ -304,7 +323,7 @@ def test_registry_metadata_is_frozen():
 
 @pytest.mark.parametrize("pattern, sizes", [
     ("lhv.*", []),
-    ("prep.standard.*", [54]),
+    ("prep.standard.*", [22]),
     ("rodrigues.*", []),
     ("state.spectrum_*", [16]),
     ("reflect.*", [16]),

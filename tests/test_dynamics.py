@@ -29,6 +29,8 @@ from upb3q.linalg import NonHermitian, ShapeMismatch, jacobi_eigh
 from upb3q.pauli import LAMBDA_BASIS, SQRT2, from_coherence, label_index, to_coherence
 from upb3q.states import X, family_mixture, reflect, rho_sep, rho_upb
 
+from helpers import min_pt_eig_alone
+
 SQRT3 = np.sqrt(3.0)
 SQRT6 = np.sqrt(6.0)
 NAMED = [STAGE1, STAGE2, ORBIT]
@@ -46,15 +48,6 @@ def random_density():
     m = RNG.normal(size=(8, 8)) + 1j * RNG.normal(size=(8, 8))
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
-
-
-def min_pt_eig_alone(m, qubit):
-    """One-matrix oracle: the smallest eigenvalue of one qubit's partial transpose.
-
-    partial_transpose keeps m's dtype kind, as it does for min_pt_eigs, so both
-    take the same rotation; the preparation probes carry imaginary parts.
-    """
-    return jacobi_eigh(partial_transpose(m)[qubit - 1], want_vectors=False)[0][0]
 
 
 def test_period_constant():
@@ -176,12 +169,13 @@ def test_flows_reject_rho_of_another_shape(solver_calls):
 
 @pytest.mark.parametrize("order", ["standard", "swapped"])
 def test_prepare_upb_makes_one_solve(order, solver_calls):
-    # all 2 x 3 x 9 interior cuts in one solve; the stage flows read the
-    # spectral table and solve nothing, in a first call as in a second
+    # cut 1 of all 2 x 9 interior probes and cuts 2 and 3 of each stage's
+    # first probe in one solve; the stage flows read the spectral table and
+    # solve nothing, in a first call as in a second
     for _ in range(2):
         solver_calls.clear()
         prepare_upb(order, 9)
-        assert solver_calls == [54]
+        assert solver_calls == [22]
 
 
 def test_generator_caches_are_read_only():
@@ -277,9 +271,9 @@ def test_named_flow_rejects_a_bad_time_grid(solver_calls, t):
 
 @pytest.mark.parametrize("order", ["standard", "swapped"])
 def test_prepare_upb_probes_fill_one_chunk(order, solver_calls):
-    # 2 x 3 x 36 = 216 interior cuts fit one chunk of the batched solver
+    # 2 x 36 + 4 = 76 solved cuts fit one chunk of the batched solver
     prepare_upb(order, 36)
-    assert solver_calls == [216]
+    assert solver_calls == [76]
 
 
 # Matrices per internal solve: one float64 stack of each sample's state and
@@ -430,6 +424,9 @@ def test_orbit_tensors_match_the_flow_at_every_time(samples):
 @pytest.mark.parametrize("order", ["standard", "swapped"])
 @pytest.mark.parametrize("k", [0, 1, 9, 32, 36])
 def test_prepare_upb_matches_per_probe_flows(order, k):
+    # cut 1 of every probe, and every cut of each stage's first probe, has the
+    # bits of a one-matrix solve of its own transpose; the other probes carry
+    # cut 1's minimum to cuts 2 and 3, within 1e-15 of their own solves
     trace = prepare_upb(order, k)
     state = rho_sep()
     probes = iter(trace.interior)
@@ -444,11 +441,32 @@ def test_prepare_upb_matches_per_probe_flows(order, k):
             assert np.abs(probe - eigh_flow(h, t, state)).max() < 1e-14
             sample = next(probes)
             assert (sample.stage, sample.t) == (num, t)
-            assert sample.min_pt_eigs == tuple(min_pt_eig_alone(probe, q) for q in (1, 2, 3))
+            alone = tuple(min_pt_eig_alone(probe, q) for q in (1, 2, 3))
+            if j == 1:
+                assert sample.min_pt_eigs == alone
+            else:
+                assert sample.min_pt_eigs == (alone[0],) * 3
+                assert max(abs(a - b) for a, b in zip(sample.min_pt_eigs, alone)) <= 1e-15
         start, state = state, named_flow(labels, duration, state)
         assert np.abs(state - eigh_flow(h, duration, start)).max() < 1e-14
         assert np.array_equal(trace.checkpoints["intermediate" if num == 1 else "final"], state)
     assert next(probes, None) is None
+
+
+@pytest.mark.parametrize("order", ["standard", "swapped"])
+@pytest.mark.parametrize("dropped", STAGE2)
+def test_a_non_cyclic_stage_raises_before_any_solve(monkeypatch, solver_calls, order, dropped):
+    # STAGE2 without one label is no longer invariant under the cyclic qubit
+    # shift, and neither are its probes: prepare_upb names the residue and
+    # derives no cut's minimum from another's
+    labels = tuple(s for s in STAGE2 if s != dropped)
+    w, v = np.linalg.eigh(2.0 * SQRT2 * generator(*labels))
+    monkeypatch.setattr(dynamics, "STAGE2", labels)
+    monkeypatch.setitem(dynamics._SPECTRA, labels, (w, np.einsum("ik,jk->kij", v, v.conj())))
+    pattern = r"cyclic residue \|\|rho - Pi rho Pi\^T\|\|_F = \d\.\d{3}e-\d\d > 1e-14"
+    with pytest.raises(dynamics.NotCyclic, match=pattern):
+        prepare_upb(order, 9)
+    assert solver_calls == []
 
 
 def test_orbit_three_coherence_law():

@@ -8,12 +8,11 @@ from upb3q.entanglement import (
     OQ_TRIPLES,
     UPB_TRIPLES,
     lhv_oracle,
-    min_pt_eigs,
     partial_transpose,
     triple_value,
     verify_triple_structure,
 )
-from upb3q.linalg import ShapeMismatch, jacobi_eigh
+from upb3q.linalg import ShapeMismatch
 from upb3q.pauli import (
     INDICES,
     SQRT2,
@@ -23,6 +22,8 @@ from upb3q.pauli import (
     to_coherence,
 )
 from upb3q.states import X, rho_oq, rho_sep, rho_upb
+
+from helpers import min_pt_eig_alone, min_pt_eigs
 
 X3 = X**3
 
@@ -36,11 +37,6 @@ def ghz():
 def ppt(rho):
     """The PPT verdict: no cut's partial transpose has an eigenvalue below -1e-10."""
     return (min_pt_eigs(rho) >= -1e-10).all(-1)
-
-
-def min_pt_eig_alone(m, qubit):
-    """One-matrix oracle: the smallest eigenvalue of one qubit's partial transpose."""
-    return jacobi_eigh(partial_transpose(m)[qubit - 1], want_vectors=False)[0][0]
 
 
 @pytest.mark.parametrize("qubit", [1, 2, 3])
@@ -95,6 +91,21 @@ def test_partial_transpose_keeps_the_input_dtype_kind(monkeypatch, kind):
     assert set(sweeps) == {pts.dtype}
     if kind == "float":
         assert np.abs(mins - min_pt_eigs(rho.astype(complex))).max() <= 1e-15
+
+
+def test_qubit_shift_reads_the_qubits_in_the_order_2_3_1_and_carries_each_cut_to_cut_1():
+    # a product a x b x c shifts to b x c x a, and the qubit-1 transpose of
+    # Pi rho Pi^T (of Pi^2 rho Pi^2T) is rho's qubit-2 (qubit-3) transpose
+    # shifted alike, bit for bit: a cyclic rho has one spectrum on every cut
+    rng = np.random.default_rng(5)
+    shift = entanglement._QUBIT_SHIFT
+    a, b, c = rng.integers(-9, 10, size=(3, 2)) + 1j * rng.integers(-9, 10, size=(3, 2))  # exact products
+    assert np.array_equal(np.kron(np.kron(a, b), c)[shift], np.kron(np.kron(b, c), a))
+    rho = rng.normal(size=(4, 8, 8)) + 1j * rng.normal(size=(4, 8, 8))
+    shifted, pts = rho, partial_transpose(rho)
+    for cut in (2, 3):
+        shifted, pts = shifted[:, shift[:, None], shift], pts[..., shift[:, None], shift]
+        assert np.array_equal(partial_transpose(shifted)[:, 0], pts[:, cut - 1])
 
 
 def test_partial_transpose_takes_a_qubit():
@@ -246,7 +257,6 @@ def test_pt_routes_reject_non_8x8_shapes(solver_calls, rho, error, match):
     # a 4x4 used to fail inside numpy with "cannot reshape array of size 16",
     # and a NaN or inf entry, or an object array of None, came back as a NaN
     # matrix; None is not a number, the rule of every array argument
-    for route in (partial_transpose, min_pt_eigs):
-        with pytest.raises(error, match=match):
-            route(rho)
+    with pytest.raises(error, match=match):
+        partial_transpose(rho)
     assert solver_calls == []

@@ -27,6 +27,7 @@ from .dynamics import (
     STAGE1,
     TAU_P,
     _MAX_SAMPLES,
+    _ORDERS,
     byproduct_preparation,
     generator,
     named_flow,
@@ -89,10 +90,20 @@ class ClaimReport(NamedTuple):
 
 
 class _Context:
-    """Lazily computed artifacts shared across claims in one run."""
+    """Lazily computed artifacts shared across claims in one run.
 
-    def __init__(self, orbit_samples):
+    ids are the claims the run will grade, by default all of them.  The
+    first preparation read calls prepare_upb once, for the order it reads
+    and every other order that one of ids names as prep.<order>., so that
+    one eigen solve scores them all; an order read later that this call did
+    not cover gets a call of its own.
+    """
+
+    def __init__(self, orbit_samples, ids=None):
         self.orbit_samples = orbit_samples
+        ids = claim_ids() if ids is None else ids
+        self._pooled = [o for o in _ORDERS if any(cid.startswith(f"prep.{o}.") for cid in ids)]
+        self._preps = {}  # order -> PreparationTrace
 
     @cached_property
     def sep(self):
@@ -134,13 +145,19 @@ class _Context:
     def quarter_t(self):
         return rodrigues_flow(ORBIT, TAU_P / 4.0, self.sep_t)
 
-    @cached_property
-    def prep_standard(self):
-        return prepare_upb("standard")
+    def _prep(self, order):
+        if order not in self._preps:
+            orders = (order,) + tuple(o for o in self._pooled if o != order and o not in self._preps)
+            self._preps.update(zip(orders, prepare_upb(orders)))
+        return self._preps[order]
 
-    @cached_property
+    @property
+    def prep_standard(self):
+        return self._prep("standard")
+
+    @property
     def prep_swapped(self):
-        return prepare_upb("swapped")
+        return self._prep("swapped")
 
     @cached_property
     def swapped_mid_t(self):
@@ -507,19 +524,22 @@ def run_claims(orbit_samples=64, filter=None):
     """Execute the registry; returns reports sorted by claim id.
 
     The orbit claims sample orbit_samples times over one period, and claims
-    whose id the glob filter does not match are skipped.  Raises ValueError,
-    before any claim runs, on a grid not an integer in [2, _MAX_SAMPLES], a
-    filter that is neither None nor a string, or one that matches no claim id.
+    whose id the glob filter does not match are skipped.  The run's _Context
+    is told which ids it grades, so that one prepare_upb call covers every
+    order they read.  Raises ValueError, before any claim runs, on a grid not
+    an integer in [2, _MAX_SAMPLES], a filter that is neither None nor a
+    string, or one that matches no claim id.
     """
     _number(orbit_samples, "orbit_samples", integer=True, low=2, high=_MAX_SAMPLES)
     if filter is not None:
         if not isinstance(filter, str):
             raise ValueError(f"filter must be None or a glob string, got {filter!r}")
         _check_filter(filter)
-    ctx = _Context(orbit_samples)
+    selected = {cid for cid in claim_ids() if filter is None or fnmatch.fnmatchcase(cid, filter)}
+    ctx = _Context(orbit_samples, selected)
     reports = []
     for cid, ref, desc, fn in _REGISTRY:
-        if filter is not None and not fnmatch.fnmatchcase(cid, filter):
+        if cid not in selected:
             reports.append(ClaimReport(cid, desc, ref, "skip", None, None, 0.0))
             continue
         try:

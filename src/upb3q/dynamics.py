@@ -29,8 +29,9 @@ TAU_P = 2.0 * SQRT2 * np.pi
 
 # Largest grid, checked before it is allocated: a sample costs about 0.05 ms and 5 KB on the orbit (its
 # state and 3 partial transposes in one float64 stack; a tracemalloc peak of 51 MB for orbit(10000))
-# and 0.05 ms and 6 KB as a preparation probe (one solved transpose; a peak of 115 MB for the 20000
-# probes of prepare_upb(order, 10000)), so a grid this size takes about a second and at most ~120 MB.
+# and 0.05 ms and 5 KB as a preparation probe (one solved transpose; a peak of 104 MB for the 20000
+# probes of prepare_upb(order, 10000), 208 MB for both orders at once), so a grid this size takes about
+# a second and at most ~110 MB per preparation order.
 _MAX_SAMPLES = 10_000
 
 
@@ -201,24 +202,15 @@ class NotCyclic(RuntimeError):
     """A preparation probe is further than _CYCLIC_TOL from its cyclic qubit shift."""
 
 
-def prepare_upb(order="standard", interior_samples=9):
-    """Run the two-stage schedule from the separable mixture.
+_ORDERS = ("standard", "swapped")
 
-    standard: stage 1 = triple-z for TAU_P/2 (lands on the mu mixture),
-    stage 2 = the six-term generator for TAU_P/4 (lands on the complement
-    state).  swapped: same (labels, duration) pairs in reversed order; the
-    intermediate is then the reflection of the standard one, and the endpoint
-    is unchanged.  interior_samples equispaced interior times per stage are
-    scored with min partial-transpose eigenvalues per cut.  Each stage flows
-    its interior times and its endpoint in one named_flow call.  One eigen
-    solve scores cut 1 of every probe and cuts 2 and 3 of each stage's first
-    probe; every other probe reports its cut-1 minimum for cuts 2 and 3,
-    after every probe is checked to lie within _CYCLIC_TOL of its cyclic
-    qubit shift (NotCyclic, before any solve, otherwise).
+
+def _schedule(order, interior_samples):
+    """One order's checkpoints, its interior probes and the (stage, t) of each probe, before any solve.
+
+    Raises NotCyclic, naming the residue, on a probe further than
+    _CYCLIC_TOL from its cyclic qubit shift.
     """
-    if not (isinstance(order, str) and order in ("standard", "swapped")):
-        raise ValueError(f"order must be 'standard' or 'swapped', got {order!r}")
-    _number(interior_samples, "interior_samples", integer=True, low=0, high=_MAX_SAMPLES)
     stages = [(STAGE1, TAU_P / 2.0), (STAGE2, TAU_P / 4.0)]
     if order == "swapped":
         stages = stages[::-1]
@@ -240,16 +232,53 @@ def prepare_upb(order="standard", interior_samples=9):
         stage, t = times[worst]
         raise NotCyclic(f"the stage-{stage} probe at t = {t:.6g} has cyclic residue ||rho - Pi rho Pi^T||_F = "
                         f"{residues[worst]:.3e} > {_CYCLIC_TOL}, so cut 1's minimum stands for no other cut")
-    n = len(probes)
+    return checkpoints, probes, times
+
+
+def prepare_upb(order="standard", interior_samples=9):
+    """Run the two-stage schedule from the separable mixture.
+
+    standard: stage 1 = triple-z for TAU_P/2 (lands on the mu mixture),
+    stage 2 = the six-term generator for TAU_P/4 (lands on the complement
+    state).  swapped: same (labels, duration) pairs in reversed order; the
+    intermediate is then the reflection of the standard one, and the endpoint
+    is unchanged.  interior_samples equispaced interior times per stage are
+    scored with min partial-transpose eigenvalues per cut.  Each stage flows
+    its interior times and its endpoint in one named_flow call.  One eigen
+    solve scores cut 1 of every probe and cuts 2 and 3 of each stage's first
+    probe; every other probe reports its cut-1 minimum for cuts 2 and 3,
+    after every probe is checked to lie within _CYCLIC_TOL of its cyclic
+    qubit shift (NotCyclic, before any solve, otherwise).
+
+    A tuple of one or both orders gives a tuple of traces, one per order in
+    tuple order, each with the bits of its one-order call: every order is
+    checked, then one eigen solve scores the probes of all of them.  As in
+    _check_axis, only a tuple is read as several orders.
+    """
+    several = isinstance(order, tuple)
+    orders = order if several else (order,)
+    if not (orders and all(isinstance(o, str) and o in _ORDERS for o in orders)
+            and len(set(orders)) == len(orders)):  # counted after the type check: a list is not hashable
+        what = "a tuple of one or both of 'standard' and 'swapped'" if several else "'standard' or 'swapped'"
+        raise ValueError(f"order must be {what}, got {order!r}")
+    _number(interior_samples, "interior_samples", integer=True, low=0, high=_MAX_SAMPLES)
+    runs = [_schedule(o, interior_samples) for o in orders]  # every order checked before the solve
+    n = 2 * interior_samples
     first = np.arange(n) % max(interior_samples, 1) == 0  # each stage's first probe
-    pts = partial_transpose(probes)  # (probe, cut, 8, 8)
-    solved = np.concatenate([pts[:, 0], pts[first, 1:].reshape(-1, 8, 8)])  # no solve for interior_samples 0
-    del pts  # the unsolved transposes go before the solve makes its scratch
-    eigs = jacobi_eigh(solved, want_vectors=False)[0][..., 0]
-    mins = np.repeat(eigs[:n, None], 3, axis=1)  # (probe, cut): cut 1's minimum on every cut
-    mins[first, 1:] = eigs[n:].reshape(-1, 2)
-    interior = tuple(InteriorSample(num, t, tuple(float(x) for x in m)) for (num, t), m in zip(times, mins))
-    return PreparationTrace(checkpoints, interior)
+    pieces = []  # per order: cut 1 of every probe, then cuts 2 and 3 of each first probe
+    for _, probes, _ in runs:
+        pts = partial_transpose(probes)  # (probe, cut, 8, 8)
+        pieces += [pts[:, 0], pts[first, 1:].reshape(-1, 8, 8)]
+    solved = np.concatenate(pieces)  # no solve for interior_samples 0
+    del pts, pieces  # the unsolved transposes go before the solve makes its scratch
+    eigs = jacobi_eigh(solved, want_vectors=False)[0][..., 0].reshape(len(runs), -1)
+    traces = []
+    for (checkpoints, _, times), own in zip(runs, eigs):
+        mins = np.repeat(own[:n, None], 3, axis=1)  # (probe, cut): cut 1's minimum on every cut
+        mins[first, 1:] = own[n:].reshape(-1, 2)
+        interior = tuple(InteriorSample(num, t, tuple(float(x) for x in m)) for (num, t), m in zip(times, mins))
+        traces.append(PreparationTrace(checkpoints, interior))
+    return tuple(traces) if several else traces[0]
 
 
 class Orbit(NamedTuple):

@@ -239,8 +239,12 @@ ARGS = {
     "orbit(samples)": (orbit, np.int64(2), [
         (ValueError, f"samples must be an integer in [2, {_MAX_SAMPLES}], got {{got}}", 1, 0, 4.0, "4",
          _MAX_SAMPLES + 1)]),
+    # as in _check_axis, only a tuple is read as several orders: a list is one bad order
     "prepare_upb(order)": (lambda order: prepare_upb(order, 1), "swapped", [
-        (ValueError, "order must be 'standard' or 'swapped', got {got}", "sideways", np.array(["standard"]))]),
+        (ValueError, "order must be 'standard' or 'swapped', got {got}", "sideways", np.array(["standard"]),
+         ["standard"]),
+        (ValueError, "order must be a tuple of one or both of 'standard' and 'swapped', got {got}", (),
+         ("standard", "sideways"), ("swapped", "swapped"), ("standard", ["swapped"]))]),
     "prepare_upb(interior_samples)": (lambda n: prepare_upb("standard", n), np.int64(1), [
         (ValueError, f"interior_samples must be an integer in [0, {_MAX_SAMPLES}], got {{got}}", 4.0, "4",
          _MAX_SAMPLES + 1)]),

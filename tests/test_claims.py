@@ -212,13 +212,13 @@ def test_full_run_stacks_its_eigen_solves(solver_calls):
     # one orbit solve of its 4 * 64 state matrices (each state and its 3
     # partial transposes; the reflections' spectra are derived) plus one
     # solve each for the 16 fixed matrices (the two base states, the three
-    # upb cuts, the ten set-C members and the reflected projector) and per
-    # preparation order cut 1 of its 18 interior probes and cuts 2 and 3 of
-    # each stage's first probe; the named flows read their spectral table and
-    # solve nothing
+    # upb cuts, the ten set-C members and the reflected projector) and for
+    # both preparation orders at once, 22 matrices each: cut 1 of its 18
+    # interior probes and cuts 2 and 3 of each stage's first probe; the named
+    # flows read their spectral table and solve nothing
     run_claims(orbit_samples=64)
     assert sum(solver_calls) == 60 + 4 * 64
-    assert sorted(solver_calls) == [16, 22, 22, 256]
+    assert sorted(solver_calls) == [16, 44, 256]
 
 
 def test_fixed_spectra_solve_the_reflected_matrices_themselves(monkeypatch):
@@ -324,6 +324,10 @@ def test_registry_metadata_is_frozen():
 @pytest.mark.parametrize("pattern, sizes", [
     ("lhv.*", []),
     ("prep.standard.*", [22]),
+    ("prep.*", [44]),
+    # the swapped claims name no standard claim, so prep.swapped.intermediate_reflects'
+    # read of the standard intermediate makes a call of its own
+    ("prep.swapped.*", [22, 22]),
     ("rodrigues.*", []),
     ("state.spectrum_*", [16]),
     ("reflect.*", [16]),
@@ -331,8 +335,47 @@ def test_registry_metadata_is_frozen():
 ])
 def test_filtered_runs_build_only_what_they_use(solver_calls, pattern, sizes):
     # a filtered run solves only the shared artifacts its claims touch: the
-    # standard preparation never runs the swapped schedule, the LHV and
-    # Rodrigues claims need no eigen solve at all, and every fixed-state spectrum claim reads
+    # standard preparation never runs the swapped schedule, both orders share
+    # one solve when the run's ids name both, the LHV and Rodrigues claims
+    # need no eigen solve at all, and every fixed-state spectrum claim reads
     # the one solve of all 16 fixed matrices
     run_claims(filter=pattern)
     assert solver_calls == sizes
+
+
+def test_a_context_built_directly_pools_both_orders(solver_calls):
+    # with no ids given a context grades every claim, as a full run does, so
+    # its first preparation read scores both orders in one solve
+    ctx = _Context(64)
+    swapped = ctx.prep_swapped
+    assert solver_calls == [44]
+    assert ctx.prep_standard is ctx.prep_standard and ctx.prep_swapped is swapped
+    assert solver_calls == [44]
+
+
+def test_every_verdict_passes_by_a_wide_margin(monkeypatch):
+    # one full run, and the artifacts of its own context: each passing numeric
+    # claim uses at most 1% of its tolerance (0.11% at most when measured), and
+    # the quantities that the boolean claims threshold clear their floors
+    contexts = []
+
+    class Recorded(_Context):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(self)
+
+    monkeypatch.setattr(claims, "_Context", Recorded)
+    reports = run_claims(64)
+    [ctx] = contexts
+    numeric = [r for r in reports if r.status == "pass" and isinstance(r.measured, float)]
+    assert len(numeric) == 35
+    assert [(r.claim_id, abs(r.measured - r.expected) / r.tolerance) for r in numeric
+            if abs(r.measured - r.expected) > 0.01 * r.tolerance] == []
+    # prep.*.interior_npt grades every probe's largest cut minimum against -1e-6; -0.013 when measured
+    for trace in (ctx.prep_standard, ctx.prep_swapped):
+        assert len(trace.interior) == 18
+        assert max(max(s.min_pt_eigs) for s in trace.interior) <= -1e-5
+    # orbit.rank grades four eigenvalues below 1e-9 and four above 0.2, of every state and reflection
+    w = ctx.orbit.spectra[:, :, 0]
+    assert np.abs(w[..., :4]).max() <= 1e-11
+    assert w[..., 4:].min() >= 0.2499

@@ -453,6 +453,26 @@ def test_prepare_upb_matches_per_probe_flows(order, k):
     assert next(probes, None) is None
 
 
+@pytest.mark.parametrize("orders", [("standard", "swapped"), ("swapped", "standard")])
+@pytest.mark.parametrize("k", [0, 1, 9, 32])
+def test_prepare_upb_on_a_tuple_has_the_bits_of_one_order_calls(solver_calls, orders, k):
+    # one solve scores the 2k + 4 probe transposes of each order (none at k = 0),
+    # and each trace has the bits of its one-order call, in tuple order
+    pooled = prepare_upb(orders, k)
+    assert solver_calls == ([2 * (2 * k + 4)] if k else [])
+    assert isinstance(pooled, tuple) and len(pooled) == 2
+    for order, trace in zip(orders, pooled):
+        alone = prepare_upb(order, k)
+        assert sorted(trace.checkpoints) == sorted(alone.checkpoints) == ["final", "intermediate"]
+        for name, state in alone.checkpoints.items():
+            assert trace.checkpoints[name].tobytes() == state.tobytes()
+        assert len(trace.interior) == len(alone.interior) == 2 * k
+        for got, want in zip(trace.interior, alone.interior):
+            assert got.stage == want.stage
+            assert np.array(got.t).tobytes() == np.array(want.t).tobytes()
+            assert np.array(got.min_pt_eigs).tobytes() == np.array(want.min_pt_eigs).tobytes()
+
+
 @pytest.mark.parametrize("order", ["standard", "swapped"])
 @pytest.mark.parametrize("dropped", STAGE2)
 def test_a_non_cyclic_stage_raises_before_any_solve(monkeypatch, solver_calls, order, dropped):
@@ -464,8 +484,10 @@ def test_a_non_cyclic_stage_raises_before_any_solve(monkeypatch, solver_calls, o
     monkeypatch.setattr(dynamics, "STAGE2", labels)
     monkeypatch.setitem(dynamics._SPECTRA, labels, (w, np.einsum("ik,jk->kij", v, v.conj())))
     pattern = r"cyclic residue \|\|rho - Pi rho Pi\^T\|\|_F = \d\.\d{3}e-\d\d > 1e-14"
-    with pytest.raises(dynamics.NotCyclic, match=pattern):
-        prepare_upb(order, 9)
+    # a tuple of orders checks each order before its one solve
+    for arg in (order, (order,), ("standard", "swapped")):
+        with pytest.raises(dynamics.NotCyclic, match=pattern):
+            prepare_upb(arg, 9)
     assert solver_calls == []
 
 

@@ -28,6 +28,8 @@ from .dynamics import (
     TAU_P,
     _MAX_SAMPLES,
     _ORDERS,
+    _orbit_from,
+    _orbit_stack,
     byproduct_preparation,
     generator,
     named_flow,
@@ -79,6 +81,18 @@ _EQUALITY_TOL = 1e-12
 _FLOW_TOL = 1e-10
 
 
+# The claims that read _Context.fixed_spectra, and those that read _Context.orbit: a run that grades
+# one of each solves both families in one eigen call.
+_FIXED_READERS = frozenset({"ppt.upb", "reflect.set_c_closed", "reflect.single_component_spectrum",
+                            "state.in_set_c", "state.spectrum_sep", "state.spectrum_upb"})
+_ORBIT_READERS = frozenset({"orbit.conserved_coherences", "orbit.rank", "orbit.sinusoids", "ppt.orbit"})
+
+
+def _fixed_by_name(w):
+    """The ascending spectra w (16, 8) of _Context's fixed matrices, by name (see _Context.fixed_spectra)."""
+    return {"base": w[:2], "upb_cuts": w[2:5], "set_c": w[5:15].reshape(5, 2, 8), "projector": w[15]}
+
+
 class ClaimReport(NamedTuple):
     claim_id: str
     description: str
@@ -95,14 +109,18 @@ class _Context:
     ids are the claims the run will grade, by default all of them.  The
     first preparation read calls prepare_upb once, for the order it reads
     and every other order that one of ids names as prep.<order>., so that
-    one eigen solve scores them all; an order read later that this call did
-    not cover gets a call of its own.
+    one eigen solve scores them all.  Likewise, when ids hold one of
+    _FIXED_READERS and one of _ORBIT_READERS, the first read of
+    fixed_spectra or orbit solves the 16 fixed matrices and the orbit's 4N
+    in one eigen solve (see _pooled_spectra); otherwise each gets a call of
+    its own.
     """
 
     def __init__(self, orbit_samples, ids=None):
         self.orbit_samples = orbit_samples
-        ids = claim_ids() if ids is None else ids
+        ids = set(claim_ids() if ids is None else ids)
         self._pooled = [o for o in _ORDERS if any(cid.startswith(f"prep.{o}.") for cid in ids)]
+        self._pool_spectra = bool(ids & _FIXED_READERS and ids & _ORBIT_READERS)
         self._preps = {}  # order -> PreparationTrace
 
     @cached_property
@@ -129,17 +147,40 @@ class _Context:
         1, 2 and 3.  set_c (5, 2, 8): five states of the set C and their
         reflections.  projector (8,): the reflected first psi projector.
         """
+        pooled = self._pooled_spectra
+        return pooled[0] if pooled else _fixed_by_name(jacobi_eigh(self._fixed_stack(), want_vectors=False)[0])
+
+    @cached_property
+    def orbit(self):
+        pooled = self._pooled_spectra
+        return pooled[1] if pooled else orbit(self.orbit_samples)
+
+    @cached_property
+    def _pooled_spectra(self):
+        """(fixed_spectra, orbit) from one eigen solve of both stacks; None if the run does not pool them.
+
+        The stacks pool only when both are real or both complex: a complex
+        stack would rotate the other one complex, off its own solve's bits.
+        """
+        if not self._pool_spectra:
+            return None
+        fixed = self._fixed_stack()
+        t, tensors, stack = _orbit_stack(self.orbit_samples)
+        if fixed.dtype != stack.dtype:
+            return None
+        w = jacobi_eigh(np.concatenate([fixed, stack]), want_vectors=False)[0]
+        return _fixed_by_name(w[:16]), _orbit_from(t, tensors, w[16:])
+
+    def _fixed_stack(self):
         members = np.stack([self.sep_t, self.upb_t, self.quarter_t,
                             to_coherence(family_mixture("theta")), to_coherence(family_mixture("phi"))])
         set_c = from_coherence(np.stack([members, reflect(members)], axis=1))  # (state, reflected, 8, 8)
-        mats = np.concatenate([
+        return _real_if_exact(np.concatenate([
             [self.sep, self.upb],
             partial_transpose(self.upb),
             set_c.reshape(-1, 8, 8),
             [reflect_density(family("psi")[0].projector())],
-        ])
-        w = jacobi_eigh(_real_if_exact(mats), want_vectors=False)[0]
-        return {"base": w[:2], "upb_cuts": w[2:5], "set_c": w[5:15].reshape(5, 2, 8), "projector": w[15]}
+        ]))
 
     @cached_property
     def quarter_t(self):
@@ -162,10 +203,6 @@ class _Context:
     @cached_property
     def swapped_mid_t(self):
         return to_coherence(self.prep_swapped.checkpoints["intermediate"])
-
-    @cached_property
-    def orbit(self):
-        return orbit(self.orbit_samples)
 
     @cached_property
     def byproduct(self):

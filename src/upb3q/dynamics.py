@@ -293,21 +293,31 @@ class Orbit(NamedTuple):
     spectra: np.ndarray
 
 
-def _orbit_spectra(mats):
-    """Ascending spectra (N, 2, 4, 8) of the orbit's (N, 8, 8) states and their reflections, each with its transposes.
+def _orbit_stack(samples):
+    """orbit(samples)'s grid t (N,), its coherence vectors (N, 64) and the (4N, 8, 8) stack that one solve scores.
 
-    The matrices are read as float64, which partial_transpose keeps, when no
-    imaginary bit is set.  Each state and its three partial transposes are
-    stacked in sample order for one jacobi_eigh call that gives each matrix
-    its own solve's bits.  Each reflection I/4 - rho takes 1/4 minus its
-    state's spectra, reversed (partial transposes are linear).
+    The stack holds each state, then its partial transposes on 1|23, 2|13
+    and 3|12, in sample order, read as float64, which partial_transpose
+    keeps, when no imaginary bit is set.  ValueError unless samples is an
+    integer in [2, _MAX_SAMPLES].
     """
-    n, mats = len(mats), _real_if_exact(mats)
-    stack = np.concatenate([mats[:, None], partial_transpose(mats)], axis=1)  # (sample, 4, 8, 8)
-    spectra = np.empty((n, 2, 4, 8))
-    spectra[:, 0] = jacobi_eigh(stack.reshape(-1, 8, 8), want_vectors=False)[0].reshape(n, 4, 8)
+    _number(samples, "samples", integer=True, low=2, high=_MAX_SAMPLES)
+    t = TAU_P * np.arange(samples) / samples
+    tensors = rodrigues_flow(ORBIT, t, to_coherence(rho_sep()))
+    mats = _real_if_exact(from_coherence(tensors))
+    return t, tensors, np.concatenate([mats[:, None], partial_transpose(mats)], axis=1).reshape(-1, 8, 8)
+
+
+def _orbit_from(t, tensors, w):
+    """The Orbit of _orbit_stack's t and tensors, given the ascending spectra w (4N, 8) of its stack.
+
+    Each reflection I/4 - rho takes 1/4 minus its state's spectra, reversed
+    (partial transposes are linear).
+    """
+    spectra = np.empty((len(t), 2, 4, 8))
+    spectra[:, 0] = w.reshape(len(t), 4, 8)
     spectra[:, 1] = 0.25 - spectra[:, 0, :, ::-1]
-    return spectra
+    return Orbit(t, tensors, spectra)
 
 
 def orbit(samples=64):
@@ -316,13 +326,12 @@ def orbit(samples=64):
     Grid: t_k = k TAU_P / samples for k = 0..samples-1 (the endpoint TAU_P
     duplicates t=0).  With samples divisible by 4 the quarter and half period
     land exactly on grid points.  The spectra come from one eigen solve of
-    the states and their partial transposes (see _orbit_spectra); ValueError
-    unless samples is an integer in [2, _MAX_SAMPLES].
+    the states and their partial transposes (see _orbit_stack), which gives
+    each matrix its own solve's bits; ValueError unless samples is an
+    integer in [2, _MAX_SAMPLES].
     """
-    _number(samples, "samples", integer=True, low=2, high=_MAX_SAMPLES)
-    t = TAU_P * np.arange(samples) / samples
-    tensors = rodrigues_flow(ORBIT, t, to_coherence(rho_sep()))
-    return Orbit(t, tensors, _orbit_spectra(from_coherence(tensors)))
+    t, tensors, stack = _orbit_stack(samples)
+    return _orbit_from(t, tensors, jacobi_eigh(stack, want_vectors=False)[0])
 
 
 def stationarity(h, rho):

@@ -264,17 +264,23 @@ def _sweep(av):
 
     A matrix whose a[p, q] is exactly zero is left out of that rotation, as
     the scalar iteration skips it: the angle formulas would turn a zero pair
-    into a rotation by pi.
+    into a rotation by pi.  A pair that is zero in some matrices but not all
+    is rotated across the whole stack, and _mix writes back only the matrices
+    it hits; a skipped one with a zero gap gets 0/0 angles, never written.
     """
     n = av.shape[1]
     for p in range(n - 1):
         for q in range(p + 1, n):
             hit = av[p, q].nonzero()[0]
             if len(hit) == av.shape[-1]:
-                hit = slice(None)  # plain views instead of gathered copies
+                hit = True  # every member rotates
+                cols, rows = _rotation(av[p, q], av[p, p] - av[q, q])
             elif not len(hit):
                 continue
-            cols, rows = _rotation(av[p, q, hit], av[p, p, hit] - av[q, q, hit])
+            else:
+                hit = av[p, q] != 0
+                with np.errstate(invalid="ignore", divide="ignore"):  # a skipped member with a zero gap: 0/0
+                    cols, rows = _rotation(av[p, q], av[p, p] - av[q, q])
             # Columns: A <- A U with U mixing columns p and q (and V <- V U).
             _mix(av[:, p], av[:, q], hit, *cols)
             # Rows: A <- U^dagger A.
@@ -313,24 +319,22 @@ def _rotation(apq, gap):
     return ((c, s, -s),) * 2
 
 
-def _mix(xs, ys, hit, c, s_xy, s_yx):
-    """x, y <- c x + s_xy y, s_yx x + c y for the batch members hit of the (m, B) rows xs, ys.
+def _mix(x, y, hit, c, s_xy, s_yx):
+    """x, y <- c x + s_xy y, s_yx x + c y in the (m, B) rows x, y, written only where the (B,) mask hit is set.
 
-    Each product goes to a fresh buffer or to a scratch row outside the
-    stack, never to x or y: numpy may round a product that it must buffer
-    against overlap differently.  Two scratch rows serve the four products;
-    the new x waits in one of them until s_yx x is made, so at most four
-    rows are live beside the stack, with gathered copies of x and y.
+    hit is True for every batch member.  Each product goes to a fresh buffer
+    or to a scratch row outside the stack, never to x or y: numpy may round a
+    product that it must buffer against overlap differently.  Two scratch
+    rows serve the four products; the new x waits in one of them until s_yx x
+    is made, so at most four rows are live beside the stack.  A member that
+    hit leaves out is never written, so it keeps every bit, signed zeros too.
     """
-    x, y = xs[:, hit], ys[:, hit]  # views when hit is a slice, gathered copies otherwise
     new_x, tmp = c * x, s_xy * y
     np.add(new_x, tmp, out=new_x)
     np.multiply(s_yx, x, out=tmp)
-    x[...] = new_x
+    np.copyto(x, new_x, where=hit)
     np.multiply(c, y, out=new_x)
-    np.add(tmp, new_x, out=y)
-    if not isinstance(hit, slice):
-        xs[:, hit], ys[:, hit] = x, y
+    np.add(tmp, new_x, out=y, where=hit)
 
 
 def frobenius_distance(a, b):

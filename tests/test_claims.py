@@ -209,31 +209,33 @@ def test_claim_report_to_dict_round_trip():
 
 
 def test_full_run_stacks_its_eigen_solves(solver_calls):
-    # one orbit solve of its 4 * 64 state matrices (each state and its 3
-    # partial transposes; the reflections' spectra are derived) plus one
-    # solve each for the 16 fixed matrices (the two base states, the three
-    # upb cuts, the ten set-C members and the reflected projector) and for
-    # both preparation orders at once, 22 matrices each: cut 1 of its 18
-    # interior probes and cuts 2 and 3 of each stage's first probe; the named
-    # flows read their spectral table and solve nothing
+    # one solve of the 16 fixed matrices (the two base states, the three upb
+    # cuts, the ten set-C members and the reflected projector) together with
+    # the orbit's 4 * 64 state matrices (each state and its 3 partial
+    # transposes; the reflections' spectra are derived), and one for both
+    # preparation orders at once, 22 matrices each: cut 1 of its 18 interior
+    # probes and cuts 2 and 3 of each stage's first probe; the named flows
+    # read their spectral table and solve nothing
     run_claims(orbit_samples=64)
     assert sum(solver_calls) == 60 + 4 * 64
-    assert sorted(solver_calls) == [16, 44, 256]
+    assert sorted(solver_calls) == [44, 272]
 
 
 def test_fixed_spectra_solve_the_reflected_matrices_themselves(monkeypatch):
     # reflect.set_c_closed and reflect.single_component_spectrum grade solves
     # of the reflected matrices, not 1/4 minus the states' spectra, which
-    # would hold by construction: the one stack holds the five reflected set-C
-    # members and the reflected psi projector as reflect builds them
+    # would hold by construction: the first 16 matrices of the stack that a
+    # context pools with the orbit hold the five reflected set-C members and
+    # the reflected psi projector as reflect builds them
     stacks = []
     monkeypatch.setattr(claims, "jacobi_eigh", lambda m, **kw: stacks.append(m) or jacobi_eigh(m, **kw))
     ctx = _Context(64)
     spectra = ctx.fixed_spectra
-    [stack] = stacks
+    [pooled] = stacks
     members = np.stack([ctx.sep_t, ctx.upb_t, ctx.quarter_t,
                         to_coherence(family_mixture("theta")), to_coherence(family_mixture("phi"))])
-    assert stack.shape == (16, 8, 8)
+    assert pooled.shape == (16 + 4 * 64, 8, 8)
+    stack = pooled[:16]
     set_c = stack[5:15].reshape(5, 2, 8, 8)
     assert set_c[:, 0].tobytes() == from_coherence(members).real.tobytes()
     assert set_c[:, 1].tobytes() == from_coherence(reflect(members)).real.tobytes()
@@ -277,7 +279,8 @@ def test_interior_npt_reads_every_cut(monkeypatch, qubit):
 @pytest.mark.parametrize("imag, dtype", [(0.0, np.float64), (-0.0, np.complex128), (5e-324, np.complex128)])
 def test_fixed_spectra_solve_real_only_with_no_imaginary_bit_set(monkeypatch, imag, dtype):
     # the 16 fixed matrices are real; one set imaginary bit in the last of
-    # them, the reflected projector, keeps the whole solve complex
+    # them, the reflected projector, keeps the whole solve complex, and then
+    # the real orbit gets a solve of its own, which keeps its bits
     seen = []
     monkeypatch.setattr(claims, "jacobi_eigh", lambda m, **kw: seen.append(m.dtype) or jacobi_eigh(m, **kw))
     inner = claims.reflect_density
@@ -288,8 +291,10 @@ def test_fixed_spectra_solve_real_only_with_no_imaginary_bit_set(monkeypatch, im
         return out
 
     monkeypatch.setattr(claims, "reflect_density", marked)
-    spectra = _Context(64).fixed_spectra
+    ctx = _Context(64)
+    spectra = ctx.fixed_spectra
     assert seen == [dtype]
+    assert ctx.orbit.spectra.tobytes() == orbit(64).spectra.tobytes()
     assert np.abs(spectra["projector"] - claims._PROJECTOR_SPECTRUM).max() < 1e-15
 
 
@@ -332,13 +337,17 @@ def test_registry_metadata_is_frozen():
     ("state.spectrum_*", [16]),
     ("reflect.*", [16]),
     ("ppt.upb", [16]),
+    ("ppt.*", [16 + 256]),
+    ("orbit.*", [256]),
+    ("ppt.orbit", [256]),
 ])
 def test_filtered_runs_build_only_what_they_use(solver_calls, pattern, sizes):
     # a filtered run solves only the shared artifacts its claims touch: the
     # standard preparation never runs the swapped schedule, both orders share
     # one solve when the run's ids name both, the LHV and Rodrigues claims
-    # need no eigen solve at all, and every fixed-state spectrum claim reads
-    # the one solve of all 16 fixed matrices
+    # need no eigen solve at all, every fixed-state spectrum claim reads the
+    # one solve of all 16 fixed matrices, and that solve takes in the orbit's
+    # 4 * 64 matrices only when the run also grades an orbit spectrum
     run_claims(filter=pattern)
     assert solver_calls == sizes
 
@@ -351,6 +360,46 @@ def test_a_context_built_directly_pools_both_orders(solver_calls):
     assert solver_calls == [44]
     assert ctx.prep_standard is ctx.prep_standard and ctx.prep_swapped is swapped
     assert solver_calls == [44]
+
+
+def test_a_context_built_directly_pools_the_fixed_matrices_with_the_orbit(solver_calls):
+    # the orbit read first solves the 16 fixed matrices too, and the fixed
+    # spectra read after it makes no call
+    ctx = _Context(64)
+    orb = ctx.orbit
+    assert solver_calls == [16 + 4 * 64]
+    assert ctx.fixed_spectra is ctx.fixed_spectra and ctx.orbit is orb
+    assert solver_calls == [16 + 4 * 64]
+
+
+def test_each_pooling_set_names_exactly_the_claims_that_read_its_family(solver_calls):
+    # run alone, a claim solves the 16 fixed matrices if it reads fixed_spectra
+    # and the orbit's 4 * 5 if it reads orbit, so the two sets that decide
+    # pooling name every reader and no other claim
+    fixed, orbit_readers = set(), set()
+    for cid in claim_ids():
+        solver_calls.clear()
+        run_claims(orbit_samples=5, filter=cid)
+        if 16 in solver_calls:
+            fixed.add(cid)
+        if 20 in solver_calls:
+            orbit_readers.add(cid)
+    assert (fixed, orbit_readers) == (claims._FIXED_READERS, claims._ORBIT_READERS)
+
+
+@pytest.mark.parametrize("samples", [2, 64, 65, 253])
+def test_a_pooled_context_has_the_bytes_of_separate_solves(solver_calls, samples):
+    # one solve of the 16 fixed matrices and the orbit's 4N gives each its
+    # own bytes; at N = 253 the 1028 real matrices span two solver chunks
+    ctx = _Context(samples)
+    pooled, spectra = ctx.orbit, ctx.fixed_spectra
+    assert solver_calls == ([16 + 4 * samples] if samples < 253 else [1024, 4])
+    alone = orbit(samples)
+    for name in alone._fields:
+        assert getattr(pooled, name).tobytes() == getattr(alone, name).tobytes(), name
+    w = jacobi_eigh(ctx._fixed_stack(), want_vectors=False)[0]
+    assert np.concatenate([spectra["base"], spectra["upb_cuts"], spectra["set_c"].reshape(-1, 8),
+                           spectra["projector"][None]]).tobytes() == w.tobytes()
 
 
 def test_every_verdict_passes_by_a_wide_margin(monkeypatch):

@@ -5,7 +5,6 @@ from upb3q import dynamics, entanglement, linalg, pauli, states
 from upb3q import claims
 from upb3q.claims import run_claims
 from upb3q.dynamics import (
-    _orbit_spectra,
     COS_SET,
     FIXED_POINT,
     ONE_SPIN,
@@ -333,20 +332,21 @@ def test_reflected_spectra_are_a_quarter_minus_the_state_spectra(samples):
 
 
 @pytest.mark.parametrize("zero", [0.0, -0.0])
-def test_a_transpose_that_differs_only_by_a_signed_zero_is_solved(solver_calls, zero):
+def test_a_transpose_that_differs_only_by_a_signed_zero_is_solved(solver_calls, monkeypatch, zero):
     # m[0, 4] and m[4, 0] trade places under the transpose of qubit 1, and no
     # other transpose moves them; the orbit's matrices carry signed zeros.
     # Each transpose is solved, whether or not it carries its matrix's bits
     m = np.diag(np.arange(8.0)).astype(complex)
     m[0, 1] = m[1, 0] = 0.5
     m[0, 4] = zero
-    mats = np.array([m])
     pts = partial_transpose(m)
     assert all(np.array_equal(pt, m) for pt in pts)  # equal as numbers either way
     assert [pt.tobytes() == m.tobytes() for pt in pts] == [not np.signbit(zero), True, True]
-    spectra = _orbit_spectra(mats)
-    assert solver_calls == [4]
-    assert spectra[:, 0].tobytes() == jacobi_eigh(with_transposes(mats).real, want_vectors=False)[0].tobytes()
+    monkeypatch.setattr(dynamics, "from_coherence", lambda c: np.array([m] * len(c)))  # every sample is m
+    spectra = orbit(2).spectra
+    assert solver_calls == [8]
+    want = jacobi_eigh(with_transposes(m).real, want_vectors=False)[0]
+    assert spectra[:, 0].tobytes() == np.array([want, want]).tobytes()
 
 
 @pytest.mark.parametrize("samples", [2, 33, 128])
@@ -400,12 +400,17 @@ def test_orbit_blocks_match_per_matrix_solves(samples):
 def test_one_set_imaginary_bit_keeps_the_orbit_stack_complex(monkeypatch, imag, dtype):
     # the path is read from the bits: a -0.0 imaginary part is a set bit, and
     # so is the smallest subnormal; the stack then has its complex bits
+    def marked(c):
+        mats = from_coherence(c)
+        mats[1, 3, 3] = complex(mats[1, 3, 3].real, imag)
+        return mats
+
     seen = []
     monkeypatch.setattr(dynamics, "jacobi_eigh", lambda m, **kw: seen.append(m.dtype) or jacobi_eigh(m, **kw))
-    mats = from_coherence(orbit(4).tensors)
-    mats[1, 3, 3] = complex(mats[1, 3, 3].real, imag)
-    spectra = _orbit_spectra(mats)
-    assert seen[-1] == dtype
+    monkeypatch.setattr(dynamics, "from_coherence", marked)
+    orb = orbit(4)
+    mats, spectra = marked(orb.tensors), orb.spectra
+    assert seen == [dtype]
     stack = with_transposes(mats)
     solved = stack.real if dtype is np.float64 else stack
     assert spectra[:, 0].tobytes() == jacobi_eigh(solved, want_vectors=False)[0].tobytes()

@@ -40,7 +40,7 @@ from .dynamics import (
 )
 from .entanglement import (OQ_TRIPLES, UPB_TRIPLES, lhv_oracle, partial_transpose, triple_value,
                            verify_triple_structure)
-from .linalg import _number, _real_if_exact, frobenius_distance, jacobi_eigh
+from .linalg import _distances, _number, _real_if_exact, frobenius_distance, jacobi_eigh
 from .pauli import (
     INDICES,
     LAMBDA_BASIS,
@@ -86,6 +86,10 @@ _FLOW_TOL = 1e-10
 _FIXED_READERS = frozenset({"ppt.upb", "reflect.set_c_closed", "reflect.single_component_spectrum",
                             "state.in_set_c", "state.spectrum_sep", "state.spectrum_upb"})
 _ORBIT_READERS = frozenset({"orbit.conserved_coherences", "orbit.rank", "orbit.sinusoids", "ppt.orbit"})
+
+# The generators, as label tuples, whose commutators with the complement state the stationary.* claims read
+# (_Context.commutator_norms): the fixed-point sum and each of its terms, the orbit's and each single spin's.
+_STATIONARY_AXES = (FIXED_POINT, ORBIT) + tuple((label,) for label in FIXED_POINT + ONE_SPIN)
 
 
 def _fixed_by_name(w):
@@ -208,6 +212,12 @@ class _Context:
     def byproduct(self):
         return byproduct_preparation()
 
+    @cached_property
+    def commutator_norms(self):
+        """{labels: ||[generator(*labels), upb]||_F} over _STATIONARY_AXES, from one stacked stationarity call."""
+        norms = stationarity(np.stack([generator(*labels) for labels in _STATIONARY_AXES]), self.upb)
+        return dict(zip(_STATIONARY_AXES, norms.tolist()))
+
 
 # ---------------------------------------------------------------------------
 # claim builders: each factory returns a builder, which maps the run's
@@ -223,9 +233,9 @@ def _holds(predicate):
     return lambda ctx: (bool(predicate(ctx)), True, 0.0)
 
 
-def _distance(pairs, tol=_EQUALITY_TOL):
-    """Zero claim: the largest Frobenius distance over the matrix pairs in pairs(ctx)."""
-    return _near(lambda ctx: max(frobenius_distance(a, b) for a, b in pairs(ctx)), tol=tol)
+def _distance(stacks, tol=_EQUALITY_TOL):
+    """Zero claim: the largest Frobenius distance between the two matrix stacks in stacks(ctx), which broadcast."""
+    return _near(lambda ctx: _distances(*stacks(ctx)).max(), tol=tol)
 
 
 def _deviation(pairs, tol=_EQUALITY_TOL):
@@ -257,18 +267,16 @@ def _interior_npt(order):
 
 def _stationary(*labels):
     """The commutator of the generator over labels with the complement state vanishes."""
-    return _near(lambda ctx: stationarity(generator(*labels), ctx.upb))
+    return _near(lambda ctx: ctx.commutator_norms[labels])
 
 
 def _rodrigues_match(axis):
     """Closed-form flow against conjugation by the spectral projectors, at 33 times."""
-    def pairs(ctx):
+    def stacks(ctx):
         times = np.linspace(0.0, TAU_P, 33)
-        flows = named_flow(axis, times, ctx.upb)
-        closed = from_coherence(rodrigues_flow(axis, times, ctx.upb_t))
-        return list(zip(closed, flows))
+        return from_coherence(rodrigues_flow(axis, times, ctx.upb_t)), named_flow(axis, times, ctx.upb)
 
-    return _distance(pairs, _FLOW_TOL)
+    return _distance(stacks, _FLOW_TOL)
 
 
 def _rodrigues_period(axis):
@@ -313,8 +321,8 @@ def _orbit_rank(ctx):
 
 
 def _sum_only_stationary(ctx):
-    singles = [stationarity(generator(label), ctx.upb) for label in FIXED_POINT]
-    return all(s > 1e-3 for s in singles) and stationarity(generator(*FIXED_POINT), ctx.upb) < 1e-12
+    norms = ctx.commutator_norms
+    return all(norms[(label,)] > 1e-3 for label in FIXED_POINT) and norms[FIXED_POINT] < 1e-12
 
 
 def _byproduct_unique(ctx):
@@ -324,7 +332,7 @@ def _byproduct_unique(ctx):
 
 def _decoy_misses(ctx):
     ends = from_coherence(rodrigues_flow(ORBIT, [r for r, _ in ctx.byproduct], ctx.sep_t))
-    return min(frobenius_distance(end, ctx.upb) for end in ends) > 0.1
+    return _distances(ends, ctx.upb).min() > 0.1
 
 
 def _weakened_has_witness(ctx):
@@ -381,13 +389,13 @@ def _registry():
          _near(lambda c: max(0.0, -c.fixed_spectra["upb_cuts"][:, 0].min()), tol=1e-12)),
         ("reflect.sep_to_upb", "reflection",
          "full reflection maps the separable mixture onto the complement state",
-         _distance(lambda c: [(from_coherence(reflect(c.sep_t)), c.upb)])),
+         _distance(lambda c: (from_coherence(reflect(c.sep_t)), c.upb))),
         ("reflect.involution", "reflection",
          "reflecting twice restores the original components",
          _deviation(lambda c: [(reflect(reflect(c.upb_t)), c.upb_t)])),
         ("reflect.partial_pairs", "reflection",
          "each two-qubit partial reflection also maps separable onto complement",
-         _distance(lambda c: [(from_coherence(row), c.upb) for row in partial_reflect(c.sep_t)])),
+         _distance(lambda c: (from_coherence(partial_reflect(c.sep_t)), c.upb))),
         ("reflect.single_component_spectrum", "reflection",
          "reflected rank-1 projector has spectrum {-3/4, 1/4 x7}",
          _deviation(lambda c: [(c.fixed_spectra["projector"], _PROJECTOR_SPECTRUM)], 1e-11)),
@@ -396,7 +404,7 @@ def _registry():
          _holds(lambda c: spectrum_in_C(c.fixed_spectra["set_c"]))),
         ("lhv.structure", "lhv-triples",
          "all eight builtin triples commute pairwise with product proportional to identity",
-         _holds(lambda c: all(map(verify_triple_structure, UPB_TRIPLES + OQ_TRIPLES)))),
+         _holds(lambda c: all(verify_triple_structure(UPB_TRIPLES + OQ_TRIPLES)))),
         ("lhv.upb_triples.products_on_upb", "lhv-triples",
          "complement state gives product -x^3 on every first-family triple",
          _lhv_products("upb_t", UPB_TRIPLES, -X3)),
@@ -426,22 +434,20 @@ def _registry():
          _lhv_oracle("upb_t", OQ_TRIPLES, 2)),
         ("prep.standard.endpoint", "preparation",
          "triple-z then six-term schedule lands on the complement state",
-         _distance(lambda c: [(c.prep_standard.checkpoints["final"], c.upb)], _FLOW_TOL)),
+         _distance(lambda c: (c.prep_standard.checkpoints["final"], c.upb), _FLOW_TOL)),
         ("prep.standard.intermediate", "preparation",
          "triple-z half-period stage lands on the mu mixture",
-         _distance(lambda c: [(c.prep_standard.checkpoints["intermediate"],
-                               family_mixture("mu"))], _FLOW_TOL)),
+         _distance(lambda c: (c.prep_standard.checkpoints["intermediate"], family_mixture("mu")), _FLOW_TOL)),
         ("prep.standard.interior_npt", "preparation",
          "standard schedule is NPT on every cut at all interior sample times",
          _interior_npt("standard")),
         ("prep.swapped.endpoint", "preparation",
          "swapped schedule lands on the same complement state",
-         _distance(lambda c: [(c.prep_swapped.checkpoints["final"], c.upb)], _FLOW_TOL)),
+         _distance(lambda c: (c.prep_swapped.checkpoints["final"], c.upb), _FLOW_TOL)),
         ("prep.swapped.intermediate_reflects", "preparation",
          "swapped-schedule intermediate is the reflection of the standard one",
-         _distance(lambda c: [(c.prep_swapped.checkpoints["intermediate"],
-                               reflect_density(c.prep_standard.checkpoints["intermediate"]))],
-                   _FLOW_TOL)),
+         _distance(lambda c: (c.prep_swapped.checkpoints["intermediate"],
+                              reflect_density(c.prep_standard.checkpoints["intermediate"])), _FLOW_TOL)),
         ("prep.swapped.interior_npt", "preparation",
          "swapped schedule is NPT on every cut at all interior sample times",
          _interior_npt("swapped")),
@@ -450,21 +456,21 @@ def _registry():
          _lhv_products("swapped_mid_t", UPB_TRIPLES, -X3)),
         ("orbit.start_matches_families", "orbit",
          "orbit start is the psi mixture and its reflection the complement state",
-         _distance(lambda c: [(from_coherence(c.sep_t), family_mixture("psi")),
-                              (from_coherence(reflect(c.sep_t)), c.upb)])),
+         _distance(lambda c: (from_coherence(np.stack([c.sep_t, reflect(c.sep_t)])),
+                              np.stack([family_mixture("psi"), c.upb])))),
         ("orbit.quarter_matches_table", "orbit",
          "quarter-period orbit components match the signed table",
          _deviation(lambda c: [(c.quarter_t, expected_oq_tensor())])),
         ("orbit.quarter_is_theta_complement", "orbit",
          "quarter-period orbit state equals the complement map of the theta family",
-         _distance(lambda c: [(from_coherence(c.quarter_t), rho_oq())])),
+         _distance(lambda c: (from_coherence(c.quarter_t), rho_oq()))),
         ("orbit.quarter_reflection_equals_theta", "orbit",
          "reflected quarter-period orbit state equals the theta mixture",
-         _distance(lambda c: [(from_coherence(reflect(c.quarter_t)), family_mixture("theta"))])),
+         _distance(lambda c: (from_coherence(reflect(c.quarter_t)), family_mixture("theta")))),
         ("orbit.half_equals_phi", "orbit",
          "half-period orbit state equals the phi mixture",
-         _distance(lambda c: [(from_coherence(rodrigues_flow(ORBIT, TAU_P / 2.0, c.sep_t)),
-                               family_mixture("phi"))])),
+         _distance(lambda c: (from_coherence(rodrigues_flow(ORBIT, TAU_P / 2.0, c.sep_t)),
+                              family_mixture("phi")))),
         ("orbit.conserved_coherences", "orbit",
          "weight <= 2 components are constant along the orbit",
          _deviation(lambda c: [(c.orbit.tensors[:, _LOW_WEIGHT], c.orbit.tensors[0, _LOW_WEIGHT])])),
@@ -485,7 +491,7 @@ def _registry():
          _holds(_sum_only_stationary)),
         ("stationary.orbit_generator_moves", "stationarity",
          "triple-y generator does not commute with the complement state",
-         _holds(lambda c: stationarity(generator(*ORBIT), c.upb) > 1e-3)),
+         _holds(lambda c: c.commutator_norms[ORBIT] > 1e-3)),
         ("rodrigues.match_333", "flow",
          "closed-form component flow for the triple-z axis matches conjugation at 33 times",
          _rodrigues_match(STAGE1)),
@@ -593,8 +599,8 @@ def run_claims(orbit_samples=64, filter=None):
 
 
 def write_reports_json(reports, fobj):
-    json.dump([{name: getattr(r, name) for name in r._fields} for r in reports], fobj, indent=2)
-    fobj.write("\n")
+    reports = [{name: getattr(r, name) for name in r._fields} for r in reports]
+    fobj.write(json.dumps(reports, indent=2) + "\n")  # one write: json.dump writes each chunk
 
 
 def write_orbit_csv(fobj, orbit):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .entanglement import _QUBIT_SHIFT, partial_transpose
-from .linalg import _array, _finite_result, _number, _real_if_exact, frobenius_distance, jacobi_eigh
+from .linalg import _array, _distances, _finite_result, _number, _real_if_exact, jacobi_eigh
 from .pauli import LAMBDA_BASIS, SQRT2, from_coherence, label_index, to_coherence
 from .states import family_mixture, rho_sep, rho_upb
 
@@ -335,16 +335,20 @@ def orbit(samples=64):
 
 
 def stationarity(h, rho):
-    """Frobenius norm of the commutator [H, rho] of two Hermitian 8x8 matrices.
+    """Frobenius norm of the commutator [H, rho] of Hermitian 8x8 matrices, for one H or each of a stack.
 
-    Raises ShapeMismatch on other shapes and NonHermitian on a matrix that is
-    not Hermitian within 1e-12 or holds a NaN or infinite entry, and
-    ValueError if an entry of H rho or rho H overflows.
+    h is (8, 8), giving a float, or a stack (..., 8, 8), giving an array of
+    shape (...) whose every norm has the bits of its one-matrix call.  Raises
+    ShapeMismatch on other shapes (rho must be (8, 8)) and NonHermitian on a
+    matrix that is not Hermitian within 1e-12 or holds a NaN or infinite
+    entry, and ValueError if an entry of H rho or rho H overflows.
     """
-    h, rho = (_array(m, "matrix entries", (8, 8), herm_tol=1e-12) for m in (h, rho))
+    h = _array(h, "matrix entries", (..., 8, 8), herm_tol=1e-12)
+    rho = _array(rho, "matrix entries", (8, 8), herm_tol=1e-12)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
         products = h @ rho, rho @ h
-    return frobenius_distance(*(_finite_result(p, "product entries") for p in products))
+    norms = _distances(*(_finite_result(p, "product entries") for p in products))
+    return norms if h.ndim > 2 else float(norms)
 
 
 def byproduct_preparation():
@@ -363,4 +367,4 @@ def byproduct_preparation():
     candidates = (TAU_P / 4.0, -TAU_P / 4.0, 3.0 * TAU_P / 4.0, -3.0 * TAU_P / 4.0)
     reduced = sorted({round(float(t % TAU_P), 12) for t in candidates})
     ends = from_coherence(rodrigues_flow(ORBIT, reduced, theta_t))
-    return tuple((float(r), frobenius_distance(end, target)) for r, end in zip(reduced, ends))
+    return tuple(zip(map(float, reduced), _distances(ends, target).tolist()))

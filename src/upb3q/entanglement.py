@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .linalg import _array, _finite_result, _items, frobenius_distance
+from .linalg import _array, _distances, _finite_result, _items
 from .pauli import LAMBDA_BASIS, label_index
 
 
@@ -60,21 +60,24 @@ def _triple(triple):
 
 
 def verify_triple_structure(triple):
-    """Check the algebra that powers the sign argument for a label triple.
+    """Check the algebra that powers the sign argument for a label triple, or for each of a tuple of them.
 
     Returns True iff the three observables pairwise commute (commutator norm
-    < _TRIPLE_TOL) and their product is c * Lambda_000 with c > 0.  Raises
-    ValueError unless the triple holds exactly 3 valid labels.
+    < _TRIPLE_TOL) and their product is c * Lambda_000 with c > 0.  A tuple
+    whose items are all tuples is read as several triples and gives a tuple
+    of verdicts, one per triple, from one stacked product of each kind.
+    Raises ValueError unless each triple holds exactly 3 valid labels.
     """
-    a, b, c = LAMBDA_BASIS[_triple(triple)[1]]
-    for m1, m2 in itertools.combinations((a, b, c), 2):
-        if frobenius_distance(m1 @ m2, m2 @ m1) >= _TRIPLE_TOL:
-            return False
-    prod = a @ b @ c
+    several = isinstance(triple, tuple) and triple != () and all(isinstance(t, tuple) for t in triple)
+    m = LAMBDA_BASIS[[_triple(t)[1] for t in (triple if several else (triple,))]]  # (triple, 3, 8, 8)
+    x, y = m[:, [0, 0, 1]], m[:, [1, 2, 2]]  # the pairs (a, b), (a, c) and (b, c)
+    commute = (_distances(x @ y, y @ x) < _TRIPLE_TOL).all(axis=1)
+    prod = m[:, 0] @ m[:, 1] @ m[:, 2]
     ident = LAMBDA_BASIS[0]
-    coeff = np.trace(prod @ ident).real  # orthonormal-basis projection
-    residual = frobenius_distance(prod, coeff * ident)
-    return bool(residual < _TRIPLE_TOL and coeff > 0)
+    coeff = np.trace(prod @ ident, axis1=-2, axis2=-1).real  # orthonormal-basis projection
+    residual = _distances(prod, coeff[:, None, None] * ident)
+    verdicts = tuple(map(bool, commute & (residual < _TRIPLE_TOL) & (coeff > 0)))
+    return verdicts if several else verdicts[0]
 
 
 def triple_value(c, triple):

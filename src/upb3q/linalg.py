@@ -347,3 +347,17 @@ def frobenius_distance(a, b):
     if not math.isfinite(d):  # finite entries can still overflow
         raise ValueError(f"Frobenius distance must be finite, got {d!r} (an overflow)")
     return d
+
+
+def _distances(a, b):
+    """Frobenius norm of a - b for each matrix of two (..., m, n) stacks that broadcast; ValueError on an overflow.
+
+    Each matrix's squares are summed over their own contiguous row, as
+    frobenius_distance sums one pair's, so each norm has the bits of that call.
+    """
+    with np.errstate(over="ignore"):  # an overflow fails the check below
+        sq = np.abs(a - b) ** 2
+        d = np.sqrt(np.sum(sq.reshape(sq.shape[:-2] + (-1,)), axis=-1))
+    if not np.isfinite(d).all():  # finite entries can still overflow
+        raise ValueError(f"Frobenius distance must be finite, got {float(d.max())!r} (an overflow)")
+    return d

@@ -62,11 +62,16 @@ def _four_kets(kets):
     return kets
 
 
+_FAMILIES = {}  # name -> its 4 kets, built on first use; a ket's arrays are read-only, so callers share them
+
+
 def family(name):
-    """The 4 mutually orthogonal product kets of a named family: psi, mu, theta, phi."""
+    """The 4 mutually orthogonal product kets of a named family (psi, mu, theta, phi); one tuple for every call."""
     if not isinstance(name, str) or name not in FAMILY_SYMBOLS:
         raise ValueError(f"unknown family {name!r}; choose from {sorted(FAMILY_SYMBOLS)}")
-    return tuple(ket_from_string(s) for s in FAMILY_SYMBOLS[name])
+    if name not in _FAMILIES:
+        _FAMILIES[name] = tuple(ket_from_string(s) for s in FAMILY_SYMBOLS[name])
+    return _FAMILIES[name]
 
 
 def family_mixture(name):
@@ -184,13 +189,16 @@ def check_upb(kets):
     """Decide whether 4 orthogonal product kets form an unextendable product basis.
 
     A product witness orthogonal to all members must be orthogonal to each
-    member's local vector on at least one party.  Enumerate all 3^4 = 81
-    assignments of members to parties: an assignment is feasible iff, on every
-    party, the local vectors of the members sent there are pairwise parallel
-    (a qubit direction can be orthogonal to only one ray).  A feasible
-    assignment yields a witness: the orthogonal complement of the assigned
-    direction on each constrained party, |0> on unconstrained parties.  The
-    first feasible assignment in lexicographic order is returned, verified.
+    member's local vector on at least one party.  Of the 3^4 = 81
+    assignments of members to parties, one is feasible iff, on every party,
+    the local vectors of the members sent there are parallel to the first
+    one's (a qubit direction can be orthogonal to only one ray).  A feasible
+    assignment yields a witness: the orthogonal complement of the first
+    member's direction on each constrained party, |0> on unconstrained
+    parties.  The search sends members in order, trying parties in order,
+    and drops every assignment that extends an infeasible start; each
+    party's parallel test is made once per member pair.  So the first
+    feasible assignment in lexicographic order is returned, verified.
 
     Returns:
         UPBCheckResult; extension_witness is None iff no assignment is feasible.
@@ -204,28 +212,32 @@ def check_upb(kets):
         abs(np.vdot(a.amplitudes, b.amplitudes)) <= 1e-12
         for a, b in itertools.combinations(kets, 2)
     )
-    for assignment in itertools.product(range(3), repeat=len(kets)):
-        per_party = [
-            [kets[m].locals[p] for m in range(len(kets)) if assignment[m] == p]
-            for p in range(3)
-        ]
-        feasible = all(
-            all(abs(np.vdot(vs[0], w)) > 1.0 - _PARALLEL_TOL for w in vs[1:])
-            for vs in per_party
-            if vs
-        )
-        if not feasible:
-            continue
-        locals_ = [
-            _orthogonal_complement(vs[0]) if vs else np.array([1.0, 0.0], dtype=complex)
-            for vs in per_party
-        ]
-        witness = ProductKet(locals_)
-        overlaps = [abs(np.vdot(k.amplitudes, witness.amplitudes)) for k in kets]
-        if max(overlaps) >= 1e-10:  # pragma: no cover - guards the search logic
-            raise AssertionError(f"witness failed verification: overlaps {overlaps}")
-        return UPBCheckResult(orthogonal, witness)
-    return UPBCheckResult(orthogonal, None)
+    # parallel[p][i, j] for members i < j: their local vectors on party p are parallel
+    parallel = [{(i, j): abs(np.vdot(kets[i].locals[p], kets[j].locals[p])) > 1.0 - _PARALLEL_TOL
+                 for i, j in itertools.combinations(range(len(kets)), 2)} for p in range(3)]
+    sent = [[], [], []]  # the members sent to each party so far
+
+    def send(m):
+        """True once members m onwards are sent feasibly, in the first such order; sent is then the assignment."""
+        if m == len(kets):
+            return True
+        for p, ms in enumerate(sent):
+            if not ms or parallel[p][ms[0], m]:
+                ms.append(m)
+                if send(m + 1):
+                    return True
+                ms.pop()
+        return False
+
+    if not send(0):
+        return UPBCheckResult(orthogonal, None)
+    locals_ = [_orthogonal_complement(kets[ms[0]].locals[p]) if ms else np.array([1.0, 0.0], dtype=complex)
+               for p, ms in enumerate(sent)]
+    witness = ProductKet(locals_)
+    overlaps = [abs(np.vdot(k.amplitudes, witness.amplitudes)) for k in kets]
+    if max(overlaps) >= 1e-10:  # pragma: no cover - guards the search logic
+        raise AssertionError(f"witness failed verification: overlaps {overlaps}")
+    return UPBCheckResult(orthogonal, witness)
 
 
 def reflect_density(rho):

@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from upb3q import claims, dynamics
+from upb3q import claims, dynamics, states
 from upb3q.claims import (
     ClaimReport,
     _ancilla_pairs,
@@ -19,7 +19,7 @@ from upb3q.claims import (
     write_reports_json,
 )
 from upb3q.dynamics import COS_SET, SIN_SET, TAU_P, orbit
-from upb3q.linalg import jacobi_eigh
+from upb3q.linalg import _distances, frobenius_distance, jacobi_eigh
 from upb3q.pauli import INDICES, LAMBDA_BASIS, bloch_vector, from_coherence, lambda_matrix, to_coherence
 from upb3q.states import X, family, family_mixture, reflect, reflect_density
 
@@ -296,6 +296,39 @@ def test_fixed_spectra_solve_real_only_with_no_imaginary_bit_set(monkeypatch, im
     assert seen == [dtype]
     assert ctx.orbit.spectra.tobytes() == orbit(64).spectra.tobytes()
     assert np.abs(spectra["projector"] - claims._PROJECTOR_SPECTRUM).max() < 1e-15
+
+
+@pytest.mark.parametrize("axis, cid", [(dynamics.STAGE1, "rodrigues.match_333"),
+                                       (dynamics.ORBIT, "rodrigues.match_222")])
+def test_flow_match_distances_have_the_bits_of_one_pair_calls(axis, cid):
+    # rodrigues.match_* takes one stacked distance over its 33 times; each has
+    # the bits of frobenius_distance on that time's pair, so the claim reads their max
+    ctx = _Context(64)
+    times = np.linspace(0.0, TAU_P, 33)
+    closed = from_coherence(dynamics.rodrigues_flow(axis, times, ctx.upb_t))
+    flows = dynamics.named_flow(axis, times, ctx.upb)
+    per_pair = np.array([frobenius_distance(a, b) for a, b in zip(closed, flows)])
+    assert _distances(closed, flows).tobytes() == per_pair.tobytes()
+    [report] = [r for r in run_claims(64, cid) if r.status != "skip"]
+    assert report.measured == per_pair.max()
+
+
+def test_a_verify_run_builds_each_ket_family_once(monkeypatch):
+    # family() fills its dict on first use and returns the same tuple after, so
+    # a first run builds the 16 family kets and the weakened set's |111>, and a
+    # second builds only |111>; one run used to build 74 product kets
+    monkeypatch.setattr(states, "_FAMILIES", {})
+    built = []
+    for module in (states, claims):
+        inner = module.ket_from_string
+        monkeypatch.setattr(module, "ket_from_string", lambda s, inner=inner: built.append(s) or inner(s))
+    run_claims(64)
+    assert len(built) <= 17 and built.count("111") == 1
+    built.clear()
+    run_claims(64)
+    assert built == ["111"]
+    for name in states.FAMILY_SYMBOLS:
+        assert family(name) is family(name)
 
 
 def test_ancilla_pairs_match_the_per_element_kron_loop():

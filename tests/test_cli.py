@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import upb3q
-from upb3q import dynamics
+from upb3q import dynamics, states
 from upb3q.claims import ClaimReport, run_claims, write_bloch_csv, write_orbit_csv, write_reports_json
 from upb3q.cli import build_parser, main
 from upb3q.dynamics import orbit, prepare_upb
@@ -218,8 +218,9 @@ def run_every_command(capsys):
 def test_every_public_routine_is_reached_by_a_command(capsys, monkeypatch):
     # a public routine that no command enters is dead weight: delete it, or
     # give it a caller; the three command lines together reach every one.
-    # The adjoint generators start uncached, as in a fresh process.
+    # The adjoint generators and the ket families start uncached, as in a fresh process.
     monkeypatch.setattr(dynamics, "_R_CACHE", {})
+    monkeypatch.setattr(states, "_FAMILIES", {})
     routines = public_routines()
     entered = set()
 

@@ -154,9 +154,11 @@ def test_flows_reject_rho_of_another_shape(solver_calls):
             named_flow(STAGE1, 0.3, rho)
         with pytest.raises(ShapeMismatch, match=r"must have shape \(8, 8\)"):
             stationarity(h, rho)
-    # a stack of generators used to give one norm for the whole stack
-    with pytest.raises(ShapeMismatch, match=r"must have shape \(8, 8\)"):
-        stationarity(np.array([h, h]), rho_upb())
+    # a stack of generators used to give one norm for the whole stack; it gives
+    # one norm per generator now, and a stack of other matrices is refused
+    assert stationarity(np.array([h, h]), rho_upb()).tolist() == [stationarity(h, rho_upb())] * 2
+    with pytest.raises(ShapeMismatch, match=r"must have shape \(\.\.\., 8, 8\), got shape \(2, 4, 4\)"):
+        stationarity(np.zeros((2, 4, 4)), rho_upb())
     # a NaN matrix used to give a NaN norm, a non-Hermitian one a meaningless norm
     skew = h + np.triu(np.ones((8, 8)), 1)
     for bad in (np.full((8, 8), np.nan), np.full((8, 8), np.inf), skew):
@@ -525,6 +527,28 @@ def test_stationarity_of_named_generators():
         axis = max(label)
         expect = (SQRT6 if axis == "2" else SQRT3) * X
         assert abs(stationarity(generator(label), rho) - expect) < 1e-12
+
+
+def test_stacked_stationarity_has_the_bits_of_one_matrix_calls():
+    # the stationary.* claims read one stacked call over their 20 generators;
+    # every norm, and each of a seeded (4, 10) stack of Hermitian matrices,
+    # has the bits of the one-matrix form frobenius_distance(h @ rho, rho @ h)
+    rho = rho_upb()
+
+    def alone(h):
+        return np.array([linalg.frobenius_distance(x @ rho, rho @ x) for x in h.reshape(-1, 8, 8)])
+
+    norms = claims._Context(64).commutator_norms
+    assert len(norms) == 20
+    h = np.stack([generator(*labels) for labels in norms])
+    assert np.array(list(norms.values())).tobytes() == alone(h).tobytes()
+    assert [stationarity(x, rho) for x in h] == list(norms.values())
+    rng = np.random.default_rng(43)
+    m = rng.normal(size=(4, 10, 8, 8)) + 1j * rng.normal(size=(4, 10, 8, 8))
+    h = m + np.swapaxes(m.conj(), -1, -2)
+    stacked = stationarity(h, rho)
+    assert stacked.shape == (4, 10)
+    assert stacked.tobytes() == alone(h).tobytes()
 
 
 def test_fixed_point_terms_move_individually():

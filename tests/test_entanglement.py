@@ -159,6 +159,17 @@ def test_triple_families_structure():
             assert verify_triple_structure(tr)
 
 
+def test_structure_check_of_a_tuple_of_triples_gives_each_verdict():
+    # lhv.structure checks its eight triples in one stacked product of each kind
+    bad = (("100", "200", "300"), ("110", "220", "330"), ("033", "303", "300"))
+    triples = UPB_TRIPLES + bad + OQ_TRIPLES
+    assert verify_triple_structure(triples) == tuple(map(verify_triple_structure, triples))
+    assert verify_triple_structure(triples) == (True,) * 4 + (False,) * 3 + (True,) * 4
+    assert verify_triple_structure((UPB_TRIPLES[0],)) == (True,)
+    with pytest.raises(ValueError, match="exactly 3 component labels, got 2"):
+        verify_triple_structure((UPB_TRIPLES[0], ("031", "301")))
+
+
 def test_structure_check_rejects_bad_triples():
     non_commuting = ("100", "200", "300")
     assert not verify_triple_structure(non_commuting)

@@ -362,6 +362,21 @@ def test_frobenius_distance():
         frobenius_distance(np.eye(2), np.eye(3))
 
 
+def test_stacked_distances_have_the_bits_of_one_pair_calls():
+    # each matrix of a stack sums its own row of squares, as one pair does: 500
+    # seeded complex stacks of up to 8 pairs, a stack against one matrix, and real ones
+    rng = np.random.default_rng(43)
+    for _ in range(500):
+        shape = (int(rng.integers(1, 9)), 8, 8)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        b = a + rng.normal(scale=10.0 ** rng.integers(-17, 1), size=shape) * np.exp(2j * np.pi * rng.random(shape))
+        for x, y in ((a, b), (a, b[0]), (a.real, b.real)):
+            want = [frobenius_distance(m, y if y.ndim == 2 else y[i]) for i, m in enumerate(x)]
+            assert linalg._distances(x, y).tobytes() == np.array(want).tobytes()
+    with pytest.raises(ValueError, match="Frobenius distance must be finite, got inf"):
+        linalg._distances(np.full((2, 8, 8), 1e200), np.eye(8))
+
+
 @pytest.mark.parametrize("a, b, match", [
     (np.full((8, 8), np.nan), np.eye(8), "entries must be finite, got a NaN or infinite entry"),
     (np.eye(8), np.diag([np.inf] + [0.0] * 7), "entries must be finite, got a NaN or infinite entry"),

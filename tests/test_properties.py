@@ -13,8 +13,10 @@ from hypothesis.extra.numpy import arrays
 
 from upb3q.entanglement import partial_transpose
 from upb3q.linalg import NoConvergence, NonHermitian, jacobi_eigh
-from upb3q.pauli import INDICES, ProductKet, from_coherence, to_coherence
-from upb3q.states import FAMILY_SYMBOLS, check_upb, reflect
+from upb3q.pauli import INDICES, ProductKet, from_coherence, ket_from_string, to_coherence
+from upb3q.states import FAMILY_SYMBOLS, check_upb, family, reflect
+
+from helpers import check_upb_reference
 
 entries = arrays(np.float64, (2, 8, 8), elements=st.floats(-1.0, 1.0))
 
@@ -214,3 +216,28 @@ def brute_force_extendable(members):
 def test_check_upb_matches_brute_force_witness_search(members):
     kets = [ProductKet([PAULI_STATES[ch] for ch in m]) for m in members]
     assert (check_upb(kets).extension_witness is None) == (not brute_force_extendable(members))
+
+
+def _same_verdict(kets):
+    """check_upb and the brute-force reference agree: same orthogonal flag, same witness bytes or both None."""
+    res = check_upb(kets)
+    orthogonal, witness = check_upb_reference(kets)
+    assert res.orthogonal == orthogonal
+    if witness is None:
+        assert res.extension_witness is None
+    else:
+        got = res.extension_witness
+        assert [v.tobytes() for v in got.locals] == [v.tobytes() for v in witness.locals]
+        assert got.amplitudes.tobytes() == witness.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("name", [*sorted(FAMILY_SYMBOLS), "weakened"])
+def test_check_upb_matches_the_reference_on_the_named_sets(name):
+    # check_upb tests each member pair once per party; the reference tests them again in each of the 81 assignments
+    _same_verdict(family("psi")[:3] + (ket_from_string("111"),) if name == "weakened" else family(name))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(product_sets)
+def test_check_upb_matches_the_reference_on_product_sets(members):
+    _same_verdict([ProductKet([PAULI_STATES[ch] for ch in m]) for m in members])
